@@ -230,11 +230,8 @@ def load_manifest_entries(path: Path) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    text = path.read_text(encoding="utf-8").lstrip()
-    if text.startswith("["):
-        import json
-
-        rows = json.loads(text)
+    if path.read_text(encoding="utf-8").lstrip().startswith("["):
+        rows = formats.read_json(path)
         if not isinstance(rows, list):
             raise SchemaViolation(f"{path}: expected a JSON list")
         return rows
@@ -325,11 +322,4 @@ def write_benchmark(path: Path, examples: list[BenchmarkExample]) -> int:
 
 
 def read_benchmark(path: Path) -> list[BenchmarkExample]:
-    rows = formats.read_jsonl(path)
-    examples = []
-    for lineno, row in enumerate(rows, start=1):
-        try:
-            examples.append(BenchmarkExample.from_dict(row))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
-    return examples
+    return formats.read_jsonl(path, BenchmarkExample.from_dict)

@@ -66,6 +66,32 @@ class CandidateRecord:
         if self.exposure_gain <= 0:
             raise MalformedResponse("candidate exposure_gain must be > 0")
 
+    def to_dict(self, capture_id: str) -> dict:
+        """One candidates.jsonl row: the record plus the capture it came from."""
+        return {
+            "capture_id": capture_id,
+            "question": self.question,
+            "answer": self.answer,
+            "score": self.score,
+            "exposure_gain": self.exposure_gain,
+            "question_type": self.question_type,
+            "template_id": self.template_id,
+            "source_prefix": self.source_prefix,
+        }
+
+    @classmethod
+    def from_row(cls, row: dict) -> tuple[str, "CandidateRecord"]:
+        """Parse one candidates.jsonl row into (capture_id, record)."""
+        return str(row["capture_id"]), cls(
+            question=str(row["question"]),
+            answer=str(row["answer"]),
+            score=float(row["score"]),
+            exposure_gain=float(row["exposure_gain"]),
+            question_type=str(row.get("question_type", "")),
+            template_id=str(row.get("template_id", "")),
+            source_prefix=str(row.get("source_prefix", "")),
+        )
+
 
 @dataclass(frozen=True)
 class InstructionRecord:
@@ -150,10 +176,14 @@ class MockAnnotatorClient:
         self._entries: dict[tuple[str, float], dict] = {}
         self._remaining_failures: dict[tuple[str, float], int] = {}
         self.calls = 0
-        for row in formats.read_jsonl(transcript_path):
+
+        def parse(row):
             key = (str(row["capture_id"]), float(row["exposure_gain"]))
+            return key, row, int(row.get("fail_times", 0))
+
+        for key, row, fail_times in formats.read_jsonl(transcript_path, parse):
             self._entries[key] = row
-            self._remaining_failures[key] = int(row.get("fail_times", 0))
+            self._remaining_failures[key] = fail_times
 
     def fetch(self, capture_id: str, exposure_gain: float, image_ppm: bytes) -> list[dict]:
         self.calls += 1
@@ -367,11 +397,4 @@ def write_samples(path: Path, samples: list[TrainingSample]) -> int:
 
 
 def read_samples(path: Path) -> list[TrainingSample]:
-    rows = formats.read_jsonl(path)
-    samples = []
-    for lineno, row in enumerate(rows, start=1):
-        try:
-            samples.append(TrainingSample.from_dict(row))
-        except (KeyError, TypeError, ValueError, SchemaViolation) as exc:
-            raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
-    return samples
+    return formats.read_jsonl(path, TrainingSample.from_dict)

@@ -156,7 +156,6 @@ def _config_hash(config: RunConfig) -> str:
 
 
 def _write_run_record(out_dir: Path, subcommand: str, config: RunConfig, counts: dict, started: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     record = {
         "subcommand": subcommand,
         "config_hash": _config_hash(config),
@@ -165,7 +164,7 @@ def _write_run_record(out_dir: Path, subcommand: str, config: RunConfig, counts:
         "started_at": started,
         "finished_at": time.time(),
     }
-    (out_dir / "run.json").write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
+    formats.write_json(out_dir / "run.json", record)
 
 
 # --- shared helpers ----------------------------------------------------------------
@@ -176,7 +175,10 @@ def _gain_tag(gain: float) -> str:
 
 def _load_refs(path: Path) -> list[capture_mod.CaptureRef]:
     rows = benchmark.load_manifest_entries(path)
-    return [capture_mod.CaptureRef.from_dict(row) for row in rows]
+    try:
+        return [capture_mod.CaptureRef.from_dict(row) for row in rows]
+    except (KeyError, TypeError) as exc:
+        raise SchemaViolation(f"{path}: invalid capture ref ({exc!r})") from exc
 
 
 def _iter_bundle_dirs(root: Path) -> list[Path]:
@@ -186,24 +188,6 @@ def _iter_bundle_dirs(root: Path) -> list[Path]:
     if (root / capture_mod.SIDECAR_NAME).exists():
         return [root]
     return sorted(p.parent for p in root.glob(f"*/{capture_mod.SIDECAR_NAME}"))
-
-
-def _iter_plane_stems(root: Path) -> list[Path]:
-    if not Path(root).exists():
-        raise MissingFile(str(root))
-    return sorted(
-        Path(str(p)[: -len(".json")]) for p in Path(root).glob("*.json")
-        if Path(str(p)[: -len(".json")] + ".f32").exists()
-    )
-
-
-def _iter_render_stems(root: Path) -> list[Path]:
-    if not Path(root).exists():
-        raise MissingFile(str(root))
-    return sorted(
-        Path(str(p)[: -len(".json")]) for p in Path(root).glob("*.json")
-        if Path(str(p)[: -len(".json")] + ".ppm").exists()
-    )
 
 
 def _capture_paths(refs_or_root: Path) -> list[Path]:
@@ -231,9 +215,11 @@ def _judge_client(config: RunConfig):
 
 
 # --- subcommand implementations ------------------------------------------------------
+#
+# Each handler takes (args, config, out), where ``out`` is the --out directory
+# (created by main) or None, and returns (run.json counts, exit status).
 
-def _cmd_synth(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
+def _cmd_synth(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     if args.scene:
         try:
             spec_obj = json.loads(Path(args.scene).read_text(encoding="utf-8"))
@@ -262,25 +248,20 @@ def _cmd_synth(args, config: RunConfig) -> tuple[dict, int]:
         bundle_dir = out / "bundles" / capture_id
         capture_mod.save_capture_bundle(synthetic.capture, bundle_dir)
         refs.append(capture_mod.CaptureRef.from_capture(synthetic.capture, str(bundle_dir)).to_dict())
-    (out / "captures.json").parent.mkdir(parents=True, exist_ok=True)
-    (out / "captures.json").write_text(json.dumps(refs, sort_keys=True) + "\n", encoding="utf-8")
+    formats.write_json(out / "captures.json", refs)
     return {"captures": len(refs)}, EXIT_OK
 
 
-def _cmd_ingest(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
+def _cmd_ingest(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     refs = []
     for bundle_dir in _iter_bundle_dirs(Path(args.input)):
         loaded = capture_mod.load_capture_bundle(bundle_dir)
         refs.append(capture_mod.CaptureRef.from_capture(loaded, str(bundle_dir)).to_dict())
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "captures.json").write_text(json.dumps(refs, sort_keys=True) + "\n", encoding="utf-8")
+    formats.write_json(out / "captures.json", refs)
     return {"captures": len(refs)}, EXIT_OK
 
 
-def _cmd_measxyz(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_measxyz(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     n = 0
     for bundle_dir in _capture_paths(Path(args.input)):
         loaded = capture_mod.load_capture_bundle(bundle_dir)
@@ -299,42 +280,34 @@ def _render_params(config: RunConfig, gain: float) -> isp.RenderParams:
     )
 
 
-def _cmd_render(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    params = _render_params(config, config.gain)
+def _render_gains(measxyz_dir: Path, config: RunConfig, out: Path, gains) -> int:
+    """Render every Meas.-XYZ plane at each gain, saving each render before the next."""
     n = 0
-    for stem in _iter_plane_stems(Path(args.input)):
+    for stem in formats.list_stems(measxyz_dir, ".f32"):
         image = measxyz.load_meas_xyz(stem)
-        rendered = isp.render_proxy(image, params)
-        isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(config.gain)}")
-        n += 1
+        for gain in gains:
+            rendered = isp.render_proxy(image, _render_params(config, gain))
+            isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(gain)}")
+            n += 1
+    return n
+
+
+def _cmd_render(args, config: RunConfig, out: Path) -> tuple[dict, int]:
+    n = _render_gains(Path(args.input), config, out, (config.gain,))
     return {"renders": n, "gain": config.gain}, EXIT_OK
 
 
-def _cmd_bracket(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    n = 0
-    for stem in _iter_plane_stems(Path(args.input)):
-        image = measxyz.load_meas_xyz(stem)
-        for rendered in isp.make_bracket(
-            image, config.exposures,
-            bit_depth=config.bit_depth, transfer=config.transfer, quantize=config.quantize,
-        ):
-            gain = rendered.params.exposure_gain
-            isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(gain)}")
-            n += 1
+def _cmd_bracket(args, config: RunConfig, out: Path) -> tuple[dict, int]:
+    n = _render_gains(Path(args.input), config, out, config.exposures)
     return {"renders": n, "exposures": list(config.exposures)}, EXIT_OK
 
 
-def _cmd_lost_signal(args, config: RunConfig) -> tuple[dict, int]:
+def _cmd_lost_signal(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     if args.gain is None:
         raise ConfigInvalid("config.gain: lost-signal requires an explicit --gain")
-    out = Path(args.out)
     params = _render_params(config, config.gain)
     n = 0
-    for stem in _iter_plane_stems(Path(args.input)):
+    for stem in formats.list_stems(Path(args.input), ".f32"):
         image = measxyz.load_meas_xyz(stem)
         report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins)
         lost_signal.emit_report(report, out)
@@ -342,50 +315,23 @@ def _cmd_lost_signal(args, config: RunConfig) -> tuple[dict, int]:
     return {"reports": n, "gain": config.gain}, EXIT_OK
 
 
-def _cmd_annotate(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_annotate(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     client = _annotator_client(config)
+    stems = formats.list_stems(Path(args.proxies), ".ppm")
     rows = []
-    proxies = 0
-    for stem in _iter_render_stems(Path(args.proxies)):
+    for stem in stems:
         rendered = isp.load_rendered(stem)
-        proxies += 1
-        for candidate in bracketsup.annotate(rendered, client, source_prefix=config.source_prefix):
-            rows.append({
-                "capture_id": rendered.capture_id,
-                "question": candidate.question,
-                "answer": candidate.answer,
-                "score": candidate.score,
-                "exposure_gain": candidate.exposure_gain,
-                "question_type": candidate.question_type,
-                "template_id": candidate.template_id,
-                "source_prefix": candidate.source_prefix,
-            })
+        candidates = bracketsup.annotate(rendered, client, source_prefix=config.source_prefix)
+        rows.extend(candidate.to_dict(rendered.capture_id) for candidate in candidates)
     formats.write_jsonl(out / "candidates.jsonl", rows)
-    return {"proxies": proxies, "candidates": len(rows)}, EXIT_OK
+    return {"proxies": len(stems), "candidates": len(rows)}, EXIT_OK
 
 
-def _cmd_aggregate(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = formats.read_jsonl(Path(args.candidates))
+def _cmd_aggregate(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     by_capture: dict[str, list[bracketsup.CandidateRecord]] = {}
-    for lineno, row in enumerate(rows, start=1):
-        try:
-            by_capture.setdefault(str(row["capture_id"]), []).append(
-                bracketsup.CandidateRecord(
-                    question=str(row["question"]),
-                    answer=str(row["answer"]),
-                    score=float(row["score"]),
-                    exposure_gain=float(row["exposure_gain"]),
-                    question_type=str(row.get("question_type", "")),
-                    template_id=str(row.get("template_id", "")),
-                    source_prefix=str(row.get("source_prefix", "")),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"{args.candidates}:{lineno}: {exc}") from exc
+    candidates = formats.read_jsonl(Path(args.candidates), bracketsup.CandidateRecord.from_row)
+    for capture_id, candidate in candidates:
+        by_capture.setdefault(capture_id, []).append(candidate)
     samples: list[bracketsup.TrainingSample] = []
     n_records = 0
     for capture_id in sorted(by_capture):
@@ -400,9 +346,7 @@ def _cmd_aggregate(args, config: RunConfig) -> tuple[dict, int]:
     return {"captures": len(by_capture), "records": n_records, "samples": len(samples)}, EXIT_OK
 
 
-def _cmd_filter(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_filter(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     samples = bracketsup.read_samples(Path(args.input))
     scored = dataset.score_filter(samples, config.floor)
     kept, dropped_placeholder = dataset.remove_placeholders(scored, config.placeholder_patterns)
@@ -415,9 +359,7 @@ def _cmd_filter(args, config: RunConfig) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def _cmd_balance(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_balance(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     samples = bracketsup.read_samples(Path(args.input))
     caps = dataset.BalanceCaps(
         per_source=config.per_source_cap,
@@ -430,15 +372,12 @@ def _cmd_balance(args, config: RunConfig) -> tuple[dict, int]:
     return dict(manifest.stats), EXIT_OK
 
 
-def _cmd_split(args, config: RunConfig) -> tuple[dict, int]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_split(args, config: RunConfig, out: Path) -> tuple[dict, int]:
     refs = _load_refs(Path(args.captures))
     train_ids, bench_ids = benchmark.holdout_split(refs, config.fraction, config.seed)
     by_id = {r.capture_id: r for r in refs}
     for name, ids in (("train_refs.json", train_ids), ("bench_refs.json", bench_ids)):
-        rows = [by_id[i].to_dict() for i in ids]
-        (out / name).write_text(json.dumps(rows, sort_keys=True) + "\n", encoding="utf-8")
+        formats.write_json(out / name, [by_id[i].to_dict() for i in ids])
     counts = {"train": len(train_ids), "bench": len(bench_ids)}
 
     if args.samples:
@@ -459,50 +398,39 @@ def _cmd_split(args, config: RunConfig) -> tuple[dict, int]:
 def _proxy_lookup(proxies_dir: Path, capture_ids: set[str]) -> dict[str, str]:
     """Pick one rendered view per capture, preferring the gain closest to 1."""
     best: dict[str, tuple[tuple[float, float], str]] = {}
-    for stem in _iter_render_stems(proxies_dir):
-        header = json.loads(Path(str(stem) + ".json").read_text(encoding="utf-8"))
-        capture_id = header["capture_id"]
+    for stem in formats.list_stems(proxies_dir, ".ppm"):
+        capture_id, params = isp.read_render_header(stem)
         if capture_id not in capture_ids:
             continue
-        gain = float(header["params"]["exposure_gain"])
+        gain = params.exposure_gain
         rank = (abs(gain - 1.0), gain)
         if capture_id not in best or rank < best[capture_id][0]:
             best[capture_id] = (rank, str(stem) + ".ppm")
     return {cid: path for cid, (_, path) in best.items()}
 
 
-def _cmd_verify_split(args, config: RunConfig) -> tuple[dict, int]:
+def _cmd_verify_split(args, config: RunConfig, out: Path | None) -> tuple[dict, int]:
     train_rows = benchmark.load_manifest_entries(Path(args.train))
     bench_rows = benchmark.load_manifest_entries(Path(args.bench))
     report = benchmark.verify_disjointness(train_rows, bench_rows)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "disjointness.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+    if out is not None:
+        formats.write_json(out / "disjointness.json", report.to_dict())
     print(json.dumps(report.to_dict(), sort_keys=True))
     status = EXIT_OK if report.status in ("PASS", "WARN") else EXIT_VALIDATION
     return {"status": report.status}, status
 
 
-def _cmd_eval(args, config: RunConfig) -> tuple[dict, int]:
+def _cmd_eval(args, config: RunConfig, out: Path | None) -> tuple[dict, int]:
     manifest = benchmark.read_benchmark(Path(args.bench))
-    predictions: dict[tuple[str, str], str] = {}
-    for lineno, row in enumerate(formats.read_jsonl(Path(args.predictions)), start=1):
-        try:
-            predictions[(str(row["capture_id"]), str(row["question"]))] = str(row["prediction"])
-        except KeyError as exc:
-            raise SchemaViolation(f"{args.predictions}:{lineno}: missing key {exc}") from exc
+    predictions: dict[tuple[str, str], str] = dict(formats.read_jsonl(
+        Path(args.predictions),
+        lambda row: ((str(row["capture_id"]), str(row["question"])), str(row["prediction"])),
+    ))
     report = metrics.evaluate_run(predictions, manifest, _judge_client(config))
     table = metrics.render_table(report)
     print(table)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+    if out is not None:
+        formats.write_json(out / "metrics.json", report.to_dict())
         (out / "report.txt").write_text(table + "\n", encoding="utf-8")
     return {"examples": report.total, "missing_predictions": report.missing_predictions}, EXIT_OK
 
@@ -510,7 +438,7 @@ def _cmd_eval(args, config: RunConfig) -> tuple[dict, int]:
 GRAD_CHECK_THRESHOLD = 1e-4
 
 
-def _cmd_condition_check(args, config: RunConfig) -> tuple[dict, int]:
+def _cmd_condition_check(args, config: RunConfig, out: Path | None) -> tuple[dict, int]:
     if config.probe_config:
         probe_config = probe.ProbeConfig.from_file(Path(config.probe_config))
     else:
@@ -530,26 +458,20 @@ def _cmd_condition_check(args, config: RunConfig) -> tuple[dict, int]:
         "status": "PASS" if passed else "FAIL",
     }
     print(json.dumps(result, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "condition_check.json").write_text(
-            json.dumps(result, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    if out is not None:
+        formats.write_json(out / "condition_check.json", result)
     return result, EXIT_OK if passed else EXIT_VALIDATION
 
 
-def _cmd_report(args, config: RunConfig) -> tuple[dict, int]:
+def _cmd_report(args, config: RunConfig, out: Path | None) -> tuple[dict, int]:
+    obj = formats.read_json(Path(args.input))
     try:
-        obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
         report = metrics.report_from_dict(obj)
-    except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+    except (AttributeError, TypeError, KeyError, ValueError) as exc:
         raise SchemaViolation(f"{args.input}: not a metrics report ({exc})") from exc
     table = metrics.render_table(report)
     print(table)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.txt").write_text(table + "\n", encoding="utf-8")
     return {"examples": report.total}, EXIT_OK
 
@@ -560,7 +482,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="measground", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p: _Parser, out_required: bool = True):
+    def stage(name: str, run, summary: str, out_required: bool = True) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="JSON run config; flags override")
         p.add_argument("--out", required=out_required, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
@@ -573,116 +497,79 @@ def _build_parser() -> _Parser:
         p.add_argument("--floor", type=float, default=None)
         p.add_argument("--target", type=int, default=None)
         p.add_argument("--fraction", type=float, default=None)
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic capture bundles")
-    common(p)
+    p = stage("synth", _cmd_synth, "generate synthetic capture bundles")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--scene", default=None, help="scene spec JSON")
     p.add_argument("--group-size", type=int, default=1)
     p.add_argument("--devices", type=int, default=5)
 
-    p = sub.add_parser("ingest", help="validate bundles and index captures")
-    common(p)
+    p = stage("ingest", _cmd_ingest, "validate bundles and index captures")
     p.add_argument("--input", required=True, help="bundles root")
 
-    p = sub.add_parser("measxyz", help="compute Meas.-XYZ observations")
-    common(p)
+    p = stage("measxyz", _cmd_measxyz, "compute Meas.-XYZ observations")
     p.add_argument("--input", required=True, help="bundles root or captures.json")
 
-    p = sub.add_parser("render", help="render proxies at one gain")
-    common(p)
+    p = stage("render", _cmd_render, "render proxies at one gain")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = sub.add_parser("bracket", help="render the exposure bracket")
-    common(p)
+    p = stage("bracket", _cmd_bracket, "render the exposure bracket")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = sub.add_parser("lost-signal", help="invert renders and report residuals")
-    common(p)
+    p = stage("lost-signal", _cmd_lost_signal, "invert renders and report residuals")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = sub.add_parser("annotate", help="collect candidates over rendered proxies")
-    common(p)
+    p = stage("annotate", _cmd_annotate, "collect candidates over rendered proxies")
     p.add_argument("--proxies", required=True, help="render/bracket output directory")
     p.add_argument("--source-prefix", dest="source_prefix", default=None)
 
-    p = sub.add_parser("aggregate", help="aggregate candidates into samples")
-    common(p)
+    p = stage("aggregate", _cmd_aggregate, "aggregate candidates into samples")
     p.add_argument("--candidates", required=True, help="candidates.jsonl")
     p.add_argument("--measxyz", required=True, help="measxyz directory")
 
-    p = sub.add_parser("filter", help="score floor + placeholder filtering")
-    common(p)
+    p = stage("filter", _cmd_filter, "score floor + placeholder filtering")
     p.add_argument("--input", required=True, help="samples.jsonl")
 
-    p = sub.add_parser("balance", help="balance samples into a manifest")
-    common(p)
+    p = stage("balance", _cmd_balance, "balance samples into a manifest")
     p.add_argument("--input", required=True, help="filtered samples.jsonl")
     p.add_argument("--cap-source", dest="per_source_cap", type=int, default=None)
     p.add_argument("--cap-type", dest="per_type_cap", type=int, default=None)
     p.add_argument("--cap-template", dest="per_template_cap", type=int, default=None)
 
-    p = sub.add_parser("split", help="grouped capture-level holdout split")
-    common(p)
+    p = stage("split", _cmd_split, "grouped capture-level holdout split")
     p.add_argument("--captures", required=True, help="captures.json refs")
     p.add_argument("--samples", default=None, help="optional samples manifest to partition")
     p.add_argument("--proxies", default=None, help="render dir for benchmark RGB views")
 
-    p = sub.add_parser("verify-split", help="check train/bench disjointness")
-    common(p, out_required=False)
+    p = stage("verify-split", _cmd_verify_split, "check train/bench disjointness",
+              out_required=False)
     p.add_argument("--train", required=True)
     p.add_argument("--bench", required=True)
 
-    p = sub.add_parser("eval", help="score predictions against a benchmark")
-    common(p, out_required=False)
+    p = stage("eval", _cmd_eval, "score predictions against a benchmark", out_required=False)
     p.add_argument("--bench", required=True, help="bench_manifest.jsonl")
     p.add_argument("--predictions", required=True, help="predictions JSONL")
 
-    p = sub.add_parser("condition-check", help="gradient-check the conditioning probe")
-    common(p, out_required=False)
+    p = stage("condition-check", _cmd_condition_check, "gradient-check the conditioning probe",
+              out_required=False)
     p.add_argument("--probe-config", dest="probe_config", default=None)
 
-    p = sub.add_parser("report", help="render a metrics JSON as a text table")
-    common(p, out_required=False)
+    p = stage("report", _cmd_report, "render a metrics JSON as a text table", out_required=False)
     p.add_argument("--input", required=True, help="metrics.json")
 
     return parser
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "measxyz": _cmd_measxyz,
-    "render": _cmd_render,
-    "bracket": _cmd_bracket,
-    "lost-signal": _cmd_lost_signal,
-    "annotate": _cmd_annotate,
-    "aggregate": _cmd_aggregate,
-    "filter": _cmd_filter,
-    "balance": _cmd_balance,
-    "split": _cmd_split,
-    "verify-split": _cmd_verify_split,
-    "eval": _cmd_eval,
-    "condition-check": _cmd_condition_check,
-    "report": _cmd_report,
-}
-
-
 def _overrides_from_args(args) -> dict:
-    mapping = {}
-    for name in (
-        "seed", "gain", "tau", "bins", "floor", "target", "fraction",
-        "mock_annotator", "mock_judge", "probe_config", "source_prefix",
-        "per_source_cap", "per_type_cap", "per_template_cap",
-    ):
-        if hasattr(args, name):
-            mapping[name] = getattr(args, name)
-    if getattr(args, "exposures", None):
+    """Every parsed flag; load_config keeps the RunConfig fields that were given."""
+    overrides = dict(vars(args), exposures=None)
+    if args.exposures:
         try:
-            mapping["exposures"] = tuple(float(v) for v in args.exposures.split(","))
+            overrides["exposures"] = tuple(float(v) for v in args.exposures.split(","))
         except ValueError:
             raise ConfigInvalid(f"config.exposures: cannot parse {args.exposures!r}") from None
-    return mapping
+    return overrides
 
 
 def main(argv=None) -> int:
@@ -698,11 +585,14 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     started = time.time()
+    out = Path(args.out) if args.out else None
     try:
         config = load_config(args.config, _overrides_from_args(args))
-        counts, status = _HANDLERS[args.subcommand](args, config)
-        if getattr(args, "out", None):
-            _write_run_record(Path(args.out), args.subcommand, config, counts, started)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        counts, status = args.run(args, config, out)
+        if out is not None:
+            _write_run_record(out, args.subcommand, config, counts, started)
         log.info("%s finished: %s", args.subcommand, json.dumps(counts, sort_keys=True))
         return status
     except _IO_ERRORS as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import formats
 from .bracketsup import TrainingSample, normalize_answer, question_key, read_samples, write_samples
 from .errors import DomainError, SchemaViolation
-from .formats import write_json
+from .formats import read_json, write_json
 
 DEFAULT_PLACEHOLDER_PATTERNS = ("i cannot", "unable to", "as an ai", "no answer", "")
 DEFAULT_SCORE_FLOOR = 0.5
@@ -164,9 +164,7 @@ def load_manifest(path: Path) -> DatasetManifest:
     stats_path = _stats_path(path)
     if not stats_path.exists():
         raise SchemaViolation(f"{stats_path}: missing manifest stats file")
-    import json
-
-    meta = json.loads(stats_path.read_text(encoding="utf-8"))
+    meta = read_json(stats_path)
     return DatasetManifest(
         samples=tuple(samples),
         stats=meta["stats"],

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Exit-code policy for the CLI: validation-type failures map to exit 1,
-IO/remote failures to exit 2 (see cli.EXIT_IO_ERRORS).
+IO/remote failures to exit 2 (see cli._IO_ERRORS and cli.main).
 """
 
 

@@ -1,8 +1,9 @@
-"""Low-level file formats: binary PGM/PPM, float32 plane files, JSONL.
+"""Low-level file formats: binary PGM/PPM, float32 plane files, JSON, JSONL.
 
 All writers are deterministic byte-for-byte for identical inputs; JSON is
-emitted with sorted keys and no whitespace surprises so manifests can be
-compared byte-wise across runs.
+emitted as UTF-8 with sorted keys and no whitespace surprises so manifests
+can be compared byte-wise across runs. The JSON readers turn malformed
+content into SchemaViolation naming the file (and line, for JSONL).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, MalformedMosaic, SchemaViolation
+from .errors import IoFailure, MalformedMosaic, MissingFile, SchemaViolation
 
 PGM_MAXVAL = 65535
 
@@ -155,8 +156,13 @@ def read_plane(stem: Path) -> tuple[np.ndarray, dict]:
     data_path = Path(str(stem) + ".f32")
     if not header_path.exists() or not data_path.exists():
         raise IoFailure(f"{stem}: missing .f32/.json plane pair")
-    header = json.loads(header_path.read_text(encoding="utf-8"))
-    height, width, channels = header["height"], header["width"], header["channels"]
+    header = read_json(header_path)
+    try:
+        height, width, channels = (int(header[k]) for k in ("height", "width", "channels"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolation(
+            f"{header_path}: plane header needs integer height, width and channels"
+        ) from exc
     raw = np.frombuffer(data_path.read_bytes(), dtype="<f4")
     if raw.size != height * width * channels:
         raise IoFailure(f"{stem}: plane payload does not match header dimensions")
@@ -189,8 +195,25 @@ def write_jsonl(path: Path, rows) -> int:
     return n
 
 
-def read_jsonl(path: Path) -> list[dict]:
-    """Read a JSONL file; raises SchemaViolation naming the offending line."""
+def read_json(path: Path):
+    """Read one JSON document: MissingFile if absent, SchemaViolation if invalid."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise MissingFile(str(path)) from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"{path}: invalid JSON ({exc.msg})") from exc
+
+
+def read_jsonl(path: Path, parse=None) -> list:
+    """Read a JSONL file of objects, skipping blank lines, mapped by ``parse``.
+
+    A row that is not a JSON object, or that ``parse`` rejects with KeyError,
+    TypeError, ValueError or SchemaViolation, raises SchemaViolation naming
+    the file line. IO errors pass through unchanged.
+    """
     rows = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -199,9 +222,21 @@ def read_jsonl(path: Path) -> list[dict]:
                 continue
             try:
                 row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise SchemaViolation("expected a JSON object")
+                rows.append(row if parse is None else parse(row))
             except json.JSONDecodeError as exc:
                 raise SchemaViolation(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(row, dict):
-                raise SchemaViolation(f"{path}:{lineno}: expected a JSON object")
-            rows.append(row)
+            except KeyError as exc:
+                raise SchemaViolation(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError, SchemaViolation) as exc:
+                raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
     return rows
+
+
+def list_stems(root: Path, suffix: str) -> list[Path]:
+    """Sorted stems under ``root`` that have both ``<stem>.json`` and ``<stem><suffix>``."""
+    root = Path(root)
+    if not root.exists():
+        raise MissingFile(str(root))
+    return sorted(p.with_suffix("") for p in root.glob("*.json") if p.with_suffix(suffix).exists())

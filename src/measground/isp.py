@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import DomainError, EmptyBracket, IoFailure, SingularMatrix
+from .errors import DomainError, EmptyBracket, IoFailure, SchemaViolation, SingularMatrix
 from .measxyz import MeasXyzImage
 
 SRGB_PIECEWISE = "SRGB_PIECEWISE"
@@ -208,12 +208,21 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
     )
 
 
-def load_rendered(stem: Path) -> RenderedRgb:
-    import json
+def read_render_header(stem: Path) -> tuple[str, RenderParams]:
+    """The capture id and render parameters from the <stem>.json header."""
+    path = Path(str(stem) + ".json")
+    header = formats.read_json(path)
+    try:
+        return header["capture_id"], RenderParams.from_dict(header["params"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolation(
+            f"{path}: render header needs capture_id and params ({exc!r})"
+        ) from exc
 
+
+def load_rendered(stem: Path) -> RenderedRgb:
     codes, maxval = formats.read_ppm(Path(str(stem) + ".ppm"))
-    header = json.loads(Path(str(stem) + ".json").read_text(encoding="utf-8"))
-    params = RenderParams.from_dict(header["params"])
+    capture_id, params = read_render_header(stem)
     if maxval != params.max_code:
         raise IoFailure(f"{stem}: PPM maxval {maxval} disagrees with bit_depth {params.bit_depth}")
-    return RenderedRgb(codes=codes, params=params, capture_id=header["capture_id"])
+    return RenderedRgb(codes=codes, params=params, capture_id=capture_id)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formats
 from .capture import CameraMetadata, RawCapture, _black_site_map
-from .errors import DegenerateCalibration, DomainError, ShapeMismatch
+from .errors import DegenerateCalibration, DomainError, SchemaViolation, ShapeMismatch
 
 log = logging.getLogger(__name__)
 
@@ -148,13 +148,13 @@ def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
 
 def load_meas_xyz(stem: Path) -> MeasXyzImage:
     data, header = formats.read_plane(stem)
-    metadata = CameraMetadata.from_dict(header["metadata"])
-    return MeasXyzImage(data=data, capture_id=header["capture_id"], metadata=metadata)
+    try:
+        metadata = CameraMetadata.from_dict(header["metadata"])
+        return MeasXyzImage(data=data, capture_id=header["capture_id"], metadata=metadata)
+    except KeyError as exc:
+        raise SchemaViolation(f"{stem}.json: plane header lacks {exc}") from exc
 
 
 def peek_capture_id(stem: Path) -> str:
     """Read only the header of a plane pair (cheap existence/id check)."""
-    import json
-
-    header = json.loads(Path(str(stem) + ".json").read_text(encoding="utf-8"))
-    return header["capture_id"]
+    return formats.read_json(Path(str(stem) + ".json"))["capture_id"]

@@ -140,13 +140,16 @@ class TranscriptJudge:
     matching so partial transcripts stay usable."""
 
     def __init__(self, transcript_path: Path):
-        self._verdicts: dict[tuple[str, str, str], bool] = {}
-        for row in formats.read_jsonl(transcript_path):
+        def parse(row):
             verdict = row.get("verdict")
             if verdict not in ("correct", "incorrect"):
                 raise MalformedVerdict(f"transcript verdict must be correct/incorrect, got {verdict!r}")
             key = (str(row["question"]), str(row["reference"]), str(row["prediction"]))
-            self._verdicts[key] = verdict == "correct"
+            return key, verdict == "correct"
+
+        self._verdicts: dict[tuple[str, str, str], bool] = dict(
+            formats.read_jsonl(transcript_path, parse)
+        )
         self._fallback = ExactMatchJudge()
 
     def verdict(self, question: str, reference: str, prediction: str) -> bool:

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import measground
 from measground.cli import main
 from measground.isp import XYZ_TO_LINEAR_SRGB_D65
 
@@ -20,6 +23,28 @@ def _write_transcript(path, capture_ids, exposures, candidates_for):
                     "exposure_gain": gain,
                     "candidates": candidates_for(cid, gain),
                 }) + "\n")
+    return path
+
+
+def _run_cli(*argv):
+    """Run the CLI as its own process, importing this checkout's package."""
+    src = str(Path(measground.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "measground.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def _write_predictions(bench_path, path):
+    """One exact prediction per benchmark example."""
+    with open(path, "w") as fh:
+        for line in Path(bench_path).read_text().splitlines():
+            row = json.loads(line)
+            fh.write(json.dumps({
+                "capture_id": row["capture_id"], "question": row["question"],
+                "prediction": row["reference_answer"],
+            }) + "\n")
     return path
 
 
@@ -52,10 +77,7 @@ class TestBasics:
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
     def test_entry_point_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "measground.cli", "condition-check", "--seed", "3"],
-            capture_output=True, text=True,
-        )
+        proc = _run_cli("condition-check", "--seed", "3")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "PASS"
 
@@ -238,16 +260,8 @@ class TestPipelineStages:
         report = json.loads((root / "verify" / "disjointness.json").read_text())
         assert report["status"] == "PASS"
 
-        bench = [json.loads(line) for line in
-                 (root / "split" / "bench_manifest.jsonl").read_text().splitlines()]
-        assert bench
-        with open(root / "preds.jsonl", "w") as fh:
-            for row in bench:
-                fh.write(json.dumps({
-                    "capture_id": row["capture_id"],
-                    "question": row["question"],
-                    "prediction": row["reference_answer"],
-                }) + "\n")
+        assert (root / "split" / "bench_manifest.jsonl").read_text()
+        _write_predictions(root / "split" / "bench_manifest.jsonl", root / "preds.jsonl")
         capsys.readouterr()
         assert main(["eval", "--bench", str(root / "split" / "bench_manifest.jsonl"),
                      "--predictions", str(root / "preds.jsonl"),
@@ -280,12 +294,7 @@ class TestPipelineStages:
                 "question": first["question"], "reference": first["reference_answer"],
                 "prediction": first["reference_answer"], "verdict": "incorrect",
             }) + "\n")
-        with open(root / "preds.jsonl", "w") as fh:
-            for row in bench:
-                fh.write(json.dumps({
-                    "capture_id": row["capture_id"], "question": row["question"],
-                    "prediction": row["reference_answer"],
-                }) + "\n")
+        _write_predictions(root / "split" / "bench_manifest.jsonl", root / "preds.jsonl")
         assert main(["eval", "--bench", str(root / "split" / "bench_manifest.jsonl"),
                      "--predictions", str(root / "preds.jsonl"),
                      "--mock-judge", str(root / "judge.jsonl"),
@@ -303,13 +312,132 @@ class TestPipelineStages:
         assert "FAIL" in out
         assert "synth-0000" in out
 
-    def test_stage_reruns_are_byte_identical(self, staged, tmp_path):
+    def test_stage_reruns_are_byte_identical(self, staged):
+        """Every data-writing stage, run twice on the same inputs into fresh
+        directories, writes the same files with the same bytes (run.json aside)."""
         root = staged
-        for name in ("f1", "f2"):
-            assert main(["filter", "--input", str(root / "aggregate" / "samples.jsonl"),
-                         "--floor", "0.5", "--out", str(root / name)]) == 0
-        assert ((root / "f1" / "filtered.jsonl").read_bytes()
-                == (root / "f2" / "filtered.jsonl").read_bytes())
+
+        def rerun(stage, *argv):
+            outs = [root / "rerun" / f"{stage}-{i}" for i in (1, 2)]
+            for out in outs:
+                assert main([stage, *map(str, argv), "--out", str(out)]) == 0
+            names = [sorted(p.relative_to(out) for p in out.rglob("*")
+                            if p.is_file() and p.name != "run.json") for out in outs]
+            assert names[0] and names[0] == names[1]
+            for rel in names[0]:
+                assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), (stage, rel)
+            return outs[0]
+
+        measxyz = rerun("measxyz", "--input", root / "synth" / "captures.json")
+        render = rerun("render", "--input", measxyz, "--gain", "2.0")
+        bracket = rerun("bracket", "--input", measxyz, "--exposures", "0.5,1.0,2.0")
+        rerun("lost-signal", "--input", measxyz, "--gain", "2.0")
+        annotate = rerun("annotate", "--proxies", bracket, "--mock-annotator", root / "transcript.jsonl")
+        aggregate = rerun("aggregate", "--candidates", annotate / "candidates.jsonl", "--measxyz", measxyz)
+        filtered = rerun("filter", "--input", aggregate / "samples.jsonl", "--floor", "0.5")
+        balanced = rerun("balance", "--input", filtered / "filtered.jsonl", "--target", "200", "--seed", "3")
+        split = rerun("split", "--captures", root / "synth" / "captures.json",
+                      "--samples", balanced / "manifest.jsonl", "--proxies", bracket,
+                      "--fraction", "0.34", "--seed", "4")
+        preds = _write_predictions(split / "bench_manifest.jsonl", root / "preds.jsonl")
+        rerun("eval", "--bench", split / "bench_manifest.jsonl", "--predictions", preds)
+
+        # a single-gain render is the bracket's render at that gain
+        rendered = sorted(p.name for p in render.iterdir() if p.name != "run.json")
+        assert rendered
+        for name in rendered:
+            assert (render / name).read_bytes() == (bracket / name).read_bytes(), name
+
+
+def _drop_key(path, key):
+    obj = json.loads(path.read_text())
+    del obj[key]
+    path.write_text(json.dumps(obj))
+
+
+def _plane_header_without_height(root):
+    _drop_key(root / "m" / "synth-0000.json", "height")
+    return ["render", "--input", root / "m", "--gain", "1.0", "--out", root / "out"], "synth-0000.json"
+
+
+def _render_header_not_json(root):
+    (root / "r" / "synth-0000_e1.json").write_text("{not json")
+    return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
+            "--out", root / "out"], "synth-0000_e1.json"
+
+
+def _render_header_without_params(root):
+    _drop_key(root / "r" / "synth-0000_e1.json", "params")
+    return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
+            "--out", root / "out"], "synth-0000_e1.json"
+
+
+def _refs_row_without_capture_id(root):
+    refs = json.loads((root / "s" / "captures.json").read_text())
+    del refs[0]["capture_id"]
+    (root / "refs.json").write_text(json.dumps(refs))
+    return ["split", "--captures", root / "refs.json", "--out", root / "out"], "refs.json"
+
+
+def _annotator_row_without_capture_id(root):
+    (root / "t.jsonl").write_text(json.dumps({"exposure_gain": 1.0, "candidates": []}) + "\n")
+    return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
+            "--out", root / "out"], "t.jsonl:1:"
+
+
+def _judge_row_without_question(root):
+    (root / "bench.jsonl").write_text("")
+    (root / "preds.jsonl").write_text("")
+    (root / "judge.jsonl").write_text(json.dumps(
+        {"reference": "a", "prediction": "a", "verdict": "correct"}) + "\n")
+    return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "preds.jsonl",
+            "--mock-judge", root / "judge.jsonl"], "judge.jsonl:1:"
+
+
+def _sample_row_after_blank_lines(root):
+    (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
+    return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], "rows.jsonl:3:"
+
+
+def _prediction_row_after_blank_lines(root):
+    (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
+    (root / "bench.jsonl").write_text("")
+    return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "rows.jsonl"], "rows.jsonl:3:"
+
+
+class TestMalformedInputs:
+    """A malformed input exits 1 with one JSON log line naming the file (and
+    the file line, for JSONL), never a traceback."""
+
+    @pytest.fixture
+    def rendered(self, tmp_path):
+        """synth -> measxyz -> render at gain 1, plus a matching annotator transcript."""
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1", "--seed", "0"]) == 0
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "m")]) == 0
+        assert main(["render", "--input", str(tmp_path / "m"), "--gain", "1.0",
+                     "--out", str(tmp_path / "r")]) == 0
+        _write_transcript(tmp_path / "t.jsonl", ["synth-0000"], [1.0], _simple_candidates)
+        return tmp_path
+
+    @pytest.mark.parametrize("case", [
+        _plane_header_without_height,
+        _render_header_not_json,
+        _render_header_without_params,
+        _refs_row_without_capture_id,
+        _annotator_row_without_capture_id,
+        _judge_row_without_question,
+        _sample_row_after_blank_lines,
+        _prediction_row_after_blank_lines,
+    ], ids=lambda case: case.__name__.lstrip("_"))
+    def test_exits_1_with_one_json_log_line(self, rendered, case):
+        argv, named = case(rendered)
+        proc = _run_cli(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        events = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert [e["level"] for e in events] == ["error"]
+        assert named in events[0]["event"]
 
 
 class TestConditionCheck:
