@@ -227,15 +227,13 @@ def verify_disjointness(train_entries: list[dict], bench_entries: list[dict]) ->
 
 def load_manifest_entries(path: Path) -> list[dict]:
     """Load rows from a refs JSON list or any JSONL manifest."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    if path.read_text(encoding="utf-8").lstrip().startswith("["):
-        rows = formats.read_json(path)
+    text = formats.read_text(path)
+    if text.lstrip().startswith("["):
+        rows = formats.parse_json(text, path)
         if not isinstance(rows, list):
             raise SchemaViolation(f"{path}: expected a JSON list")
         return rows
-    return formats.read_jsonl(path)
+    return formats.parse_jsonl(text.split("\n"), path)
 
 
 # --- capability tagging ---------------------------------------------------------

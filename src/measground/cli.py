@@ -338,10 +338,8 @@ def _cmd_aggregate(args, config: RunConfig, out: Path) -> tuple[dict, int]:
         records = bracketsup.aggregate(by_capture[capture_id])
         n_records += len(records)
         stem = Path(args.measxyz) / capture_id
-        image = measxyz.load_meas_xyz(stem)
-        samples.extend(
-            bracketsup.samples_for_stem(capture_id, image.metadata, records, stem)
-        )
+        _, metadata = measxyz.read_meas_xyz_header(stem)
+        samples.extend(bracketsup.samples_for_stem(capture_id, metadata, records, stem))
     bracketsup.write_samples(out / "samples.jsonl", samples)
     return {"captures": len(by_capture), "records": n_records, "samples": len(samples)}, EXIT_OK
 

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, MalformedMosaic, MissingFile, SchemaViolation
+from .errors import (
+    IoFailure,
+    MalformedMosaic,
+    MalformedResponse,
+    MalformedVerdict,
+    MissingFile,
+    SchemaViolation,
+)
 
 PGM_MAXVAL = 65535
 
@@ -151,7 +158,12 @@ def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
         raise IoFailure(f"{stem}: {exc}") from exc
 
 
-def read_plane(stem: Path) -> tuple[np.ndarray, dict]:
+def read_plane_header(stem: Path) -> tuple[dict, tuple[int, ...]]:
+    """The header of a plane pair and the array shape it declares.
+
+    The .f32 size is checked against that shape by ``stat``, so the samples
+    are not read.
+    """
     header_path = Path(str(stem) + ".json")
     data_path = Path(str(stem) + ".f32")
     if not header_path.exists() or not data_path.exists():
@@ -163,10 +175,15 @@ def read_plane(stem: Path) -> tuple[np.ndarray, dict]:
         raise SchemaViolation(
             f"{header_path}: plane header needs integer height, width and channels"
         ) from exc
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f4")
-    if raw.size != height * width * channels:
+    if data_path.stat().st_size != height * width * channels * 4:
         raise IoFailure(f"{stem}: plane payload does not match header dimensions")
     shape = (height, width) if channels == 1 else (height, width, channels)
+    return header, shape
+
+
+def read_plane(stem: Path) -> tuple[np.ndarray, dict]:
+    header, shape = read_plane_header(stem)
+    raw = np.frombuffer(Path(str(stem) + ".f32").read_bytes(), dtype="<f4")
     return raw.reshape(shape).astype(np.float64), header
 
 
@@ -195,43 +212,60 @@ def write_jsonl(path: Path, rows) -> int:
     return n
 
 
-def read_json(path: Path):
-    """Read one JSON document: MissingFile if absent, SchemaViolation if invalid."""
+def read_text(path: Path) -> str:
+    """Read a UTF-8 text file: MissingFile if absent."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise MissingFile(str(path)) from exc
+
+
+def parse_json(text: str, path: Path):
+    """Parse one JSON document read from ``path``: SchemaViolation if invalid."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON ({exc.msg})") from exc
 
 
-def read_jsonl(path: Path, parse=None) -> list:
-    """Read a JSONL file of objects, skipping blank lines, mapped by ``parse``.
+def read_json(path: Path):
+    """Read one JSON document: MissingFile if absent, SchemaViolation if invalid."""
+    return parse_json(read_text(path), path)
+
+
+def parse_jsonl(lines, path: Path, parse=None) -> list:
+    """Parse the lines of a JSONL file of objects, skipping blank lines, mapped by ``parse``.
 
     A row that is not a JSON object, or that ``parse`` rejects with KeyError,
     TypeError, ValueError or SchemaViolation, raises SchemaViolation naming
-    the file line. IO errors pass through unchanged.
+    the file line; MalformedResponse and MalformedVerdict keep their type and
+    gain the file line.
     """
     rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise SchemaViolation("expected a JSON object")
-                rows.append(row if parse is None else parse(row))
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            except KeyError as exc:
-                raise SchemaViolation(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError, SchemaViolation) as exc:
-                raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise SchemaViolation("expected a JSON object")
+            rows.append(row if parse is None else parse(row))
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except KeyError as exc:
+            raise SchemaViolation(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError, SchemaViolation) as exc:
+            raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
+        except (MalformedResponse, MalformedVerdict) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return rows
+
+
+def read_jsonl(path: Path, parse=None) -> list:
+    """Read a JSONL file through ``parse_jsonl``; IO errors pass through unchanged."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return parse_jsonl(fh, path, parse)
 
 
 def list_stems(root: Path, suffix: str) -> list[Path]:

@@ -5,6 +5,7 @@ analytically; companion helpers expose the clip mask the loss analysis needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,14 +172,99 @@ def linear_rgb(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
 
 def clip_mask(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
     """(H, W) mask of pixels with any channel clipped at the top (value > 1)."""
-    return np.any(linear_rgb(z, params) > 1.0, axis=-1)
+    return top_clipped(linear_rgb(z, params))
+
+
+def top_clipped(rgb: np.ndarray) -> np.ndarray:
+    """(H, W) mask of linear RGB pixels with any channel above 1."""
+    return np.any(rgb > 1.0, axis=-1)
+
+
+# Code-table buckets are 2^-(bits + 5) wide. sRGB's steepest slope is 12.92,
+# so adjacent thresholds lie at least 1 / (12.92 * (2^bits - 1)) apart, more
+# than one bucket.
+_BUCKET_EXTRA_BITS = 5
+
+
+@functools.lru_cache(maxsize=None)
+def _code_thresholds(bits: int, transfer: str) -> np.ndarray:
+    """t[c - 1] is the smallest float64 v with quantize(transfer(v), bits) >= c.
+
+    Found for c = 1 .. 2^bits - 1 at once by bisection over the bit patterns
+    of float64 in [0, 1], which sort like their values.
+    """
+    targets = np.arange(1, 1 << bits, dtype=np.int64)
+    lo = np.zeros(targets.size, dtype=np.int64)  # code(0.0) == 0 < c
+    hi = np.full(targets.size, np.float64(1.0).view(np.int64))  # code(1.0) == max >= c
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        v = mid.view(np.float64)
+        encoded = srgb_oetf(v) if transfer == SRGB_PIECEWISE else v
+        reached = quantize(encoded, bits) >= targets
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+    thresholds = hi.view(np.float64)
+    thresholds.setflags(write=False)
+    return thresholds
+
+
+@functools.lru_cache(maxsize=None)
+def _code_table(bits: int, transfer: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bucket (base code, threshold): code(v) = base[b] + (v >= step[b]).
+
+    Bucket b covers [b, b + 1) * 2^-(bits + 5); the last bucket also takes
+    1.0, and values outside [0, 1] fall in the end buckets.
+    """
+    shift = bits + _BUCKET_EXTRA_BITS
+    thresholds = _code_thresholds(bits, transfer)
+    buckets = np.minimum(np.ldexp(thresholds, shift).astype(np.int64), (1 << shift) - 1)
+    if np.any(np.diff(buckets) == 0):
+        raise RuntimeError(f"two code thresholds share a bucket (bits={bits}, {transfer})")
+    base = np.searchsorted(buckets, np.arange(1 << shift), side="left").astype(np.uint16)
+    step = np.full(1 << shift, np.nan)  # nothing compares >= NaN, not even inf
+    step[buckets] = thresholds
+    base.setflags(write=False)
+    step.setflags(write=False)
+    return base, step
+
+
+# Elements per pass of the table lookup: a pass's temporaries stay in cache
+# and peak memory stays at the output codes.
+_LOOKUP_CHUNK = 1 << 16
+
+
+def _table_codes(rgb: np.ndarray, bits: int, transfer: str) -> np.ndarray:
+    """quantize(transfer(clip(rgb))) through the exact threshold table."""
+    base, step = _code_table(bits, transfer)
+    shift = bits + _BUCKET_EXTRA_BITS
+    flat = np.ascontiguousarray(rgb).reshape(-1)
+    codes = np.empty(flat.size, dtype=np.uint16)
+    for start in range(0, flat.size, _LOOKUP_CHUNK):
+        v = flat[start:start + _LOOKUP_CHUNK]
+        if np.isnan(v).any():
+            raise DomainError("value outside [0, 1]")
+        index = np.ldexp(v, shift)
+        np.clip(index, 0, base.size - 1, out=index)
+        index = index.astype(np.intp)
+        out = codes[start:start + _LOOKUP_CHUNK]
+        np.take(base, index, out=out)
+        out += v >= np.take(step, index)
+    return codes.reshape(rgb.shape)
+
+
+def render_linear(rgb: np.ndarray, params: RenderParams, capture_id: str) -> RenderedRgb:
+    """Render pre-clip linear RGB (``linear_rgb``'s output) to a proxy."""
+    if params.quantize:
+        codes = _table_codes(rgb, params.bit_depth, params.transfer)
+    else:
+        codes = np.clip(rgb, 0.0, 1.0)
+        if params.transfer == SRGB_PIECEWISE:
+            codes = srgb_oetf(codes)
+    return RenderedRgb(codes=codes, params=params, capture_id=capture_id)
 
 
 def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:
-    rgb = np.clip(linear_rgb(z, params), 0.0, 1.0)
-    encoded = srgb_oetf(rgb) if params.transfer == SRGB_PIECEWISE else rgb
-    codes = quantize(encoded, params.bit_depth) if params.quantize else encoded
-    return RenderedRgb(codes=codes, params=params, capture_id=z.capture_id)
+    return render_linear(linear_rgb(z, params), params, z.capture_id)
 
 
 DEFAULT_BRACKET = (0.5, 1.0, 2.0, 4.0)

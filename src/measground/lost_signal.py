@@ -8,6 +8,7 @@ noise by a threshold tau.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import formats
 from .errors import DomainError, ShapeMismatch
-from .isp import IDENTITY, RenderedRgb, RenderParams, clip_mask, render_proxy, srgb_eotf
+from .isp import IDENTITY, RenderedRgb, RenderParams, linear_rgb, render_linear, srgb_eotf, top_clipped
 from .measxyz import MeasXyzImage
 
 DEFAULT_TAU = 2.0 / 255.0
@@ -67,6 +68,15 @@ class LostSignalReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def _dequantize_table(bits: int, transfer: str) -> np.ndarray:
+    """Linear value of each code: transfer^-1(code / (2^bits - 1))."""
+    encoded = np.arange(1 << bits, dtype=np.float64) / ((1 << bits) - 1)
+    table = srgb_eotf(encoded) if transfer != IDENTITY else encoded
+    table.setflags(write=False)
+    return table
+
+
 def invert_render(rendered: RenderedRgb) -> np.ndarray:
     """Best-effort inverse of render_proxy; values may leave [0, 1].
 
@@ -76,13 +86,14 @@ def invert_render(rendered: RenderedRgb) -> np.ndarray:
     """
     params = rendered.params
     if params.quantize:
-        encoded = rendered.codes.astype(np.float64) / params.max_code
+        linear = _dequantize_table(params.bit_depth, params.transfer)[rendered.codes]
     else:
         encoded = rendered.codes.astype(np.float64)
-    linear = srgb_eotf(encoded) if params.transfer != IDENTITY else encoded
+        linear = srgb_eotf(encoded) if params.transfer != IDENTITY else encoded
     inverse = np.linalg.inv(params.matrix)
     xyz = np.einsum("ij,hwj->hwi", inverse, linear)
-    return xyz / params.exposure_gain
+    xyz /= params.exposure_gain
+    return xyz
 
 
 def luminance(xyz: np.ndarray) -> np.ndarray:
@@ -92,11 +103,11 @@ def luminance(xyz: np.ndarray) -> np.ndarray:
 
 def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
     """Nearest-rank percentile (no interpolation) for cross-platform stability."""
-    flat = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size == 0:
         raise DomainError("percentile of empty array")
     rank = max(1, int(np.ceil(percent / 100.0 * flat.size)))
-    return float(flat[rank - 1])
+    return float(np.partition(flat, rank - 1)[rank - 1])
 
 
 def residual_histogram(residual: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
@@ -158,12 +169,15 @@ def analyze_render(
     z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = 32
 ) -> LostSignalReport:
     """Render, invert, and measure the residual in one step."""
-    rendered = render_proxy(z, params)
+    rgb = linear_rgb(z, params)
+    forward_clip_mask = top_clipped(rgb)
+    rendered = render_linear(rgb, params, z.capture_id)
+    del rgb  # freed before the inverse allocates its planes
     recovered = invert_render(rendered)
     return lost_signal_residual(
         z,
         recovered,
-        clip_mask(z, params),
+        forward_clip_mask,
         tau=tau,
         bins=bins,
         exposure_gain=params.exposure_gain,

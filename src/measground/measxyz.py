@@ -44,9 +44,11 @@ class MeasXyzImage:
         data = np.array(self.data, dtype=np.float64)
         if data.ndim != 3 or data.shape[2] != 3:
             raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise DomainError("MeasXyzImage data must be finite")
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
+        # NaN fails both comparisons, so one min/max pass covers the common
+        # case; the finiteness scan only runs to word the error.
+        if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
+            if not np.all(np.isfinite(data)):
+                raise DomainError("MeasXyzImage data must be finite")
             raise DomainError("MeasXyzImage data must lie in [0, 1]")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -73,40 +75,42 @@ def normalize_mosaic(capture: RawCapture) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def cfa_masks(cfa_pattern: str, height: int, width: int) -> np.ndarray:
-    """(3, H, W) boolean masks marking R/G/B sites of the pattern."""
-    tile = np.asarray(_CFA_TILES[cfa_pattern])
-    colors = np.tile(tile, (height // 2, width // 2))
-    return np.stack([colors == c for c in range(3)])
-
-
-def _window_sum(padded: np.ndarray) -> np.ndarray:
-    """Sum of each 3x3 neighborhood of the pre-padded array."""
-    h, w = padded.shape[0] - 2, padded.shape[1] - 2
-    out = np.zeros((h, w), dtype=np.float64)
-    for di in range(3):
-        for dj in range(3):
-            out += padded[di:di + h, dj:dj + w]
-    return out
-
-
 def demosaic_bilinear(norm_mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
     """Fill each missing color with the mean of same-color 3x3 neighbors.
 
     Borders are mirror-padded without repeating the edge row/column, which
     preserves CFA parity; present colors pass through unchanged.
+
+    Because parity is preserved, every site of one 2x2 tile position sees the
+    same neighbor layout: each missing color is the sum of its neighbors, taken
+    in raster (row, column) order of the 3x3 window, over a constant count.
     """
     mosaic = np.asarray(norm_mosaic, dtype=np.float64)
     height, width = mosaic.shape
-    masks = cfa_masks(cfa_pattern, height, width)
-    padded_mosaic = np.pad(mosaic, 1, mode="reflect")
-    channels = []
-    for mask in masks:
-        padded_mask = np.pad(mask.astype(np.float64), 1, mode="reflect")
-        num = _window_sum(padded_mosaic * padded_mask)
-        den = _window_sum(padded_mask)
-        channels.append(np.where(mask, mosaic, num / den))
-    return np.stack(channels, axis=-1)
+    tile = _CFA_TILES[cfa_pattern]
+    padded = np.pad(mosaic, 1, mode="reflect")
+    out = np.empty((height, width, 3), dtype=np.float64)
+    for pi in range(2):
+        for pj in range(2):
+            site = out[pi::2, pj::2]
+            own = tile[pi][pj]
+            site[..., own] = mosaic[pi::2, pj::2]
+            for color in range(3):
+                if color == own:
+                    continue
+                # padded[pi + di] mirrors mosaic row pi + di - 1, of parity pi + di + 1
+                taps = [
+                    padded[pi + di:pi + di + height:2, pj + dj:pj + dj + width:2]
+                    for di in range(3)
+                    for dj in range(3)
+                    if tile[(pi + di + 1) % 2][(pj + dj + 1) % 2] == color
+                ]
+                total = taps[0] + taps[1]
+                for tap in taps[2:]:
+                    total += tap
+                total /= len(taps)
+                site[..., color] = total
+    return out
 
 
 def white_scale(capture: RawCapture) -> float:
@@ -121,17 +125,16 @@ def white_scale(capture: RawCapture) -> float:
 def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
     """Full observation operator: capture -> normalized linear XYZ image."""
     rgb = demosaic_bilinear(normalize_mosaic(capture), capture.cfa_pattern)
-    rgb = rgb * np.asarray(capture.wb_gains)
+    rgb *= np.asarray(capture.wb_gains)
     xyz = np.einsum("ij,hwj->hwi", capture.cam_to_xyz, rgb)
+    del rgb  # freed before MeasXyzImage takes its own copy of xyz
     negative = int(np.count_nonzero(xyz < 0.0))
     if negative:
         log.debug("%s: %d negative XYZ values clamped to 0", capture.capture_id, negative)
-    xyz = np.clip(xyz, 0.0, None) / white_scale(capture)
-    return MeasXyzImage(
-        data=np.clip(xyz, 0.0, 1.0),
-        capture_id=capture.capture_id,
-        metadata=capture.metadata,
-    )
+    np.clip(xyz, 0.0, None, out=xyz)
+    xyz /= white_scale(capture)
+    np.clip(xyz, 0.0, 1.0, out=xyz)
+    return MeasXyzImage(data=xyz, capture_id=capture.capture_id, metadata=capture.metadata)
 
 
 # --- inspection export -----------------------------------------------------------
@@ -146,15 +149,30 @@ def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
     formats.write_plane(stem, image.data, header)
 
 
-def load_meas_xyz(stem: Path) -> MeasXyzImage:
-    data, header = formats.read_plane(stem)
+def _header_fields(stem: Path, header: dict) -> tuple[str, CameraMetadata]:
     try:
         metadata = CameraMetadata.from_dict(header["metadata"])
-        return MeasXyzImage(data=data, capture_id=header["capture_id"], metadata=metadata)
+        return header["capture_id"], metadata
     except KeyError as exc:
         raise SchemaViolation(f"{stem}.json: plane header lacks {exc}") from exc
 
 
+def read_meas_xyz_header(stem: Path) -> tuple[str, CameraMetadata]:
+    """The capture id and metadata of a plane pair, without reading its samples.
+
+    The header is checked as load_meas_xyz checks it, and the .f32 size
+    against the header dimensions.
+    """
+    header, _ = formats.read_plane_header(stem)
+    return _header_fields(stem, header)
+
+
+def load_meas_xyz(stem: Path) -> MeasXyzImage:
+    data, header = formats.read_plane(stem)
+    capture_id, metadata = _header_fields(stem, header)
+    return MeasXyzImage(data=data, capture_id=capture_id, metadata=metadata)
+
+
 def peek_capture_id(stem: Path) -> str:
-    """Read only the header of a plane pair (cheap existence/id check)."""
-    return formats.read_json(Path(str(stem) + ".json"))["capture_id"]
+    """The capture id of a plane pair, from its header alone."""
+    return read_meas_xyz_header(stem)[0]

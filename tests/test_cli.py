@@ -394,6 +394,23 @@ def _judge_row_without_question(root):
             "--mock-judge", root / "judge.jsonl"], "judge.jsonl:1:"
 
 
+def _candidate_score_above_one(root):
+    (root / "c.jsonl").write_text(json.dumps(
+        {"capture_id": "synth-0000", "question": "q?", "answer": "a", "score": 2.0,
+         "exposure_gain": 1.0}) + "\n")
+    return ["aggregate", "--candidates", root / "c.jsonl", "--measxyz", root / "m",
+            "--out", root / "out"], "c.jsonl:1:"
+
+
+def _judge_row_without_verdict(root):
+    (root / "bench.jsonl").write_text("")
+    (root / "preds.jsonl").write_text("")
+    (root / "judge.jsonl").write_text(json.dumps(
+        {"question": "q?", "reference": "a", "prediction": "a"}) + "\n")
+    return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "preds.jsonl",
+            "--mock-judge", root / "judge.jsonl"], "judge.jsonl:1:"
+
+
 def _sample_row_after_blank_lines(root):
     (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
     return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], "rows.jsonl:3:"
@@ -427,6 +444,8 @@ class TestMalformedInputs:
         _refs_row_without_capture_id,
         _annotator_row_without_capture_id,
         _judge_row_without_question,
+        _candidate_score_above_one,
+        _judge_row_without_verdict,
         _sample_row_after_blank_lines,
         _prediction_row_after_blank_lines,
     ], ids=lambda case: case.__name__.lstrip("_"))

@@ -1,16 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measground.capture import SyntheticSceneSpec, synth_capture
-from measground.errors import DomainError
+from measground.errors import DomainError, IoFailure, SchemaViolation
 from measground.measxyz import (
     MeasXyzImage,
     demosaic_bilinear,
     load_meas_xyz,
     meas_xyz_transform,
     normalize_mosaic,
+    peek_capture_id,
+    read_meas_xyz_header,
     save_meas_xyz,
     white_scale,
 )
@@ -208,6 +212,27 @@ class TestPlaneExport:
         loaded = load_meas_xyz(tmp_path / "a")
         save_meas_xyz(loaded, tmp_path / "b")
         assert (tmp_path / "a.f32").read_bytes() == (tmp_path / "b.f32").read_bytes()
+
+    def test_header_reader_checks_size_without_reading_samples(self, tmp_path):
+        image = MeasXyzImage(data=np.zeros((2, 4, 3)), capture_id="x-2", metadata=make_metadata(2))
+        save_meas_xyz(image, tmp_path / "x-2")
+        assert read_meas_xyz_header(tmp_path / "x-2") == ("x-2", image.metadata)
+        assert peek_capture_id(tmp_path / "x-2") == "x-2"
+        with (tmp_path / "x-2.f32").open("ab") as fh:
+            fh.write(b"\0")
+        for reader in (read_meas_xyz_header, load_meas_xyz):
+            with pytest.raises(IoFailure, match="does not match header dimensions"):
+                reader(tmp_path / "x-2")
+
+    def test_header_reader_names_missing_key(self, tmp_path):
+        image = MeasXyzImage(data=np.zeros((2, 2, 3)), capture_id="x-3", metadata=make_metadata(3))
+        save_meas_xyz(image, tmp_path / "x-3")
+        header = json.loads((tmp_path / "x-3.json").read_text())
+        del header["capture_id"]
+        (tmp_path / "x-3.json").write_text(json.dumps(header))
+        for reader in (read_meas_xyz_header, peek_capture_id, load_meas_xyz):
+            with pytest.raises(SchemaViolation, match="lacks 'capture_id'"):
+                reader(tmp_path / "x-3")
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
