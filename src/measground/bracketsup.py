@@ -26,7 +26,7 @@ from .errors import (
     SchemaViolation,
 )
 from .isp import RenderedRgb
-from .measxyz import peek_capture_id
+from .measxyz import peek_capture_id, read_meas_xyz_header
 
 log = logging.getLogger(__name__)
 
@@ -363,20 +363,32 @@ def build_samples(
     capture: RawCapture, records: list[InstructionRecord], meas_xyz_stem: Path
 ) -> list[TrainingSample]:
     """Attach records to the capture's materialized Meas.-XYZ observation."""
-    return samples_for_stem(capture.capture_id, capture.metadata, records, meas_xyz_stem)
-
-
-def samples_for_stem(
-    capture_id: str,
-    metadata: CameraMetadata,
-    records: list[InstructionRecord],
-    meas_xyz_stem: Path,
-) -> list[TrainingSample]:
     stem = Path(meas_xyz_stem)
     header_path = Path(str(stem) + ".json")
     if not header_path.exists() or not Path(str(stem) + ".f32").exists():
         raise MissingMeasXyz(f"no Meas.-XYZ plane pair at {stem}")
-    stored_id = peek_capture_id(stem)
+    return _attach(capture.capture_id, peek_capture_id(stem), capture.metadata, records, stem)
+
+
+def samples_for_stem(
+    capture_id: str, records: list[InstructionRecord], meas_xyz_stem: Path
+) -> list[TrainingSample]:
+    """Attach records to the plane pair at ``meas_xyz_stem``, reading its header once.
+
+    The header must hold ``capture_id``; its metadata goes on every sample.
+    """
+    stem = Path(meas_xyz_stem)
+    stored_id, metadata = read_meas_xyz_header(stem)
+    return _attach(capture_id, stored_id, metadata, records, stem)
+
+
+def _attach(
+    capture_id: str,
+    stored_id: str,
+    metadata: CameraMetadata,
+    records: list[InstructionRecord],
+    stem: Path,
+) -> list[TrainingSample]:
     if stored_id != capture_id:
         raise MissingMeasXyz(
             f"{stem} holds capture {stored_id!r}, expected {capture_id!r}"

@@ -224,9 +224,8 @@ class CaptureRef:
 
 # --- bundle IO -----------------------------------------------------------------
 
-def load_capture_bundle(path: Path) -> RawCapture:
-    """Load and validate a capture bundle directory."""
-    path = Path(path)
+def _read_sidecar(path: Path) -> dict:
+    """The bundle's sidecar, checked for its keys; both bundle files must exist."""
     mosaic_path = path / MOSAIC_NAME
     sidecar_path = path / SIDECAR_NAME
     if not mosaic_path.exists():
@@ -245,7 +244,20 @@ def load_capture_bundle(path: Path) -> RawCapture:
     missing = _SIDECAR_KEYS - set(sidecar)
     if missing:
         raise MalformedSidecar(f"{sidecar_path}: missing keys {sorted(missing)}")
+    return sidecar
 
+
+def read_bundle_id(path: Path) -> str:
+    """The capture id of a bundle, from its sidecar alone."""
+    return str(_read_sidecar(Path(path))["capture_id"])
+
+
+def load_capture_bundle(path: Path) -> RawCapture:
+    """Load and validate a capture bundle directory."""
+    path = Path(path)
+    mosaic_path = path / MOSAIC_NAME
+    sidecar_path = path / SIDECAR_NAME
+    sidecar = _read_sidecar(path)
     mosaic = formats.read_pgm16(mosaic_path)
     if mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
         raise DimensionMismatch(f"{mosaic_path}: odd mosaic dimensions {mosaic.shape}")

@@ -32,6 +32,20 @@ _CFA_TILES = {
 }
 
 
+def _frozen_plane(data: np.ndarray) -> np.ndarray:
+    """``data`` made read-only, once its shape and range are checked."""
+    if data.ndim != 3 or data.shape[2] != 3:
+        raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
+    # NaN fails both comparisons, so one min/max pass covers the common
+    # case; the finiteness scan only runs to word the error.
+    if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
+        if not np.all(np.isfinite(data)):
+            raise DomainError("MeasXyzImage data must be finite")
+        raise DomainError("MeasXyzImage data must lie in [0, 1]")
+    data.setflags(write=False)
+    return data
+
+
 @dataclass(frozen=True)
 class MeasXyzImage:
     """Dense linear three-channel observation in [0, 1]."""
@@ -41,17 +55,17 @@ class MeasXyzImage:
     metadata: CameraMetadata
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64)
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
-        # NaN fails both comparisons, so one min/max pass covers the common
-        # case; the finiteness scan only runs to word the error.
-        if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
-            if not np.all(np.isfinite(data)):
-                raise DomainError("MeasXyzImage data must be finite")
-            raise DomainError("MeasXyzImage data must lie in [0, 1]")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        # A copy, so the image is independent of the caller's array.
+        object.__setattr__(self, "data", _frozen_plane(np.array(self.data, dtype=np.float64)))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, capture_id: str, metadata: CameraMetadata) -> "MeasXyzImage":
+        """An image over a float64 array no one else holds, checked and frozen without a copy."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "data", _frozen_plane(data))
+        object.__setattr__(image, "capture_id", capture_id)
+        object.__setattr__(image, "metadata", metadata)
+        return image
 
     @property
     def height(self) -> int:
@@ -127,14 +141,14 @@ def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
     rgb = demosaic_bilinear(normalize_mosaic(capture), capture.cfa_pattern)
     rgb *= np.asarray(capture.wb_gains)
     xyz = np.einsum("ij,hwj->hwi", capture.cam_to_xyz, rgb)
-    del rgb  # freed before MeasXyzImage takes its own copy of xyz
+    del rgb  # freed before the clamps allocate their masks
     negative = int(np.count_nonzero(xyz < 0.0))
     if negative:
         log.debug("%s: %d negative XYZ values clamped to 0", capture.capture_id, negative)
     np.clip(xyz, 0.0, None, out=xyz)
     xyz /= white_scale(capture)
     np.clip(xyz, 0.0, 1.0, out=xyz)
-    return MeasXyzImage(data=xyz, capture_id=capture.capture_id, metadata=capture.metadata)
+    return MeasXyzImage._adopt(xyz, capture.capture_id, capture.metadata)
 
 
 # --- inspection export -----------------------------------------------------------
@@ -170,7 +184,7 @@ def read_meas_xyz_header(stem: Path) -> tuple[str, CameraMetadata]:
 def load_meas_xyz(stem: Path) -> MeasXyzImage:
     data, header = formats.read_plane(stem)
     capture_id, metadata = _header_fields(stem, header)
-    return MeasXyzImage(data=data, capture_id=capture_id, metadata=metadata)
+    return MeasXyzImage._adopt(data, capture_id, metadata)
 
 
 def peek_capture_id(stem: Path) -> str:

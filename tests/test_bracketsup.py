@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measground import formats
 from measground.bracketsup import (
     CandidateRecord,
     HttpAnnotatorClient,
@@ -23,11 +24,11 @@ from measground.bracketsup import (
     write_samples,
 )
 from measground.capture import SyntheticSceneSpec, synth_capture
-from measground.errors import AnnotatorUnavailable, EmptyInput, MissingMeasXyz
+from measground.errors import AnnotatorUnavailable, EmptyInput, IoFailure, MissingMeasXyz
 from measground.isp import RenderParams, render_proxy
 from measground.measxyz import meas_xyz_transform, save_meas_xyz
 
-from conftest import make_image, make_metadata
+from conftest import make_image
 
 
 def _proxy(capture_id="cap-a", gain=1.0):
@@ -304,7 +305,24 @@ class TestBuildSamples:
     def test_capture_id_mismatch_rejected(self, tmp_path):
         self._materialize(tmp_path)
         with pytest.raises(MissingMeasXyz):
-            samples_for_stem("different-id", make_metadata(0), [], tmp_path / "cap-z")
+            samples_for_stem("different-id", [], tmp_path / "cap-z")
+
+    def test_samples_for_stem_reads_the_header_once(self, tmp_path, monkeypatch):
+        capture = self._materialize(tmp_path)
+        record = InstructionRecord(question="Q?", answer="A", score=0.5,
+                                   question_type="qt", template_id="t",
+                                   source_prefix="synth", provenance=(1.0,))
+        reads = []
+        read_json = formats.read_json
+        monkeypatch.setattr(formats, "read_json", lambda path: reads.append(path) or read_json(path))
+        samples = samples_for_stem("cap-z", [record], tmp_path / "cap-z")
+        assert reads == [tmp_path / "cap-z.json"]
+        assert samples == build_samples(capture, [record], tmp_path / "cap-z")
+
+    def test_samples_for_stem_without_plane_pair_is_an_io_failure(self, tmp_path):
+        self._materialize(tmp_path)
+        with pytest.raises(IoFailure):
+            samples_for_stem("other", [], tmp_path / "other")
 
     def test_serialization_never_references_proxies(self, tmp_path):
         capture = self._materialize(tmp_path)

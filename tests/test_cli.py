@@ -1,14 +1,22 @@
+import functools
 import json
+import operator
 import os
+import shutil
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import measground
+from measground import cli
 from measground.cli import main
+from measground.errors import DomainError, IoFailure
 from measground.isp import XYZ_TO_LINEAR_SRGB_D65
 
 from test_measxyz import reference_demosaic
@@ -120,7 +128,8 @@ class TestIngest:
 
 
 class TestSynth:
-    def test_writes_bundles_and_refs(self, tmp_path):
+    def test_writes_bundles_and_refs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
         out = tmp_path / "synth"
         assert main(["synth", "--out", str(out), "--count", "4", "--seed", "5"]) == 0
         refs = json.loads((out / "captures.json").read_text())
@@ -130,9 +139,11 @@ class TestSynth:
         assert run["subcommand"] == "synth"
         assert run["counts"]["captures"] == 4
         assert len(run["config_hash"]) == 64
+        assert run["workers"] == 2
 
-    def test_deterministic_bundles(self, tmp_path):
-        for name in ("a", "b"):
+    def test_deterministic_bundles(self, tmp_path, monkeypatch):
+        for name, cpus in (("a", 1), ("b", 2)):
+            monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
             assert main(["synth", "--out", str(tmp_path / name), "--count", "2",
                          "--seed", "9"]) == 0
         for rel in ("bundles/synth-0000/mosaic.pgm", "bundles/synth-0000/capture.json"):
@@ -312,21 +323,28 @@ class TestPipelineStages:
         assert "FAIL" in out
         assert "synth-0000" in out
 
-    def test_stage_reruns_are_byte_identical(self, staged):
+    def test_stage_reruns_are_byte_identical(self, staged, monkeypatch):
         """Every data-writing stage, run twice on the same inputs into fresh
-        directories, writes the same files with the same bytes (run.json aside)."""
+        directories, writes the same files with the same bytes (run.json aside).
+        The first run has one CPU, the second two: per-capture stages run
+        serially, then on two workers."""
         root = staged
 
         def rerun(stage, *argv):
             outs = [root / "rerun" / f"{stage}-{i}" for i in (1, 2)]
-            for out in outs:
+            for cpus, out in enumerate(outs, start=1):
+                monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
                 assert main([stage, *map(str, argv), "--out", str(out)]) == 0
             names = [sorted(p.relative_to(out) for p in out.rglob("*")
                             if p.is_file() and p.name != "run.json") for out in outs]
             assert names[0] and names[0] == names[1]
             for rel in names[0]:
                 assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), (stage, rel)
+            workers = [json.loads((out / "run.json").read_text())["workers"] for out in outs]
+            assert workers == ([1, 2] if stage in per_capture else [1, 1]), stage
             return outs[0]
+
+        per_capture = {"measxyz", "render", "bracket", "lost-signal"}
 
         measxyz = rerun("measxyz", "--input", root / "synth" / "captures.json")
         render = rerun("render", "--input", measxyz, "--gain", "2.0")
@@ -416,6 +434,14 @@ def _sample_row_after_blank_lines(root):
     return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], "rows.jsonl:3:"
 
 
+def _mosaic_truncated_in_third_of_four_bundles(root):
+    assert main(["synth", "--out", str(root / "s4"), "--count", "4", "--seed", "0"]) == 0
+    mosaic = root / "s4" / "bundles" / "synth-0002" / "mosaic.pgm"
+    mosaic.write_bytes(mosaic.read_bytes()[:-100])
+    return ["measxyz", "--input", root / "s4" / "captures.json", "--out", root / "out"], \
+        "synth-0002/mosaic.pgm"
+
+
 def _prediction_row_after_blank_lines(root):
     (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
     (root / "bench.jsonl").write_text("")
@@ -448,6 +474,7 @@ class TestMalformedInputs:
         _judge_row_without_verdict,
         _sample_row_after_blank_lines,
         _prediction_row_after_blank_lines,
+        _mosaic_truncated_in_third_of_four_bundles,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)
@@ -457,6 +484,137 @@ class TestMalformedInputs:
         events = [json.loads(line) for line in proc.stderr.splitlines()]
         assert [e["level"] for e in events] == ["error"]
         assert named in events[0]["event"]
+        # no plane is left half-written
+        for plane in (rendered / "out").rglob("*.f32"):
+            header = json.loads(plane.with_suffix(".json").read_text())
+            size = 4 * header["height"] * header["width"] * header["channels"]
+            assert plane.stat().st_size == size, plane
+
+
+class TestDuplicateCaptureIds:
+    """Two inputs with one capture id would write the same outputs: the stage
+    exits 1 before writing any, with one log line naming both inputs."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "2", "--seed", "0"]) == 0
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "bundles"),
+                     "--out", str(tmp_path / "m")]) == 0
+        return tmp_path
+
+    def _copy_bundle(self, root):
+        shutil.copytree(root / "s" / "bundles" / "synth-0001", root / "s" / "bundles" / "copy")
+        return root / "s" / "bundles", "synth-0001/capture.json", "copy/capture.json"
+
+    def _copy_plane(self, root):
+        for suffix in (".json", ".f32"):
+            shutil.copy(root / "m" / f"synth-0001{suffix}", root / "m" / f"copy{suffix}")
+        return root / "m", "synth-0001.json", "copy.json"
+
+    @pytest.mark.parametrize("stage, inputs, flags", [
+        ("ingest", "_copy_bundle", []),
+        ("measxyz", "_copy_bundle", []),
+        ("render", "_copy_plane", ["--gain", "1.0"]),
+        ("bracket", "_copy_plane", []),
+        ("lost-signal", "_copy_plane", ["--gain", "2.0"]),
+    ])
+    def test_exits_1_before_writing(self, corpus, capsys, stage, inputs, flags):
+        source, first, second = getattr(self, inputs)(corpus)
+        capsys.readouterr()
+        out = corpus / "out"
+        assert main([stage, "--input", str(source), *flags, "--out", str(out)]) == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["level"] for e in events] == ["error"]
+        assert "'synth-0001'" in events[0]["event"]
+        assert first in events[0]["event"] and second in events[0]["event"]
+        assert list(out.iterdir()) == []
+
+
+def _worker_pid(item):
+    return os.getpid()
+
+
+def _fail_on_5_and_9(item):
+    if item == 5:
+        time.sleep(0.5)  # item 9 fails first in time, item 5 first in input order
+    if item in (5, 9):
+        raise DomainError(f"item {item}")
+    return item
+
+
+def _end_worker_process(parent_pid, item):
+    if os.getpid() == parent_pid:
+        raise RuntimeError("ran in the test process")
+    os._exit(3)
+
+
+class TestCapturePool:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+
+    def test_results_in_input_order_from_worker_processes(self):
+        pool = cli._CapturePool()
+        assert pool.map(operator.neg, list(range(50))) == [-i for i in range(50)]
+        assert pool.workers == 2
+        assert os.getpid() not in pool.map(_worker_pid, list(range(4)))
+
+    def test_one_item_runs_in_this_process(self):
+        pool = cli._CapturePool()
+        assert pool.map(_worker_pid, [0]) == [os.getpid()]
+        assert pool.workers == 1
+
+    def test_runs_in_this_process_while_another_thread_runs(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            pool = cli._CapturePool()
+            assert pool.map(_worker_pid, list(range(4))) == [os.getpid()] * 4
+            assert pool.workers == 1
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_first_failure_in_input_order_is_raised(self):
+        with pytest.raises(DomainError, match="^item 5$"):
+            cli._CapturePool().map(_fail_on_5_and_9, list(range(40)))
+
+    def test_a_worker_that_dies_is_an_io_failure(self):
+        with pytest.raises(IoFailure, match="worker process ended abruptly"):
+            cli._CapturePool().map(functools.partial(_end_worker_process, os.getpid()), [0, 1])
+
+    def test_workers_end_with_a_killed_stage_process(self, tmp_path):
+        """Workers of a stage process killed mid-map stop within a second,
+        before the items they hold (2 s each) would finish."""
+        script = tmp_path / "stage.py"
+        script.write_text(textwrap.dedent(f"""
+            import time
+            from pathlib import Path
+            from measground import cli
+
+            def work(name):
+                (Path({str(tmp_path)!r}) / (name + ".started")).touch()
+                time.sleep(2)
+                (Path({str(tmp_path)!r}) / (name + ".finished")).touch()
+
+            if __name__ == "__main__":
+                cli._available_cpus = lambda: 2
+                cli._CapturePool().map(work, ["a", "b", "c", "d"])
+        """))
+        src = str(Path(measground.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src))
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("*.started"))) < 2:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        time.sleep(3)
+        assert list(tmp_path.glob("*.finished")) == []
 
 
 class TestConditionCheck:

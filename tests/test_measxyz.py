@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measground import measxyz as measxyz_mod
 from measground.capture import SyntheticSceneSpec, synth_capture
 from measground.errors import DomainError, IoFailure, SchemaViolation
 from measground.measxyz import (
@@ -238,3 +240,49 @@ class TestPlaneExport:
         with pytest.raises(DomainError):
             MeasXyzImage(data=np.full((2, 2, 3), 1.5), capture_id="x",
                          metadata=make_metadata(0))
+
+
+class TestImageOwnership:
+    """A library caller's array is copied and left alone; the package's own
+    constructors hand over the arrays they built, with no copy."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The arrays the shape/range check receives, in order."""
+        arrays = []
+        frozen_plane = measxyz_mod._frozen_plane
+        monkeypatch.setattr(measxyz_mod, "_frozen_plane",
+                            lambda a: arrays.append(a) or frozen_plane(a))
+        return arrays
+
+    def test_caller_array_is_copied_frozen_and_checked_once(self, checked):
+        data = np.full((2, 3, 3), 0.25)
+        image = MeasXyzImage(data=data, capture_id="x", metadata=make_metadata(0))
+        assert len(checked) == 1
+        assert not image.data.flags.writeable
+        assert data.flags.writeable
+        data[0, 0, 0] = 0.75
+        assert image.data[0, 0, 0] == 0.25
+
+    def test_load_holds_the_plane_once(self, tmp_path, checked):
+        rng = np.random.default_rng(1)
+        image = MeasXyzImage(data=rng.uniform(0.0, 1.0, (128, 128, 3)), capture_id="x",
+                             metadata=make_metadata(0))
+        save_meas_xyz(image, tmp_path / "x")
+        checked.clear()
+        tracemalloc.start()
+        try:
+            loaded = load_meas_xyz(tmp_path / "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 file bytes (half the plane) and the plane itself; a
+        # copy of the plane would take the peak to twice its size
+        assert peak < 1.75 * loaded.data.nbytes
+        assert [a is loaded.data for a in checked] == [True]
+        assert not loaded.data.flags.writeable
+
+    def test_transform_checks_its_own_array_once(self, checked):
+        image = meas_xyz_transform(make_capture(3))
+        assert [a is image.data for a in checked] == [True]
+        assert not image.data.flags.writeable
