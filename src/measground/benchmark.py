@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import formats
 from .bracketsup import TrainingSample
-from .capture import CameraMetadata, CaptureRef
 from .errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
+from .records import CameraMetadata, CaptureRef
 
 log = logging.getLogger(__name__)
 

@@ -15,9 +15,9 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import formats
-from .capture import CameraMetadata, RawCapture
 from .errors import (
     AnnotatorUnavailable,
     EmptyInput,
@@ -25,8 +25,11 @@ from .errors import (
     MissingMeasXyz,
     SchemaViolation,
 )
-from .isp import RenderedRgb
-from .measxyz import peek_capture_id, read_meas_xyz_header
+from .records import CameraMetadata, read_meas_xyz_header, read_render_header
+
+if TYPE_CHECKING:
+    from .capture import RawCapture
+    from .isp import RenderedRgb
 
 log = logging.getLogger(__name__)
 
@@ -165,6 +168,45 @@ class TrainingSample:
         )
 
 
+# --- proxies ---------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EncodedProxy:
+    """A rendered proxy as the annotator receives it: binary P6 bytes.
+
+    ``ppm`` is empty for an unquantized render, which has no PPM form.
+    """
+
+    capture_id: str
+    exposure_gain: float
+    ppm: bytes
+
+    @classmethod
+    def from_rendered(cls, proxy: RenderedRgb) -> "EncodedProxy":
+        ppm = formats.encode_ppm(proxy.codes, proxy.params.max_code) if proxy.params.quantize else b""
+        return cls(proxy.capture_id, proxy.params.exposure_gain, ppm)
+
+
+def read_proxy(stem: Path) -> EncodedProxy:
+    """The proxy ``isp.save_rendered`` wrote at ``stem``, encoded as ``from_rendered`` encodes
+    ``isp.load_rendered(stem)``, without decoding its samples.
+
+    The .ppm's maxval must be the render header's ``max_code``, and no
+    sample may exceed it.
+    """
+    ppm_path = Path(str(stem) + ".ppm")
+    ppm, maxval = formats.read_ppm_bytes(ppm_path)
+    capture_id, params = read_render_header(stem)
+    if not params.quantize:
+        raise SchemaViolation(f"{stem}.json: a render saved as .ppm must be quantized")
+    if maxval != params.max_code:
+        raise SchemaViolation(
+            f"{ppm_path}: PPM maxval {maxval} disagrees with bit_depth {params.bit_depth} "
+            f"in {stem}.json"
+        )
+    return EncodedProxy(capture_id, params.exposure_gain, ppm)
+
+
 # --- annotator clients ---------------------------------------------------------
 
 class MockAnnotatorClient:
@@ -233,7 +275,7 @@ class HttpAnnotatorClient:
 
 
 def annotate(
-    proxy: RenderedRgb,
+    proxy: EncodedProxy | RenderedRgb,
     client,
     source_prefix: str = "",
     max_retries: int = 3,
@@ -243,12 +285,13 @@ def annotate(
     Malformed responses are logged and yield no candidates; individually
     malformed candidates are dropped while the rest are kept.
     """
-    image = formats.encode_ppm(proxy.codes, proxy.params.max_code) if proxy.params.quantize else b""
-    gain = proxy.params.exposure_gain
+    if not isinstance(proxy, EncodedProxy):
+        proxy = EncodedProxy.from_rendered(proxy)
+    gain = proxy.exposure_gain
     retries = 0
     while True:
         try:
-            raw = client.fetch(proxy.capture_id, gain, image)
+            raw = client.fetch(proxy.capture_id, gain, proxy.ppm)
             break
         except AnnotatorUnavailable:
             if retries >= max_retries:
@@ -367,7 +410,7 @@ def build_samples(
     header_path = Path(str(stem) + ".json")
     if not header_path.exists() or not Path(str(stem) + ".f32").exists():
         raise MissingMeasXyz(f"no Meas.-XYZ plane pair at {stem}")
-    return _attach(capture.capture_id, peek_capture_id(stem), capture.metadata, records, stem)
+    return _attach(capture.capture_id, read_meas_xyz_header(stem)[0], capture.metadata, records, stem)
 
 
 def samples_for_stem(

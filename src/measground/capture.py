@@ -23,6 +23,8 @@ from .errors import (
     MalformedSidecar,
     MissingFile,
 )
+# CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
+from .records import CameraMetadata, CaptureRef, _positive_finite
 
 CFA_PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 MIN_CAM_TO_XYZ_DET = 1e-9
@@ -34,68 +36,6 @@ _SIDECAR_KEYS = {
     "capture_id", "cfa_pattern", "black_level", "white_level",
     "wb_gains", "cam_to_xyz", "metadata", "raw_path",
 }
-_METADATA_KEYS = {"iso", "exposure_time", "aperture", "device_id", "scene_id", "session_id"}
-
-
-def _positive_finite(value, name: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise MalformedSidecar(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise MalformedSidecar(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class CameraMetadata:
-    """Capture context: sensitivity, shutter, aperture plus grouping ids."""
-
-    iso: float
-    exposure_time: float
-    aperture: float
-    device_id: str
-    scene_id: str | None = None
-    session_id: str | None = None
-
-    def __post_init__(self):
-        _positive_finite(self.iso, "metadata.iso")
-        _positive_finite(self.exposure_time, "metadata.exposure_time")
-        _positive_finite(self.aperture, "metadata.aperture")
-        if not self.device_id:
-            raise MalformedSidecar("metadata.device_id must be non-empty")
-
-    def to_dict(self) -> dict:
-        out = {
-            "iso": self.iso,
-            "exposure_time": self.exposure_time,
-            "aperture": self.aperture,
-            "device_id": self.device_id,
-        }
-        if self.scene_id is not None:
-            out["scene_id"] = self.scene_id
-        if self.session_id is not None:
-            out["session_id"] = self.session_id
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CameraMetadata":
-        if not isinstance(obj, dict):
-            raise MalformedSidecar("metadata must be an object")
-        unknown = set(obj) - _METADATA_KEYS
-        if unknown:
-            raise MalformedSidecar(f"unknown metadata keys: {sorted(unknown)}")
-        for key in ("iso", "exposure_time", "aperture", "device_id"):
-            if key not in obj:
-                raise MalformedSidecar(f"metadata.{key} is required")
-        return cls(
-            iso=float(obj["iso"]),
-            exposure_time=float(obj["exposure_time"]),
-            aperture=float(obj["aperture"]),
-            device_id=str(obj["device_id"]),
-            scene_id=obj.get("scene_id"),
-            session_id=obj.get("session_id"),
-        )
 
 
 @dataclass(frozen=True)
@@ -178,54 +118,11 @@ class RawCapture:
         }
 
 
-@dataclass(frozen=True)
-class CaptureRef:
-    """Lightweight handle for split/verify work: ids and paths, no pixels."""
-
-    capture_id: str
-    raw_path: str = ""
-    bundle_path: str = ""
-    scene_id: str | None = None
-    device_id: str | None = None
-    session_id: str | None = None
-
-    @classmethod
-    def from_capture(cls, capture: RawCapture, bundle_path: str = "") -> "CaptureRef":
-        return cls(
-            capture_id=capture.capture_id,
-            raw_path=capture.raw_path,
-            bundle_path=bundle_path,
-            scene_id=capture.metadata.scene_id,
-            device_id=capture.metadata.device_id,
-            session_id=capture.metadata.session_id,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "raw_path": self.raw_path,
-            "bundle_path": self.bundle_path,
-            "scene_id": self.scene_id,
-            "device_id": self.device_id,
-            "session_id": self.session_id,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CaptureRef":
-        return cls(
-            capture_id=str(obj["capture_id"]),
-            raw_path=str(obj.get("raw_path") or ""),
-            bundle_path=str(obj.get("bundle_path") or ""),
-            scene_id=obj.get("scene_id"),
-            device_id=obj.get("device_id"),
-            session_id=obj.get("session_id"),
-        )
-
-
 # --- bundle IO -----------------------------------------------------------------
 
-def _read_sidecar(path: Path) -> dict:
+def read_bundle_sidecar(path: Path) -> dict:
     """The bundle's sidecar, checked for its keys; both bundle files must exist."""
+    path = Path(path)
     mosaic_path = path / MOSAIC_NAME
     sidecar_path = path / SIDECAR_NAME
     if not mosaic_path.exists():
@@ -247,17 +144,17 @@ def _read_sidecar(path: Path) -> dict:
     return sidecar
 
 
-def read_bundle_id(path: Path) -> str:
-    """The capture id of a bundle, from its sidecar alone."""
-    return str(_read_sidecar(Path(path))["capture_id"])
+def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
+    """Load and validate a capture bundle directory.
 
-
-def load_capture_bundle(path: Path) -> RawCapture:
-    """Load and validate a capture bundle directory."""
+    ``sidecar`` is the bundle's ``read_bundle_sidecar`` result when the
+    caller has read it already, so the sidecar is not read again.
+    """
     path = Path(path)
     mosaic_path = path / MOSAIC_NAME
     sidecar_path = path / SIDECAR_NAME
-    sidecar = _read_sidecar(path)
+    if sidecar is None:
+        sidecar = read_bundle_sidecar(path)
     mosaic = formats.read_pgm16(mosaic_path)
     if mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
         raise DimensionMismatch(f"{mosaic_path}: odd mosaic dimensions {mosaic.shape}")
@@ -276,7 +173,10 @@ def load_capture_bundle(path: Path) -> RawCapture:
             and all(isinstance(row, list) and len(row) == 3 for row in matrix)):
         raise MalformedSidecar(f"{sidecar_path}: cam_to_xyz must be a 3x3 nested list")
 
-    metadata = CameraMetadata.from_dict(sidecar["metadata"])
+    try:
+        metadata = CameraMetadata.from_dict(sidecar["metadata"])
+    except (TypeError, ValueError, MalformedSidecar) as exc:
+        raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
     return RawCapture(
         capture_id=str(sidecar["capture_id"]),
         mosaic=mosaic,

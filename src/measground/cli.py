@@ -22,11 +22,9 @@ from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, benchmark, bracketsup, dataset, formats, lost_signal, metrics
-from . import capture as capture_mod
-from . import isp, measxyz, probe
+# The numeric modules (capture, measxyz, isp, lost_signal, probe) and numpy are
+# imported inside the handlers that use them, so the text stages never load them.
+from . import __version__, benchmark, bracketsup, dataset, formats, metrics, records
 from .errors import (
     AnnotatorUnavailable,
     ConfigInvalid,
@@ -79,9 +77,9 @@ class RunConfig:
     gain: float = 1.0
     bit_depth: int = 8
     quantize: bool = True
-    transfer: str = isp.SRGB_PIECEWISE
-    exposures: tuple[float, ...] = isp.DEFAULT_BRACKET
-    tau: float = lost_signal.DEFAULT_TAU
+    transfer: str = records.SRGB_PIECEWISE
+    exposures: tuple[float, ...] = records.DEFAULT_BRACKET
+    tau: float = records.DEFAULT_TAU
     bins: int = 32
     floor: float = dataset.DEFAULT_SCORE_FLOOR
     placeholder_patterns: tuple[str, ...] = dataset.DEFAULT_PLACEHOLDER_PATTERNS
@@ -158,12 +156,27 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _numpy_version() -> str:
+    """The installed numpy's version, read without importing numpy.
+
+    A stage that has imported numpy reads its ``__version__``; the others read
+    the package metadata. Importing ``importlib.metadata`` costs about 20 ms,
+    which the numeric stages need not pay.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
+    from importlib import metadata
+
+    return metadata.version("numpy")
+
+
 def _write_run_record(out_dir: Path, subcommand: str, config: RunConfig, counts: dict,
                       started: float, workers: int) -> None:
     record = {
         "subcommand": subcommand,
         "config_hash": _config_hash(config),
-        "versions": {"measground": __version__, "numpy": np.__version__},
+        "versions": {"measground": __version__, "numpy": _numpy_version()},
         "counts": counts,
         "workers": workers,
         "started_at": started,
@@ -249,15 +262,17 @@ def _gain_tag(gain: float) -> str:
     return f"{gain:g}".replace(".", "p")
 
 
-def _load_refs(path: Path) -> list[capture_mod.CaptureRef]:
+def _load_refs(path: Path) -> list[records.CaptureRef]:
     rows = benchmark.load_manifest_entries(path)
     try:
-        return [capture_mod.CaptureRef.from_dict(row) for row in rows]
+        return [records.CaptureRef.from_dict(row) for row in rows]
     except (KeyError, TypeError) as exc:
         raise SchemaViolation(f"{path}: invalid capture ref ({exc!r})") from exc
 
 
 def _iter_bundle_dirs(root: Path) -> list[Path]:
+    from . import capture as capture_mod
+
     root = Path(root)
     if not root.exists():
         raise MissingFile(str(root))
@@ -299,6 +314,8 @@ def _judge_client(config: RunConfig):
 def _synth_one(index: int, base_spec, seed: int, group_size: int, devices: int,
                out: Path) -> dict:
     """Write synthetic capture ``index``'s bundle; returns its capture ref."""
+    from . import capture as capture_mod
+
     isos = (100.0, 200.0, 400.0, 800.0, 1600.0)
     exposures = (1 / 15, 1 / 30, 1 / 60, 1 / 125)
     apertures = (1.8, 2.8, 4.0, 5.6)
@@ -320,6 +337,8 @@ def _synth_one(index: int, base_spec, seed: int, group_size: int, devices: int,
 
 
 def _cmd_synth(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    from . import capture as capture_mod
+
     if args.scene:
         try:
             spec_obj = json.loads(Path(args.scene).read_text(encoding="utf-8"))
@@ -337,11 +356,15 @@ def _cmd_synth(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[
 
 def _ingest_one(bundle_dir: Path) -> dict:
     """Load and validate one bundle; returns its capture ref."""
+    from . import capture as capture_mod
+
     loaded = capture_mod.load_capture_bundle(bundle_dir)
-    return capture_mod.CaptureRef.from_capture(loaded, str(bundle_dir)).to_dict()
+    return records.CaptureRef.from_capture(loaded, str(bundle_dir)).to_dict()
 
 
 def _cmd_ingest(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    from . import capture as capture_mod
+
     refs = pool.map(_ingest_one, _iter_bundle_dirs(Path(args.input)))
     _refuse_duplicate_ids(
         (Path(ref["bundle_path"]) / capture_mod.SIDECAR_NAME, ref["capture_id"]) for ref in refs
@@ -350,22 +373,30 @@ def _cmd_ingest(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple
     return {"captures": len(refs)}, EXIT_OK
 
 
-def _measxyz_one(bundle_dir: Path, out: Path) -> None:
-    image = measxyz.meas_xyz_transform(capture_mod.load_capture_bundle(bundle_dir))
+def _measxyz_one(bundle: tuple[Path, dict], out: Path) -> None:
+    """Transform one bundle, given with the sidecar the stage process read."""
+    from . import capture as capture_mod
+    from . import measxyz
+
+    image = measxyz.meas_xyz_transform(capture_mod.load_capture_bundle(*bundle))
     measxyz.save_meas_xyz(image, out / image.capture_id)
 
 
 def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
-    bundles = _capture_paths(Path(args.input))
+    from . import capture as capture_mod
+    from . import measxyz  # noqa: F401  (loaded once here, before the workers fork)
+
+    bundles = [(bundle, capture_mod.read_bundle_sidecar(bundle))
+               for bundle in _capture_paths(Path(args.input))]
     _refuse_duplicate_ids(
-        (bundle / capture_mod.SIDECAR_NAME, capture_mod.read_bundle_id(bundle)) for bundle in bundles
+        (bundle / capture_mod.SIDECAR_NAME, str(sidecar["capture_id"])) for bundle, sidecar in bundles
     )
     pool.map(partial(_measxyz_one, out=out), bundles)
     return {"images": len(bundles)}, EXIT_OK
 
 
-def _render_params(config: RunConfig, gain: float) -> isp.RenderParams:
-    return isp.RenderParams(
+def _render_params(config: RunConfig, gain: float) -> records.RenderParams:
+    return records.RenderParams(
         exposure_gain=gain,
         bit_depth=config.bit_depth,
         transfer=config.transfer,
@@ -373,25 +404,34 @@ def _render_params(config: RunConfig, gain: float) -> isp.RenderParams:
     )
 
 
-def _plane_stems(measxyz_dir: Path) -> list[Path]:
-    """The Meas.-XYZ plane pairs under ``measxyz_dir``, refused if two hold one capture."""
-    stems = formats.list_stems(measxyz_dir, ".f32")
-    _refuse_duplicate_ids((Path(f"{stem}.json"), measxyz.peek_capture_id(stem)) for stem in stems)
-    return stems
+def _plane_stems(measxyz_dir: Path) -> list[tuple[Path, tuple[dict, tuple[int, ...]]]]:
+    """The Meas.-XYZ plane pairs under ``measxyz_dir`` with their headers, refused if
+    two hold one capture. The workers load each pair with the header read here."""
+    planes = [(stem, formats.read_plane_header(stem))
+              for stem in formats.list_stems(measxyz_dir, ".f32")]
+    _refuse_duplicate_ids(
+        (Path(f"{stem}.json"), records.meas_xyz_header_fields(stem, header)[0])
+        for stem, (header, _) in planes
+    )
+    return planes
 
 
-def _render_one(stem: Path, config: RunConfig, gains, out: Path) -> None:
+def _render_one(plane: tuple[Path, tuple], config: RunConfig, gains, out: Path) -> None:
     """Render one plane at each gain, saving each render before the next."""
-    image = measxyz.load_meas_xyz(stem)
+    from . import isp, measxyz
+
+    image = measxyz.load_meas_xyz(*plane)
     for gain in gains:
         rendered = isp.render_proxy(image, _render_params(config, gain))
         isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(gain)}")
 
 
 def _render_gains(measxyz_dir: Path, config: RunConfig, out: Path, pool: _CapturePool, gains) -> int:
-    stems = _plane_stems(measxyz_dir)
-    pool.map(partial(_render_one, config=config, gains=gains, out=out), stems)
-    return len(stems) * len(gains)
+    from . import isp  # noqa: F401  (loaded once here, before the workers fork)
+
+    planes = _plane_stems(measxyz_dir)
+    pool.map(partial(_render_one, config=config, gains=gains, out=out), planes)
+    return len(planes) * len(gains)
 
 
 def _cmd_render(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -404,8 +444,10 @@ def _cmd_bracket(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
     return {"renders": n, "exposures": list(config.exposures)}, EXIT_OK
 
 
-def _lost_signal_one(stem: Path, config: RunConfig, out: Path) -> None:
-    image = measxyz.load_meas_xyz(stem)
+def _lost_signal_one(plane: tuple[Path, tuple], config: RunConfig, out: Path) -> None:
+    from . import lost_signal, measxyz
+
+    image = measxyz.load_meas_xyz(*plane)
     params = _render_params(config, config.gain)
     report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins)
     lost_signal.emit_report(report, out)
@@ -414,9 +456,11 @@ def _lost_signal_one(stem: Path, config: RunConfig, out: Path) -> None:
 def _cmd_lost_signal(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
     if args.gain is None:
         raise ConfigInvalid("config.gain: lost-signal requires an explicit --gain")
-    stems = _plane_stems(Path(args.input))
-    pool.map(partial(_lost_signal_one, config=config, out=out), stems)
-    return {"reports": len(stems), "gain": config.gain}, EXIT_OK
+    from . import lost_signal  # noqa: F401  (loaded once here, before the workers fork)
+
+    planes = _plane_stems(Path(args.input))
+    pool.map(partial(_lost_signal_one, config=config, out=out), planes)
+    return {"reports": len(planes), "gain": config.gain}, EXIT_OK
 
 
 def _cmd_annotate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -424,9 +468,9 @@ def _cmd_annotate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tup
     stems = formats.list_stems(Path(args.proxies), ".ppm")
     rows = []
     for stem in stems:
-        rendered = isp.load_rendered(stem)
-        candidates = bracketsup.annotate(rendered, client, source_prefix=config.source_prefix)
-        rows.extend(candidate.to_dict(rendered.capture_id) for candidate in candidates)
+        proxy = bracketsup.read_proxy(stem)
+        candidates = bracketsup.annotate(proxy, client, source_prefix=config.source_prefix)
+        rows.extend(candidate.to_dict(proxy.capture_id) for candidate in candidates)
     formats.write_jsonl(out / "candidates.jsonl", rows)
     return {"proxies": len(stems), "candidates": len(rows)}, EXIT_OK
 
@@ -499,7 +543,7 @@ def _proxy_lookup(proxies_dir: Path, capture_ids: set[str]) -> dict[str, str]:
     """Pick one rendered view per capture, preferring the gain closest to 1."""
     best: dict[str, tuple[tuple[float, float], str]] = {}
     for stem in formats.list_stems(proxies_dir, ".ppm"):
-        capture_id, params = isp.read_render_header(stem)
+        capture_id, params = records.read_render_header(stem)
         if capture_id not in capture_ids:
             continue
         gain = params.exposure_gain
@@ -539,6 +583,10 @@ GRAD_CHECK_THRESHOLD = 1e-4
 
 
 def _cmd_condition_check(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
+    import numpy as np
+
+    from . import probe
+
     if config.probe_config:
         probe_config = probe.ProbeConfig.from_file(Path(config.probe_config))
     else:

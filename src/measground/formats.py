@@ -9,18 +9,25 @@ content into SchemaViolation naming the file (and line, for JSONL).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     IoFailure,
     MalformedMosaic,
     MalformedResponse,
+    MalformedSidecar,
     MalformedVerdict,
     MissingFile,
     SchemaViolation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that handle samples: the JSON
+# codec and the header readers serve the text stages, which never load it.
 
 PGM_MAXVAL = 65535
 
@@ -60,6 +67,8 @@ def _read_pnm_header(raw: bytes, magic: bytes, path: Path) -> tuple[int, int, in
 
 def read_pgm16(path: Path) -> np.ndarray:
     """Read a binary P5 PGM with maxval 65535 into a uint16 (H, W) array."""
+    import numpy as np
+
     raw = Path(path).read_bytes()
     width, height, maxval, offset = _read_pnm_header(raw, b"P5", Path(path))
     if maxval != PGM_MAXVAL:
@@ -76,6 +85,8 @@ def read_pgm16(path: Path) -> np.ndarray:
 
 def write_pgm16(path: Path, data: np.ndarray) -> None:
     """Write a uint16 (H, W) array as binary P5 with maxval 65535."""
+    import numpy as np
+
     data = np.asarray(data)
     if data.ndim != 2:
         raise IoFailure(f"{path}: PGM data must be 2-D, got shape {data.shape}")
@@ -89,6 +100,8 @@ def write_pgm16(path: Path, data: np.ndarray) -> None:
 
 def write_pgm8(path: Path, data: np.ndarray) -> None:
     """Write a uint8 (H, W) array as binary P5 with maxval 255 (masks)."""
+    import numpy as np
+
     data = np.asarray(data, dtype=np.uint8)
     height, width = data.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
@@ -98,28 +111,66 @@ def write_pgm8(path: Path, data: np.ndarray) -> None:
         raise IoFailure(f"{path}: {exc}") from exc
 
 
-def read_ppm(path: Path) -> tuple[np.ndarray, int]:
-    """Read a binary P6 PPM; returns (uint16 (H, W, 3) array, maxval).
+def _read_ppm_raw(path: Path) -> tuple[bytes, int, int, int, int]:
+    """A binary P6 PPM's bytes, checked for their size: (raw, width, height, maxval, offset).
 
     Samples are one byte for maxval < 256, two big-endian bytes otherwise,
     per the PPM convention.
     """
     raw = Path(path).read_bytes()
     width, height, maxval, offset = _read_pnm_header(raw, b"P6", Path(path))
-    wide = maxval > 255
-    expected = width * height * 3 * (2 if wide else 1)
-    payload = raw[offset:]
-    if len(payload) != expected:
+    expected = width * height * 3 * (2 if maxval > 255 else 1)
+    if len(raw) - offset != expected:
         raise MalformedMosaic(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+            f"{path}: payload is {len(raw) - offset} bytes, header implies {expected}"
         )
-    dtype = ">u2" if wide else np.uint8
-    data = np.frombuffer(payload, dtype=dtype).reshape(height, width, 3)
+    return raw, width, height, maxval, offset
+
+
+def read_ppm(path: Path) -> tuple[np.ndarray, int]:
+    """Read a binary P6 PPM; returns (uint16 (H, W, 3) array, maxval)."""
+    import numpy as np
+
+    raw, width, height, maxval, offset = _read_ppm_raw(path)
+    dtype = ">u2" if maxval > 255 else np.uint8
+    data = np.frombuffer(raw, dtype=dtype, offset=offset).reshape(height, width, 3)
     return data.astype(np.uint16), maxval
+
+
+def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
+    """Whether the PPM samples that start at ``raw[offset]`` hold one above ``maxval``."""
+    if maxval == 255 or maxval >= PGM_MAXVAL:
+        return False
+    if maxval < 255:
+        return bool(raw[offset:].translate(None, bytes(range(maxval + 1))))
+    if maxval & 0xFF == 0xFF:
+        # a two-byte sample exceeds 2^k - 1 exactly when its high byte does
+        return bool(raw[offset::2].translate(None, bytes(range((maxval >> 8) + 1))))
+    import numpy as np
+
+    return int(np.frombuffer(raw, dtype=">u2", offset=offset).max(initial=0)) > maxval
+
+
+def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
+    """A binary P6 PPM as ``encode_ppm(*read_ppm(path))`` encodes it, and its maxval.
+
+    The samples are kept as stored, once their size is checked and none is
+    found above maxval; only a header that is not in ``encode_ppm``'s form
+    is rewritten. No array is built.
+    """
+    raw, width, height, maxval, offset = _read_ppm_raw(path)
+    if _exceeds(raw, offset, maxval):
+        raise MalformedMosaic(f"{path}: a sample exceeds maxval {maxval}")
+    header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
+    if raw[:offset] != header:
+        raw = header + raw[offset:]
+    return raw, maxval
 
 
 def encode_ppm(codes: np.ndarray, maxval: int) -> bytes:
     """Encode integer (H, W, 3) codes as binary P6 bytes with the given maxval."""
+    import numpy as np
+
     codes = np.asarray(codes)
     if codes.ndim != 3 or codes.shape[2] != 3:
         raise IoFailure(f"PPM data must be (H, W, 3), got {codes.shape}")
@@ -142,6 +193,8 @@ def write_ppm(path: Path, codes: np.ndarray, maxval: int) -> None:
 # precision; loading is exact with respect to the stored bytes.
 
 def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
+    import numpy as np
+
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 2:
         channels = 1
@@ -181,10 +234,20 @@ def read_plane_header(stem: Path) -> tuple[dict, tuple[int, ...]]:
     return header, shape
 
 
-def read_plane(stem: Path) -> tuple[np.ndarray, dict]:
-    header, shape = read_plane_header(stem)
-    raw = np.frombuffer(Path(str(stem) + ".f32").read_bytes(), dtype="<f4")
-    return raw.reshape(shape).astype(np.float64), header
+def read_plane(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None
+               ) -> tuple[np.ndarray, dict]:
+    """The samples of a plane pair as float64, and its header.
+
+    ``header`` is the pair's ``read_plane_header`` result when the caller
+    has read it already, so the header is not read again.
+    """
+    import numpy as np
+
+    header, shape = read_plane_header(stem) if header is None else header
+    raw = Path(str(stem) + ".f32").read_bytes()
+    if len(raw) != 4 * math.prod(shape):
+        raise IoFailure(f"{stem}: plane payload does not match header dimensions")
+    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64), header
 
 
 # --- JSON / JSONL --------------------------------------------------------------
@@ -237,8 +300,8 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
     """Parse the lines of a JSONL file of objects, skipping blank lines, mapped by ``parse``.
 
     A row that is not a JSON object, or that ``parse`` rejects with KeyError,
-    TypeError, ValueError or SchemaViolation, raises SchemaViolation naming
-    the file line; MalformedResponse and MalformedVerdict keep their type and
+    TypeError, ValueError, SchemaViolation or MalformedSidecar (a row's
+    capture metadata), raises SchemaViolation naming the file line; MalformedResponse and MalformedVerdict keep their type and
     gain the file line.
     """
     rows = []
@@ -255,7 +318,7 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
             raise SchemaViolation(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         except KeyError as exc:
             raise SchemaViolation(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError, SchemaViolation) as exc:
+        except (TypeError, ValueError, SchemaViolation, MalformedSidecar) as exc:
             raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
         except (MalformedResponse, MalformedVerdict) as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from exc

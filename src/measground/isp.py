@@ -6,18 +6,23 @@ analytically; companion helpers expose the clip mask the loss analysis needs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
-from .errors import DomainError, EmptyBracket, IoFailure, SchemaViolation, SingularMatrix
+from .errors import DomainError, EmptyBracket, IoFailure
 from .measxyz import MeasXyzImage
-
-SRGB_PIECEWISE = "SRGB_PIECEWISE"
-IDENTITY = "IDENTITY"
+# The render parameters and their header reader live in records, without numpy.
+from .records import (
+    DEFAULT_BRACKET,
+    IDENTITY,
+    SRGB_PIECEWISE,
+    XYZ_TO_LINEAR_SRGB_D65,
+    RenderParams,
+    read_render_header,
+)
 
 # Standard sRGB transfer constants (piecewise definition).
 SRGB_LINEAR_THRESHOLD = 0.0031308
@@ -25,70 +30,6 @@ SRGB_ENCODED_THRESHOLD = 0.04045
 SRGB_LINEAR_SLOPE = 12.92
 SRGB_GAMMA = 2.4
 SRGB_A = 0.055
-
-# XYZ (D65) -> linear sRGB, standard constants to 7 decimals.
-XYZ_TO_LINEAR_SRGB_D65 = (
-    (3.2404542, -1.5371385, -0.4985314),
-    (-0.9692660, 1.8760108, 0.0415560),
-    (0.0556434, -0.2040259, 1.0572252),
-)
-
-
-@dataclass(frozen=True)
-class RenderParams:
-    """Configuration of one proxy render."""
-
-    exposure_gain: float
-    bit_depth: int = 8
-    xyz_to_linear_srgb: tuple = XYZ_TO_LINEAR_SRGB_D65
-    transfer: str = SRGB_PIECEWISE
-    quantize: bool = True
-
-    def __post_init__(self):
-        gain = float(self.exposure_gain)
-        if not math.isfinite(gain) or gain <= 0:
-            raise DomainError(f"exposure_gain must be finite and > 0, got {gain}")
-        object.__setattr__(self, "exposure_gain", gain)
-        if not (1 <= int(self.bit_depth) <= 16):
-            raise DomainError(f"bit_depth must be in [1, 16], got {self.bit_depth}")
-        object.__setattr__(self, "bit_depth", int(self.bit_depth))
-        if self.transfer not in (SRGB_PIECEWISE, IDENTITY):
-            raise DomainError(f"unknown transfer {self.transfer!r}")
-        matrix = np.asarray(self.xyz_to_linear_srgb, dtype=np.float64)
-        if matrix.shape != (3, 3) or not np.all(np.isfinite(matrix)):
-            raise SingularMatrix("xyz_to_linear_srgb must be a finite 3x3 matrix")
-        if abs(np.linalg.det(matrix)) <= 1e-12:
-            raise SingularMatrix("xyz_to_linear_srgb is singular")
-        object.__setattr__(
-            self, "xyz_to_linear_srgb", tuple(tuple(float(v) for v in row) for row in matrix)
-        )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.xyz_to_linear_srgb, dtype=np.float64)
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.bit_depth) - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "exposure_gain": self.exposure_gain,
-            "bit_depth": self.bit_depth,
-            "xyz_to_linear_srgb": [list(row) for row in self.xyz_to_linear_srgb],
-            "transfer": self.transfer,
-            "quantize": self.quantize,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RenderParams":
-        return cls(
-            exposure_gain=obj["exposure_gain"],
-            bit_depth=obj.get("bit_depth", 8),
-            xyz_to_linear_srgb=tuple(tuple(row) for row in obj.get("xyz_to_linear_srgb", XYZ_TO_LINEAR_SRGB_D65)),
-            transfer=obj.get("transfer", SRGB_PIECEWISE),
-            quantize=obj.get("quantize", True),
-        )
 
 
 @dataclass(frozen=True)
@@ -267,9 +208,6 @@ def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:
     return render_linear(linear_rgb(z, params), params, z.capture_id)
 
 
-DEFAULT_BRACKET = (0.5, 1.0, 2.0, 4.0)
-
-
 def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, **param_overrides) -> list[RenderedRgb]:
     """Render one proxy per exposure gain, in the order given."""
     exposures = list(exposures)
@@ -292,18 +230,6 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
         Path(str(stem) + ".json"),
         {"capture_id": rendered.capture_id, "params": rendered.params.to_dict()},
     )
-
-
-def read_render_header(stem: Path) -> tuple[str, RenderParams]:
-    """The capture id and render parameters from the <stem>.json header."""
-    path = Path(str(stem) + ".json")
-    header = formats.read_json(path)
-    try:
-        return header["capture_id"], RenderParams.from_dict(header["params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(
-            f"{path}: render header needs capture_id and params ({exc!r})"
-        ) from exc
 
 
 def load_rendered(stem: Path) -> RenderedRgb:

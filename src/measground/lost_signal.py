@@ -18,8 +18,7 @@ from . import formats
 from .errors import DomainError, ShapeMismatch
 from .isp import IDENTITY, RenderedRgb, RenderParams, linear_rgb, render_linear, srgb_eotf, top_clipped
 from .measxyz import MeasXyzImage
-
-DEFAULT_TAU = 2.0 / 255.0
+from .records import DEFAULT_TAU
 
 
 @dataclass(frozen=True)

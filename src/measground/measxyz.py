@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .capture import CameraMetadata, RawCapture, _black_site_map
-from .errors import DegenerateCalibration, DomainError, SchemaViolation, ShapeMismatch
+from .capture import RawCapture, _black_site_map
+from .errors import DegenerateCalibration, DomainError, ShapeMismatch
+from .records import CameraMetadata, meas_xyz_header_fields, read_meas_xyz_header
 
 log = logging.getLogger(__name__)
 
@@ -163,27 +164,10 @@ def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
     formats.write_plane(stem, image.data, header)
 
 
-def _header_fields(stem: Path, header: dict) -> tuple[str, CameraMetadata]:
-    try:
-        metadata = CameraMetadata.from_dict(header["metadata"])
-        return header["capture_id"], metadata
-    except KeyError as exc:
-        raise SchemaViolation(f"{stem}.json: plane header lacks {exc}") from exc
-
-
-def read_meas_xyz_header(stem: Path) -> tuple[str, CameraMetadata]:
-    """The capture id and metadata of a plane pair, without reading its samples.
-
-    The header is checked as load_meas_xyz checks it, and the .f32 size
-    against the header dimensions.
-    """
-    header, _ = formats.read_plane_header(stem)
-    return _header_fields(stem, header)
-
-
-def load_meas_xyz(stem: Path) -> MeasXyzImage:
-    data, header = formats.read_plane(stem)
-    capture_id, metadata = _header_fields(stem, header)
+def load_meas_xyz(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None) -> MeasXyzImage:
+    """The image saved at ``stem``; ``header`` is as ``formats.read_plane`` takes it."""
+    data, header = formats.read_plane(stem, header)
+    capture_id, metadata = meas_xyz_header_fields(stem, header)
     return MeasXyzImage._adopt(data, capture_id, metadata)
 
 

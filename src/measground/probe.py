@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .capture import CameraMetadata
 from .errors import ConfigInvalid, DomainError, NonFiniteGradient, ShapeMismatch
+from .records import CameraMetadata
 
 ISO_REFERENCE = 100.0
 EXPOSURE_REFERENCE = 1.0 / 60.0

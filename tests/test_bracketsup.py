@@ -19,13 +19,14 @@ from measground.bracketsup import (
     build_samples,
     normalize_answer,
     question_key,
+    read_proxy,
     read_samples,
     samples_for_stem,
     write_samples,
 )
 from measground.capture import SyntheticSceneSpec, synth_capture
-from measground.errors import AnnotatorUnavailable, EmptyInput, IoFailure, MissingMeasXyz
-from measground.isp import RenderParams, render_proxy
+from measground.errors import AnnotatorUnavailable, EmptyInput, IoFailure, MalformedMosaic, MissingMeasXyz
+from measground.isp import RenderParams, load_rendered, render_proxy, save_rendered
 from measground.measxyz import meas_xyz_transform, save_meas_xyz
 
 from conftest import make_image
@@ -115,6 +116,55 @@ class TestMockAnnotate:
         assert [r.answer for r in records] == ["good"]
 
 
+class _RecordingClient:
+    """Serves no candidates and keeps the bytes each fetch was sent."""
+
+    def __init__(self):
+        self.images = []
+
+    def fetch(self, capture_id, exposure_gain, image_ppm):
+        self.images.append(image_ppm)
+        return []
+
+
+class TestReadProxy:
+    @pytest.mark.parametrize("bits", [8, 12])
+    def test_annotator_bytes_equal_the_decode_encode_round_trip(self, tmp_path, bits):
+        z = make_image(np.random.default_rng(bits).uniform(0, 1, (5, 7, 3)), capture_id="cap-b")
+        save_rendered(render_proxy(z, RenderParams(exposure_gain=2.0, bit_depth=bits)), tmp_path / "p")
+        proxy = read_proxy(tmp_path / "p")
+        assert (proxy.capture_id, proxy.exposure_gain) == ("cap-b", 2.0)
+        client = _RecordingClient()
+        annotate(proxy, client)
+        expected = formats.encode_ppm(*formats.read_ppm(tmp_path / "p.ppm"))
+        assert client.images == [expected]
+        # the in-memory render is sent with the same bytes
+        annotate(load_rendered(tmp_path / "p"), client)
+        assert client.images[1] == expected
+
+    def test_header_comment_is_dropped(self, tmp_path):
+        z = make_image(np.random.default_rng(0).uniform(0, 1, (2, 3, 3)))
+        save_rendered(render_proxy(z, RenderParams(exposure_gain=1.0, bit_depth=10)), tmp_path / "p")
+        ppm = tmp_path / "p.ppm"
+        expected = formats.encode_ppm(*formats.read_ppm(ppm))
+        ppm.write_bytes(ppm.read_bytes().replace(b"P6\n", b"P6 # a comment\n", 1))
+        assert read_proxy(tmp_path / "p").ppm == expected
+
+    @pytest.mark.parametrize("maxval", [127, 1023, 1000])
+    def test_sample_above_maxval_is_refused(self, tmp_path, maxval):
+        width = 2 if maxval > 255 else 1
+
+        def write(samples):
+            (tmp_path / "x.ppm").write_bytes(f"P6\n1 1\n{maxval}\n".encode()
+                                             + b"".join(v.to_bytes(width, "big") for v in samples))
+
+        write([0, maxval, maxval])
+        assert formats.read_ppm_bytes(tmp_path / "x.ppm")[1] == maxval
+        write([0, maxval + 1, maxval])
+        with pytest.raises(MalformedMosaic, match="x.ppm: a sample exceeds maxval"):
+            formats.read_ppm_bytes(tmp_path / "x.ppm")
+
+
 class _AnnotatorHandler(BaseHTTPRequestHandler):
     script = []
     seen = []
@@ -143,6 +193,7 @@ def http_annotator():
     _AnnotatorHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}/annotate", _AnnotatorHandler
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpAnnotator:

@@ -10,6 +10,7 @@ from measground.capture import (
     ScenePatch,
     SyntheticSceneSpec,
     load_capture_bundle,
+    read_bundle_sidecar,
     save_capture_bundle,
     synth_capture,
 )
@@ -47,6 +48,13 @@ class TestBundleRoundTrip:
         save_capture_bundle(capture, tmp_path / "b")
         loaded = load_capture_bundle(tmp_path / "b")
         _assert_captures_equal(capture, loaded)
+
+    def test_load_with_a_sidecar_read_earlier_reads_no_sidecar(self, tmp_path):
+        capture = make_capture(4, height=4, width=6)
+        save_capture_bundle(capture, tmp_path / "b")
+        sidecar = read_bundle_sidecar(tmp_path / "b")
+        (tmp_path / "b" / "capture.json").unlink()
+        _assert_captures_equal(capture, load_capture_bundle(tmp_path / "b", sidecar))
 
     def test_boundary_code_survives(self, tmp_path):
         mosaic = np.full((2, 2), 65535, dtype=np.uint16)

@@ -378,6 +378,23 @@ def _plane_header_without_height(root):
     return ["render", "--input", root / "m", "--gain", "1.0", "--out", root / "out"], "synth-0000.json"
 
 
+def _set_iso(path, iso):
+    obj = json.loads(path.read_text())
+    obj["metadata"]["iso"] = iso
+    path.write_text(json.dumps(obj))
+
+
+def _plane_header_with_non_numeric_iso(root):
+    _set_iso(root / "m" / "synth-0000.json", "fast")
+    return ["render", "--input", root / "m", "--gain", "1.0", "--out", root / "out"], "synth-0000.json"
+
+
+def _sidecar_with_non_numeric_iso(root):
+    _set_iso(root / "s" / "bundles" / "synth-0000" / "capture.json", "fast")
+    return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
+        "synth-0000/capture.json"
+
+
 def _render_header_not_json(root):
     (root / "r" / "synth-0000_e1.json").write_text("{not json")
     return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
@@ -442,10 +459,79 @@ def _mosaic_truncated_in_third_of_four_bundles(root):
         "synth-0002/mosaic.pgm"
 
 
+def _sample_row_with_negative_iso(root):
+    metadata = {"iso": -1, "exposure_time": 0.01, "aperture": 2.0, "device_id": "camera-0"}
+    record = {"question": "q?", "answer": "a", "score": 0.9, "provenance": [1.0]}
+    (root / "rows.jsonl").write_text(json.dumps(
+        {"capture_id": "synth-0000", "meas_xyz_path": "m/synth-0000", "record": record,
+         "metadata": metadata}) + "\n")
+    return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], "rows.jsonl:1:"
+
+
 def _prediction_row_after_blank_lines(root):
     (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
     (root / "bench.jsonl").write_text("")
     return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "rows.jsonl"], "rows.jsonl:3:"
+
+
+def _split_over_render_header(root, **params):
+    """split --proxies over the fixture's render, its header params updated."""
+    header_path = root / "r" / "synth-0000_e1.json"
+    header = json.loads(header_path.read_text())
+    header["params"].update(params)
+    header_path.write_text(json.dumps(header))
+    refs = [{"capture_id": f"c{i}", "scene_id": f"scene-{i}", "session_id": f"session-{i}",
+             "device_id": f"camera-{i}"} for i in range(4)]
+    (root / "refs.json").write_text(json.dumps(refs))
+    (root / "samples.jsonl").write_text("")
+    return ["split", "--captures", root / "refs.json", "--samples", root / "samples.jsonl",
+            "--proxies", root / "r", "--fraction", "0.5", "--out", root / "out"], "synth-0000_e1.json"
+
+
+def _render_header_with_singular_matrix(root):
+    return _split_over_render_header(root, xyz_to_linear_srgb=[[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+
+
+def _render_header_with_bit_depth_17(root):
+    return _split_over_render_header(root, bit_depth=17)
+
+
+def _render_header_with_unknown_transfer(root):
+    return _split_over_render_header(root, transfer="GAMMA_2_2")
+
+
+def _render_header_with_gain_0(root):
+    return _split_over_render_header(root, exposure_gain=0)
+
+
+def _annotate_argv(root):
+    return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
+            "--out", root / "out"]
+
+
+def _ppm_maxval_disagrees_with_render_header(root):
+    header_path = root / "r" / "synth-0000_e1.json"
+    header = json.loads(header_path.read_text())
+    header["params"]["bit_depth"] = 7  # the .ppm's maxval stays 255
+    header_path.write_text(json.dumps(header))
+    return _annotate_argv(root), "synth-0000_e1.ppm"
+
+
+def _ppm_payload_short(root):
+    ppm = root / "r" / "synth-0000_e1.ppm"
+    ppm.write_bytes(ppm.read_bytes()[:-3])
+    return _annotate_argv(root), "synth-0000_e1.ppm"
+
+
+def _ppm_16_bit_sample_above_maxval(root):
+    header_path = root / "r" / "synth-0000_e1.json"
+    header = json.loads(header_path.read_text())
+    header["params"]["bit_depth"] = 12
+    header_path.write_text(json.dumps(header))
+    samples = [0, 4095, 17, 4096, 1, 2]  # 4096 exceeds maxval 4095
+    (root / "r" / "synth-0000_e1.ppm").write_bytes(
+        b"P6\n2 1\n4095\n" + b"".join(v.to_bytes(2, "big") for v in samples))
+    return _annotate_argv(root), "synth-0000_e1.ppm"
 
 
 class TestMalformedInputs:
@@ -465,6 +551,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("case", [
         _plane_header_without_height,
+        _plane_header_with_non_numeric_iso,
+        _sidecar_with_non_numeric_iso,
         _render_header_not_json,
         _render_header_without_params,
         _refs_row_without_capture_id,
@@ -473,8 +561,16 @@ class TestMalformedInputs:
         _candidate_score_above_one,
         _judge_row_without_verdict,
         _sample_row_after_blank_lines,
+        _sample_row_with_negative_iso,
         _prediction_row_after_blank_lines,
         _mosaic_truncated_in_third_of_four_bundles,
+        _render_header_with_singular_matrix,
+        _render_header_with_bit_depth_17,
+        _render_header_with_unknown_transfer,
+        _render_header_with_gain_0,
+        _ppm_maxval_disagrees_with_render_header,
+        _ppm_payload_short,
+        _ppm_16_bit_sample_above_maxval,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)

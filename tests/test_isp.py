@@ -106,6 +106,16 @@ class TestRenderParams:
         with pytest.raises(SingularMatrix):
             RenderParams(exposure_gain=1.0, xyz_to_linear_srgb=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("matrix", [
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.5, 0.7, 0.9]],  # row 3 = row 1 + row 2
+        [[1e-5, 0, 0], [0, 1e-5, 0], [0, 0, 1e-5]],  # determinant 1e-15
+    ])
+    def test_rejects_rank_deficient_matrix(self, matrix):
+        assert abs(np.linalg.det(np.array(matrix))) <= 1e-12
+        with pytest.raises(SingularMatrix):
+            RenderParams(exposure_gain=1.0, xyz_to_linear_srgb=matrix)
+
     def test_rejects_bad_bit_depth(self):
         with pytest.raises(DomainError):
             RenderParams(exposure_gain=1.0, bit_depth=17)

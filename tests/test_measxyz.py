@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measground import formats
 from measground import measxyz as measxyz_mod
 from measground.capture import SyntheticSceneSpec, synth_capture
 from measground.errors import DomainError, IoFailure, SchemaViolation
@@ -225,6 +226,15 @@ class TestPlaneExport:
         for reader in (read_meas_xyz_header, load_meas_xyz):
             with pytest.raises(IoFailure, match="does not match header dimensions"):
                 reader(tmp_path / "x-2")
+
+    def test_load_with_a_header_read_earlier_reads_no_header(self, tmp_path):
+        image = MeasXyzImage(data=np.full((2, 4, 3), 0.25), capture_id="x-4", metadata=make_metadata(4))
+        save_meas_xyz(image, tmp_path / "x-4")
+        header = formats.read_plane_header(tmp_path / "x-4")
+        (tmp_path / "x-4.json").unlink()
+        loaded = load_meas_xyz(tmp_path / "x-4", header)
+        assert np.array_equal(loaded.data, image.data)
+        assert (loaded.capture_id, loaded.metadata) == ("x-4", image.metadata)
 
     def test_header_reader_names_missing_key(self, tmp_path):
         image = MeasXyzImage(data=np.zeros((2, 2, 3)), capture_id="x-3", metadata=make_metadata(3))

@@ -172,6 +172,7 @@ def judge_server():
     _JudgeHandler.script = []
     yield f"http://127.0.0.1:{server.server_port}/judge", _JudgeHandler
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpJudge:
