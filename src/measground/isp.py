@@ -6,6 +6,7 @@ analytically; companion helpers expose the clip mask the loss analysis needs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,17 @@ class RenderedRgb:
                 raise DomainError("unquantized codes must lie in [0, 1]")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def _adopt(cls, codes: np.ndarray, params: RenderParams, capture_id: str) -> "RenderedRgb":
+        """A render over codes the render pass made and no one else holds:
+        in range by construction, so frozen without a copy or a check."""
+        rendered = object.__new__(cls)
+        codes.setflags(write=False)
+        object.__setattr__(rendered, "codes", codes)
+        object.__setattr__(rendered, "params", params)
+        object.__setattr__(rendered, "capture_id", capture_id)
+        return rendered
 
 
 def _check_unit_domain(v: np.ndarray) -> np.ndarray:
@@ -169,54 +181,129 @@ def _code_table(bits: int, transfer: str) -> tuple[np.ndarray, np.ndarray]:
     return base, step
 
 
-# Elements per pass of the table lookup: a pass's temporaries stay in cache
-# and peak memory stays at the output codes.
-_LOOKUP_CHUNK = 1 << 16
+def _lookup_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float, index and flag temporaries of _table_codes for ``size`` values."""
+    return np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
 
 
-def _table_codes(rgb: np.ndarray, bits: int, transfer: str) -> np.ndarray:
-    """quantize(transfer(clip(rgb))) through the exact threshold table."""
+def _table_codes(v: np.ndarray, k: int, bits: int, transfer: str, out: np.ndarray,
+                 buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Write quantize(transfer(clip(2^k * v))) into ``out`` through the exact threshold table.
+
+    ``out`` is a contiguous uint16 array of ``v``'s shape, and ``buffers``
+    come from _lookup_buffers of at least ``v.size``. The scaling goes into
+    the bucket index, v * 2^(shift + k), and into the comparison,
+    v >= step * 2^-k, which is exact for thresholds in [2^-21, 1] and
+    |k| <= 64. (A product with a power of two rounds as ldexp does.)
+    """
     base, step = _code_table(bits, transfer)
-    shift = bits + _BUCKET_EXTRA_BITS
-    flat = np.ascontiguousarray(rgb).reshape(-1)
-    codes = np.empty(flat.size, dtype=np.uint16)
-    for start in range(0, flat.size, _LOOKUP_CHUNK):
-        v = flat[start:start + _LOOKUP_CHUNK]
-        if np.isnan(v).any():
-            raise DomainError("value outside [0, 1]")
-        index = np.ldexp(v, shift)
-        np.clip(index, 0, base.size - 1, out=index)
-        index = index.astype(np.intp)
-        out = codes[start:start + _LOOKUP_CHUNK]
-        np.take(base, index, out=out)
-        out += v >= np.take(step, index)
-    return codes.reshape(rgb.shape)
+    flat = v.reshape(-1)
+    real, index, flag = (buffer[:flat.size] for buffer in buffers)
+    if np.isnan(flat, out=flag).any():
+        raise DomainError("value outside [0, 1]")
+    np.multiply(flat, 2.0 ** (bits + _BUCKET_EXTRA_BITS + k), out=real)
+    np.clip(real, 0, base.size - 1, out=real)
+    np.copyto(index, real, casting="unsafe")  # truncates, as astype does
+    codes = out.reshape(-1)
+    # the indices are in range; mode="clip" only skips the bounds check
+    np.take(base, index, out=codes, mode="clip")
+    np.take(step, index, out=real, mode="clip")
+    if k:
+        np.multiply(real, 2.0 ** -k, out=real)
+    np.greater_equal(flat, real, out=flag)
+    codes += flag
 
 
-def render_linear(rgb: np.ndarray, params: RenderParams, capture_id: str) -> RenderedRgb:
-    """Render pre-clip linear RGB (``linear_rgb``'s output) to a proxy."""
+# Rows per stripe of the render and analysis passes hold about this many
+# pixels, so a stripe's float64 temporaries (0.75 MiB each) stay in cache.
+_STRIPE_PIXELS = 1 << 15
+
+# A quantized gain 2^k, k in this range, reads its codes from the stripe's
+# gain-1 product v: for matrix entries below _SHARED_MATRIX_BOUND no product
+# or sum can overflow, so 2^k * v is the product at gain 2^k bit for bit
+# except where underflow touches values far below the first code threshold.
+_SHARED_EXPONENTS = range(-64, 65)
+_SHARED_MATRIX_BOUND = 2.0 ** 900
+
+
+def _shared_exponent(params: RenderParams) -> int | None:
+    """k when ``params``' codes can be read from the gain-1 product as 2^k * v."""
+    mantissa, exponent = math.frexp(params.exposure_gain)
+    if (params.quantize and mantissa == 0.5 and exponent - 1 in _SHARED_EXPONENTS
+            and max(abs(m) for row in params.xyz_to_linear_srgb for m in row) < _SHARED_MATRIX_BOUND):
+        return exponent - 1
+    return None
+
+
+def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
+    """The shape of ``z``'s row stripes: as many rows as hold about _STRIPE_PIXELS pixels."""
+    height, width = z.data.shape[:2]
+    return min(max(1, _STRIPE_PIXELS // max(1, width)), height), width, 3
+
+
+def _linear_stripes(z: MeasXyzImage, params_seq):
+    """Yield (rows, i, v, k) per row stripe of ``z`` and params_seq[i]: 2^k * v
+    is the stripe's pre-clip linear RGB at that gain, the rows of ``linear_rgb``.
+
+    Power-of-two quantized gains share one gain-1 product; any other render
+    takes the formula on the stripe. ``v`` lives in a buffer the next stripe
+    overwrites: stripe-sized arrays allocated afresh would be mapped, faulted
+    in and unmapped again on every stripe.
+    """
+    exponents = [_shared_exponent(params) for params in params_seq]
+    shape = _stripe_shape(z)
+    product = np.empty(shape)  # the gain-1 product
+    if None in exponents:
+        formula, scaled = np.empty(shape), np.empty(shape)  # matrix @ (gain * xyz), gain * xyz
+    for top in range(0, z.data.shape[0], max(1, shape[0])):
+        rows = slice(top, top + shape[0])
+        xyz = z.data[rows]
+        count = xyz.shape[0]
+        shared = None  # the matrix whose gain-1 product ``product`` holds
+        for i, (params, k) in enumerate(zip(params_seq, exponents)):
+            if k is None:
+                np.multiply(params.exposure_gain, xyz, out=scaled[:count])
+                np.einsum("ij,hwj->hwi", params.matrix, scaled[:count], out=formula[:count])
+                yield rows, i, formula[:count], 0
+                continue
+            if shared != params.xyz_to_linear_srgb:
+                np.einsum("ij,hwj->hwi", params.matrix, xyz, out=product[:count])
+                shared = params.xyz_to_linear_srgb
+            yield rows, i, product[:count], k
+
+
+def _stripe_codes(v: np.ndarray, k: int, params: RenderParams, out: np.ndarray, lookup) -> None:
+    """Write the render of pre-clip linear RGB 2^k * v into the contiguous ``out``."""
     if params.quantize:
-        codes = _table_codes(rgb, params.bit_depth, params.transfer)
-    else:
-        codes = np.clip(rgb, 0.0, 1.0)
-        if params.transfer == SRGB_PIECEWISE:
-            codes = srgb_oetf(codes)
-    return RenderedRgb(codes=codes, params=params, capture_id=capture_id)
+        _table_codes(v, k, params.bit_depth, params.transfer, out, lookup)
+        return
+    encoded = np.clip(v, 0.0, 1.0)  # k is 0 off the shared path
+    out[...] = srgb_oetf(encoded) if params.transfer == SRGB_PIECEWISE else encoded
+
+
+def _code_dtype(params: RenderParams):
+    return np.uint16 if params.quantize else np.float64
+
+
+def _render_pass(z: MeasXyzImage, params_seq) -> list[RenderedRgb]:
+    """Render ``z`` under every params in one pass over its row stripes."""
+    outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
+    lookup = _lookup_buffers(math.prod(_stripe_shape(z)))
+    for rows, i, v, k in _linear_stripes(z, params_seq):
+        _stripe_codes(v, k, params_seq[i], outs[i][rows], lookup)
+    return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
 
 
 def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:
-    return render_linear(linear_rgb(z, params), params, z.capture_id)
+    return _render_pass(z, [params])[0]
 
 
 def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, **param_overrides) -> list[RenderedRgb]:
-    """Render one proxy per exposure gain, in the order given."""
+    """Render one proxy per exposure gain, in the order given, in one pass."""
     exposures = list(exposures)
     if not exposures:
         raise EmptyBracket("exposure list must be non-empty")
-    return [
-        render_proxy(z, RenderParams(exposure_gain=e, **param_overrides))
-        for e in exposures
-    ]
+    return _render_pass(z, [RenderParams(exposure_gain=e, **param_overrides) for e in exposures])
 
 
 # --- PPM export --------------------------------------------------------------------

@@ -9,6 +9,7 @@ noise by a threshold tau.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,17 @@ import numpy as np
 
 from . import formats
 from .errors import DomainError, ShapeMismatch
-from .isp import IDENTITY, RenderedRgb, RenderParams, linear_rgb, render_linear, srgb_eotf, top_clipped
+from .isp import (
+    IDENTITY,
+    RenderedRgb,
+    RenderParams,
+    _code_dtype,
+    _linear_stripes,
+    _lookup_buffers,
+    _stripe_codes,
+    _stripe_shape,
+    srgb_eotf,
+)
 from .measxyz import MeasXyzImage
 from .records import DEFAULT_TAU
 
@@ -102,11 +113,12 @@ def luminance(xyz: np.ndarray) -> np.ndarray:
 
 def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
     """Nearest-rank percentile (no interpolation) for cross-platform stability."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
+    flat = np.array(values, dtype=np.float64).ravel()  # one copy, partitioned in place
     if flat.size == 0:
         raise DomainError("percentile of empty array")
     rank = max(1, int(np.ceil(percent / 100.0 * flat.size)))
-    return float(np.partition(flat, rank - 1)[rank - 1])
+    flat.partition(rank - 1)
+    return float(flat[rank - 1])
 
 
 def residual_histogram(residual: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
@@ -142,14 +154,30 @@ def lost_signal_residual(
     forward_clip_mask = np.asarray(forward_clip_mask, dtype=bool)
     if forward_clip_mask.shape != z.data.shape[:2]:
         raise ShapeMismatch("clip mask shape does not match the image")
+    return _luminance_report(z, luminance(recovered), forward_clip_mask, tau, bins,
+                             capture_id=capture_id, exposure_gain=exposure_gain, bits=bits)
+
+
+def _luminance_report(
+    z: MeasXyzImage,
+    y_rec: np.ndarray,
+    forward_clip_mask: np.ndarray,
+    tau: float,
+    bins: int,
+    *,
+    capture_id: str | None,
+    exposure_gain: float,
+    bits: int,
+) -> LostSignalReport:
+    """The report from the recovered luminance and the forward clip mask."""
     if tau <= 0:
         raise DomainError("tau must be > 0")
     if bins < 2:
         raise DomainError("bins must be >= 2")
 
     y_orig = luminance(z.data)
-    y_rec = luminance(recovered)
-    residual = np.abs(y_orig - y_rec)
+    residual = np.subtract(y_orig, y_rec)
+    np.abs(residual, out=residual)
     return LostSignalReport(
         residual_map=residual,
         lost_mask=residual > tau,
@@ -164,24 +192,54 @@ def lost_signal_residual(
     )
 
 
+def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Y of ``invert_render(render_proxy(z, params))`` and ``clip_mask(z, params)``,
+    bit for bit, in one pass over row stripes.
+
+    Only the Y row of the inverse is computed, in einsum's summation order:
+    (p0 m0 + p2 m2) + p1 m1, then divided by the gain.
+    """
+    y_row = np.linalg.inv(params.matrix)[1]
+    table = _dequantize_table(params.bit_depth, params.transfer) if params.quantize else None
+    y_rec = np.empty(z.data.shape[:2])
+    clipped = np.empty(z.data.shape[:2], dtype=bool)
+    shape = _stripe_shape(z)
+    lookup = _lookup_buffers(math.prod(shape))
+    codes = np.empty(shape, dtype=_code_dtype(params))
+    # the dequantized R, G, B planes share the lookup's float buffer, which
+    # is free once a stripe's codes are written
+    planes = lookup[0].reshape((3,) + shape[:2])
+    for rows, _, v, k in _linear_stripes(z, [params]):
+        count = v.shape[0]
+        top = np.ldexp(1.0, -k)  # 2^k * v > 1
+        mask = clipped[rows]
+        np.greater(v[..., 0], top, out=mask)
+        mask |= v[..., 1] > top
+        mask |= v[..., 2] > top
+        encoded = codes[:count]
+        _stripe_codes(v, k, params, encoded, lookup)
+        if table is not None:
+            linear = planes[:, :count]
+            for c in range(3):
+                np.take(table, encoded[..., c], out=linear[c], mode="clip")
+        else:
+            linear = np.moveaxis(srgb_eotf(encoded) if params.transfer != IDENTITY else encoded, -1, 0)
+        y = y_rec[rows]
+        np.multiply(linear[0], y_row[0], out=y)
+        y += np.multiply(linear[2], y_row[2], out=linear[2])
+        y += np.multiply(linear[1], y_row[1], out=linear[1])
+        y /= params.exposure_gain
+    return y_rec, clipped
+
+
 def analyze_render(
     z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = 32
 ) -> LostSignalReport:
-    """Render, invert, and measure the residual in one step."""
-    rgb = linear_rgb(z, params)
-    forward_clip_mask = top_clipped(rgb)
-    rendered = render_linear(rgb, params, z.capture_id)
-    del rgb  # freed before the inverse allocates its planes
-    recovered = invert_render(rendered)
-    return lost_signal_residual(
-        z,
-        recovered,
-        forward_clip_mask,
-        tau=tau,
-        bins=bins,
-        exposure_gain=params.exposure_gain,
-        bits=params.bit_depth,
-    )
+    """Render, invert, and measure the residual, the render and inverse in one
+    pass over row stripes whose buffers are gone before the report is built."""
+    y_rec, clipped = _recovered_luminance(z, params)
+    return _luminance_report(z, y_rec, clipped, tau, bins, capture_id=None,
+                             exposure_gain=params.exposure_gain, bits=params.bit_depth)
 
 
 def emit_report(report: LostSignalReport, out_dir: Path) -> None:

@@ -367,6 +367,80 @@ class TestPipelineStages:
             assert (render / name).read_bytes() == (bracket / name).read_bytes(), name
 
 
+class TestStripedPassFiles:
+    """The one-pass bracket and analysis write the files of the per-gain,
+    whole-frame path: captures of several stripes, a clipping and a dark patch."""
+
+    @pytest.fixture(scope="class")
+    def measxyz(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("striped")
+        spec = {
+            "height": 700, "width": 96, "background": 0.25, "noise_sigma": 0.002,
+            "patches": [{"top": 100, "left": 10, "height": 400, "width": 40, "gain": 3.5},
+                        {"top": 520, "left": 50, "height": 150, "width": 40, "gain": 0.05}],
+        }
+        (root / "scene.json").write_text(json.dumps(spec))
+        assert main(["synth", "--out", str(root / "s"), "--count", "3", "--seed", "5",
+                     "--scene", str(root / "scene.json")]) == 0
+        assert main(["measxyz", "--input", str(root / "s" / "captures.json"),
+                     "--out", str(root / "m")]) == 0
+        return root / "m"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bracket_writes_the_single_gain_renders(self, measxyz, tmp_path, monkeypatch, cpus):
+        from measground import formats, isp
+        from measground.measxyz import load_meas_xyz
+
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        gains = ["0.5", "1", "1.5", "2", "4"]
+        bracket = tmp_path / "bracket"
+        assert main(["bracket", "--input", str(measxyz), "--exposures", ",".join(gains),
+                     "--out", str(bracket)]) == 0
+        assert len(list(bracket.glob("*.ppm"))) == 3 * len(gains)
+        images = [load_meas_xyz(plane.with_suffix("")) for plane in sorted(measxyz.glob("*.f32"))]
+        for gain in gains:
+            single = tmp_path / f"render-{gain}"
+            assert main(["render", "--input", str(measxyz), "--gain", gain,
+                         "--out", str(single)]) == 0
+            names = sorted(p.name for p in single.iterdir() if p.name != "run.json")
+            assert len(names) == 3 * 2
+            for name in names:
+                assert (single / name).read_bytes() == (bracket / name).read_bytes(), name
+            # and the whole-frame formula's bytes
+            params = isp.RenderParams(exposure_gain=float(gain))
+            for z in images:
+                rgb = np.clip(isp.linear_rgb(z, params), 0.0, 1.0)
+                codes = isp.quantize(isp.srgb_oetf(rgb), params.bit_depth)
+                tag = gain.replace(".", "p")
+                assert (single / f"{z.capture_id}_e{tag}.ppm").read_bytes() == \
+                    formats.encode_ppm(codes, params.max_code)
+
+    @pytest.mark.parametrize("gain", ["2", "1.5"])
+    def test_lost_signal_writes_the_three_step_files(self, measxyz, tmp_path, gain):
+        from measground import isp, lost_signal
+        from measground.measxyz import load_meas_xyz
+
+        out = tmp_path / "lost"
+        assert main(["lost-signal", "--input", str(measxyz), "--gain", gain,
+                     "--out", str(out)]) == 0
+        oracle = tmp_path / "oracle"
+        params = isp.RenderParams(exposure_gain=float(gain))
+        for plane in sorted(measxyz.glob("*.f32")):
+            z = load_meas_xyz(plane.with_suffix(""))
+            rgb = isp.linear_rgb(z, params)
+            codes = isp.quantize(isp.srgb_oetf(np.clip(rgb, 0.0, 1.0)), params.bit_depth)
+            rendered = isp.RenderedRgb(codes=codes, params=params, capture_id=z.capture_id)
+            report = lost_signal.lost_signal_residual(
+                z, lost_signal.invert_render(rendered), isp.top_clipped(rgb),
+                exposure_gain=params.exposure_gain, bits=params.bit_depth)
+            lost_signal.emit_report(report, oracle)
+        names = sorted(p.name for p in oracle.iterdir())
+        assert len(names) == 3 * 5
+        assert names == sorted(p.name for p in out.iterdir() if p.name != "run.json")
+        for name in names:
+            assert (oracle / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def _drop_key(path, key):
     obj = json.loads(path.read_text())
     del obj[key]
@@ -474,6 +548,15 @@ def _prediction_row_after_blank_lines(root):
     return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "rows.jsonl"], "rows.jsonl:3:"
 
 
+def _bracket_exposures(exposures):
+    """bracket with two gains that share one file tag, so one render would overwrite the other."""
+    def case(root):
+        return ["bracket", "--input", root / "m", "--exposures", exposures,
+                "--out", root / "out"], "*_e1 renders"
+    case.__name__ = f"_exposures_{exposures.replace(',', '_')}_share_a_file_tag"
+    return case
+
+
 def _split_over_render_header(root, **params):
     """split --proxies over the fixture's render, its header params updated."""
     header_path = root / "r" / "synth-0000_e1.json"
@@ -571,6 +654,8 @@ class TestMalformedInputs:
         _ppm_maxval_disagrees_with_render_header,
         _ppm_payload_short,
         _ppm_16_bit_sample_above_maxval,
+        _bracket_exposures("1,1"),
+        _bracket_exposures("1.0000001,1.0000002"),
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)
@@ -580,6 +665,8 @@ class TestMalformedInputs:
         events = [json.loads(line) for line in proc.stderr.splitlines()]
         assert [e["level"] for e in events] == ["error"]
         assert named in events[0]["event"]
+        if argv[0] == "bracket":  # refused with the config, before --out is made
+            assert not (rendered / "out").exists()
         # no plane is left half-written
         for plane in (rendered / "out").rglob("*.f32"):
             header = json.loads(plane.with_suffix(".json").read_text())

@@ -157,13 +157,23 @@ def test_code_table_matches_formula(bits, transfer):
         [0.0, -0.0, 1.0, -1e-300, 5e-324, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
          1e300, -1e300, np.inf, -np.inf],
     ])
-    assert np.array_equal(isp._table_codes(values, bits, transfer),
-                          oracle_codes(values, bits, transfer))
+    for k in (0, -4, 3):
+        # 2^k * ldexp(values, -k) is values again wherever a code depends on it
+        scaled = np.ldexp(values, -k)
+        assert np.array_equal(table_codes(scaled, bits, transfer, k),
+                              oracle_codes(np.ldexp(scaled, k), bits, transfer)), k
+
+
+def table_codes(values: np.ndarray, bits: int, transfer: str, k: int = 0) -> np.ndarray:
+    codes = np.empty(values.shape, dtype=np.uint16)
+    isp._table_codes(values, k, bits, transfer, codes, isp._lookup_buffers(values.size))
+    return codes
 
 
 def test_code_table_rejects_nan():
-    with pytest.raises(DomainError):
-        isp._table_codes(np.array([0.5, np.nan]), 8, SRGB_PIECEWISE)
+    for k in (0, 2):
+        with pytest.raises(DomainError):
+            table_codes(np.array([0.5, np.nan]), 8, SRGB_PIECEWISE, k)
 
 
 def _bright_image(seed: int, shape=(14, 18)) -> MeasXyzImage:
@@ -215,9 +225,7 @@ def test_eotf_table_matches_formula(bits, transfer):
     assert np.array_equal(invert_render(rendered), oracle_invert(rendered))
 
 
-@pytest.mark.parametrize("params", PARAMS, ids=_params_id)
-def test_analyze_render_matches_three_step_path(params):
-    z = _bright_image(int(params.exposure_gain * 8) + params.bit_depth)
+def _assert_analysis_matches(z: MeasXyzImage, params: RenderParams) -> None:
     rendered = isp.RenderedRgb(codes=oracle_render(z, params), params=params,
                                capture_id=z.capture_id)
     expected = lost_signal_residual(
@@ -225,10 +233,124 @@ def test_analyze_render_matches_three_step_path(params):
         exposure_gain=params.exposure_gain, bits=params.bit_depth,
     )
     report = analyze_render(z, params, tau=0.01, bins=7)
-    assert np.array_equal(report.residual_map, expected.residual_map)
-    assert np.array_equal(report.lost_mask, expected.lost_mask)
-    assert report.histogram == expected.histogram
-    assert report.summary_dict() == expected.summary_dict()
+    assert np.array_equal(report.residual_map, expected.residual_map), params
+    assert np.array_equal(report.lost_mask, expected.lost_mask), params
+    assert report.histogram == expected.histogram, params
+    assert report.summary_dict() == expected.summary_dict(), params
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=_params_id)
+def test_analyze_render_matches_three_step_path(params):
+    _assert_analysis_matches(_bright_image(int(params.exposure_gain * 8) + params.bit_depth), params)
+
+
+# --- the striped render and analysis pass ----------------------------------------------
+
+_LOW, _HIGH = isp._SHARED_EXPONENTS[0], isp._SHARED_EXPONENTS[-1]
+# Every power of two in [1/16, 16], the ends of the shared range and one step
+# beyond each, and gains that take the formula path.
+GAINS = ([2.0 ** k for k in range(-4, 5)]
+         + [2.0 ** k for k in (_LOW, _LOW - 1, _HIGH, _HIGH + 1)]
+         + [3.0, 0.3, float(np.nextafter(2.0, 3.0))])
+
+# Pixels whose linear RGB goes above 1 and below 0, and tiny and subnormal
+# values alone or beside ordinary ones.
+_SPECIAL_PIXELS = [
+    (0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+    (5e-324, 1e-310, 2.2250738585072014e-308), (0.3, 5e-324, 0.7),
+    (1e-310, 0.2, 1e-320), (1e-300, 0.0, 5e-324), (0.5, 5e-324, 1.0),
+]
+
+
+def _edge_image(shape: tuple[int, int], seed: int) -> MeasXyzImage:
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.0, 1.0, shape + (3,)) ** 3
+    flat = data.reshape(-1, 3)
+    count = min(len(flat), len(_SPECIAL_PIXELS))
+    flat[rng.choice(len(flat), count, replace=False)] = _SPECIAL_PIXELS[:count]
+    return make_image(data, capture_id=f"edge-{seed}", seed=seed)
+
+
+@pytest.mark.parametrize("quantize", [True, False])
+@pytest.mark.parametrize("transfer", TRANSFERS)
+@pytest.mark.parametrize("bits", [1, 8, 12, 16])
+def test_striped_pass_matches_whole_frame_oracles(bits, transfer, quantize, monkeypatch):
+    # stripes of 4 rows, the last one of 3
+    monkeypatch.setattr(isp, "_STRIPE_PIXELS", 4 * 37)
+    z = _edge_image((23, 37), seed=bits)
+    overrides = dict(bit_depth=bits, transfer=transfer, quantize=quantize)
+    bracket = isp.make_bracket(z, GAINS, **overrides)
+    for gain, rendered in zip(GAINS, bracket):
+        params = RenderParams(exposure_gain=gain, **overrides)
+        expected = oracle_render(z, params)
+        assert np.array_equal(rendered.codes, expected), gain
+        assert np.array_equal(isp.render_proxy(z, params).codes, expected), gain
+        _assert_analysis_matches(z, params)
+
+
+_WIDTH = 3000
+_STRIPE_ROWS = isp._STRIPE_PIXELS // _WIDTH
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (1, _WIDTH), (_STRIPE_ROWS - 1, _WIDTH), (_STRIPE_ROWS, _WIDTH),
+    (_STRIPE_ROWS + 1, _WIDTH), (3, 4 * isp._STRIPE_PIXELS // 3),
+])
+def test_striped_pass_matches_at_stripe_edges(shape):
+    z = _edge_image(shape, seed=shape[0])
+    gains = [0.5, 1.0, 1.5, 2.0, 4.0, 3.0]
+    for rendered in isp.make_bracket(z, gains):
+        assert np.array_equal(rendered.codes, oracle_render(z, rendered.params))
+    for params in (RenderParams(exposure_gain=2.0, quantize=False),
+                   RenderParams(exposure_gain=0.25, bit_depth=16, transfer=IDENTITY),
+                   RenderParams(exposure_gain=1.5, bit_depth=12)):
+        assert np.array_equal(isp.render_proxy(z, params).codes, oracle_render(z, params))
+    for gain in (2.0, 1.5):
+        _assert_analysis_matches(z, RenderParams(exposure_gain=gain))
+
+
+def _image_with_nan() -> MeasXyzImage:
+    """An image the constructor would refuse: one NaN sample."""
+    z = make_image(np.full((5, 6, 3), 0.25))
+    data = z.data.copy()
+    data[3, 4, 1] = np.nan
+    object.__setattr__(z, "data", data)
+    return z
+
+
+@pytest.mark.parametrize("transfer, quantize", [
+    (SRGB_PIECEWISE, True), (IDENTITY, True), (SRGB_PIECEWISE, False),
+])
+def test_nan_raises_at_every_gain(transfer, quantize):
+    z = _image_with_nan()
+    for gain in GAINS:
+        params = RenderParams(exposure_gain=gain, transfer=transfer, quantize=quantize)
+        with pytest.raises(DomainError):
+            oracle_render(z, params)
+        with pytest.raises(DomainError):
+            isp.render_proxy(z, params)
+        with pytest.raises(DomainError):
+            isp.make_bracket(z, [1.0, gain], transfer=transfer, quantize=quantize)
+        with pytest.raises(DomainError):
+            analyze_render(z, params)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("matrix", [
+    ((1e308, -1e308, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),  # beyond the shared bound
+    ((2.0 ** 899, -(2.0 ** 899), 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),  # within it
+])
+def test_huge_matrix_entries_match_the_formula(matrix):
+    z = _edge_image((4, 5), seed=7)
+    for gain in (1.0, 2.0, 4.0, 2.0 ** _HIGH, 0.5):
+        params = RenderParams(exposure_gain=gain, xyz_to_linear_srgb=matrix)
+        try:
+            expected = oracle_render(z, params)
+        except DomainError:  # inf - inf in the product
+            with pytest.raises(DomainError):
+                isp.render_proxy(z, params)
+            continue
+        assert np.array_equal(isp.render_proxy(z, params).codes, expected), gain
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 100, 1001])

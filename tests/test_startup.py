@@ -1,4 +1,5 @@
-"""The text stages start without numpy, and the lazy package still exports every name."""
+"""The text stages start without numpy or importlib.metadata, and the lazy package
+still exports every name."""
 
 import json
 import os
@@ -22,7 +23,8 @@ _STAGE = textwrap.dedent("""
     import json, sys
     from measground import cli
     status = cli.main(sys.argv[1:])
-    print(json.dumps({"status": status, "numpy": "numpy" in sys.modules}))
+    print(json.dumps({"status": status, "numpy": "numpy" in sys.modules,
+                      "metadata": "importlib.metadata" in sys.modules}))
 """)
 
 _PACKAGE = textwrap.dedent("""
@@ -84,7 +86,7 @@ def test_text_stages_never_import_numpy(images):
         if argv[0] == "eval":
             _write_predictions(images / "split" / "bench_manifest.jsonl", images / "predictions.jsonl")
         result = _python(_STAGE, *argv, cwd=images)
-        assert result == {"status": 0, "numpy": False}, argv[0]
+        assert result == {"status": 0, "numpy": False, "metadata": False}, argv[0]
     run = json.loads((images / "split" / "run.json").read_text())
     assert run["versions"]["numpy"] == np.__version__
     assert run["counts"]["bench_examples"] > 0
