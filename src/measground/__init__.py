@@ -18,8 +18,7 @@ _EXPORTS = {
     "isp": ("RenderedRgb", "RenderParams", "make_bracket", "quantize", "render_proxy",
             "srgb_eotf", "srgb_oetf"),
     "lost_signal": ("LostSignalReport", "analyze_render", "invert_render", "lost_signal_residual"),
-    "bracketsup": ("CandidateRecord", "InstructionRecord", "TrainingSample", "aggregate", "annotate",
-                   "build_samples"),
+    "bracketsup": ("CandidateRecord", "InstructionRecord", "TrainingSample", "aggregate", "annotate"),
     "dataset": ("BalanceCaps", "DatasetManifest", "balance", "remove_placeholders", "score_filter"),
     "benchmark": ("BenchmarkExample", "CapabilityDimension", "DisjointnessReport", "holdout_split",
                   "tag_capability", "verify_disjointness"),

@@ -120,14 +120,13 @@ def _group_label(refs: list[CaptureRef], group: list[int]) -> str:
 
 
 def holdout_split(
-    captures: list[CaptureRef], bench_fraction: float, seed: int
+    refs: list[CaptureRef], bench_fraction: float, seed: int
 ) -> tuple[list[str], list[str]]:
     """Partition capture ids into (train, bench) without splitting groups.
 
     Raises DegenerateSplit when a group is too large to leave room for a
     training side at the requested fraction.
     """
-    refs = [CaptureRef.from_capture(c) if not isinstance(c, CaptureRef) else c for c in captures]
     if not refs:
         raise DomainError("cannot split an empty capture list")
     if not (0.0 < bench_fraction < 1.0):

@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import formats
 from .errors import (
@@ -26,10 +25,6 @@ from .errors import (
     SchemaViolation,
 )
 from .records import CameraMetadata, read_meas_xyz_header, read_render_header
-
-if TYPE_CHECKING:
-    from .capture import RawCapture
-    from .isp import RenderedRgb
 
 log = logging.getLogger(__name__)
 
@@ -172,24 +167,16 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class EncodedProxy:
-    """A rendered proxy as the annotator receives it: binary P6 bytes.
-
-    ``ppm`` is empty for an unquantized render, which has no PPM form.
-    """
+    """A rendered proxy as the annotator receives it: binary P6 bytes."""
 
     capture_id: str
     exposure_gain: float
     ppm: bytes
 
-    @classmethod
-    def from_rendered(cls, proxy: RenderedRgb) -> "EncodedProxy":
-        ppm = formats.encode_ppm(proxy.codes, proxy.params.max_code) if proxy.params.quantize else b""
-        return cls(proxy.capture_id, proxy.params.exposure_gain, ppm)
-
 
 def read_proxy(stem: Path) -> EncodedProxy:
-    """The proxy ``isp.save_rendered`` wrote at ``stem``, encoded as ``from_rendered`` encodes
-    ``isp.load_rendered(stem)``, without decoding its samples.
+    """The proxy ``isp.save_rendered`` wrote at ``stem``, its .ppm bytes as
+    ``formats.encode_ppm`` encodes the render's codes, without decoding its samples.
 
     The .ppm's maxval must be the render header's ``max_code``, and no
     sample may exceed it.
@@ -275,7 +262,7 @@ class HttpAnnotatorClient:
 
 
 def annotate(
-    proxy: EncodedProxy | RenderedRgb,
+    proxy: EncodedProxy,
     client,
     source_prefix: str = "",
     max_retries: int = 3,
@@ -285,8 +272,6 @@ def annotate(
     Malformed responses are logged and yield no candidates; individually
     malformed candidates are dropped while the rest are kept.
     """
-    if not isinstance(proxy, EncodedProxy):
-        proxy = EncodedProxy.from_rendered(proxy)
     gain = proxy.exposure_gain
     retries = 0
     while True:
@@ -402,17 +387,6 @@ def aggregate(candidates) -> list[InstructionRecord]:
 
 # --- sample construction ------------------------------------------------------------
 
-def build_samples(
-    capture: RawCapture, records: list[InstructionRecord], meas_xyz_stem: Path
-) -> list[TrainingSample]:
-    """Attach records to the capture's materialized Meas.-XYZ observation."""
-    stem = Path(meas_xyz_stem)
-    header_path = Path(str(stem) + ".json")
-    if not header_path.exists() or not Path(str(stem) + ".f32").exists():
-        raise MissingMeasXyz(f"no Meas.-XYZ plane pair at {stem}")
-    return _attach(capture.capture_id, read_meas_xyz_header(stem)[0], capture.metadata, records, stem)
-
-
 def samples_for_stem(
     capture_id: str, records: list[InstructionRecord], meas_xyz_stem: Path
 ) -> list[TrainingSample]:
@@ -422,16 +396,6 @@ def samples_for_stem(
     """
     stem = Path(meas_xyz_stem)
     stored_id, metadata = read_meas_xyz_header(stem)
-    return _attach(capture_id, stored_id, metadata, records, stem)
-
-
-def _attach(
-    capture_id: str,
-    stored_id: str,
-    metadata: CameraMetadata,
-    records: list[InstructionRecord],
-    stem: Path,
-) -> list[TrainingSample]:
     if stored_id != capture_id:
         raise MissingMeasXyz(
             f"{stem} holds capture {stored_id!r}, expected {capture_id!r}"

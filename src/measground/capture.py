@@ -161,33 +161,26 @@ def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
 
     black = sidecar["black_level"]
     if isinstance(black, (int, float)):
-        black = [float(black)] * 4  # scalar sidecars expand per CFA site
-    if not isinstance(black, list) or len(black) != 4:
+        black = [black] * 4  # scalar sidecars expand per CFA site
+    # RawCapture would take a string's characters for the entries
+    if not isinstance(black, list):
         raise MalformedSidecar(f"{sidecar_path}: black_level must be a number or 4-list")
-
-    wb = sidecar["wb_gains"]
-    if not isinstance(wb, list) or len(wb) != 3:
+    if not isinstance(sidecar["wb_gains"], list):
         raise MalformedSidecar(f"{sidecar_path}: wb_gains must be a 3-list")
-    matrix = sidecar["cam_to_xyz"]
-    if not (isinstance(matrix, list) and len(matrix) == 3
-            and all(isinstance(row, list) and len(row) == 3 for row in matrix)):
-        raise MalformedSidecar(f"{sidecar_path}: cam_to_xyz must be a 3x3 nested list")
-
     try:
-        metadata = CameraMetadata.from_dict(sidecar["metadata"])
+        return RawCapture(
+            capture_id=str(sidecar["capture_id"]),
+            mosaic=mosaic,
+            cfa_pattern=str(sidecar["cfa_pattern"]),
+            black_level=black,
+            white_level=sidecar["white_level"],
+            wb_gains=sidecar["wb_gains"],
+            cam_to_xyz=sidecar["cam_to_xyz"],
+            metadata=CameraMetadata.from_dict(sidecar["metadata"]),
+            raw_path=str(sidecar["raw_path"]),
+        )
     except (TypeError, ValueError, MalformedSidecar) as exc:
         raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
-    return RawCapture(
-        capture_id=str(sidecar["capture_id"]),
-        mosaic=mosaic,
-        cfa_pattern=str(sidecar["cfa_pattern"]),
-        black_level=tuple(float(b) for b in black),
-        white_level=sidecar["white_level"],
-        wb_gains=tuple(wb),
-        cam_to_xyz=np.asarray(matrix, dtype=np.float64),
-        metadata=metadata,
-        raw_path=str(sidecar["raw_path"]),
-    )
 
 
 def save_capture_bundle(capture: RawCapture, path: Path) -> None:

@@ -18,6 +18,7 @@ import os
 import sys
 import threading
 import time
+import typing
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -133,8 +134,21 @@ class RunConfig:
         return out
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON or flag value fits a RunConfig annotation: a list for a
+    tuple, an int for a float, and a bool for nothing but a bool."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as str | None
+        return any(_has_type(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name: f.type for f in fields(RunConfig)}
     values: dict = {}
     if path is not None:
         try:
@@ -145,11 +159,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigInvalid(f"config: {path} is not valid JSON ({exc.msg})") from exc
         if not isinstance(raw, dict):
             raise ConfigInvalid("config: top level must be a JSON object")
-        unknown = set(raw) - known
+        unknown = raw.keys() - known
         if unknown:
             raise ConfigInvalid(f"config: unknown keys {sorted(unknown)}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None and k in known})
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in values.items():
+        if not _has_type(value, hints[key]):
+            raise ConfigInvalid(f"config.{key}: expected {known[key]}, got {value!r}")
     for key in ("exposures", "placeholder_patterns"):
         if key in values and isinstance(values[key], list):
             values[key] = tuple(values[key])

@@ -12,10 +12,9 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import formats
-from .bracketsup import TrainingSample, normalize_answer, question_key, read_samples, write_samples
-from .errors import DomainError, SchemaViolation
-from .formats import read_json, write_json
+from .bracketsup import TrainingSample, normalize_answer, question_key, write_samples
+from .errors import DomainError
+from .formats import write_json
 
 DEFAULT_PLACEHOLDER_PATTERNS = ("i cannot", "unable to", "as an ai", "no answer", "")
 DEFAULT_SCORE_FLOOR = 0.5
@@ -141,33 +140,15 @@ def balance(
     )
 
 
-def _stats_path(path: Path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + ".stats.json")
-
-
 def export_manifest(manifest: DatasetManifest, path: Path) -> None:
     """Write samples as JSONL plus a sibling <stem>.stats.json."""
-    write_samples(Path(path), list(manifest.samples))
+    path = Path(path)
+    write_samples(path, list(manifest.samples))
     write_json(
-        _stats_path(path),
+        path.with_name(path.stem + ".stats.json"),
         {
             "stats": manifest.stats,
             "score_floor": manifest.score_floor,
             "target_size": manifest.target_size,
         },
-    )
-
-
-def load_manifest(path: Path) -> DatasetManifest:
-    samples = read_samples(Path(path))
-    stats_path = _stats_path(path)
-    if not stats_path.exists():
-        raise SchemaViolation(f"{stats_path}: missing manifest stats file")
-    meta = read_json(stats_path)
-    return DatasetManifest(
-        samples=tuple(samples),
-        stats=meta["stats"],
-        score_floor=meta["score_floor"],
-        target_size=meta["target_size"],
     )

@@ -111,32 +111,6 @@ def write_pgm8(path: Path, data: np.ndarray) -> None:
         raise IoFailure(f"{path}: {exc}") from exc
 
 
-def _read_ppm_raw(path: Path) -> tuple[bytes, int, int, int, int]:
-    """A binary P6 PPM's bytes, checked for their size: (raw, width, height, maxval, offset).
-
-    Samples are one byte for maxval < 256, two big-endian bytes otherwise,
-    per the PPM convention.
-    """
-    raw = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(raw, b"P6", Path(path))
-    expected = width * height * 3 * (2 if maxval > 255 else 1)
-    if len(raw) - offset != expected:
-        raise MalformedMosaic(
-            f"{path}: payload is {len(raw) - offset} bytes, header implies {expected}"
-        )
-    return raw, width, height, maxval, offset
-
-
-def read_ppm(path: Path) -> tuple[np.ndarray, int]:
-    """Read a binary P6 PPM; returns (uint16 (H, W, 3) array, maxval)."""
-    import numpy as np
-
-    raw, width, height, maxval, offset = _read_ppm_raw(path)
-    dtype = ">u2" if maxval > 255 else np.uint8
-    data = np.frombuffer(raw, dtype=dtype, offset=offset).reshape(height, width, 3)
-    return data.astype(np.uint16), maxval
-
-
 def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
     """Whether the PPM samples that start at ``raw[offset]`` hold one above ``maxval``."""
     if maxval == 255 or maxval >= PGM_MAXVAL:
@@ -152,13 +126,20 @@ def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
 
 
 def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
-    """A binary P6 PPM as ``encode_ppm(*read_ppm(path))`` encodes it, and its maxval.
+    """A binary P6 PPM as ``encode_ppm`` encodes its samples at its maxval, and that maxval.
 
-    The samples are kept as stored, once their size is checked and none is
-    found above maxval; only a header that is not in ``encode_ppm``'s form
-    is rewritten. No array is built.
+    Samples are one byte for maxval < 256, two big-endian bytes otherwise,
+    per the PPM convention. They are kept as stored, once their size is
+    checked and none is found above maxval; only a header that is not in
+    ``encode_ppm``'s form is rewritten. No array is built.
     """
-    raw, width, height, maxval, offset = _read_ppm_raw(path)
+    raw = Path(path).read_bytes()
+    width, height, maxval, offset = _read_pnm_header(raw, b"P6", Path(path))
+    expected = width * height * 3 * (2 if maxval > 255 else 1)
+    if len(raw) - offset != expected:
+        raise MalformedMosaic(
+            f"{path}: payload is {len(raw) - offset} bytes, header implies {expected}"
+        )
     if _exceeds(raw, offset, maxval):
         raise MalformedMosaic(f"{path}: a sample exceeds maxval {maxval}")
     header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")

@@ -1,6 +1,6 @@
 """Exposure-conditioned proxy renderer: gain, color matrix, clip, transfer,
 quantization. The render path is deliberately minimal so it can be inverted
-analytically; companion helpers expose the clip mask the loss analysis needs.
+analytically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .records import (
     SRGB_PIECEWISE,
     XYZ_TO_LINEAR_SRGB_D65,
     RenderParams,
-    read_render_header,
 )
 
 # Standard sRGB transfer constants (piecewise definition).
@@ -116,21 +115,6 @@ def quantize(v, bits: int):
     if np.isscalar(v) or np.ndim(v) == 0:
         return int(codes)
     return codes
-
-
-def linear_rgb(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
-    """Pre-clip linear RGB of the render: matrix @ (gain * xyz)."""
-    return np.einsum("ij,hwj->hwi", params.matrix, params.exposure_gain * z.data)
-
-
-def clip_mask(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
-    """(H, W) mask of pixels with any channel clipped at the top (value > 1)."""
-    return top_clipped(linear_rgb(z, params))
-
-
-def top_clipped(rgb: np.ndarray) -> np.ndarray:
-    """(H, W) mask of linear RGB pixels with any channel above 1."""
-    return np.any(rgb > 1.0, axis=-1)
 
 
 # Code-table buckets are 2^-(bits + 5) wide. sRGB's steepest slope is 12.92,
@@ -243,7 +227,7 @@ def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
 
 def _linear_stripes(z: MeasXyzImage, params_seq):
     """Yield (rows, i, v, k) per row stripe of ``z`` and params_seq[i]: 2^k * v
-    is the stripe's pre-clip linear RGB at that gain, the rows of ``linear_rgb``.
+    is the stripe's pre-clip linear RGB at that gain, matrix @ (gain * xyz).
 
     Power-of-two quantized gains share one gain-1 product; any other render
     takes the formula on the stripe. ``v`` lives in a buffer the next stripe
@@ -317,11 +301,3 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
         Path(str(stem) + ".json"),
         {"capture_id": rendered.capture_id, "params": rendered.params.to_dict()},
     )
-
-
-def load_rendered(stem: Path) -> RenderedRgb:
-    codes, maxval = formats.read_ppm(Path(str(stem) + ".ppm"))
-    capture_id, params = read_render_header(stem)
-    if maxval != params.max_code:
-        raise IoFailure(f"{stem}: PPM maxval {maxval} disagrees with bit_depth {params.bit_depth}")
-    return RenderedRgb(codes=codes, params=params, capture_id=capture_id)

@@ -193,8 +193,9 @@ def _luminance_report(
 
 
 def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Y of ``invert_render(render_proxy(z, params))`` and ``clip_mask(z, params)``,
-    bit for bit, in one pass over row stripes.
+    """Y of ``invert_render(render_proxy(z, params))`` and the (H, W) mask of
+    pixels whose pre-clip linear RGB exceeds 1 in any channel, bit for bit,
+    in one pass over row stripes.
 
     Only the Y row of the inverse is computed, in einsum's summation order:
     (p0 m0 + p2 m2) + p1 m1, then divided by the gain.

@@ -19,7 +19,7 @@ import numpy as np
 from . import formats
 from .capture import RawCapture, _black_site_map
 from .errors import DegenerateCalibration, DomainError, ShapeMismatch
-from .records import CameraMetadata, meas_xyz_header_fields, read_meas_xyz_header
+from .records import CameraMetadata, meas_xyz_header_fields
 
 log = logging.getLogger(__name__)
 
@@ -169,8 +169,3 @@ def load_meas_xyz(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None
     data, header = formats.read_plane(stem, header)
     capture_id, metadata = meas_xyz_header_fields(stem, header)
     return MeasXyzImage._adopt(data, capture_id, metadata)
-
-
-def peek_capture_id(stem: Path) -> str:
-    """The capture id of a plane pair, from its header alone."""
-    return read_meas_xyz_header(stem)[0]

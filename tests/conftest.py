@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from measground.capture import CameraMetadata, RawCapture
+from measground.isp import RenderParams
 from measground.measxyz import MeasXyzImage
 
 
@@ -46,6 +47,36 @@ def make_capture(seed: int = 0, height: int | None = None, width: int | None = N
 
 def make_image(data: np.ndarray, capture_id: str = "img-0", seed: int = 0) -> MeasXyzImage:
     return MeasXyzImage(data=data, capture_id=capture_id, metadata=make_metadata(seed))
+
+
+# --- whole-frame render and PPM oracles ---------------------------------------------
+# The render's pre-clip linear RGB and top-clip mask over a whole frame, as the
+# numeric core computed them before the striped pass, and a plain P6 decoder.
+# The striped render and analysis, and the PPM bytes sent to the annotator,
+# must match them bit for bit.
+
+def oracle_linear_rgb(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
+    """Pre-clip linear RGB of the render: matrix @ (gain * xyz)."""
+    return np.einsum("ij,hwj->hwi", params.matrix, params.exposure_gain * z.data)
+
+
+def oracle_top_clipped(rgb: np.ndarray) -> np.ndarray:
+    """(H, W) mask of linear RGB pixels with any channel above 1."""
+    return np.any(rgb > 1.0, axis=-1)
+
+
+def oracle_clip_mask(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
+    """(H, W) mask of pixels with any channel clipped at the top (value > 1)."""
+    return oracle_top_clipped(oracle_linear_rgb(z, params))
+
+
+def oracle_decode_ppm(ppm: bytes) -> tuple[np.ndarray, int]:
+    """The uint16 (H, W, 3) samples and maxval of P6 bytes in ``formats.encode_ppm``'s header form."""
+    magic, size, maxval, payload = ppm.split(b"\n", 3)
+    assert magic == b"P6"
+    width, height = (int(n) for n in size.split())
+    dtype = ">u2" if int(maxval) > 255 else np.uint8
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width, 3).astype(np.uint16), int(maxval)
 
 
 @pytest.fixture

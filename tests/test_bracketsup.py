@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from measground import formats
 from measground.bracketsup import (
     CandidateRecord,
+    EncodedProxy,
     HttpAnnotatorClient,
     InstructionRecord,
     MockAnnotatorClient,
+    TrainingSample,
     aggregate,
     annotate,
-    build_samples,
     normalize_answer,
     question_key,
     read_proxy,
@@ -26,15 +27,16 @@ from measground.bracketsup import (
 )
 from measground.capture import SyntheticSceneSpec, synth_capture
 from measground.errors import AnnotatorUnavailable, EmptyInput, IoFailure, MalformedMosaic, MissingMeasXyz
-from measground.isp import RenderParams, load_rendered, render_proxy, save_rendered
+from measground.isp import RenderParams, render_proxy, save_rendered
 from measground.measxyz import meas_xyz_transform, save_meas_xyz
 
-from conftest import make_image
+from conftest import make_image, oracle_decode_ppm
 
 
 def _proxy(capture_id="cap-a", gain=1.0):
     z = make_image(np.random.default_rng(0).uniform(0, 1, (4, 4, 3)), capture_id=capture_id)
-    return render_proxy(z, RenderParams(exposure_gain=gain))
+    rendered = render_proxy(z, RenderParams(exposure_gain=gain))
+    return EncodedProxy(capture_id, gain, formats.encode_ppm(rendered.codes, rendered.params.max_code))
 
 
 def _write_transcript(path, entries):
@@ -131,22 +133,21 @@ class TestReadProxy:
     @pytest.mark.parametrize("bits", [8, 12])
     def test_annotator_bytes_equal_the_decode_encode_round_trip(self, tmp_path, bits):
         z = make_image(np.random.default_rng(bits).uniform(0, 1, (5, 7, 3)), capture_id="cap-b")
-        save_rendered(render_proxy(z, RenderParams(exposure_gain=2.0, bit_depth=bits)), tmp_path / "p")
+        rendered = render_proxy(z, RenderParams(exposure_gain=2.0, bit_depth=bits))
+        save_rendered(rendered, tmp_path / "p")
         proxy = read_proxy(tmp_path / "p")
         assert (proxy.capture_id, proxy.exposure_gain) == ("cap-b", 2.0)
         client = _RecordingClient()
         annotate(proxy, client)
-        expected = formats.encode_ppm(*formats.read_ppm(tmp_path / "p.ppm"))
+        expected = formats.encode_ppm(*oracle_decode_ppm((tmp_path / "p.ppm").read_bytes()))
         assert client.images == [expected]
-        # the in-memory render is sent with the same bytes
-        annotate(load_rendered(tmp_path / "p"), client)
-        assert client.images[1] == expected
+        assert expected == formats.encode_ppm(rendered.codes, rendered.params.max_code)
 
     def test_header_comment_is_dropped(self, tmp_path):
         z = make_image(np.random.default_rng(0).uniform(0, 1, (2, 3, 3)))
         save_rendered(render_proxy(z, RenderParams(exposure_gain=1.0, bit_depth=10)), tmp_path / "p")
         ppm = tmp_path / "p.ppm"
-        expected = formats.encode_ppm(*formats.read_ppm(ppm))
+        expected = formats.encode_ppm(*oracle_decode_ppm(ppm.read_bytes()))
         ppm.write_bytes(ppm.read_bytes().replace(b"P6\n", b"P6 # a comment\n", 1))
         assert read_proxy(tmp_path / "p").ppm == expected
 
@@ -339,19 +340,14 @@ class TestBuildSamples:
                               source_prefix="synth", provenance=(1.0,))
             for i in range(3)
         ]
-        samples = build_samples(capture, records, tmp_path / "cap-z")
+        samples = samples_for_stem("cap-z", records, tmp_path / "cap-z")
         assert len(samples) == 3
         assert all(s.meas_xyz_path == str(tmp_path / "cap-z") for s in samples)
         assert all(s.metadata == capture.metadata for s in samples)
 
     def test_empty_records(self, tmp_path):
-        capture = self._materialize(tmp_path)
-        assert build_samples(capture, [], tmp_path / "cap-z") == []
-
-    def test_missing_plane_rejected(self, tmp_path):
-        capture = self._materialize(tmp_path)
-        with pytest.raises(MissingMeasXyz):
-            build_samples(capture, [], tmp_path / "other")
+        self._materialize(tmp_path)
+        assert samples_for_stem("cap-z", [], tmp_path / "cap-z") == []
 
     def test_capture_id_mismatch_rejected(self, tmp_path):
         self._materialize(tmp_path)
@@ -368,7 +364,7 @@ class TestBuildSamples:
         monkeypatch.setattr(formats, "read_json", lambda path: reads.append(path) or read_json(path))
         samples = samples_for_stem("cap-z", [record], tmp_path / "cap-z")
         assert reads == [tmp_path / "cap-z.json"]
-        assert samples == build_samples(capture, [record], tmp_path / "cap-z")
+        assert samples == [TrainingSample("cap-z", str(tmp_path / "cap-z"), record, capture.metadata)]
 
     def test_samples_for_stem_without_plane_pair_is_an_io_failure(self, tmp_path):
         self._materialize(tmp_path)
@@ -380,7 +376,8 @@ class TestBuildSamples:
         record = InstructionRecord(question="Q?", answer="A", score=0.5,
                                    question_type="qt", template_id="t",
                                    source_prefix="synth", provenance=(0.5, 2.0))
-        samples = build_samples(capture, [record], tmp_path / "cap-z")
+        samples = samples_for_stem("cap-z", [record], tmp_path / "cap-z")
+        assert samples[0].metadata == capture.metadata
         write_samples(tmp_path / "samples.jsonl", samples)
         text = (tmp_path / "samples.jsonl").read_text()
         assert ".ppm" not in text

@@ -19,6 +19,7 @@ from measground.cli import main
 from measground.errors import DomainError, IoFailure
 from measground.isp import XYZ_TO_LINEAR_SRGB_D65
 
+from conftest import oracle_linear_rgb, oracle_top_clipped
 from test_measxyz import reference_demosaic
 
 
@@ -83,6 +84,31 @@ class TestBasics:
         config = tmp_path / "c.json"
         config.write_text('{"fraction": 1.5}')
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("stage, config", [
+        ("synth", {"gain": "abc"}),
+        ("synth", {"exposures": 5}),
+        ("synth", {"exposures": [1, True]}),
+        ("synth", {"seed": "x"}),
+        ("synth", {"gain": True}),
+        ("lost-signal", {"bins": 2.5}),
+        ("lost-signal", {"quantize": "no"}),
+        ("lost-signal", {"bit_depth": 8.5}),
+    ])
+    def test_config_of_the_wrong_json_type_exits_1(self, tmp_path, stage, config):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        inputs = ["--input", tmp_path, "--gain", "2"] if stage == "lost-signal" else []
+        proc = _run_cli(stage, "--config", tmp_path / "c.json", *inputs, "--out", tmp_path / "o")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        events = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert [e["level"] for e in events] == ["error"]
+        assert f"config.{next(iter(config))}: expected " in events[0]["event"]
+
+    def test_config_int_for_a_float_field_is_accepted(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text('{"gain": 2, "exposures": [1, 2], "tau": 1}')
+        assert main(["synth", "--config", str(config), "--count", "1", "--out", str(tmp_path / "o")]) == 0
 
     def test_entry_point_subprocess(self):
         proc = _run_cli("condition-check", "--seed", "3")
@@ -409,7 +435,7 @@ class TestStripedPassFiles:
             # and the whole-frame formula's bytes
             params = isp.RenderParams(exposure_gain=float(gain))
             for z in images:
-                rgb = np.clip(isp.linear_rgb(z, params), 0.0, 1.0)
+                rgb = np.clip(oracle_linear_rgb(z, params), 0.0, 1.0)
                 codes = isp.quantize(isp.srgb_oetf(rgb), params.bit_depth)
                 tag = gain.replace(".", "p")
                 assert (single / f"{z.capture_id}_e{tag}.ppm").read_bytes() == \
@@ -427,11 +453,11 @@ class TestStripedPassFiles:
         params = isp.RenderParams(exposure_gain=float(gain))
         for plane in sorted(measxyz.glob("*.f32")):
             z = load_meas_xyz(plane.with_suffix(""))
-            rgb = isp.linear_rgb(z, params)
+            rgb = oracle_linear_rgb(z, params)
             codes = isp.quantize(isp.srgb_oetf(np.clip(rgb, 0.0, 1.0)), params.bit_depth)
             rendered = isp.RenderedRgb(codes=codes, params=params, capture_id=z.capture_id)
             report = lost_signal.lost_signal_residual(
-                z, lost_signal.invert_render(rendered), isp.top_clipped(rgb),
+                z, lost_signal.invert_render(rendered), oracle_top_clipped(rgb),
                 exposure_gain=params.exposure_gain, bits=params.bit_depth)
             lost_signal.emit_report(report, oracle)
         names = sorted(p.name for p in oracle.iterdir())
@@ -467,6 +493,19 @@ def _sidecar_with_non_numeric_iso(root):
     _set_iso(root / "s" / "bundles" / "synth-0000" / "capture.json", "fast")
     return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
         "synth-0000/capture.json"
+
+
+def _sidecar_with(key, value, stage):
+    """``stage`` over the fixture's bundles, one sidecar field set to a value of the wrong JSON type."""
+    def case(root):
+        path = root / "s" / "bundles" / "synth-0000" / "capture.json"
+        obj = json.loads(path.read_text())
+        obj[key] = value(obj[key])
+        path.write_text(json.dumps(obj))
+        return [stage, "--input", root / "s" / "bundles", "--out", root / "out"], \
+            "synth-0000/capture.json"
+    case.__name__ = f"_{stage}_sidecar_with_non_numeric_{key}"
+    return case
 
 
 def _render_header_not_json(root):
@@ -636,6 +675,10 @@ class TestMalformedInputs:
         _plane_header_without_height,
         _plane_header_with_non_numeric_iso,
         _sidecar_with_non_numeric_iso,
+        _sidecar_with("black_level", lambda black: ["x", 0, 0, 0], "ingest"),
+        _sidecar_with("cam_to_xyz", lambda m: [m[0], [m[1][0], "x", m[1][2]], m[2]], "measxyz"),
+        _sidecar_with("wb_gains", lambda wb: ["x", 1, 1], "ingest"),
+        _sidecar_with("white_level", lambda white: "abc", "measxyz"),
         _render_header_not_json,
         _render_header_without_params,
         _refs_row_without_capture_id,

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground.bracketsup import InstructionRecord, TrainingSample
+from measground.bracketsup import InstructionRecord, TrainingSample, read_samples
 from measground.dataset import (
     BalanceCaps,
     balance,
     export_manifest,
-    load_manifest,
     remove_placeholders,
     score_filter,
 )
 from measground.errors import DomainError, SchemaViolation
+from measground.formats import read_json
 
 from conftest import make_metadata
 
@@ -155,11 +155,12 @@ class TestManifestIo:
     def test_round_trip(self, tmp_path):
         manifest = self._manifest()
         export_manifest(manifest, tmp_path / "m.jsonl")
-        loaded = load_manifest(tmp_path / "m.jsonl")
-        assert loaded.samples == manifest.samples
-        assert loaded.stats == manifest.stats
-        assert loaded.score_floor == manifest.score_floor
-        assert loaded.target_size == manifest.target_size
+        assert tuple(read_samples(tmp_path / "m.jsonl")) == manifest.samples
+        assert read_json(tmp_path / "m.stats.json") == {
+            "stats": manifest.stats,
+            "score_floor": manifest.score_floor,
+            "target_size": manifest.target_size,
+        }
 
     def test_corrupted_line_names_line_number(self, tmp_path):
         manifest = self._manifest()
@@ -168,16 +169,15 @@ class TestManifestIo:
         lines[2] = lines[2][:-5]
         (tmp_path / "m.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaViolation, match="m.jsonl:3"):
-            load_manifest(tmp_path / "m.jsonl")
+            read_samples(tmp_path / "m.jsonl")
 
     def test_empty_manifest_round_trips(self, tmp_path):
         samples = []
         caps = BalanceCaps(per_source=1, per_type=1, per_template=1)
         manifest = balance(samples, caps, target_size=1, seed=0)
         export_manifest(manifest, tmp_path / "m.jsonl")
-        loaded = load_manifest(tmp_path / "m.jsonl")
-        assert loaded.samples == ()
-        assert loaded.stats["shortfall"] is True
+        assert read_samples(tmp_path / "m.jsonl") == []
+        assert read_json(tmp_path / "m.stats.json")["stats"]["shortfall"] is True
 
     def test_byte_identical_across_runs(self, tmp_path):
         samples = [_sample(i, score=0.5) for i in range(25)]

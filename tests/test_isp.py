@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measground.bracketsup import read_proxy
 from measground.errors import DomainError, EmptyBracket, SingularMatrix
+from measground.formats import encode_ppm
 from measground.isp import (
     IDENTITY,
     SRGB_LINEAR_THRESHOLD,
     RenderParams,
-    clip_mask,
-    load_rendered,
     make_bracket,
     quantize,
     render_proxy,
@@ -20,9 +20,11 @@ from measground.isp import (
     srgb_eotf,
     srgb_oetf,
 )
+from measground.lost_signal import analyze_render
 from measground.measxyz import MeasXyzImage
+from measground.records import read_render_header
 
-from conftest import make_image, make_metadata
+from conftest import make_image, make_metadata, oracle_clip_mask, oracle_decode_ppm
 
 
 class TestTransfer:
@@ -190,11 +192,11 @@ class TestBracket:
             int(np.count_nonzero(np.any(e * z.data > 1.0, axis=-1)))
             for e in exposures
         ]
-        mask_counts = [
-            int(np.count_nonzero(clip_mask(z, RenderParams(e, xyz_to_linear_srgb=np.eye(3)))))
-            for e in exposures
-        ]
+        params = [RenderParams(e, xyz_to_linear_srgb=np.eye(3)) for e in exposures]
+        mask_counts = [int(np.count_nonzero(oracle_clip_mask(z, p))) for p in params]
         assert mask_counts == counts
+        # the analysis's clipped fraction counts the same pixels
+        assert [round(analyze_render(z, p).clipped_fraction * z.data[..., 0].size) for p in params] == counts
         assert all(a <= b for a, b in zip(mask_counts, mask_counts[1:]))
 
     def test_shared_capture_id_and_order(self):
@@ -211,10 +213,11 @@ class TestPpmRoundTrip:
         z = MeasXyzImage(rng.uniform(0, 1, (4, 6, 3)), "rt", make_metadata(0))
         rendered = render_proxy(z, RenderParams(exposure_gain=1.3, bit_depth=bits))
         save_rendered(rendered, tmp_path / "r")
-        loaded = load_rendered(tmp_path / "r")
-        assert np.array_equal(loaded.codes, rendered.codes)
-        assert loaded.params == rendered.params
-        assert loaded.capture_id == "rt"
+        proxy = read_proxy(tmp_path / "r")
+        assert proxy.ppm == encode_ppm(rendered.codes, rendered.params.max_code)
+        assert np.array_equal(oracle_decode_ppm(proxy.ppm)[0], rendered.codes)
+        assert read_render_header(tmp_path / "r") == ("rt", rendered.params)
+        assert (proxy.capture_id, proxy.exposure_gain) == ("rt", 1.3)
 
     def test_unquantized_rejected(self, tmp_path):
         z = MeasXyzImage(np.zeros((2, 2, 3)), "rt", make_metadata(0))

@@ -16,11 +16,10 @@ from measground.measxyz import (
     load_meas_xyz,
     meas_xyz_transform,
     normalize_mosaic,
-    peek_capture_id,
-    read_meas_xyz_header,
     save_meas_xyz,
     white_scale,
 )
+from measground.records import read_meas_xyz_header
 
 from conftest import make_capture, make_metadata
 
@@ -220,7 +219,6 @@ class TestPlaneExport:
         image = MeasXyzImage(data=np.zeros((2, 4, 3)), capture_id="x-2", metadata=make_metadata(2))
         save_meas_xyz(image, tmp_path / "x-2")
         assert read_meas_xyz_header(tmp_path / "x-2") == ("x-2", image.metadata)
-        assert peek_capture_id(tmp_path / "x-2") == "x-2"
         with (tmp_path / "x-2.f32").open("ab") as fh:
             fh.write(b"\0")
         for reader in (read_meas_xyz_header, load_meas_xyz):
@@ -242,7 +240,7 @@ class TestPlaneExport:
         header = json.loads((tmp_path / "x-3.json").read_text())
         del header["capture_id"]
         (tmp_path / "x-3.json").write_text(json.dumps(header))
-        for reader in (read_meas_xyz_header, peek_capture_id, load_meas_xyz):
+        for reader in (read_meas_xyz_header, load_meas_xyz):
             with pytest.raises(SchemaViolation, match="lacks 'capture_id'"):
                 reader(tmp_path / "x-3")
 

@@ -30,7 +30,7 @@ from measground.measxyz import (
     white_scale,
 )
 
-from conftest import make_capture, make_image, make_metadata
+from conftest import make_capture, make_image, make_metadata, oracle_clip_mask, oracle_linear_rgb
 
 PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 TRANSFERS = (SRGB_PIECEWISE, IDENTITY)
@@ -88,7 +88,7 @@ def oracle_codes(v: np.ndarray, bits: int, transfer: str) -> np.ndarray:
 
 
 def oracle_render(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
-    rgb = np.clip(isp.linear_rgb(z, params), 0.0, 1.0)
+    rgb = np.clip(oracle_linear_rgb(z, params), 0.0, 1.0)
     encoded = isp.srgb_oetf(rgb) if params.transfer == SRGB_PIECEWISE else rgb
     return isp.quantize(encoded, params.bit_depth) if params.quantize else encoded
 
@@ -229,7 +229,7 @@ def _assert_analysis_matches(z: MeasXyzImage, params: RenderParams) -> None:
     rendered = isp.RenderedRgb(codes=oracle_render(z, params), params=params,
                                capture_id=z.capture_id)
     expected = lost_signal_residual(
-        z, oracle_invert(rendered), isp.clip_mask(z, params), tau=0.01, bins=7,
+        z, oracle_invert(rendered), oracle_clip_mask(z, params), tau=0.01, bins=7,
         exposure_gain=params.exposure_gain, bits=params.bit_depth,
     )
     report = analyze_render(z, params, tau=0.01, bins=7)
