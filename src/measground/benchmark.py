@@ -314,8 +314,8 @@ def make_benchmark_examples(
     return examples
 
 
-def write_benchmark(path: Path, examples: list[BenchmarkExample]) -> int:
-    return formats.write_jsonl(path, (e.to_dict() for e in examples))
+def write_benchmark(path: Path, examples: list[BenchmarkExample]) -> None:
+    formats.write_jsonl(path, (e.to_dict() for e in examples))
 
 
 def read_benchmark(path: Path) -> list[BenchmarkExample]:

@@ -176,7 +176,7 @@ class EncodedProxy:
 
 def read_proxy(stem: Path) -> EncodedProxy:
     """The proxy ``isp.save_rendered`` wrote at ``stem``, its .ppm bytes as
-    ``formats.encode_ppm`` encodes the render's codes, without decoding its samples.
+    ``formats.write_ppm`` wrote the render's codes, without decoding its samples.
 
     The .ppm's maxval must be the render header's ``max_code``, and no
     sample may exceed it.
@@ -411,8 +411,8 @@ def samples_for_stem(
     ]
 
 
-def write_samples(path: Path, samples: list[TrainingSample]) -> int:
-    return formats.write_jsonl(path, (s.to_dict() for s in samples))
+def write_samples(path: Path, samples: list[TrainingSample]) -> None:
+    formats.write_jsonl(path, (s.to_dict() for s in samples))
 
 
 def read_samples(path: Path) -> list[TrainingSample]:

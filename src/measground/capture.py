@@ -8,7 +8,6 @@ unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,6 +21,7 @@ from .errors import (
     IoFailure,
     MalformedSidecar,
     MissingFile,
+    SchemaViolation,
 )
 # CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
 from .records import CameraMetadata, CaptureRef, _positive_finite
@@ -127,12 +127,10 @@ def read_bundle_sidecar(path: Path) -> dict:
     sidecar_path = path / SIDECAR_NAME
     if not mosaic_path.exists():
         raise MissingFile(str(mosaic_path))
-    if not sidecar_path.exists():
-        raise MissingFile(str(sidecar_path))
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedSidecar(f"{sidecar_path}: invalid JSON ({exc.msg})") from exc
+        sidecar = formats.read_json(sidecar_path)
+    except SchemaViolation as exc:
+        raise MalformedSidecar(str(exc)) from exc
     if not isinstance(sidecar, dict):
         raise MalformedSidecar(f"{sidecar_path}: expected a JSON object")
     unknown = set(sidecar) - _SIDECAR_KEYS
@@ -142,6 +140,13 @@ def read_bundle_sidecar(path: Path) -> dict:
     if missing:
         raise MalformedSidecar(f"{sidecar_path}: missing keys {sorted(missing)}")
     return sidecar
+
+
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number, or a list of them or of such lists; a bool is none."""
+    if isinstance(value, list):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
@@ -159,14 +164,13 @@ def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
     if mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
         raise DimensionMismatch(f"{mosaic_path}: odd mosaic dimensions {mosaic.shape}")
 
+    # RawCapture's float() would take "64" or true, and a string's characters as entries
+    for key in ("black_level", "white_level", "wb_gains", "cam_to_xyz"):
+        if not _json_numbers(sidecar[key]):
+            raise MalformedSidecar(f"{sidecar_path}: {key} must hold JSON numbers")
     black = sidecar["black_level"]
-    if isinstance(black, (int, float)):
-        black = [black] * 4  # scalar sidecars expand per CFA site
-    # RawCapture would take a string's characters for the entries
     if not isinstance(black, list):
-        raise MalformedSidecar(f"{sidecar_path}: black_level must be a number or 4-list")
-    if not isinstance(sidecar["wb_gains"], list):
-        raise MalformedSidecar(f"{sidecar_path}: wb_gains must be a 3-list")
+        black = [black] * 4  # scalar sidecars expand per CFA site
     try:
         return RawCapture(
             capture_id=str(sidecar["capture_id"]),

@@ -18,7 +18,6 @@ import os
 import sys
 import threading
 import time
-import typing
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -134,21 +133,8 @@ class RunConfig:
         return out
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a JSON or flag value fits a RunConfig annotation: a list for a
-    tuple, an int for a float, and a bool for nothing but a bool."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
-    if args:  # a union such as str | None
-        return any(_has_type(value, arg) for arg in args)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     if path is not None:
         try:
@@ -159,15 +145,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigInvalid(f"config: {path} is not valid JSON ({exc.msg})") from exc
         if not isinstance(raw, dict):
             raise ConfigInvalid("config: top level must be a JSON object")
-        unknown = raw.keys() - known
-        if unknown:
-            raise ConfigInvalid(f"config: unknown keys {sorted(unknown)}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None and k in known})
-    hints = typing.get_type_hints(RunConfig)
-    for key, value in values.items():
-        if not _has_type(value, hints[key]):
-            raise ConfigInvalid(f"config.{key}: expected {known[key]}, got {value!r}")
+    records.check_fields(RunConfig, values, "config")
     for key in ("exposures", "placeholder_patterns"):
         if key in values and isinstance(values[key], list):
             values[key] = tuple(values[key])
@@ -379,10 +359,12 @@ def _cmd_synth(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[
     from . import capture as capture_mod
 
     if args.scene:
+        spec_obj = formats.read_json(Path(args.scene))
+        if not isinstance(spec_obj, dict):
+            raise ConfigInvalid(f"config.scene: {args.scene}: top level must be a JSON object")
         try:
-            spec_obj = json.loads(Path(args.scene).read_text(encoding="utf-8"))
             base_spec = capture_mod.SyntheticSceneSpec.from_dict(spec_obj)
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        except (TypeError, KeyError) as exc:
             raise ConfigInvalid(f"config.scene: {args.scene}: {exc}") from exc
     else:
         base_spec = capture_mod.SyntheticSceneSpec()
@@ -615,7 +597,7 @@ def _cmd_eval(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> 
     print(table)
     if out is not None:
         formats.write_json(out / "metrics.json", report.to_dict())
-        (out / "report.txt").write_text(table + "\n", encoding="utf-8")
+        formats.write_text(out / "report.txt", table + "\n")
     return {"examples": report.total, "missing_predictions": report.missing_predictions}, EXIT_OK
 
 
@@ -660,7 +642,7 @@ def _cmd_report(args, config: RunConfig, out: Path | None, pool: _CapturePool) -
     table = metrics.render_table(report)
     print(table)
     if out is not None:
-        (out / "report.txt").write_text(table + "\n", encoding="utf-8")
+        formats.write_text(out / "report.txt", table + "\n")
     return {"examples": report.total}, EXIT_OK
 
 

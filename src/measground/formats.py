@@ -2,14 +2,16 @@
 
 All writers are deterministic byte-for-byte for identical inputs; JSON is
 emitted as UTF-8 with sorted keys and no whitespace surprises so manifests
-can be compared byte-wise across runs. The JSON readers turn malformed
-content into SchemaViolation naming the file (and line, for JSONL).
+can be compared byte-wise across runs. Every writer goes through
+``_write``, the package's one file open for writing. The JSON readers turn
+malformed content into SchemaViolation naming the file (and line, for JSONL).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,37 +34,21 @@ if TYPE_CHECKING:
 PGM_MAXVAL = 65535
 
 
+# Width, height and maxval after the magic: decimal tokens, each ended by one
+# whitespace byte and each preceded by any whitespace and #-to-newline comments.
+_PNM_FIELDS = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)\s" * 3)
+
+
 def _read_pnm_header(raw: bytes, magic: bytes, path: Path) -> tuple[int, int, int, int]:
     """Parse a binary PNM header; returns (width, height, maxval, data_offset)."""
     if not raw.startswith(magic):
         raise MalformedMosaic(f"{path}: expected {magic.decode()} magic")
-    pos = len(magic)
-    fields: list[int] = []
-    while len(fields) < 3:
-        if pos >= len(raw):
-            raise MalformedMosaic(f"{path}: truncated header")
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            nl = raw.find(b"\n", pos)
-            if nl < 0:
-                raise MalformedMosaic(f"{path}: unterminated comment")
-            pos = nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            token = raw[pos:end]
-            if not token.isdigit():
-                raise MalformedMosaic(f"{path}: non-numeric header token {token!r}")
-            fields.append(int(token))
-            pos = end
-    if pos >= len(raw) or not raw[pos:pos + 1].isspace():
-        raise MalformedMosaic(f"{path}: missing whitespace after maxval")
-    pos += 1
-    width, height, maxval = fields
-    return width, height, maxval, pos
+    match = _PNM_FIELDS.match(raw, len(magic))
+    if match is None:
+        raise MalformedMosaic(f"{path}: header needs decimal width, height and maxval, "
+                              "each followed by whitespace")
+    width, height, maxval = map(int, match.groups())
+    return width, height, maxval, match.end()
 
 
 def read_pgm16(path: Path) -> np.ndarray:
@@ -74,13 +60,33 @@ def read_pgm16(path: Path) -> np.ndarray:
     if maxval != PGM_MAXVAL:
         raise MalformedMosaic(f"{path}: maxval {maxval}, expected {PGM_MAXVAL}")
     expected = width * height * 2
-    payload = raw[offset:]
-    if len(payload) != expected:
+    if len(raw) - offset != expected:
         raise MalformedMosaic(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+            f"{path}: payload is {len(raw) - offset} bytes, header implies {expected}"
         )
-    data = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    return data.astype(np.uint16)
+    return np.frombuffer(raw, dtype=">u2", offset=offset).reshape(height, width).astype(np.uint16)
+
+
+def _pnm_header(magic: str, width: int, height: int, maxval: int) -> bytes:
+    """The binary PNM header every PNM writer writes: magic, size and maxval on three lines."""
+    return f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
+
+
+def _write(path: Path, chunks) -> None:
+    """Write ``chunks`` to ``path`` in order: bytes as they are, str as UTF-8, and
+    C-contiguous arrays through the buffer protocol, without a bytes copy. The
+    package's one open for writing; an OSError becomes IoFailure naming the path."""
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8."""
+    _write(path, [text])
 
 
 def write_pgm16(path: Path, data: np.ndarray) -> None:
@@ -91,24 +97,18 @@ def write_pgm16(path: Path, data: np.ndarray) -> None:
     if data.ndim != 2:
         raise IoFailure(f"{path}: PGM data must be 2-D, got shape {data.shape}")
     height, width = data.shape
-    header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
-    try:
-        Path(path).write_bytes(header + data.astype(">u2").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    _write(path, [_pnm_header("P5", width, height, PGM_MAXVAL),
+                  data.astype(">u2", order="C", copy=False)])
 
 
 def write_pgm8(path: Path, data: np.ndarray) -> None:
     """Write a uint8 (H, W) array as binary P5 with maxval 255 (masks)."""
     import numpy as np
 
-    data = np.asarray(data, dtype=np.uint8)
+    data = np.asarray(data)
     height, width = data.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    try:
-        Path(path).write_bytes(header + data.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    _write(path, [_pnm_header("P5", width, height, 255),
+                  data.astype(np.uint8, order="C", copy=False)])
 
 
 def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
@@ -126,12 +126,12 @@ def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
 
 
 def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
-    """A binary P6 PPM as ``encode_ppm`` encodes its samples at its maxval, and that maxval.
+    """A binary P6 PPM as ``write_ppm`` writes it, and its maxval.
 
     Samples are one byte for maxval < 256, two big-endian bytes otherwise,
     per the PPM convention. They are kept as stored, once their size is
     checked and none is found above maxval; only a header that is not in
-    ``encode_ppm``'s form is rewritten. No array is built.
+    ``_pnm_header``'s form is rewritten. No array is built.
     """
     raw = Path(path).read_bytes()
     width, height, maxval, offset = _read_pnm_header(raw, b"P6", Path(path))
@@ -142,29 +142,22 @@ def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
         )
     if _exceeds(raw, offset, maxval):
         raise MalformedMosaic(f"{path}: a sample exceeds maxval {maxval}")
-    header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
+    header = _pnm_header("P6", width, height, maxval)
     if raw[:offset] != header:
         raw = header + raw[offset:]
     return raw, maxval
 
 
-def encode_ppm(codes: np.ndarray, maxval: int) -> bytes:
-    """Encode integer (H, W, 3) codes as binary P6 bytes with the given maxval."""
+def write_ppm(path: Path, codes: np.ndarray, maxval: int) -> None:
+    """Write integer (H, W, 3) codes as binary P6 with the given maxval."""
     import numpy as np
 
     codes = np.asarray(codes)
     if codes.ndim != 3 or codes.shape[2] != 3:
-        raise IoFailure(f"PPM data must be (H, W, 3), got {codes.shape}")
+        raise IoFailure(f"{path}: PPM data must be (H, W, 3), got {codes.shape}")
     height, width = codes.shape[:2]
-    header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
-    return header + codes.astype(">u2" if maxval > 255 else np.uint8).tobytes()
-
-
-def write_ppm(path: Path, codes: np.ndarray, maxval: int) -> None:
-    try:
-        Path(path).write_bytes(encode_ppm(codes, maxval))
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    _write(path, [_pnm_header("P6", width, height, maxval),
+                  codes.astype(">u2" if maxval > 255 else np.uint8, order="C", copy=False)])
 
 
 # --- float planes -------------------------------------------------------------
@@ -177,19 +170,13 @@ def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
     import numpy as np
 
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 2:
-        channels = 1
-    elif data.ndim == 3:
-        channels = data.shape[2]
-    else:
+    if data.ndim not in (2, 3):
         raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
     full = dict(header)
-    full.update(height=int(data.shape[0]), width=int(data.shape[1]), channels=channels)
-    try:
-        Path(str(stem) + ".f32").write_bytes(data.astype("<f4").tobytes())
-        write_json(Path(str(stem) + ".json"), full)
-    except OSError as exc:
-        raise IoFailure(f"{stem}: {exc}") from exc
+    full.update(height=int(data.shape[0]), width=int(data.shape[1]),
+                channels=data.shape[2] if data.ndim == 3 else 1)
+    _write(Path(str(stem) + ".f32"), [data.astype("<f4", order="C")])
+    write_json(Path(str(stem) + ".json"), full)
 
 
 def read_plane_header(stem: Path) -> tuple[dict, tuple[int, ...]]:
@@ -238,22 +225,12 @@ def dump_json(obj) -> str:
 
 
 def write_json(path: Path, obj) -> None:
-    try:
-        Path(path).write_text(dump_json(obj) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    _write(path, [dump_json(obj) + "\n"])
 
 
-def write_jsonl(path: Path, rows) -> int:
-    n = 0
-    try:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(dump_json(row) + "\n")
-                n += 1
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
-    return n
+def write_jsonl(path: Path, rows) -> None:
+    """Write one JSON object per line, each row streamed as it is dumped."""
+    _write(path, (dump_json(row) + "\n" for row in rows))
 
 
 def read_text(path: Path) -> str:

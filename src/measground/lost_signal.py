@@ -53,8 +53,20 @@ class LostSignalReport:
     bits: int = 8
 
     def __post_init__(self):
-        residual = np.array(self.residual_map, dtype=np.float64)
-        mask = np.array(self.lost_mask, dtype=bool)
+        # Copies, so the report is independent of the caller's arrays.
+        self._freeze(np.array(self.residual_map, dtype=np.float64), np.array(self.lost_mask, dtype=bool))
+
+    @classmethod
+    def _adopt(cls, **fields) -> "LostSignalReport":
+        """A report from all its fields, over a float64 residual and a bool mask
+        no one else holds, checked and frozen without a copy."""
+        report = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(report, name, value)
+        report._freeze(report.residual_map, report.lost_mask)
+        return report
+
+    def _freeze(self, residual: np.ndarray, mask: np.ndarray) -> None:
         if residual.shape != mask.shape:
             raise ShapeMismatch("residual_map and lost_mask shapes differ")
         if not 0.0 <= self.clipped_fraction <= 1.0:
@@ -127,7 +139,10 @@ def residual_histogram(residual: np.ndarray, bins: int) -> tuple[tuple[float, fl
     if top == 0.0:
         return ((0.0, 0.0, int(flat.size)),)
     width = top / bins
-    idx = np.minimum((flat / width).astype(np.int64), bins - 1)
+    # the quotient is cast into idx by truncation toward zero, as astype(np.int64) casts
+    idx = np.empty(flat.shape, dtype=np.int64)
+    np.divide(flat, width, out=idx, casting="unsafe")
+    np.minimum(idx, bins - 1, out=idx)
     counts = np.bincount(idx, minlength=bins)
     return tuple(
         (float(i * width), float((i + 1) * width), int(counts[i])) for i in range(bins)
@@ -178,7 +193,7 @@ def _luminance_report(
     y_orig = luminance(z.data)
     residual = np.subtract(y_orig, y_rec)
     np.abs(residual, out=residual)
-    return LostSignalReport(
+    return LostSignalReport._adopt(
         residual_map=residual,
         lost_mask=residual > tau,
         clipped_fraction=float(np.count_nonzero(forward_clip_mask)) / forward_clip_mask.size,
@@ -253,8 +268,8 @@ def emit_report(report: LostSignalReport, out_dir: Path) -> None:
         report.residual_map,
         {"capture_id": report.capture_id, "range": [0, float(report.residual_map.max()) if report.residual_map.size else 0.0]},
     )
-    formats.write_pgm8(out_dir / f"{name}_lost_mask.pgm", report.lost_mask.astype(np.uint8) * 255)
+    formats.write_pgm8(out_dir / f"{name}_lost_mask.pgm", report.lost_mask.view(np.uint8) * 255)
     lines = ["bin_lo,bin_hi,count"]
     lines += [f"{lo!r},{hi!r},{count}" for lo, hi, count in report.histogram]
-    (out_dir / f"{name}_histogram.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    formats.write_text(out_dir / f"{name}_histogram.csv", "\n".join(lines) + "\n")
     formats.write_json(out_dir / f"{name}_summary.json", report.summary_dict())

@@ -10,15 +10,15 @@ gradients are exactly what the injection pattern implies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .errors import ConfigInvalid, DomainError, NonFiniteGradient, ShapeMismatch
-from .records import CameraMetadata
+from .records import CameraMetadata, check_fields
 
 ISO_REFERENCE = 100.0
 EXPOSURE_REFERENCE = 1.0 / 60.0
@@ -304,20 +304,13 @@ class ProbeConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "ProbeConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"{path}: {exc}") from exc
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigInvalid(f"{path}: unknown probe config keys {sorted(unknown)}")
-        if "inject_layers" in obj and obj["inject_layers"] is not None:
+        obj = formats.read_json(path)
+        if not isinstance(obj, dict):
+            raise ConfigInvalid(f"{path}: top level must be a JSON object")
+        check_fields(cls, obj, f"{path}: probe")
+        if obj.get("inject_layers") is not None:
             obj["inject_layers"] = tuple(obj["inject_layers"])
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ConfigInvalid(f"{path}: {exc}") from exc
+        return cls(**obj)
 
     def build(self) -> ProbeStack:
         if self.depth < 1:

@@ -10,17 +10,45 @@ before.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import formats
-from .errors import DomainError, MalformedSidecar, SchemaViolation, SingularMatrix
+from .errors import ConfigInvalid, DomainError, MalformedSidecar, SchemaViolation, SingularMatrix
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .capture import RawCapture
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON or flag value fits a config field annotation: a list
+    for a tuple, an int for a float, and a bool for nothing but a bool."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as str | None
+        return any(_has_type(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_fields(cls, values: dict, name: str) -> None:
+    """ConfigInvalid, prefixed ``name``, unless every key of ``values`` is a
+    field of the dataclass ``cls`` and its value fits the field's annotation."""
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = values.keys() - declared
+    if unknown:
+        raise ConfigInvalid(f"{name}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if not _has_type(value, hints[key]):
+            raise ConfigInvalid(f"{name}.{key}: expected {declared[key]}, got {value!r}")
+
 
 _METADATA_KEYS = {"iso", "exposure_time", "aperture", "device_id", "scene_id", "session_id"}
 

@@ -51,9 +51,9 @@ def make_image(data: np.ndarray, capture_id: str = "img-0", seed: int = 0) -> Me
 
 # --- whole-frame render and PPM oracles ---------------------------------------------
 # The render's pre-clip linear RGB and top-clip mask over a whole frame, as the
-# numeric core computed them before the striped pass, and a plain P6 decoder.
-# The striped render and analysis, and the PPM bytes sent to the annotator,
-# must match them bit for bit.
+# numeric core computed them before the striped pass, and a plain P6 encoder and
+# decoder. The striped render and analysis, the PPM files written and the PPM
+# bytes sent to the annotator must match them bit for bit.
 
 def oracle_linear_rgb(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
     """Pre-clip linear RGB of the render: matrix @ (gain * xyz)."""
@@ -70,8 +70,18 @@ def oracle_clip_mask(z: MeasXyzImage, params: RenderParams) -> np.ndarray:
     return oracle_top_clipped(oracle_linear_rgb(z, params))
 
 
+def oracle_encode_ppm(codes: np.ndarray, maxval: int) -> bytes:
+    """Integer (H, W, 3) codes as binary P6 bytes with the given maxval, one
+    byte per sample up to maxval 255 and two big-endian bytes above."""
+    codes = np.asarray(codes)
+    assert codes.ndim == 3 and codes.shape[2] == 3
+    height, width = codes.shape[:2]
+    header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
+    return header + codes.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+
+
 def oracle_decode_ppm(ppm: bytes) -> tuple[np.ndarray, int]:
-    """The uint16 (H, W, 3) samples and maxval of P6 bytes in ``formats.encode_ppm``'s header form."""
+    """The uint16 (H, W, 3) samples and maxval of P6 bytes in ``oracle_encode_ppm``'s header form."""
     magic, size, maxval, payload = ppm.split(b"\n", 3)
     assert magic == b"P6"
     width, height = (int(n) for n in size.split())

@@ -30,13 +30,13 @@ from measground.errors import AnnotatorUnavailable, EmptyInput, IoFailure, Malfo
 from measground.isp import RenderParams, render_proxy, save_rendered
 from measground.measxyz import meas_xyz_transform, save_meas_xyz
 
-from conftest import make_image, oracle_decode_ppm
+from conftest import make_image, oracle_decode_ppm, oracle_encode_ppm
 
 
 def _proxy(capture_id="cap-a", gain=1.0):
     z = make_image(np.random.default_rng(0).uniform(0, 1, (4, 4, 3)), capture_id=capture_id)
     rendered = render_proxy(z, RenderParams(exposure_gain=gain))
-    return EncodedProxy(capture_id, gain, formats.encode_ppm(rendered.codes, rendered.params.max_code))
+    return EncodedProxy(capture_id, gain, oracle_encode_ppm(rendered.codes, rendered.params.max_code))
 
 
 def _write_transcript(path, entries):
@@ -139,15 +139,15 @@ class TestReadProxy:
         assert (proxy.capture_id, proxy.exposure_gain) == ("cap-b", 2.0)
         client = _RecordingClient()
         annotate(proxy, client)
-        expected = formats.encode_ppm(*oracle_decode_ppm((tmp_path / "p.ppm").read_bytes()))
+        expected = oracle_encode_ppm(*oracle_decode_ppm((tmp_path / "p.ppm").read_bytes()))
         assert client.images == [expected]
-        assert expected == formats.encode_ppm(rendered.codes, rendered.params.max_code)
+        assert expected == oracle_encode_ppm(rendered.codes, rendered.params.max_code)
 
     def test_header_comment_is_dropped(self, tmp_path):
         z = make_image(np.random.default_rng(0).uniform(0, 1, (2, 3, 3)))
         save_rendered(render_proxy(z, RenderParams(exposure_gain=1.0, bit_depth=10)), tmp_path / "p")
         ppm = tmp_path / "p.ppm"
-        expected = formats.encode_ppm(*oracle_decode_ppm(ppm.read_bytes()))
+        expected = oracle_encode_ppm(*oracle_decode_ppm(ppm.read_bytes()))
         ppm.write_bytes(ppm.read_bytes().replace(b"P6\n", b"P6 # a comment\n", 1))
         assert read_proxy(tmp_path / "p").ppm == expected
 

@@ -131,6 +131,22 @@ class TestBundleValidation:
         with pytest.raises(MalformedSidecar):
             load_capture_bundle(bundle)
 
+    @pytest.mark.parametrize("key, numeric_string", [
+        ("black_level", lambda black: [str(b) for b in black]),
+        ("black_level", lambda black: str(black[0])),
+        ("wb_gains", lambda wb: [str(wb[0])] + wb[1:]),
+        ("white_level", str),
+        ("cam_to_xyz", lambda m: [m[0], [m[1][0], str(m[1][1]), m[1][2]], m[2]]),
+        ("wb_gains", lambda wb: [True] + wb[1:]),
+    ], ids=["black_level", "scalar_black_level", "wb_gains", "white_level", "cam_to_xyz",
+            "wb_gains_bool"])
+    def test_numeric_that_is_not_a_json_number_rejected(self, tmp_path, key, numeric_string):
+        """float() would read each of these values; the sidecar holds JSON numbers only."""
+        bundle = self._write_valid(tmp_path)
+        self._mutate_sidecar(bundle, lambda s: s.update({key: numeric_string(s[key])}))
+        with pytest.raises(MalformedSidecar, match=f"capture.json: {key} must hold JSON numbers"):
+            load_capture_bundle(bundle)
+
     def test_scalar_black_level_expands(self, tmp_path):
         bundle = self._write_valid(tmp_path)
         self._mutate_sidecar(bundle, lambda s: s.update(black_level=32))

@@ -19,7 +19,7 @@ from measground.cli import main
 from measground.errors import DomainError, IoFailure
 from measground.isp import XYZ_TO_LINEAR_SRGB_D65
 
-from conftest import oracle_linear_rgb, oracle_top_clipped
+from conftest import oracle_encode_ppm, oracle_linear_rgb, oracle_top_clipped
 from test_measxyz import reference_demosaic
 
 
@@ -414,7 +414,7 @@ class TestStripedPassFiles:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bracket_writes_the_single_gain_renders(self, measxyz, tmp_path, monkeypatch, cpus):
-        from measground import formats, isp
+        from measground import isp
         from measground.measxyz import load_meas_xyz
 
         monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
@@ -439,7 +439,7 @@ class TestStripedPassFiles:
                 codes = isp.quantize(isp.srgb_oetf(rgb), params.bit_depth)
                 tag = gain.replace(".", "p")
                 assert (single / f"{z.capture_id}_e{tag}.ppm").read_bytes() == \
-                    formats.encode_ppm(codes, params.max_code)
+                    oracle_encode_ppm(codes, params.max_code)
 
     @pytest.mark.parametrize("gain", ["2", "1.5"])
     def test_lost_signal_writes_the_three_step_files(self, measxyz, tmp_path, gain):
@@ -596,6 +596,16 @@ def _bracket_exposures(exposures):
     return case
 
 
+def _config_file(stage, option, text, name):
+    """``stage`` reading the config file that ``option`` names, holding ``text``."""
+    def case(root):
+        path = root / "config.json"
+        path.write_text(text)
+        return [stage, option, path, "--out", root / "out"], "config.json"
+    case.__name__ = f"_{stage}_{name}"
+    return case
+
+
 def _split_over_render_header(root, **params):
     """split --proxies over the fixture's render, its header params updated."""
     header_path = root / "r" / "synth-0000_e1.json"
@@ -699,6 +709,11 @@ class TestMalformedInputs:
         _ppm_16_bit_sample_above_maxval,
         _bracket_exposures("1,1"),
         _bracket_exposures("1.0000001,1.0000002"),
+        _config_file("condition-check", "--probe-config", "5", "probe_config_of_a_number"),
+        _config_file("condition-check", "--probe-config", '{"depth": "x"}', "string_depth"),
+        _config_file("condition-check", "--probe-config", '{"inject_layers": 5}',
+                     "scalar_inject_layers"),
+        _config_file("synth", "--scene", "[]", "scene_of_a_list"),
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)

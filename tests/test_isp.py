@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from measground.bracketsup import read_proxy
 from measground.errors import DomainError, EmptyBracket, SingularMatrix
-from measground.formats import encode_ppm
 from measground.isp import (
     IDENTITY,
     SRGB_LINEAR_THRESHOLD,
@@ -24,7 +23,7 @@ from measground.lost_signal import analyze_render
 from measground.measxyz import MeasXyzImage
 from measground.records import read_render_header
 
-from conftest import make_image, make_metadata, oracle_clip_mask, oracle_decode_ppm
+from conftest import make_image, make_metadata, oracle_clip_mask, oracle_decode_ppm, oracle_encode_ppm
 
 
 class TestTransfer:
@@ -214,7 +213,7 @@ class TestPpmRoundTrip:
         rendered = render_proxy(z, RenderParams(exposure_gain=1.3, bit_depth=bits))
         save_rendered(rendered, tmp_path / "r")
         proxy = read_proxy(tmp_path / "r")
-        assert proxy.ppm == encode_ppm(rendered.codes, rendered.params.max_code)
+        assert proxy.ppm == oracle_encode_ppm(rendered.codes, rendered.params.max_code)
         assert np.array_equal(oracle_decode_ppm(proxy.ppm)[0], rendered.codes)
         assert read_render_header(tmp_path / "r") == ("rt", rendered.params)
         assert (proxy.capture_id, proxy.exposure_gain) == ("rt", 1.3)

@@ -13,6 +13,7 @@ from measground.lost_signal import (
     invert_render,
     lost_signal_residual,
     nearest_rank_percentile,
+    residual_histogram,
 )
 
 from conftest import make_image
@@ -158,6 +159,67 @@ class TestNearestRank:
         values = np.array([0.0, 10.0])
         assert nearest_rank_percentile(values, 99.0) == 10.0
         assert nearest_rank_percentile(values, 40.0) == 0.0
+
+
+def oracle_residual_histogram(residual: np.ndarray, bins: int) -> tuple:
+    """The histogram formula with three full-size temporaries, kept as the oracle."""
+    flat = np.asarray(residual, dtype=np.float64).ravel()
+    top = float(flat.max()) if flat.size else 0.0
+    if top == 0.0:
+        return ((0.0, 0.0, int(flat.size)),)
+    width = top / bins
+    idx = np.minimum((flat / width).astype(np.int64), bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    return tuple((float(i * width), float((i + 1) * width), int(counts[i])) for i in range(bins))
+
+
+class TestResidualHistogram:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("bins", [2, 7, 32])
+    def test_matches_the_three_temporary_formula(self, seed, bins):
+        rng = np.random.default_rng(seed)
+        residual = rng.uniform(0, rng.uniform(1e-6, 3.0), (13, 17))
+        # values on bin edges, the top value and zeros
+        residual.flat[:bins + 1] = np.arange(bins + 1) * (residual.max() / bins)
+        residual.flat[-3:] = 0.0
+        assert residual_histogram(residual, bins) == oracle_residual_histogram(residual, bins)
+
+    def test_zero_and_empty_residuals(self):
+        for residual in (np.zeros((3, 4)), np.zeros((0, 5))):
+            assert residual_histogram(residual, 4) == oracle_residual_histogram(residual, 4)
+
+
+class TestReportArrays:
+    def _fields(self, residual):
+        return dict(clipped_fraction=0.0, p99_original=0.0, p99_recovered=0.0,
+                    histogram=residual_histogram(residual, 2), tau=0.01)
+
+    def test_a_report_built_directly_copies_its_arrays(self):
+        residual = np.array([[0.0, 0.5], [0.25, 0.0]])
+        mask = residual > 0.1
+        report = LostSignalReport(residual_map=residual, lost_mask=mask, **self._fields(residual))
+        residual[0, 0] = 1.0
+        mask[0, 0] = True
+        assert report.residual_map[0, 0] == 0.0 and not report.lost_mask[0, 0]
+        assert not report.residual_map.flags.writeable and not report.lost_mask.flags.writeable
+
+    def test_an_adopted_report_keeps_its_arrays_and_every_check(self):
+        residual = np.array([[0.0, 0.5], [0.25, 0.0]])
+        mask = residual > 0.1
+        fields = dict(self._fields(residual), capture_id="c", exposure_gain=2.0, bits=8)
+        report = LostSignalReport._adopt(residual_map=residual, lost_mask=mask, **fields)
+        assert report.residual_map is residual and report.lost_mask is mask
+        assert not residual.flags.writeable and not mask.flags.writeable
+        assert report.summary_dict()["capture_id"] == "c"
+        with pytest.raises(ShapeMismatch):
+            LostSignalReport._adopt(residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 3), bool),
+                                    **fields)
+        with pytest.raises(DomainError):
+            LostSignalReport._adopt(residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 2), bool),
+                                    **dict(fields, clipped_fraction=1.5))
+        with pytest.raises(DomainError):
+            LostSignalReport._adopt(residual_map=np.zeros((3, 2)), lost_mask=np.zeros((3, 2), bool),
+                                    **fields)
 
 
 class TestEmitReport:
