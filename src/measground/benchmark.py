@@ -22,7 +22,7 @@ from pathlib import Path
 from . import formats
 from .bracketsup import TrainingSample
 from .errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
-from .records import CameraMetadata, CaptureRef
+from .records import CameraMetadata, CaptureRef, decode
 
 log = logging.getLogger(__name__)
 
@@ -66,18 +66,6 @@ class BenchmarkExample:
             "dimension": self.dimension.value,
             "metadata": self.metadata.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "BenchmarkExample":
-        return cls(
-            capture_id=str(obj["capture_id"]),
-            meas_xyz_path=str(obj["meas_xyz_path"]),
-            rgb_proxy_path=str(obj["rgb_proxy_path"]),
-            question=str(obj["question"]),
-            reference_answer=str(obj["reference_answer"]),
-            dimension=CapabilityDimension(obj["dimension"]),
-            metadata=CameraMetadata.from_dict(obj["metadata"]),
-        )
 
 
 # --- grouped holdout split -----------------------------------------------------
@@ -319,4 +307,4 @@ def write_benchmark(path: Path, examples: list[BenchmarkExample]) -> None:
 
 
 def read_benchmark(path: Path) -> list[BenchmarkExample]:
-    return formats.read_jsonl(path, BenchmarkExample.from_dict)
+    return formats.read_jsonl(path, lambda row: decode(BenchmarkExample, row, "example"))

@@ -24,13 +24,11 @@ from .errors import (
     MissingMeasXyz,
     SchemaViolation,
 )
-from .records import CameraMetadata, read_meas_xyz_header, read_render_header
+from .records import CameraMetadata, decode, read_meas_xyz_header, read_render_header
 
 log = logging.getLogger(__name__)
 
 AGREEMENT_BOOST = 0.1
-
-_CANDIDATE_KEYS = ("question", "answer", "score", "question_type", "template_id")
 
 
 def normalize_answer(text: str) -> str:
@@ -77,19 +75,6 @@ class CandidateRecord:
             "source_prefix": self.source_prefix,
         }
 
-    @classmethod
-    def from_row(cls, row: dict) -> tuple[str, "CandidateRecord"]:
-        """Parse one candidates.jsonl row into (capture_id, record)."""
-        return str(row["capture_id"]), cls(
-            question=str(row["question"]),
-            answer=str(row["answer"]),
-            score=float(row["score"]),
-            exposure_gain=float(row["exposure_gain"]),
-            question_type=str(row.get("question_type", "")),
-            template_id=str(row.get("template_id", "")),
-            source_prefix=str(row.get("source_prefix", "")),
-        )
-
 
 @dataclass(frozen=True)
 class InstructionRecord:
@@ -123,18 +108,6 @@ class InstructionRecord:
             "provenance": list(self.provenance),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "InstructionRecord":
-        return cls(
-            question=str(obj["question"]),
-            answer=str(obj["answer"]),
-            score=float(obj["score"]),
-            question_type=str(obj.get("question_type", "")),
-            template_id=str(obj.get("template_id", "")),
-            source_prefix=str(obj.get("source_prefix", "")),
-            provenance=tuple(obj["provenance"]),
-        )
-
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -152,15 +125,6 @@ class TrainingSample:
             "record": self.record.to_dict(),
             "metadata": self.metadata.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainingSample":
-        return cls(
-            capture_id=str(obj["capture_id"]),
-            meas_xyz_path=str(obj["meas_xyz_path"]),
-            record=InstructionRecord.from_dict(obj["record"]),
-            metadata=CameraMetadata.from_dict(obj["metadata"]),
-        )
 
 
 # --- proxies ---------------------------------------------------------------------
@@ -207,8 +171,9 @@ class MockAnnotatorClient:
         self.calls = 0
 
         def parse(row):
-            key = (str(row["capture_id"]), float(row["exposure_gain"]))
-            return key, row, int(row.get("fail_times", 0))
+            key = (decode(str, row["capture_id"], "capture_id"),
+                   decode(float, row["exposure_gain"], "exposure_gain"))
+            return key, row, decode(int, row.get("fail_times", 0), "fail_times")
 
         for key, row, fail_times in formats.read_jsonl(transcript_path, parse):
             self._entries[key] = row
@@ -270,7 +235,8 @@ def annotate(
     """Fetch candidates for one proxy, retrying transient failures.
 
     Malformed responses are logged and yield no candidates; individually
-    malformed candidates are dropped while the rest are kept.
+    malformed candidates are dropped while the rest are kept. A candidate is
+    the five wire keys, decoded with the proxy's gain and ``source_prefix``.
     """
     gain = proxy.exposure_gain
     retries = 0
@@ -289,25 +255,14 @@ def annotate(
     if retries:
         log.info("annotator succeeded after %d retries for %s @ e=%s", retries, proxy.capture_id, gain)
 
+    stamp = {"exposure_gain": gain, "source_prefix": source_prefix}
     records = []
     for item in raw:
-        if not isinstance(item, dict) or not all(k in item for k in _CANDIDATE_KEYS):
-            log.warning("malformed candidate skipped: %r", item)
-            continue
         try:
-            records.append(
-                CandidateRecord(
-                    question=str(item["question"]),
-                    answer=str(item["answer"]),
-                    score=float(item["score"]),
-                    exposure_gain=gain,
-                    question_type=str(item["question_type"]),
-                    template_id=str(item["template_id"]),
-                    source_prefix=source_prefix,
-                )
-            )
-        except (MalformedResponse, TypeError, ValueError) as exc:
-            log.warning("invalid candidate skipped (%s): %r", exc, item)
+            records.append(decode(CandidateRecord, {**item, **stamp} if isinstance(item, dict) else item,
+                                  "candidate", MalformedResponse))
+        except MalformedResponse as exc:
+            log.warning("malformed candidate skipped (%s): %r", exc, item)
     return records
 
 
@@ -416,4 +371,4 @@ def write_samples(path: Path, samples: list[TrainingSample]) -> None:
 
 
 def read_samples(path: Path) -> list[TrainingSample]:
-    return formats.read_jsonl(path, TrainingSample.from_dict)
+    return formats.read_jsonl(path, lambda row: decode(TrainingSample, row, "sample"))

@@ -24,7 +24,7 @@ from .errors import (
     SchemaViolation,
 )
 # CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
-from .records import CameraMetadata, CaptureRef, _positive_finite
+from .records import CameraMetadata, CaptureRef, Matrix3x3, _positive_finite, decode
 
 CFA_PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 MIN_CAM_TO_XYZ_DET = 1e-9
@@ -32,10 +32,19 @@ MIN_CAM_TO_XYZ_DET = 1e-9
 MOSAIC_NAME = "mosaic.pgm"
 SIDECAR_NAME = "capture.json"
 
-_SIDECAR_KEYS = {
-    "capture_id", "cfa_pattern", "black_level", "white_level",
-    "wb_gains", "cam_to_xyz", "metadata", "raw_path",
+# The sidecar's keys and what each holds, by records.decode's rule: RawCapture's
+# fields but the mosaic. black_level may be one number for every CFA site.
+_SIDECAR = {
+    "capture_id": str,
+    "cfa_pattern": str,
+    "black_level": float | tuple[float, float, float, float],
+    "white_level": float,
+    "wb_gains": tuple[float, float, float],
+    "cam_to_xyz": Matrix3x3,
+    "metadata": CameraMetadata,
+    "raw_path": str,
 }
+_SIDECAR_NUMBERS = ("black_level", "white_level", "wb_gains", "cam_to_xyz")
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,8 @@ class RawCapture:
 # --- bundle IO -----------------------------------------------------------------
 
 def read_bundle_sidecar(path: Path) -> dict:
-    """The bundle's sidecar, checked for its keys; both bundle files must exist."""
+    """The bundle's sidecar, decoded into RawCapture's arguments but the mosaic;
+    both bundle files must exist."""
     path = Path(path)
     mosaic_path = path / MOSAIC_NAME
     sidecar_path = path / SIDECAR_NAME
@@ -133,20 +143,18 @@ def read_bundle_sidecar(path: Path) -> dict:
         raise MalformedSidecar(str(exc)) from exc
     if not isinstance(sidecar, dict):
         raise MalformedSidecar(f"{sidecar_path}: expected a JSON object")
-    unknown = set(sidecar) - _SIDECAR_KEYS
+    unknown = sidecar.keys() - _SIDECAR
     if unknown:
         raise MalformedSidecar(f"{sidecar_path}: unknown keys {sorted(unknown)}")
-    missing = _SIDECAR_KEYS - set(sidecar)
+    missing = _SIDECAR.keys() - sidecar
     if missing:
         raise MalformedSidecar(f"{sidecar_path}: missing keys {sorted(missing)}")
+    for key, hint in _SIDECAR.items():
+        what = " must hold JSON numbers" if key in _SIDECAR_NUMBERS else ""
+        sidecar[key] = decode(hint, sidecar[key], f"{sidecar_path}: {key}{what}", MalformedSidecar)
+    if isinstance(sidecar["black_level"], float):
+        sidecar["black_level"] = (sidecar["black_level"],) * 4  # one per CFA site
     return sidecar
-
-
-def _json_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number, or a list of them or of such lists; a bool is none."""
-    if isinstance(value, list):
-        return all(map(_json_numbers, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
@@ -164,26 +172,9 @@ def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
     if mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
         raise DimensionMismatch(f"{mosaic_path}: odd mosaic dimensions {mosaic.shape}")
 
-    # RawCapture's float() would take "64" or true, and a string's characters as entries
-    for key in ("black_level", "white_level", "wb_gains", "cam_to_xyz"):
-        if not _json_numbers(sidecar[key]):
-            raise MalformedSidecar(f"{sidecar_path}: {key} must hold JSON numbers")
-    black = sidecar["black_level"]
-    if not isinstance(black, list):
-        black = [black] * 4  # scalar sidecars expand per CFA site
     try:
-        return RawCapture(
-            capture_id=str(sidecar["capture_id"]),
-            mosaic=mosaic,
-            cfa_pattern=str(sidecar["cfa_pattern"]),
-            black_level=black,
-            white_level=sidecar["white_level"],
-            wb_gains=sidecar["wb_gains"],
-            cam_to_xyz=sidecar["cam_to_xyz"],
-            metadata=CameraMetadata.from_dict(sidecar["metadata"]),
-            raw_path=str(sidecar["raw_path"]),
-        )
-    except (TypeError, ValueError, MalformedSidecar) as exc:
+        return RawCapture(mosaic=mosaic, **sidecar)
+    except MalformedSidecar as exc:
         raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
 
 
@@ -228,7 +219,7 @@ class SyntheticSceneSpec:
     black_level: tuple[float, float, float, float] = (64.0, 64.0, 64.0, 64.0)
     white_level: float = 1023.0
     wb_gains: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    cam_to_xyz: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    cam_to_xyz: Matrix3x3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     metadata: CameraMetadata = field(
         default_factory=lambda: CameraMetadata(
             iso=100.0, exposure_time=1 / 60, aperture=4.0, device_id="synth-cam"
@@ -249,20 +240,6 @@ class SyntheticSceneSpec:
                 raise InvalidSpec(f"patch out of bounds: {p}")
             if p.gain <= 0:
                 raise InvalidSpec(f"patch gain must be > 0: {p}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SyntheticSceneSpec":
-        patches = tuple(ScenePatch(**p) for p in obj.get("patches", ()))
-        kwargs = {k: v for k, v in obj.items() if k not in ("patches", "metadata", "black_level", "wb_gains", "cam_to_xyz")}
-        if "black_level" in obj:
-            kwargs["black_level"] = tuple(obj["black_level"])
-        if "wb_gains" in obj:
-            kwargs["wb_gains"] = tuple(obj["wb_gains"])
-        if "cam_to_xyz" in obj:
-            kwargs["cam_to_xyz"] = tuple(tuple(row) for row in obj["cam_to_xyz"])
-        if "metadata" in obj:
-            kwargs["metadata"] = CameraMetadata.from_dict(obj["metadata"])
-        return cls(patches=patches, **kwargs)
 
 
 @dataclass(frozen=True)

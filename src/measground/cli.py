@@ -33,7 +33,6 @@ from .errors import (
     JudgeUnavailable,
     MeasgroundError,
     MissingFile,
-    SchemaViolation,
 )
 
 log = logging.getLogger("measground")
@@ -147,11 +146,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigInvalid("config: top level must be a JSON object")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None and k in known})
-    records.check_fields(RunConfig, values, "config")
-    for key in ("exposures", "placeholder_patterns"):
-        if key in values and isinstance(values[key], list):
-            values[key] = tuple(values[key])
-    config = RunConfig(**values)
+    config = records.decode(RunConfig, values, "config", ConfigInvalid)
     config.validate()
     return config
 
@@ -283,10 +278,7 @@ def _gain_tag(gain: float) -> str:
 
 def _load_refs(path: Path) -> list[records.CaptureRef]:
     rows = benchmark.load_manifest_entries(path)
-    try:
-        return [records.CaptureRef.from_dict(row) for row in rows]
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(f"{path}: invalid capture ref ({exc!r})") from exc
+    return [records.decode(records.CaptureRef, row, f"{path}: refs[{i}]") for i, row in enumerate(rows)]
 
 
 def _iter_bundle_dirs(root: Path) -> list[Path]:
@@ -359,13 +351,8 @@ def _cmd_synth(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[
     from . import capture as capture_mod
 
     if args.scene:
-        spec_obj = formats.read_json(Path(args.scene))
-        if not isinstance(spec_obj, dict):
-            raise ConfigInvalid(f"config.scene: {args.scene}: top level must be a JSON object")
-        try:
-            base_spec = capture_mod.SyntheticSceneSpec.from_dict(spec_obj)
-        except (TypeError, KeyError) as exc:
-            raise ConfigInvalid(f"config.scene: {args.scene}: {exc}") from exc
+        base_spec = records.decode(capture_mod.SyntheticSceneSpec, formats.read_json(Path(args.scene)),
+                                   f"{args.scene}: config.scene", ConfigInvalid)
     else:
         base_spec = capture_mod.SyntheticSceneSpec()
     synth_one = partial(_synth_one, base_spec=base_spec, seed=config.seed,
@@ -410,7 +397,7 @@ def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
     bundles = [(bundle, capture_mod.read_bundle_sidecar(bundle))
                for bundle in _capture_paths(Path(args.input))]
     _refuse_duplicate_ids(
-        (bundle / capture_mod.SIDECAR_NAME, str(sidecar["capture_id"])) for bundle, sidecar in bundles
+        (bundle / capture_mod.SIDECAR_NAME, sidecar["capture_id"]) for bundle, sidecar in bundles
     )
     pool.map(partial(_measxyz_one, out=out), bundles)
     return {"images": len(bundles)}, EXIT_OK
@@ -497,9 +484,15 @@ def _cmd_annotate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tup
     return {"proxies": len(stems), "candidates": len(rows)}, EXIT_OK
 
 
+def _candidate_row(row: dict) -> tuple[str, bracketsup.CandidateRecord]:
+    """One candidates.jsonl row: its capture id and the candidate."""
+    capture_id = records.decode(str, row.pop("capture_id"), "candidate.capture_id")
+    return capture_id, records.decode(bracketsup.CandidateRecord, row, "candidate")
+
+
 def _cmd_aggregate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
     by_capture: dict[str, list[bracketsup.CandidateRecord]] = {}
-    candidates = formats.read_jsonl(Path(args.candidates), bracketsup.CandidateRecord.from_row)
+    candidates = formats.read_jsonl(Path(args.candidates), _candidate_row)
     for capture_id, candidate in candidates:
         by_capture.setdefault(capture_id, []).append(candidate)
     samples: list[bracketsup.TrainingSample] = []
@@ -586,12 +579,16 @@ def _cmd_verify_split(args, config: RunConfig, out: Path | None, pool: _CaptureP
     return {"status": report.status}, status
 
 
+def _prediction(row: dict) -> tuple[tuple[str, str], str]:
+    """One predictions row: ((capture_id, question), prediction), each a JSON string."""
+    capture_id, question, prediction = (records.decode(str, row[key], key)
+                                        for key in ("capture_id", "question", "prediction"))
+    return (capture_id, question), prediction
+
+
 def _cmd_eval(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
     manifest = benchmark.read_benchmark(Path(args.bench))
-    predictions: dict[tuple[str, str], str] = dict(formats.read_jsonl(
-        Path(args.predictions),
-        lambda row: ((str(row["capture_id"]), str(row["question"])), str(row["prediction"])),
-    ))
+    predictions = dict(formats.read_jsonl(Path(args.predictions), _prediction))
     report = metrics.evaluate_run(predictions, manifest, _judge_client(config))
     table = metrics.render_table(report)
     print(table)
@@ -634,11 +631,8 @@ def _cmd_condition_check(args, config: RunConfig, out: Path | None, pool: _Captu
 
 
 def _cmd_report(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
-    obj = formats.read_json(Path(args.input))
-    try:
-        report = metrics.report_from_dict(obj)
-    except (AttributeError, TypeError, KeyError, ValueError) as exc:
-        raise SchemaViolation(f"{args.input}: not a metrics report ({exc})") from exc
+    report = records.decode(metrics.MetricReport, formats.read_json(Path(args.input)),
+                            f"{args.input}: report")
     table = metrics.render_table(report)
     print(table)
     if out is not None:
@@ -736,7 +730,7 @@ def _overrides_from_args(args) -> dict:
     overrides = dict(vars(args), exposures=None)
     if args.exposures:
         try:
-            overrides["exposures"] = tuple(float(v) for v in args.exposures.split(","))
+            overrides["exposures"] = [float(v) for v in args.exposures.split(",")]
         except ValueError:
             raise ConfigInvalid(f"config.exposures: cannot parse {args.exposures!r}") from None
     return overrides

@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING
 from .errors import (
     IoFailure,
     MalformedMosaic,
-    MalformedResponse,
-    MalformedSidecar,
     MalformedVerdict,
     MissingFile,
     SchemaViolation,
@@ -257,10 +255,9 @@ def read_json(path: Path):
 def parse_jsonl(lines, path: Path, parse=None) -> list:
     """Parse the lines of a JSONL file of objects, skipping blank lines, mapped by ``parse``.
 
-    A row that is not a JSON object, or that ``parse`` rejects with KeyError,
-    TypeError, ValueError, SchemaViolation or MalformedSidecar (a row's
-    capture metadata), raises SchemaViolation naming the file line; MalformedResponse and MalformedVerdict keep their type and
-    gain the file line.
+    A row that is not a JSON object, or that ``parse`` rejects with KeyError
+    or SchemaViolation (``records.decode``'s error), raises SchemaViolation
+    naming the file line; MalformedVerdict keeps its type and gains the file line.
     """
     rows = []
     for lineno, line in enumerate(lines, start=1):
@@ -276,10 +273,10 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
             raise SchemaViolation(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         except KeyError as exc:
             raise SchemaViolation(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError, SchemaViolation, MalformedSidecar) as exc:
+        except SchemaViolation as exc:
             raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
-        except (MalformedResponse, MalformedVerdict) as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        except MalformedVerdict as exc:
+            raise MalformedVerdict(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

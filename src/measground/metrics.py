@@ -18,6 +18,7 @@ from pathlib import Path
 from . import formats
 from .benchmark import BenchmarkExample, CapabilityDimension
 from .errors import JudgeUnavailable, MalformedVerdict, ManifestMismatch
+from .records import decode
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +145,7 @@ class TranscriptJudge:
             verdict = row.get("verdict")
             if verdict not in ("correct", "incorrect"):
                 raise MalformedVerdict(f"transcript verdict must be correct/incorrect, got {verdict!r}")
-            key = (str(row["question"]), str(row["reference"]), str(row["prediction"]))
+            key = tuple(decode(str, row[k], k) for k in ("question", "reference", "prediction"))
             return key, verdict == "correct"
 
         self._verdicts: dict[tuple[str, str, str], bool] = dict(
@@ -218,6 +219,10 @@ class MetricReport:
     counts: dict[CapabilityDimension, int]
     total: int
     missing_predictions: int
+
+    def __post_init__(self):
+        if self.per_dimension.keys() != self.counts.keys():
+            raise ManifestMismatch("per_dimension and counts name different dimensions")
 
     def to_dict(self) -> dict:
         return {
@@ -296,21 +301,6 @@ def evaluate_run(
         counts=counts,
         total=total,
         missing_predictions=missing,
-    )
-
-
-def report_from_dict(obj: dict) -> MetricReport:
-    per_dimension = {
-        CapabilityDimension(name): MetricTriple(**triple)
-        for name, triple in obj["per_dimension"].items()
-    }
-    counts = {CapabilityDimension(name): int(n) for name, n in obj["counts"].items()}
-    return MetricReport(
-        overall=MetricTriple(**obj["overall"]),
-        per_dimension=per_dimension,
-        counts=counts,
-        total=int(obj["total"]),
-        missing_predictions=int(obj["missing_predictions"]),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formats
 from .errors import ConfigInvalid, DomainError, NonFiniteGradient, ShapeMismatch
-from .records import CameraMetadata, check_fields
+from .records import CameraMetadata, decode
 
 ISO_REFERENCE = 100.0
 EXPOSURE_REFERENCE = 1.0 / 60.0
@@ -304,13 +304,7 @@ class ProbeConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "ProbeConfig":
-        obj = formats.read_json(path)
-        if not isinstance(obj, dict):
-            raise ConfigInvalid(f"{path}: top level must be a JSON object")
-        check_fields(cls, obj, f"{path}: probe")
-        if obj.get("inject_layers") is not None:
-            obj["inject_layers"] = tuple(obj["inject_layers"])
-        return cls(**obj)
+        return decode(cls, formats.read_json(path), f"{path}: probe", ConfigInvalid)
 
     def build(self) -> ProbeStack:
         if self.depth < 1:

@@ -1,4 +1,5 @@
-"""Records the text stages share with the numeric ones, without numpy.
+"""Records the text stages share with the numeric ones, without numpy, and
+``decode``, the one reader of a JSON record.
 
 Capture metadata and refs, render parameters, and the readers of the plane
 and render headers live here, so annotate, aggregate, filter, balance,
@@ -9,14 +10,19 @@ before.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import math
+import re
+import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import formats
-from .errors import ConfigInvalid, DomainError, MalformedSidecar, SchemaViolation, SingularMatrix
+from .errors import DomainError, MalformedSidecar, MeasgroundError, SchemaViolation, SingularMatrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,33 +30,143 @@ if TYPE_CHECKING:
     from .capture import RawCapture
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a JSON or flag value fits a config field annotation: a list
-    for a tuple, an int for a float, and a bool for nothing but a bool."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
-    if args:  # a union such as str | None
-        return any(_has_type(value, arg) for arg in args)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+# --- the JSON record decoder ------------------------------------------------------
+#
+# ``decode`` is the one way parsed JSON becomes a record. The rule, read from
+# the annotations: str, int and bool take only their own JSON type (a bool is
+# no int); float takes an int or a float and gives a float; ``X | None`` also
+# takes null; ``tuple[T, ...]`` takes a list, and a fixed tuple a list of its
+# length; a record dataclass takes an object without unknown keys, and a key
+# it lacks takes the field's default or is refused; an Enum takes its value;
+# and ``dict[K, V]`` takes an object whose keys decode as K.
+
+class _Mismatch(Exception):
+    """A JSON value that does not fit the hint its converter was built for."""
 
 
-def check_fields(cls, values: dict, name: str) -> None:
-    """ConfigInvalid, prefixed ``name``, unless every key of ``values`` is a
-    field of the dataclass ``cls`` and its value fits the field's annotation."""
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = values.keys() - declared
-    if unknown:
-        raise ConfigInvalid(f"{name}: unknown keys {sorted(unknown)}")
+class _Refused(Exception):
+    """A record refused below the decoded value; args: the key path to it, and why."""
+
+
+def _hint_name(hint) -> str:
+    """``hint`` as a reader writes it: float, str | None, dict[CapabilityDimension, int]."""
+    return re.sub(r"\b(?:\w+\.)+", "", hint.__name__ if isinstance(hint, type) else str(hint))
+
+
+def _number(value) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise _Mismatch
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Mismatch from None
+
+
+@functools.cache
+def _converter(hint):
+    """The function that returns a parsed JSON value as ``hint`` or raises _Mismatch;
+    built once per hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        return _number
+    if hint in (str, int, bool, type(None)):
+        def convert(value):
+            if type(value) is not hint:
+                raise _Mismatch
+            return value
+    elif origin is types.UnionType:
+        options = tuple(map(_converter, args))
+
+        def convert(value):
+            for option in options:
+                try:
+                    return option(value)
+                except _Mismatch:
+                    pass
+            raise _Mismatch
+    elif origin is tuple and args[-1] is Ellipsis:
+        item = _converter(args[0])
+
+        def convert(value):
+            if type(value) is not list:
+                raise _Mismatch
+            return tuple(map(item, value))
+    elif origin is tuple:
+        items = tuple(map(_converter, args))
+
+        def convert(value):
+            if type(value) is not list or len(value) != len(items):
+                raise _Mismatch
+            return tuple(item(v) for item, v in zip(items, value))
+    elif origin is dict:
+        key, item = map(_converter, args)
+
+        def convert(value):
+            if type(value) is not dict:
+                raise _Mismatch
+            return {key(k): item(v) for k, v in value.items()}
+    elif isinstance(hint, enum.EnumMeta):
+        def convert(value):
+            try:
+                return hint(value)
+            except (TypeError, ValueError):
+                raise _Mismatch from None
+    elif dataclasses.is_dataclass(hint):
+        return _record_converter(hint)
+    else:
+        raise TypeError(f"no JSON decoding for {hint!r}")
+    return convert
+
+
+def _record_converter(cls):
+    """The converter of a record dataclass: each field's value by its annotation."""
     hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        if not _has_type(value, hints[key]):
-            raise ConfigInvalid(f"{name}.{key}: expected {declared[key]}, got {value!r}")
+    specs = [(f.name, _converter(hints[f.name]), _hint_name(hints[f.name]),
+              f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+             for f in dataclasses.fields(cls)]
+    names = frozenset(name for name, *_ in specs)
+
+    def convert(value):
+        if type(value) is not dict:
+            raise _Mismatch
+        if not names.issuperset(value):
+            raise _Refused("", f"unknown keys {sorted(value.keys() - names)}")
+        kwargs = {}
+        for name, convert_field, expected, required in specs:
+            if name in value:
+                item = value[name]
+                try:
+                    kwargs[name] = convert_field(item)
+                except _Mismatch:
+                    raise _Refused(f".{name}", f"expected {expected}, got {item!r}") from None
+                except _Refused as inner:
+                    path, reason = inner.args
+                    raise _Refused(f".{name}{path}", reason) from None
+            elif required:
+                raise _Refused("", f"missing key {name!r}")
+        return cls(**kwargs)
+    return convert
 
 
-_METADATA_KEYS = {"iso", "exposure_time", "aperture", "device_id", "scene_id", "session_id"}
+def decode(hint, value, where: str, error: type[MeasgroundError] = SchemaViolation):
+    """``value``, parsed JSON, as ``hint`` by the rule above: a record dataclass,
+    or a field annotation such as ``str`` or ``tuple[float, ...]``.
+
+    A value that does not fit raises ``error`` naming ``where`` and the key
+    path below it, as ``config.gain: expected float, got 'abc'``; so does a
+    record whose constructor refuses its values.
+    """
+    try:
+        return _converter(hint)(value)
+    except _Mismatch:
+        raise error(f"{where}: expected {_hint_name(hint)}, got {value!r}") from None
+    except _Refused as exc:
+        path, reason = exc.args
+        raise error(f"{where}{path}: {reason}") from None
+    except MeasgroundError as exc:  # an invariant the record's constructor checks
+        raise error(f"{where}: {exc}") from exc
 
 
 def _positive_finite(value, name: str) -> float:
@@ -94,25 +210,6 @@ class CameraMetadata:
             out["session_id"] = self.session_id
         return out
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CameraMetadata":
-        if not isinstance(obj, dict):
-            raise MalformedSidecar("metadata must be an object")
-        unknown = set(obj) - _METADATA_KEYS
-        if unknown:
-            raise MalformedSidecar(f"unknown metadata keys: {sorted(unknown)}")
-        for key in ("iso", "exposure_time", "aperture", "device_id"):
-            if key not in obj:
-                raise MalformedSidecar(f"metadata.{key} is required")
-        return cls(
-            iso=float(obj["iso"]),
-            exposure_time=float(obj["exposure_time"]),
-            aperture=float(obj["aperture"]),
-            device_id=str(obj["device_id"]),
-            scene_id=obj.get("scene_id"),
-            session_id=obj.get("session_id"),
-        )
-
 
 @dataclass(frozen=True)
 class CaptureRef:
@@ -146,29 +243,25 @@ class CaptureRef:
             "session_id": self.session_id,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CaptureRef":
-        return cls(
-            capture_id=str(obj["capture_id"]),
-            raw_path=str(obj.get("raw_path") or ""),
-            bundle_path=str(obj.get("bundle_path") or ""),
-            scene_id=obj.get("scene_id"),
-            device_id=obj.get("device_id"),
-            session_id=obj.get("session_id"),
-        )
-
 
 # --- Meas.-XYZ plane headers ------------------------------------------------------
 
+@dataclass(frozen=True)
+class _MeasXyzHeader:
+    """A Meas.-XYZ plane's <stem>.json, as measxyz.save_meas_xyz writes it."""
+
+    capture_id: str
+    metadata: CameraMetadata
+    range: tuple[float, float]
+    height: int
+    width: int
+    channels: int
+
+
 def meas_xyz_header_fields(stem: Path, header: dict) -> tuple[str, CameraMetadata]:
     """The capture id and metadata of a plane header that ``stem``'s pair holds."""
-    try:
-        metadata = CameraMetadata.from_dict(header["metadata"])
-        return header["capture_id"], metadata
-    except KeyError as exc:
-        raise SchemaViolation(f"{stem}.json: plane header lacks {exc}") from exc
-    except (TypeError, ValueError, MalformedSidecar) as exc:
-        raise SchemaViolation(f"{stem}.json: invalid plane header metadata ({exc})") from exc
+    decoded = decode(_MeasXyzHeader, header, f"{stem}.json: plane header")
+    return decoded.capture_id, decoded.metadata
 
 
 def read_meas_xyz_header(stem: Path) -> tuple[str, CameraMetadata]:
@@ -205,6 +298,10 @@ def _det3(m) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+_Row3 = tuple[float, float, float]
+Matrix3x3 = tuple[_Row3, _Row3, _Row3]
+
+
 def _finite_3x3(value) -> tuple[tuple[float, ...], ...]:
     try:
         rows = tuple(tuple(float(v) for v in row) for row in value)
@@ -222,7 +319,7 @@ class RenderParams:
 
     exposure_gain: float
     bit_depth: int = 8
-    xyz_to_linear_srgb: tuple = XYZ_TO_LINEAR_SRGB_D65
+    xyz_to_linear_srgb: Matrix3x3 = XYZ_TO_LINEAR_SRGB_D65
     transfer: str = SRGB_PIECEWISE
     quantize: bool = True
 
@@ -261,15 +358,13 @@ class RenderParams:
             "quantize": self.quantize,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RenderParams":
-        return cls(
-            exposure_gain=obj["exposure_gain"],
-            bit_depth=obj.get("bit_depth", 8),
-            xyz_to_linear_srgb=obj.get("xyz_to_linear_srgb", XYZ_TO_LINEAR_SRGB_D65),
-            transfer=obj.get("transfer", SRGB_PIECEWISE),
-            quantize=obj.get("quantize", True),
-        )
+
+@dataclass(frozen=True)
+class _RenderHeader:
+    """A render's <stem>.json, as isp.save_rendered writes it."""
+
+    capture_id: str
+    params: RenderParams
 
 
 def read_render_header(stem: Path) -> tuple[str, RenderParams]:
@@ -278,10 +373,5 @@ def read_render_header(stem: Path) -> tuple[str, RenderParams]:
     Every check RenderParams makes applies; a failed one names the file.
     """
     path = Path(str(stem) + ".json")
-    header = formats.read_json(path)
-    try:
-        return header["capture_id"], RenderParams.from_dict(header["params"])
-    except (KeyError, TypeError, ValueError, SingularMatrix) as exc:
-        raise SchemaViolation(
-            f"{path}: render header needs capture_id and valid params ({exc!r})"
-        ) from exc
+    header = decode(_RenderHeader, formats.read_json(path), f"{path}: render header")
+    return header.capture_id, header.params

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import formats
+from measground import bracketsup, formats
 from measground.bracketsup import (
     CandidateRecord,
     EncodedProxy,
@@ -116,6 +116,21 @@ class TestMockAnnotate:
         }])
         records = annotate(_proxy(), MockAnnotatorClient(transcript))
         assert [r.answer for r in records] == ["good"]
+
+    @pytest.mark.parametrize("key, value", [("question", 5), ("template_id", None)])
+    def test_candidate_of_the_wrong_json_type_skipped_and_logged(self, tmp_path, monkeypatch,
+                                                                 key, value):
+        good = {"question": "Q?", "answer": "A", "score": 0.9, "question_type": "qt",
+                "template_id": "t"}
+        transcript = _write_transcript(tmp_path / "t.jsonl", [{
+            "capture_id": "cap-a", "exposure_gain": 1.0,
+            "candidates": [dict(good, **{key: value}), dict(good, answer="kept")],
+        }])
+        warnings = []
+        monkeypatch.setattr(bracketsup.log, "warning", lambda msg, *args: warnings.append(msg % args))
+        records = annotate(_proxy(), MockAnnotatorClient(transcript))
+        assert [r.answer for r in records] == ["kept"]
+        assert len(warnings) == 1 and f"candidate.{key}: expected " in warnings[0]
 
 
 class _RecordingClient:

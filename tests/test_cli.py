@@ -572,13 +572,103 @@ def _mosaic_truncated_in_third_of_four_bundles(root):
         "synth-0002/mosaic.pgm"
 
 
+def _sample_row(**record):
+    """A samples.jsonl row that filter reads, its record's fields updated."""
+    metadata = {"iso": 100.0, "exposure_time": 0.01, "aperture": 2.0, "device_id": "camera-0"}
+    return {"capture_id": "synth-0000", "meas_xyz_path": "m/synth-0000", "metadata": metadata,
+            "record": {"question": "q?", "answer": "a", "score": 0.9, "question_type": "qt",
+                       "template_id": "t", "source_prefix": "", "provenance": [1.0], **record}}
+
+
 def _sample_row_with_negative_iso(root):
-    metadata = {"iso": -1, "exposure_time": 0.01, "aperture": 2.0, "device_id": "camera-0"}
-    record = {"question": "q?", "answer": "a", "score": 0.9, "provenance": [1.0]}
-    (root / "rows.jsonl").write_text(json.dumps(
-        {"capture_id": "synth-0000", "meas_xyz_path": "m/synth-0000", "record": record,
-         "metadata": metadata}) + "\n")
+    row = _sample_row()
+    row["metadata"]["iso"] = -1
+    (root / "rows.jsonl").write_text(json.dumps(row) + "\n")
     return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], "rows.jsonl:1:"
+
+
+def _sample_row_with_string_provenance(root):
+    (root / "rows.jsonl").write_text(json.dumps(_sample_row(provenance=["1"])) + "\n")
+    return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], \
+        "rows.jsonl:1: sample.record.provenance: expected tuple[float, ...]"
+
+
+def _sidecar_metadata_with(key, value):
+    """ingest over the fixture's bundles, one metadata field of the sidecar set to ``value``,
+    which the type of the field does not admit."""
+    def case(root):
+        path = root / "s" / "bundles" / "synth-0000" / "capture.json"
+        obj = json.loads(path.read_text())
+        obj["metadata"][key] = value
+        path.write_text(json.dumps(obj))
+        return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
+            f"synth-0000/capture.json: metadata.{key}: expected "
+    case.__name__ = f"_sidecar_metadata_{key}_of_{type(value).__name__}"
+    return case
+
+
+def _annotate_over_render_header(**params):
+    """annotate over the fixture's render, its header params updated to values of the wrong type."""
+    def case(root):
+        header_path = root / "r" / "synth-0000_e1.json"
+        header = json.loads(header_path.read_text())
+        header["params"].update(params)
+        header_path.write_text(json.dumps(header))
+        return _annotate_argv(root), "synth-0000_e1.json: render header.params."
+    case.__name__ = "_render_header_with_" + "_".join(f"{k}_{v}" for k, v in params.items())
+    return case
+
+
+def _candidate_row_with_string_score(root):
+    (root / "c.jsonl").write_text(json.dumps(
+        {"capture_id": "synth-0000", "question": "q?", "answer": "a", "score": "0.9",
+         "exposure_gain": 1.0, "question_type": "qt", "template_id": "t",
+         "source_prefix": ""}) + "\n")
+    return ["aggregate", "--candidates", root / "c.jsonl", "--measxyz", root / "m",
+            "--out", root / "out"], "c.jsonl:1: candidate.score: expected float"
+
+
+def _bench_row(**fields):
+    """A bench_manifest.jsonl row, its fields updated."""
+    metadata = {"iso": 100.0, "exposure_time": 0.01, "aperture": 2.0, "device_id": "camera-0"}
+    return {"capture_id": "synth-0000", "meas_xyz_path": "m/synth-0000",
+            "rgb_proxy_path": "r/synth-0000_e1.ppm", "question": "How many?",
+            "reference_answer": "None", "dimension": "NG", "metadata": metadata, **fields}
+
+
+def _bench_row_with_null_reference(root):
+    (root / "bench.jsonl").write_text(json.dumps(_bench_row(reference_answer=None)) + "\n")
+    (root / "preds.jsonl").write_text("")
+    return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "preds.jsonl"], \
+        "bench.jsonl:1: example.reference_answer: expected str, got None"
+
+
+def _prediction_row_with_null_prediction(root):
+    (root / "bench.jsonl").write_text(json.dumps(_bench_row()) + "\n")
+    (root / "preds.jsonl").write_text(json.dumps(
+        {"capture_id": "synth-0000", "question": "How many?", "prediction": None}) + "\n")
+    return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "preds.jsonl"], \
+        "preds.jsonl:1: prediction: expected str, got None"
+
+
+def _metrics_report(named, **fields):
+    """report over a metrics.json of one NG example, its fields updated."""
+    def case(root):
+        triple = {"bleu": 0.5, "rouge_l": 0.5, "judge_accuracy": 0.5}
+        report = {"overall": triple, "per_dimension": {"NG": triple}, "counts": {"NG": 1},
+                  "total": 1, "missing_predictions": 0, **fields}
+        (root / "metrics.json").write_text(json.dumps(report))
+        return ["report", "--input", root / "metrics.json"], f"metrics.json: report{named}"
+    case.__name__ = "_metrics_report_with_" + "_".join(fields)
+    return case
+
+
+def _refs_row_with_integer_capture_id(root):
+    refs = json.loads((root / "s" / "captures.json").read_text())
+    refs[0]["capture_id"] = 5
+    (root / "refs.json").write_text(json.dumps(refs))
+    return ["split", "--captures", root / "refs.json", "--out", root / "out"], \
+        "refs.json: refs[0].capture_id: expected str, got 5"
 
 
 def _prediction_row_after_blank_lines(root):
@@ -596,12 +686,12 @@ def _bracket_exposures(exposures):
     return case
 
 
-def _config_file(stage, option, text, name):
+def _config_file(stage, option, text, name, named="config.json"):
     """``stage`` reading the config file that ``option`` names, holding ``text``."""
     def case(root):
         path = root / "config.json"
         path.write_text(text)
-        return [stage, option, path, "--out", root / "out"], "config.json"
+        return [stage, option, path, "--out", root / "out"], named
     case.__name__ = f"_{stage}_{name}"
     return case
 
@@ -714,6 +804,26 @@ class TestMalformedInputs:
         _config_file("condition-check", "--probe-config", '{"inject_layers": 5}',
                      "scalar_inject_layers"),
         _config_file("synth", "--scene", "[]", "scene_of_a_list"),
+        _config_file("synth", "--scene", '{"white_level": "abc"}', "scene_with_string_white_level",
+                     "config.json: config.scene.white_level: expected float, got 'abc'"),
+        _config_file("synth", "--scene", '{"black_level": [1, 2]}', "scene_with_two_black_levels",
+                     "config.json: config.scene.black_level: expected tuple[float, float, float, float]"),
+        _config_file("synth", "--scene", '{"cam_to_xyz": [[1, 2], [3]]}', "scene_with_ragged_matrix",
+                     "config.json: config.scene.cam_to_xyz: expected tuple[tuple[float, float, float], "),
+        _sidecar_metadata_with("iso", "100"),
+        _sidecar_metadata_with("exposure_time", True),
+        _sidecar_metadata_with("device_id", 7),
+        _sidecar_metadata_with("scene_id", 5),
+        _annotate_over_render_header(quantize="no"),
+        _annotate_over_render_header(bit_depth="8"),
+        _candidate_row_with_string_score,
+        _sample_row_with_string_provenance,
+        _bench_row_with_null_reference,
+        _prediction_row_with_null_prediction,
+        _metrics_report(".overall.bleu: expected float, got 'x'",
+                        overall={"bleu": "x", "rouge_l": 0.5, "judge_accuracy": 0.5}),
+        _metrics_report(": per_dimension and counts name different dimensions", counts={}),
+        _refs_row_with_integer_capture_id,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)
@@ -725,6 +835,8 @@ class TestMalformedInputs:
         assert named in events[0]["event"]
         if argv[0] == "bracket":  # refused with the config, before --out is made
             assert not (rendered / "out").exists()
+        if argv[0] == "synth":  # the scene is refused before any bundle is written
+            assert not (rendered / "out" / "bundles").exists()
         # no plane is left half-written
         for plane in (rendered / "out").rglob("*.f32"):
             header = json.loads(plane.with_suffix(".json").read_text())

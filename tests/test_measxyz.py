@@ -241,7 +241,7 @@ class TestPlaneExport:
         del header["capture_id"]
         (tmp_path / "x-3.json").write_text(json.dumps(header))
         for reader in (read_meas_xyz_header, load_meas_xyz):
-            with pytest.raises(SchemaViolation, match="lacks 'capture_id'"):
+            with pytest.raises(SchemaViolation, match="plane header: missing key 'capture_id'"):
                 reader(tmp_path / "x-3")
 
     def test_rejects_out_of_range(self):

@@ -11,15 +11,16 @@ from measground.errors import JudgeUnavailable, MalformedVerdict, ManifestMismat
 from measground.metrics import (
     ExactMatchJudge,
     HttpJudgeClient,
+    MetricReport,
     TranscriptJudge,
     bleu,
     evaluate_run,
     judge,
     render_table,
-    report_from_dict,
     rouge_l,
     tokenize,
 )
+from measground.records import decode
 
 from conftest import make_metadata
 
@@ -281,7 +282,7 @@ class TestEvaluateRun:
         manifest = [_example(i, CapabilityDimension.NG) for i in range(2)]
         predictions = {(e.capture_id, e.question): e.reference_answer for e in manifest}
         report = evaluate_run(predictions, manifest)
-        round_tripped = report_from_dict(json.loads(json.dumps(report.to_dict())))
+        round_tripped = decode(MetricReport, json.loads(json.dumps(report.to_dict())), "report")
         assert round_tripped == report
         table = render_table(report)
         assert "OVERALL" in table and "NG" in table and "100.00" in table

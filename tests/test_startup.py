@@ -92,6 +92,17 @@ def test_text_stages_never_import_numpy(images):
     assert run["counts"]["bench_examples"] > 0
 
 
+def test_records_resolve_without_numpy():
+    """The numpy-free records are exported from ``records``, so resolving them loads no numpy."""
+    result = _python(textwrap.dedent("""
+        import json, sys
+        import measground
+        names = [measground.CameraMetadata, measground.CaptureRef, measground.RenderParams]
+        print(json.dumps({"module": names[-1].__module__, "numpy": "numpy" in sys.modules}))
+    """))
+    assert result == {"module": "measground.records", "numpy": False}
+
+
 def test_lazy_package_exports():
     result = _python(_PACKAGE)
     assert result == {"after_import": False, "unresolved": [], "star_missing": [],
