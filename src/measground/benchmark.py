@@ -177,16 +177,28 @@ class DisjointnessReport:
         return {"status": self.status, "intersections": self.intersections}
 
 
-def _entry_fields(entry: dict) -> dict:
-    """Flatten a manifest row to the id fields relevant for leakage checks."""
-    meta = entry.get("metadata") or {}
-    return {
-        "capture_id": entry.get("capture_id"),
-        "raw_path": entry.get("raw_path"),
-        "scene_id": entry.get("scene_id", meta.get("scene_id")),
-        "session_id": entry.get("session_id", meta.get("session_id")),
-        "device_id": entry.get("device_id", meta.get("device_id")),
-    }
+_NESTED_KEYS = ("scene_id", "session_id", "device_id")
+_ID, _METADATA = str | None, dict | None
+
+
+def _entry_fields(entry) -> dict:
+    """Flatten a manifest row to the id fields relevant for leakage checks.
+
+    Each id is a string or null; scene, session and device ids absent from
+    the row are read from its metadata object. A value of another JSON type
+    raises SchemaViolation naming its key.
+    """
+    if type(entry) is not dict:
+        raise SchemaViolation("expected a JSON object")
+    meta = decode(_METADATA, entry.get("metadata"), "metadata") or {}
+    fields = {}
+    for key in _FAIL_KEYS + _WARN_KEYS:
+        where, value = key, entry.get(key)
+        if key in _NESTED_KEYS and key not in entry:
+            where, value = f"metadata.{key}", meta.get(key)
+        # null is valid, and skipping it spares the union's failed str try
+        fields[key] = None if value is None else decode(_ID, value, where)
+    return fields
 
 
 def verify_disjointness(train_entries: list[dict], bench_entries: list[dict]) -> DisjointnessReport:
@@ -196,8 +208,12 @@ def verify_disjointness(train_entries: list[dict], bench_entries: list[dict]) ->
     WARN because device separation is conditional on the metadata allowing
     it; any other overlap is a FAIL.
     """
-    train = [_entry_fields(e) for e in train_entries]
-    bench = [_entry_fields(e) for e in bench_entries]
+    return _disjointness([_entry_fields(e) for e in train_entries],
+                         [_entry_fields(e) for e in bench_entries])
+
+
+def _disjointness(train: list[dict], bench: list[dict]) -> DisjointnessReport:
+    """verify_disjointness over rows already flattened by _entry_fields."""
     intersections: dict[str, list] = {}
     for key in _FAIL_KEYS + _WARN_KEYS:
         left = {e[key] for e in train if e[key]}
@@ -212,15 +228,28 @@ def verify_disjointness(train_entries: list[dict], bench_entries: list[dict]) ->
     return DisjointnessReport(status=status, intersections=intersections)
 
 
-def load_manifest_entries(path: Path) -> list[dict]:
-    """Load rows from a refs JSON list or any JSONL manifest."""
+def load_manifest_entries(path: Path, parse=None) -> list:
+    """Load rows from a refs JSON list or any JSONL manifest, mapped by ``parse``.
+
+    A row ``parse`` refuses with SchemaViolation raises SchemaViolation
+    naming the file and the row: ``path:line`` in JSONL, ``path: [index]``
+    in a list.
+    """
     text = formats.read_text(path)
-    if text.lstrip().startswith("["):
-        rows = formats.parse_json(text, path)
-        if not isinstance(rows, list):
-            raise SchemaViolation(f"{path}: expected a JSON list")
+    if not text.lstrip().startswith("["):
+        return formats.parse_jsonl(text.split("\n"), path, parse)
+    rows = formats.parse_json(text, path)
+    if not isinstance(rows, list):
+        raise SchemaViolation(f"{path}: expected a JSON list")
+    if parse is None:
         return rows
-    return formats.parse_jsonl(text.split("\n"), path)
+    parsed = []
+    for index, row in enumerate(rows):
+        try:
+            parsed.append(parse(row))
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{path}: [{index}]: {exc}") from exc
+    return parsed
 
 
 # --- capability tagging ---------------------------------------------------------

@@ -569,9 +569,9 @@ def _proxy_lookup(proxies_dir: Path, capture_ids: set[str]) -> dict[str, str]:
 
 
 def _cmd_verify_split(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
-    train_rows = benchmark.load_manifest_entries(Path(args.train))
-    bench_rows = benchmark.load_manifest_entries(Path(args.bench))
-    report = benchmark.verify_disjointness(train_rows, bench_rows)
+    train, bench = (benchmark.load_manifest_entries(Path(path), benchmark._entry_fields)
+                    for path in (args.train, args.bench))
+    report = benchmark._disjointness(train, bench)
     if out is not None:
         formats.write_json(out / "disjointness.json", report.to_dict())
     print(json.dumps(report.to_dict(), sort_keys=True))

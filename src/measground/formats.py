@@ -202,7 +202,7 @@ def read_plane_header(stem: Path) -> tuple[dict, tuple[int, ...]]:
 
 def read_plane(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None
                ) -> tuple[np.ndarray, dict]:
-    """The samples of a plane pair as float64, and its header.
+    """The stored float32 samples of a plane pair, read-only, and its header.
 
     ``header`` is the pair's ``read_plane_header`` result when the caller
     has read it already, so the header is not read again.
@@ -213,7 +213,7 @@ def read_plane(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None
     raw = Path(str(stem) + ".f32").read_bytes()
     if len(raw) != 4 * math.prod(shape):
         raise IoFailure(f"{stem}: plane payload does not match header dimensions")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64), header
+    return np.frombuffer(raw, dtype="<f4").reshape(shape), header
 
 
 # --- JSON / JSONL --------------------------------------------------------------

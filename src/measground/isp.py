@@ -14,7 +14,7 @@ import numpy as np
 
 from . import formats
 from .errors import DomainError, EmptyBracket, IoFailure
-from .measxyz import MeasXyzImage
+from .measxyz import _STRIPE_PIXELS, MeasXyzImage, _apply_matrix
 # The render parameters and their header reader live in records, without numpy.
 from .records import (
     DEFAULT_BRACKET,
@@ -198,10 +198,6 @@ def _table_codes(v: np.ndarray, k: int, bits: int, transfer: str, out: np.ndarra
     codes += flag
 
 
-# Rows per stripe of the render and analysis passes hold about this many
-# pixels, so a stripe's float64 temporaries (0.75 MiB each) stay in cache.
-_STRIPE_PIXELS = 1 << 15
-
 # A quantized gain 2^k, k in this range, reads its codes from the stripe's
 # gain-1 product v: for matrix entries below _SHARED_MATRIX_BOUND no product
 # or sum can overflow, so 2^k * v is the product at gain 2^k bit for bit
@@ -225,33 +221,43 @@ def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
     return min(max(1, _STRIPE_PIXELS // max(1, width)), height), width, 3
 
 
-def _linear_stripes(z: MeasXyzImage, params_seq):
+def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray):
     """Yield (rows, i, v, k) per row stripe of ``z`` and params_seq[i]: 2^k * v
     is the stripe's pre-clip linear RGB at that gain, matrix @ (gain * xyz).
 
+    ``scratch`` is a float64 buffer of two stripe planes for _apply_matrix,
+    which the caller may use between yields.
+
     Power-of-two quantized gains share one gain-1 product; any other render
-    takes the formula on the stripe. ``v`` lives in a buffer the next stripe
-    overwrites: stripe-sized arrays allocated afresh would be mapped, faulted
-    in and unmapped again on every stripe.
+    takes the formula on the stripe. Each stripe is first copied into float64
+    X, Y and Z planes, which widens a float32 plane and lets the matrix read
+    contiguous planes. ``v`` lives in a buffer the next stripe overwrites:
+    stripe-sized arrays allocated afresh would be mapped, faulted in and
+    unmapped again on every stripe.
     """
     exponents = [_shared_exponent(params) for params in params_seq]
     shape = _stripe_shape(z)
+    planes = np.empty((3,) + shape[:2])  # the stripe's X, Y and Z
     product = np.empty(shape)  # the gain-1 product
+    scratch = scratch[:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
     if None in exponents:
-        formula, scaled = np.empty(shape), np.empty(shape)  # matrix @ (gain * xyz), gain * xyz
+        formula, scaled = np.empty(shape), np.empty_like(planes)  # matrix @ (gain * xyz), gain * xyz
     for top in range(0, z.data.shape[0], max(1, shape[0])):
         rows = slice(top, top + shape[0])
-        xyz = z.data[rows]
-        count = xyz.shape[0]
+        block = z.data[rows]
+        count = block.shape[0]
+        xyz = planes[:, :count]
+        np.copyto(xyz, np.moveaxis(block, -1, 0))
         shared = None  # the matrix whose gain-1 product ``product`` holds
         for i, (params, k) in enumerate(zip(params_seq, exponents)):
             if k is None:
-                np.multiply(params.exposure_gain, xyz, out=scaled[:count])
-                np.einsum("ij,hwj->hwi", params.matrix, scaled[:count], out=formula[:count])
+                np.multiply(params.exposure_gain, xyz, out=scaled[:, :count])
+                _apply_matrix(params.matrix, scaled[:, :count], np.moveaxis(formula[:count], -1, 0),
+                              scratch[:, :count])
                 yield rows, i, formula[:count], 0
                 continue
             if shared != params.xyz_to_linear_srgb:
-                np.einsum("ij,hwj->hwi", params.matrix, xyz, out=product[:count])
+                _apply_matrix(params.matrix, xyz, np.moveaxis(product[:count], -1, 0), scratch[:, :count])
                 shared = params.xyz_to_linear_srgb
             yield rows, i, product[:count], k
 
@@ -273,7 +279,8 @@ def _render_pass(z: MeasXyzImage, params_seq) -> list[RenderedRgb]:
     """Render ``z`` under every params in one pass over its row stripes."""
     outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
     lookup = _lookup_buffers(math.prod(_stripe_shape(z)))
-    for rows, i, v, k in _linear_stripes(z, params_seq):
+    # the lookup's float buffer is free while a stripe's product is computed
+    for rows, i, v, k in _linear_stripes(z, params_seq, lookup[0]):
         _stripe_codes(v, k, params_seq[i], outs[i][rows], lookup)
     return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
 

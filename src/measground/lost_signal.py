@@ -28,7 +28,7 @@ from .isp import (
     _stripe_shape,
     srgb_eotf,
 )
-from .measxyz import MeasXyzImage
+from .measxyz import MeasXyzImage, _apply_matrix
 from .records import DEFAULT_TAU
 
 
@@ -112,15 +112,16 @@ def invert_render(rendered: RenderedRgb) -> np.ndarray:
     else:
         encoded = rendered.codes.astype(np.float64)
         linear = srgb_eotf(encoded) if params.transfer != IDENTITY else encoded
-    inverse = np.linalg.inv(params.matrix)
-    xyz = np.einsum("ij,hwj->hwi", inverse, linear)
+    xyz = np.empty(linear.shape)
+    _apply_matrix(np.linalg.inv(params.matrix), np.moveaxis(linear, -1, 0), np.moveaxis(xyz, -1, 0),
+                  np.empty((2,) + linear.shape[:-1]))
     xyz /= params.exposure_gain
     return xyz
 
 
 def luminance(xyz: np.ndarray) -> np.ndarray:
-    """Y is the second XYZ channel."""
-    return np.asarray(xyz, dtype=np.float64)[..., 1]
+    """Y is the second XYZ channel, as float64; only Y of a float32 image is widened."""
+    return np.asarray(xyz)[..., 1].astype(np.float64, copy=False)
 
 
 def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
@@ -212,20 +213,21 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndar
     pixels whose pre-clip linear RGB exceeds 1 in any channel, bit for bit,
     in one pass over row stripes.
 
-    Only the Y row of the inverse is computed, in einsum's summation order:
-    (p0 m0 + p2 m2) + p1 m1, then divided by the gain.
+    Only the Y row of the inverse is computed, by the kernel invert_render
+    uses, then divided by the gain.
     """
-    y_row = np.linalg.inv(params.matrix)[1]
+    y_row = np.linalg.inv(params.matrix)[1:2]
     table = _dequantize_table(params.bit_depth, params.transfer) if params.quantize else None
     y_rec = np.empty(z.data.shape[:2])
     clipped = np.empty(z.data.shape[:2], dtype=bool)
     shape = _stripe_shape(z)
     lookup = _lookup_buffers(math.prod(shape))
     codes = np.empty(shape, dtype=_code_dtype(params))
+    scratch = np.empty((2,) + shape[:2])  # _apply_matrix's sums
     # the dequantized R, G, B planes share the lookup's float buffer, which
     # is free once a stripe's codes are written
     planes = lookup[0].reshape((3,) + shape[:2])
-    for rows, _, v, k in _linear_stripes(z, [params]):
+    for rows, _, v, k in _linear_stripes(z, [params], scratch.reshape(-1)):
         count = v.shape[0]
         top = np.ldexp(1.0, -k)  # 2^k * v > 1
         mask = clipped[rows]
@@ -241,9 +243,7 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndar
         else:
             linear = np.moveaxis(srgb_eotf(encoded) if params.transfer != IDENTITY else encoded, -1, 0)
         y = y_rec[rows]
-        np.multiply(linear[0], y_row[0], out=y)
-        y += np.multiply(linear[2], y_row[2], out=linear[2])
-        y += np.multiply(linear[1], y_row[1], out=linear[1])
+        _apply_matrix(y_row, linear, y[np.newaxis], scratch[:, :count])
         y /= params.exposure_gain
     return y_rec, clipped
 

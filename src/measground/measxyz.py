@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .capture import RawCapture, _black_site_map
+from .capture import RawCapture
 from .errors import DegenerateCalibration, DomainError, ShapeMismatch
 from .records import CameraMetadata, meas_xyz_header_fields
 
@@ -49,7 +49,12 @@ def _frozen_plane(data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasXyzImage:
-    """Dense linear three-channel observation in [0, 1]."""
+    """Dense linear three-channel observation in [0, 1].
+
+    ``data`` is float64 when the image is computed or constructed, and the
+    stored float32 samples when it is loaded from a plane pair; the passes
+    over it widen one row stripe at a time.
+    """
 
     data: np.ndarray
     capture_id: str
@@ -61,7 +66,7 @@ class MeasXyzImage:
 
     @classmethod
     def _adopt(cls, data: np.ndarray, capture_id: str, metadata: CameraMetadata) -> "MeasXyzImage":
-        """An image over a float64 array no one else holds, checked and frozen without a copy."""
+        """An image over an array no one else holds, checked and frozen without a copy."""
         image = object.__new__(cls)
         object.__setattr__(image, "data", _frozen_plane(data))
         object.__setattr__(image, "capture_id", capture_id)
@@ -77,17 +82,100 @@ class MeasXyzImage:
         return self.data.shape[1]
 
 
-def normalize_mosaic(capture: RawCapture) -> np.ndarray:
-    """Map sensor codes to [0, 1]: (code - black_site) / (white - black_site)."""
-    black = _black_site_map(capture.black_level, capture.height, capture.width)
+# Rows per stripe of the Meas.-XYZ, render and analysis passes hold about this
+# many pixels, so a stripe's float64 temporaries (0.75 MiB each) stay in cache.
+_STRIPE_PIXELS = 1 << 15
+
+
+def _apply_matrix(matrix: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write matrix @ x into ``out``, bit for bit as np.einsum("ij,hwj->hwi") computes it.
+
+    ``x`` holds the three input channels along its first axis and ``out`` one
+    channel per matrix row; ``scratch`` holds two float64 arrays of the
+    channel shape, and none of the three may overlap another. Each output is
+    einsum's accumulator 0 + ((x0 m0 + x2 m2) + x1 m1), the 0 included, so a
+    sum of negative zeros comes out +0 as einsum's does. BLAS (x @ M.T) sums
+    in another order and differs in the last bit. Like einsum it is silent
+    on overflow and on inf - inf.
+    """
+    total, term = scratch
+    with np.errstate(all="ignore"):
+        for row, dest in zip(matrix, out):
+            np.multiply(x[0], row[0], out=total)
+            total += np.multiply(x[2], row[2], out=term)
+            total += np.multiply(x[1], row[1], out=term)
+            np.add(total, 0.0, out=dest)
+
+
+def _site_rows(capture: RawCapture, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The black level and the white - black span along an even and an odd mosaic
+    row, as (2, width) arrays."""
+    black = np.tile(np.asarray(capture.black_level, dtype=np.float64).reshape(2, 2), (1, width // 2))
     span = capture.white_level - black
     if np.any(span <= 0):
         raise DegenerateCalibration("white_level must exceed every black level")
-    out = (capture.mosaic.astype(np.float64) - black) / span
-    saturated = int(np.count_nonzero(out > 1.0))
+    return black, span
+
+
+def _normalize(codes: np.ndarray, black: np.ndarray, span: np.ndarray, out: np.ndarray, own) -> int:
+    """Write clip((codes - black) / span, 0, 1) into ``out``, with black[p] and
+    span[p] along the rows p, p + 2, ...; return how many values of
+    ``out[own]`` the clip brought down from above 1."""
+    for parity in range(2):
+        rows = out[parity::2]
+        np.subtract(codes[parity::2], black[parity], out=rows)
+        np.divide(rows, span[parity], out=rows)
+    saturated = int(np.count_nonzero(out[own] > 1.0))
+    np.clip(out, 0.0, 1.0, out=out)
+    return saturated
+
+
+def _log_saturated(capture: RawCapture, saturated: int) -> None:
     if saturated:
         log.debug("%s: %d saturated mosaic codes clamped", capture.capture_id, saturated)
-    return np.clip(out, 0.0, 1.0)
+
+
+def normalize_mosaic(capture: RawCapture) -> np.ndarray:
+    """Map sensor codes to [0, 1]: (code - black_site) / (white - black_site)."""
+    black, span = _site_rows(capture, capture.width)
+    out = np.empty(capture.mosaic.shape)
+    _log_saturated(capture, _normalize(capture.mosaic, black, span, out, ...))
+    return out
+
+
+def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray) -> None:
+    """Write the demosaic of ``padded``'s interior into ``out``, which holds the
+    R, G and B planes, (H, W) each, along its first axis.
+
+    ``padded`` is the mosaic with one row and column more on each side, its
+    interior starting on the CFA tile's first row and column. Each site of
+    one 2x2 tile position sees the same neighbor layout: each missing color
+    is the sum of its neighbors, taken in raster (row, column) order of the
+    3x3 window, over a constant count; present colors pass through.
+    """
+    height, width = out.shape[1:]
+    # the sums accumulate in a contiguous buffer, faster than in ``out``'s strided sites
+    sums = np.empty(((height + 1) // 2, (width + 1) // 2))
+    for pi in range(2):
+        for pj in range(2):
+            sites = out[:, pi::2, pj::2]
+            total = sums[:sites.shape[1], :sites.shape[2]]
+            own = tile[pi][pj]
+            sites[own] = padded[1 + pi:1 + pi + height:2, 1 + pj:1 + pj + width:2]
+            for color in range(3):
+                if color == own:
+                    continue
+                # padded[pi + di] is mosaic row pi + di - 1, of parity pi + di + 1
+                taps = [
+                    padded[pi + di:pi + di + height:2, pj + dj:pj + dj + width:2]
+                    for di in range(3)
+                    for dj in range(3)
+                    if tile[(pi + di + 1) % 2][(pj + dj + 1) % 2] == color
+                ]
+                np.add(taps[0], taps[1], out=total)
+                for tap in taps[2:]:
+                    total += tap
+                np.divide(total, len(taps), out=sites[color])
 
 
 def demosaic_bilinear(norm_mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
@@ -95,36 +183,10 @@ def demosaic_bilinear(norm_mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
 
     Borders are mirror-padded without repeating the edge row/column, which
     preserves CFA parity; present colors pass through unchanged.
-
-    Because parity is preserved, every site of one 2x2 tile position sees the
-    same neighbor layout: each missing color is the sum of its neighbors, taken
-    in raster (row, column) order of the 3x3 window, over a constant count.
     """
     mosaic = np.asarray(norm_mosaic, dtype=np.float64)
-    height, width = mosaic.shape
-    tile = _CFA_TILES[cfa_pattern]
-    padded = np.pad(mosaic, 1, mode="reflect")
-    out = np.empty((height, width, 3), dtype=np.float64)
-    for pi in range(2):
-        for pj in range(2):
-            site = out[pi::2, pj::2]
-            own = tile[pi][pj]
-            site[..., own] = mosaic[pi::2, pj::2]
-            for color in range(3):
-                if color == own:
-                    continue
-                # padded[pi + di] mirrors mosaic row pi + di - 1, of parity pi + di + 1
-                taps = [
-                    padded[pi + di:pi + di + height:2, pj + dj:pj + dj + width:2]
-                    for di in range(3)
-                    for dj in range(3)
-                    if tile[(pi + di + 1) % 2][(pj + dj + 1) % 2] == color
-                ]
-                total = taps[0] + taps[1]
-                for tap in taps[2:]:
-                    total += tap
-                total /= len(taps)
-                site[..., color] = total
+    out = np.empty(mosaic.shape + (3,))
+    _demosaic_padded(np.pad(mosaic, 1, mode="reflect"), _CFA_TILES[cfa_pattern], np.moveaxis(out, -1, 0))
     return out
 
 
@@ -137,18 +199,59 @@ def white_scale(capture: RawCapture) -> float:
     return scale
 
 
+def _stripe_step(width: int) -> int:
+    """Rows per Meas.-XYZ stripe: about _STRIPE_PIXELS pixels, and even, so every
+    stripe starts on the CFA tile's and the black level's first row."""
+    return max(2, _STRIPE_PIXELS // max(1, width) // 2 * 2)
+
+
 def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
-    """Full observation operator: capture -> normalized linear XYZ image."""
-    rgb = demosaic_bilinear(normalize_mosaic(capture), capture.cfa_pattern)
-    rgb *= np.asarray(capture.wb_gains)
-    xyz = np.einsum("ij,hwj->hwi", capture.cam_to_xyz, rgb)
-    del rgb  # freed before the clamps allocate their masks
-    negative = int(np.count_nonzero(xyz < 0.0))
+    """Full observation operator: capture -> normalized linear XYZ image.
+
+    One pass over row stripes: each stripe is normalized with a one-row halo
+    above and below, mirrored only at the frame edges as
+    demosaic_bilinear's padding mirrors them, then demosaiced, white
+    balanced, matrixed, clamped and scaled into the output, bit for bit as
+    the whole frame would be.
+    """
+    height, width = capture.mosaic.shape
+    step = _stripe_step(width)
+    rows = min(step, height)
+    # row i of a padded stripe is mosaic row top + i - 1, of parity i + 1
+    black, span = (site[::-1] for site in _site_rows(capture, width))
+    scale = white_scale(capture)
+    gains = np.asarray(capture.wb_gains).reshape(3, 1, 1)
+    tile = _CFA_TILES[capture.cfa_pattern]
+    padded = np.empty((rows + 2, width + 2))
+    # the R, G, B planes: the matrix reads contiguous planes faster than
+    # interleaved channels
+    rgb = np.empty((3, rows, width))
+    scratch = np.empty((2, rows, width))
+    xyz = np.empty((height, width, 3))
+    saturated = negative = 0
+    for top in range(0, height, step):
+        count = min(step, height - top)
+        # the stripe's rows and its halo, mirrored at the frame edges
+        source = np.arange(top - 1, top + count + 1)
+        source[0] = abs(source[0])
+        if source[-1] == height:
+            source[-1] = height - 2
+        stripe = padded[:count + 2]
+        saturated += _normalize(capture.mosaic[source], black, span, stripe[:, 1:-1], slice(1, -1))
+        stripe[:, 0] = stripe[:, 2]
+        stripe[:, -1] = stripe[:, -3]
+        linear = rgb[:, :count]
+        _demosaic_padded(stripe, tile, linear)
+        linear *= gains
+        out = xyz[top:top + count]
+        _apply_matrix(capture.cam_to_xyz, linear, np.moveaxis(out, -1, 0), scratch[:, :count])
+        negative += int(np.count_nonzero(out < 0.0))
+        np.clip(out, 0.0, None, out=out)
+        out /= scale
+        np.clip(out, 0.0, 1.0, out=out)
+    _log_saturated(capture, saturated)
     if negative:
         log.debug("%s: %d negative XYZ values clamped to 0", capture.capture_id, negative)
-    np.clip(xyz, 0.0, None, out=xyz)
-    xyz /= white_scale(capture)
-    np.clip(xyz, 0.0, 1.0, out=xyz)
     return MeasXyzImage._adopt(xyz, capture.capture_id, capture.metadata)
 
 

@@ -38,7 +38,8 @@ if TYPE_CHECKING:
 # takes null; ``tuple[T, ...]`` takes a list, and a fixed tuple a list of its
 # length; a record dataclass takes an object without unknown keys, and a key
 # it lacks takes the field's default or is refused; an Enum takes its value;
-# and ``dict[K, V]`` takes an object whose keys decode as K.
+# ``dict[K, V]`` takes an object whose keys decode as K; and a bare ``dict``
+# takes any object, as parsed.
 
 class _Mismatch(Exception):
     """A JSON value that does not fit the hint its converter was built for."""
@@ -71,7 +72,7 @@ def _converter(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is float:
         return _number
-    if hint in (str, int, bool, type(None)):
+    if hint in (str, int, bool, dict, type(None)):
         def convert(value):
             if type(value) is not hint:
                 raise _Mismatch

@@ -671,6 +671,18 @@ def _refs_row_with_integer_capture_id(root):
         "refs.json: refs[0].capture_id: expected str, got 5"
 
 
+def _verify_split_row(named, **fields):
+    """verify-split over a train file whose second row is a bench row, its fields updated."""
+    def case(root):
+        (root / "train.jsonl").write_text(json.dumps(_bench_row(capture_id="synth-0001")) + "\n"
+                                          + json.dumps(_bench_row(**fields)) + "\n")
+        (root / "bench.jsonl").write_text(json.dumps(_bench_row()) + "\n")
+        return ["verify-split", "--train", root / "train.jsonl", "--bench", root / "bench.jsonl"], \
+            f"train.jsonl:2: {named}"
+    case.__name__ = "_verify_split_row_with_bad_" + named.split(":")[0].replace(".", "_")
+    return case
+
+
 def _prediction_row_after_blank_lines(root):
     (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
     (root / "bench.jsonl").write_text("")
@@ -824,6 +836,10 @@ class TestMalformedInputs:
                         overall={"bleu": "x", "rouge_l": 0.5, "judge_accuracy": 0.5}),
         _metrics_report(": per_dimension and counts name different dimensions", counts={}),
         _refs_row_with_integer_capture_id,
+        _verify_split_row("capture_id: expected str | None, got [1]", capture_id=[1]),
+        _verify_split_row("metadata: expected dict | None, got 5", metadata=5),
+        _verify_split_row("metadata.scene_id: expected str | None, got 3",
+                          metadata={"device_id": "camera-0", "scene_id": 3}),
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)

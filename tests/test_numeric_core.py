@@ -9,13 +9,17 @@ planes, PPMs and summaries are promised byte-identical.
 
 from __future__ import annotations
 
+import logging
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from measground import isp, lost_signal
+from measground import isp, lost_signal, measxyz
 from measground.capture import RawCapture
 from measground.errors import DomainError
-from measground.isp import IDENTITY, SRGB_PIECEWISE, RenderParams
+from measground.isp import IDENTITY, SRGB_PIECEWISE, XYZ_TO_LINEAR_SRGB_D65, RenderParams
 from measground.lost_signal import (
     analyze_render,
     invert_render,
@@ -24,9 +28,12 @@ from measground.lost_signal import (
 )
 from measground.measxyz import (
     MeasXyzImage,
+    _apply_matrix,
     demosaic_bilinear,
+    load_meas_xyz,
     meas_xyz_transform,
     normalize_mosaic,
+    save_meas_xyz,
     white_scale,
 )
 
@@ -73,12 +80,23 @@ def oracle_demosaic(mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
     return np.stack(channels, axis=-1)
 
 
-def oracle_meas_xyz(capture: RawCapture) -> np.ndarray:
-    rgb = oracle_demosaic(normalize_mosaic(capture), capture.cfa_pattern)
+def oracle_normalize(capture: RawCapture) -> tuple[np.ndarray, int]:
+    """The normalized mosaic and its count of codes above white."""
+    black = np.tile(np.asarray(capture.black_level).reshape(2, 2),
+                    (capture.height // 2, capture.width // 2))
+    norm = (capture.mosaic.astype(np.float64) - black) / (capture.white_level - black)
+    return np.clip(norm, 0.0, 1.0), int(np.count_nonzero(norm > 1.0))
+
+
+def oracle_meas_xyz(capture: RawCapture) -> tuple[np.ndarray, int, int]:
+    """The whole-frame Meas.-XYZ image and its counts of saturated codes and negative XYZ values."""
+    norm, saturated = oracle_normalize(capture)
+    rgb = oracle_demosaic(norm, capture.cfa_pattern)
     rgb = rgb * np.asarray(capture.wb_gains)
     xyz = np.einsum("ij,hwj->hwi", capture.cam_to_xyz, rgb)
+    negative = int(np.count_nonzero(xyz < 0.0))
     xyz = np.clip(xyz, 0.0, None) / white_scale(capture)
-    return np.clip(xyz, 0.0, 1.0)
+    return np.clip(xyz, 0.0, 1.0), saturated, negative
 
 
 def oracle_codes(v: np.ndarray, bits: int, transfer: str) -> np.ndarray:
@@ -125,7 +143,76 @@ def test_demosaic_matches_window_sum(pattern, shape):
 @pytest.mark.parametrize("seed", range(8))
 def test_meas_xyz_transform_matches_formula(seed):
     capture = make_capture(seed, height=12, width=16)
-    assert np.array_equal(meas_xyz_transform(capture).data, oracle_meas_xyz(capture))
+    assert np.array_equal(meas_xyz_transform(capture).data, oracle_meas_xyz(capture)[0])
+
+
+@pytest.fixture
+def measxyz_log():
+    """The records measxyz logs, at every level, whatever handlers the CLI set up."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    level = measxyz.log.level
+    measxyz.log.addHandler(handler)
+    measxyz.log.setLevel(logging.DEBUG)
+    yield records
+    measxyz.log.removeHandler(handler)
+    measxyz.log.setLevel(level)
+
+
+def _logged_counts(records) -> tuple[int, int]:
+    """The saturated-code and negative-XYZ counts meas_xyz_transform logged, summed."""
+    counts = {"saturated": 0, "negative": 0}
+    for record in records:
+        number, what = record.getMessage().split(": ", 1)[1].split(" ", 2)[:2]
+        counts[what] += int(number)
+    return counts["saturated"], counts["negative"]
+
+
+def _saturating_capture(pattern: str, height: int, width: int, seed: int) -> RawCapture:
+    """A capture with codes above white and a matrix row that goes negative on most pixels."""
+    capture = make_capture(seed, height=height, width=width)
+    mosaic = capture.mosaic.copy()
+    mosaic[0, -1] = mosaic[-1, 0] = 65535
+    return make_capture(seed, height=height, width=width, cfa_pattern=pattern, mosaic=mosaic,
+                        white_level=60000.0,
+                        cam_to_xyz=((0.2, -1.0, 0.1), (0.3, 0.6, 0.1), (0.0, 0.1, 0.9)))
+
+
+_FULL_STRIPE = measxyz._stripe_step(3000)
+
+
+# (height, width, _STRIPE_PIXELS): heights are even, so the frames one tile
+# row (two mosaic rows) short of a stripe of 6 rows, one stripe, one tile
+# row over, and two stripes and a tile row; stripe sizes that round down to
+# an even row count and up to 2 rows; 2-row and 2-column frames; and frames
+# at the unpatched stripe size.
+_MEAS_XYZ_SHAPES = [
+    (4, 10, 60), (6, 10, 60), (8, 10, 60), (14, 10, 60),
+    (8, 10, 70), (6, 10, 10),
+    (2, 10, 60), (2, 64, 6 * 64), (12, 2, 12), (2, 2, 12), (10, 2, 1),
+    (_FULL_STRIPE - 2, 3000, None), (_FULL_STRIPE, 3000, None), (_FULL_STRIPE + 2, 3000, None),
+]
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("height, width, stripe_pixels", _MEAS_XYZ_SHAPES)
+def test_striped_meas_xyz_matches_whole_frame(pattern, height, width, stripe_pixels,
+                                              monkeypatch, measxyz_log):
+    if stripe_pixels is not None:
+        monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", stripe_pixels)
+    capture = _saturating_capture(pattern, height, width, seed=height + width)
+    expected, saturated, negative = oracle_meas_xyz(capture)
+    assert saturated and negative
+    image = meas_xyz_transform(capture)
+    assert np.array_equal(image.data, expected)
+    # halo rows are normalized twice but counted once
+    assert _logged_counts(measxyz_log) == (saturated, negative)
+
+    measxyz_log.clear()
+    norm, saturated = oracle_normalize(capture)
+    assert np.array_equal(normalize_mosaic(capture), norm)
+    assert _logged_counts(measxyz_log) == (saturated, 0)
 
 
 def test_meas_xyz_image_errors_keep_their_wording():
@@ -362,3 +449,106 @@ def test_partition_percentile_matches_sort(size):
         got = nearest_rank_percentile(values, percent)
         assert got == oracle_percentile(values, percent)
         assert np.float64(got).tobytes() == np.float64(oracle_percentile(values, percent)).tobytes()
+
+
+# --- the 3x3 kernel ------------------------------------------------------------------------
+
+def _kernel_product(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.empty(x.shape[:-1] + (len(matrix),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silent, as einsum is
+        _apply_matrix(matrix, np.moveaxis(x, -1, 0), np.moveaxis(out, -1, 0),
+                      np.empty((2,) + x.shape[:-1]))
+    return out
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                   np.inf, -np.inf, np.nan, 1e308, -1e308, 1.0, -1.0]
+
+_KERNEL_MATRICES = [
+    np.asarray(XYZ_TO_LINEAR_SRGB_D65),
+    np.linalg.inv(XYZ_TO_LINEAR_SRGB_D65),
+    np.linalg.inv(XYZ_TO_LINEAR_SRGB_D65)[1:2],  # the analysis' Y row alone
+    np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0], [-1.0, 0.0, 5e-324]]),
+    np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[2.0 ** 899, -(2.0 ** 899), 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("matrix", range(len(_KERNEL_MATRICES)))
+def test_matrix_kernel_matches_einsum_bit_for_bit(matrix):
+    matrix = _KERNEL_MATRICES[matrix]
+    rng = np.random.default_rng(len(matrix) + int(abs(matrix).max() > 1e300))
+    ordinary = rng.normal(size=(9, 31, 3)) * 10.0 ** rng.integers(-3, 4, (9, 31, 3))
+    scaled = rng.normal(size=(4, 5, 3)) * 10.0 ** rng.integers(-310, 309, (4, 5, 3))
+    # every triple of special values, as one row of pixels
+    special = np.array(np.meshgrid(*[_SPECIAL_VALUES] * 3, indexing="ij")).reshape(3, 1, -1).T
+    for x in (ordinary, scaled, special.transpose(1, 0, 2).copy(), ordinary[:1, :1]):
+        got, expected = _kernel_product(matrix, x), np.einsum("ij,hwj->hwi", matrix, x)
+        assert got.tobytes() == expected.tobytes()
+
+
+# --- loaded float32 planes and peak memory ------------------------------------------------
+
+def _saved_plane(tmp_path, shape, seed: int = 3):
+    """The stem of a plane pair saved from a random image of ``shape``."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0.0, 1.0, shape + (3,)) ** 2
+    data[: shape[0] // 4] = 1.0
+    save_meas_xyz(make_image(data, capture_id="plane"), tmp_path / "plane")
+    return tmp_path / "plane"
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak bytes it allocated, all of it alive at the peak or not."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_planes_stay_float32_and_render_as_their_widening(tmp_path):
+    stem = _saved_plane(tmp_path, (23, 37))
+    loaded = load_meas_xyz(stem)
+    assert loaded.data.dtype == np.float32
+    widened = make_image(loaded.data.astype(np.float64), capture_id="plane")
+    gains = [0.5, 1.0, 2.0, 4.0, 3.0]
+    for a, b in zip(isp.make_bracket(loaded, gains), isp.make_bracket(widened, gains)):
+        assert np.array_equal(a.codes, b.codes)
+    for params in (RenderParams(exposure_gain=2.0), RenderParams(exposure_gain=1.5, quantize=False)):
+        a, b = analyze_render(loaded, params), analyze_render(widened, params)
+        assert np.array_equal(a.residual_map, b.residual_map)
+        assert a.summary_dict() == b.summary_dict() and a.histogram == b.histogram
+
+
+_PEAK_SHAPE = (1024, 1024)
+_PIXELS = _PEAK_SHAPE[0] * _PEAK_SHAPE[1]
+
+
+def test_meas_xyz_transform_peaks_below_a_whole_frame_temporary():
+    capture = make_capture(5, *_PEAK_SHAPE)
+    image, peak = _traced_peak(lambda: meas_xyz_transform(capture))
+    # the output and stripe-sized buffers; one whole-frame float64 channel
+    # more (a normalized mosaic, its padding or a channel of the RGB) is over
+    assert peak < image.data.nbytes + 8 * _PIXELS
+
+
+def test_bracket_of_a_loaded_plane_peaks_below_its_float64_copy(tmp_path):
+    stem = _saved_plane(tmp_path, _PEAK_SHAPE)
+    bracket, peak = _traced_peak(lambda: isp.make_bracket(load_meas_xyz(stem)))
+    codes = sum(rendered.codes.nbytes for rendered in bracket)
+    # the float32 plane (12 B/px), the codes and stripe-sized buffers; a
+    # float64 copy of the plane (24 B/px) in place of the float32 one is over
+    assert peak < codes + 24 * _PIXELS
+
+
+def test_analysis_of_a_loaded_plane_peaks_below_its_float64_copy(tmp_path):
+    stem = _saved_plane(tmp_path, _PEAK_SHAPE)
+    _, peak = _traced_peak(lambda: analyze_render(load_meas_xyz(stem), RenderParams(exposure_gain=2.0)))
+    # the float32 plane (12 B/px); recovered Y, the clip and lost masks, the
+    # residual, Y widened and one percentile copy (34 B/px); and stripe-sized
+    # buffers. A float64 plane in its place (24 B/px, with Y a view of it)
+    # comes to 50 B/px, and luminance widening the whole plane to 62.
+    assert peak < (12 + 34 + 2) * _PIXELS

@@ -31,13 +31,15 @@ class Outer:
     inner: Inner = Inner(0)
     color: Color = Color.RED
     counts: dict[Color, int] | None = None
+    raw: dict | None = None
 
 
 @pytest.mark.parametrize("obj, expected", [
     ({"name": "a", "gain": 2}, Outer("a", 2.0)),
     ({"name": "a", "gain": 0.5, "flag": True, "note": None, "gains": [1, 2.5], "pair": [3, "b"],
-      "inner": {"n": 4}, "color": "red", "counts": {"red": 1}},
-     Outer("a", 0.5, True, None, (1.0, 2.5), (3, "b"), Inner(4), Color.RED, {Color.RED: 1})),
+      "inner": {"n": 4}, "color": "red", "counts": {"red": 1}, "raw": {"k": [1, None]}},
+     Outer("a", 0.5, True, None, (1.0, 2.5), (3, "b"), Inner(4), Color.RED, {Color.RED: 1},
+           {"k": [1, None]})),
 ])
 def test_values_of_the_right_type_are_decoded(obj, expected):
     decoded = decode(Outer, obj, "outer")
@@ -62,6 +64,7 @@ def test_values_of_the_right_type_are_decoded(obj, expected):
     ({"name": "a"}, "outer: missing key 'gain'"),
     ({"name": "a", "gain": 1.0, "extra": 1, "more": 2}, "outer: unknown keys ['extra', 'more']"),
     (["a", 1.0], "outer: expected Outer, got ['a', 1.0]"),
+    ({"name": "a", "gain": 1.0, "raw": [1]}, "outer.raw: expected dict | None, got [1]"),
 ])
 def test_values_of_the_wrong_type_are_refused(obj, message):
     with pytest.raises(ConfigInvalid) as refused:
