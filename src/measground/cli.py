@@ -261,6 +261,24 @@ class _CapturePool:
                 raise IoFailure(f"a worker process ended abruptly ({exc})") from None
 
 
+# Holds each thread's stripe workspace; see _stage_workspace.
+_stage_state = threading.local()
+
+
+def _stage_workspace():
+    """This thread's stripe workspace, held for every capture it runs.
+
+    A forked worker builds its own on its first capture, so the buffers grow
+    to the stripes that worker sees and are not allocated again per capture.
+    """
+    workspace = getattr(_stage_state, "workspace", None)
+    if workspace is None:
+        from .measxyz import _StripeWorkspace
+
+        workspace = _stage_state.workspace = _StripeWorkspace()
+    return workspace
+
+
 def _refuse_duplicate_ids(inputs) -> None:
     """Refuse two inputs, given as (path, capture id), whose outputs would share names."""
     seen: dict[str, Path] = {}
@@ -386,7 +404,7 @@ def _measxyz_one(bundle: tuple[Path, dict], out: Path) -> None:
     from . import capture as capture_mod
     from . import measxyz
 
-    image = measxyz.meas_xyz_transform(capture_mod.load_capture_bundle(*bundle))
+    image = measxyz.meas_xyz_transform(capture_mod.load_capture_bundle(*bundle), workspace=_stage_workspace())
     measxyz.save_meas_xyz(image, out / image.capture_id)
 
 
@@ -429,7 +447,7 @@ def _render_one(plane: tuple[Path, tuple], config: RunConfig, gains, out: Path) 
     from . import isp, measxyz
 
     image = measxyz.load_meas_xyz(*plane)
-    renders = isp.make_bracket(image, gains, bit_depth=config.bit_depth,
+    renders = isp.make_bracket(image, gains, workspace=_stage_workspace(), bit_depth=config.bit_depth,
                                transfer=config.transfer, quantize=config.quantize)
     for gain, rendered in zip(gains, renders):
         isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(gain)}")
@@ -458,7 +476,8 @@ def _lost_signal_one(plane: tuple[Path, tuple], config: RunConfig, out: Path) ->
 
     image = measxyz.load_meas_xyz(*plane)
     params = _render_params(config, config.gain)
-    report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins)
+    report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins,
+                                        workspace=_stage_workspace())
     lost_signal.emit_report(report, out)
 
 

@@ -104,6 +104,8 @@ def write_pgm8(path: Path, data: np.ndarray) -> None:
     import numpy as np
 
     data = np.asarray(data)
+    if data.ndim != 2:
+        raise IoFailure(f"{path}: PGM data must be 2-D, got shape {data.shape}")
     height, width = data.shape
     _write(path, [_pnm_header("P5", width, height, 255),
                   data.astype(np.uint8, order="C", copy=False)])
@@ -164,16 +166,37 @@ def write_ppm(path: Path, codes: np.ndarray, maxval: int) -> None:
 # C order, and <stem>.json describing it. Values are stored at float32
 # precision; loading is exact with respect to the stored bytes.
 
+# Samples per block of a plane's float32 conversion (256 KiB).
+_PLANE_BLOCK_VALUES = 1 << 16
+
+
+def _float32_blocks(data: np.ndarray):
+    """``data`` as little-endian float32 in C order, one block of rows at a
+    time, each converted into the same buffer once the last was written."""
+    import numpy as np
+
+    rows = max(1, _PLANE_BLOCK_VALUES // max(1, math.prod(data.shape[1:])))
+    buffer = np.empty((min(rows, data.shape[0]),) + data.shape[1:], dtype="<f4")
+    for top in range(0, data.shape[0], rows):
+        block = data[top:top + rows]
+        out = buffer[:block.shape[0]]
+        np.copyto(out, block)
+        yield out
+
+
 def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
     import numpy as np
 
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
+    if data.dtype != np.float32:
+        # widened first, so each sample is rounded to float32 once, from float64
+        data = np.asarray(data, dtype=np.float64)
     if data.ndim not in (2, 3):
         raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
     full = dict(header)
     full.update(height=int(data.shape[0]), width=int(data.shape[1]),
                 channels=data.shape[2] if data.ndim == 3 else 1)
-    _write(Path(str(stem) + ".f32"), [data.astype("<f4", order="C")])
+    _write(Path(str(stem) + ".f32"), _float32_blocks(data))
     write_json(Path(str(stem) + ".json"), full)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import formats
 from .errors import DomainError, EmptyBracket, IoFailure
-from .measxyz import _STRIPE_PIXELS, MeasXyzImage, _apply_matrix
+from .measxyz import _STRIPE_PIXELS, MeasXyzImage, _apply_matrix, _StripeWorkspace
 # The render parameters and their header reader live in records, without numpy.
 from .records import (
     DEFAULT_BRACKET,
@@ -165,9 +165,10 @@ def _code_table(bits: int, transfer: str) -> tuple[np.ndarray, np.ndarray]:
     return base, step
 
 
-def _lookup_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lookup_buffers(workspace: _StripeWorkspace, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The float, index and flag temporaries of _table_codes for ``size`` values."""
-    return np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    return (workspace.take("lookup values", (size,)), workspace.take("lookup indices", (size,), np.intp),
+            workspace.take("lookup flags", (size,), bool))
 
 
 def _table_codes(v: np.ndarray, k: int, bits: int, transfer: str, out: np.ndarray,
@@ -221,7 +222,7 @@ def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
     return min(max(1, _STRIPE_PIXELS // max(1, width)), height), width, 3
 
 
-def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray):
+def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace: _StripeWorkspace):
     """Yield (rows, i, v, k) per row stripe of ``z`` and params_seq[i]: 2^k * v
     is the stripe's pre-clip linear RGB at that gain, matrix @ (gain * xyz).
 
@@ -231,17 +232,18 @@ def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray):
     Power-of-two quantized gains share one gain-1 product; any other render
     takes the formula on the stripe. Each stripe is first copied into float64
     X, Y and Z planes, which widens a float32 plane and lets the matrix read
-    contiguous planes. ``v`` lives in a buffer the next stripe overwrites:
-    stripe-sized arrays allocated afresh would be mapped, faulted in and
-    unmapped again on every stripe.
+    contiguous planes. ``v`` lives in a buffer the next stripe overwrites,
+    and every stripe buffer comes from ``workspace``: a caller that holds one
+    across captures allocates them once, not on every capture.
     """
     exponents = [_shared_exponent(params) for params in params_seq]
     shape = _stripe_shape(z)
-    planes = np.empty((3,) + shape[:2])  # the stripe's X, Y and Z
-    product = np.empty(shape)  # the gain-1 product
+    planes = workspace.take("xyz planes", (3,) + shape[:2])  # the stripe's X, Y and Z
+    product = workspace.take("gain-1 product", shape)
     scratch = scratch[:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
     if None in exponents:
-        formula, scaled = np.empty(shape), np.empty_like(planes)  # matrix @ (gain * xyz), gain * xyz
+        # matrix @ (gain * xyz), gain * xyz
+        formula, scaled = workspace.take("formula", shape), workspace.take("scaled planes", planes.shape)
     for top in range(0, z.data.shape[0], max(1, shape[0])):
         rows = slice(top, top + shape[0])
         block = z.data[rows]
@@ -275,26 +277,32 @@ def _code_dtype(params: RenderParams):
     return np.uint16 if params.quantize else np.float64
 
 
-def _render_pass(z: MeasXyzImage, params_seq) -> list[RenderedRgb]:
+def _render_pass(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> list[RenderedRgb]:
     """Render ``z`` under every params in one pass over its row stripes."""
     outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
-    lookup = _lookup_buffers(math.prod(_stripe_shape(z)))
+    lookup = _lookup_buffers(workspace, math.prod(_stripe_shape(z)))
     # the lookup's float buffer is free while a stripe's product is computed
-    for rows, i, v, k in _linear_stripes(z, params_seq, lookup[0]):
+    for rows, i, v, k in _linear_stripes(z, params_seq, lookup[0], workspace):
         _stripe_codes(v, k, params_seq[i], outs[i][rows], lookup)
     return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
 
 
 def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:
-    return _render_pass(z, [params])[0]
+    return _render_pass(z, [params], _StripeWorkspace())[0]
 
 
-def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, **param_overrides) -> list[RenderedRgb]:
-    """Render one proxy per exposure gain, in the order given, in one pass."""
+def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, *, workspace: _StripeWorkspace | None = None,
+                 **param_overrides) -> list[RenderedRgb]:
+    """Render one proxy per exposure gain, in the order given, in one pass.
+
+    The stripe buffers come from ``workspace``, or from one made for this
+    call when it is None.
+    """
     exposures = list(exposures)
     if not exposures:
         raise EmptyBracket("exposure list must be non-empty")
-    return _render_pass(z, [RenderParams(exposure_gain=e, **param_overrides) for e in exposures])
+    return _render_pass(z, [RenderParams(exposure_gain=e, **param_overrides) for e in exposures],
+                        _StripeWorkspace() if workspace is None else workspace)
 
 
 # --- PPM export --------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .isp import (
     _stripe_shape,
     srgb_eotf,
 )
-from .measxyz import MeasXyzImage, _apply_matrix
+from .measxyz import MeasXyzImage, _apply_matrix, _StripeWorkspace
 from .records import DEFAULT_TAU
 
 
@@ -208,10 +208,11 @@ def _luminance_report(
     )
 
 
-def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndarray, np.ndarray]:
+def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _StripeWorkspace
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Y of ``invert_render(render_proxy(z, params))`` and the (H, W) mask of
     pixels whose pre-clip linear RGB exceeds 1 in any channel, bit for bit,
-    in one pass over row stripes.
+    in one pass over row stripes whose buffers come from ``workspace``.
 
     Only the Y row of the inverse is computed, by the kernel invert_render
     uses, then divided by the gain.
@@ -221,25 +222,30 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndar
     y_rec = np.empty(z.data.shape[:2])
     clipped = np.empty(z.data.shape[:2], dtype=bool)
     shape = _stripe_shape(z)
-    lookup = _lookup_buffers(math.prod(shape))
-    codes = np.empty(shape, dtype=_code_dtype(params))
-    scratch = np.empty((2,) + shape[:2])  # _apply_matrix's sums
-    # the dequantized R, G, B planes share the lookup's float buffer, which
-    # is free once a stripe's codes are written
+    lookup = _lookup_buffers(workspace, math.prod(shape))
+    codes = workspace.take("codes", shape, _code_dtype(params))
+    scratch = workspace.take("inverse sums", (2,) + shape[:2])  # _apply_matrix's sums
+    over = workspace.take("clip flags", shape[:2], bool)
+    # the dequantized R, G, B planes share the lookup's float buffer, and
+    # their codes as indices its index buffer: both are free once a stripe's
+    # codes are written
     planes = lookup[0].reshape((3,) + shape[:2])
-    for rows, _, v, k in _linear_stripes(z, [params], scratch.reshape(-1)):
+    for rows, _, v, k in _linear_stripes(z, [params], scratch.reshape(-1), workspace):
         count = v.shape[0]
         top = np.ldexp(1.0, -k)  # 2^k * v > 1
         mask = clipped[rows]
         np.greater(v[..., 0], top, out=mask)
-        mask |= v[..., 1] > top
-        mask |= v[..., 2] > top
+        for c in (1, 2):
+            mask |= np.greater(v[..., c], top, out=over[:count])
         encoded = codes[:count]
         _stripe_codes(v, k, params, encoded, lookup)
         if table is not None:
             linear = planes[:, :count]
+            # np.take would convert each channel's codes into a fresh intp array
+            index = lookup[1][:v.size // 3].reshape(v.shape[:2])
             for c in range(3):
-                np.take(table, encoded[..., c], out=linear[c], mode="clip")
+                np.copyto(index, encoded[..., c])
+                np.take(table, index, out=linear[c], mode="clip")
         else:
             linear = np.moveaxis(srgb_eotf(encoded) if params.transfer != IDENTITY else encoded, -1, 0)
         y = y_rec[rows]
@@ -249,11 +255,16 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndar
 
 
 def analyze_render(
-    z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = 32
+    z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = 32, *,
+    workspace: _StripeWorkspace | None = None,
 ) -> LostSignalReport:
     """Render, invert, and measure the residual, the render and inverse in one
-    pass over row stripes whose buffers are gone before the report is built."""
-    y_rec, clipped = _recovered_luminance(z, params)
+    pass over row stripes.
+
+    The stripe buffers come from ``workspace``. When it is None, one made for
+    this call holds them, and it is gone before the report is built.
+    """
+    y_rec, clipped = _recovered_luminance(z, params, _StripeWorkspace() if workspace is None else workspace)
     return _luminance_report(z, y_rec, clipped, tau, bins, capture_id=None,
                              exposure_gain=params.exposure_gain, bits=params.bit_depth)
 

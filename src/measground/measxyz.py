@@ -11,6 +11,7 @@ until saturation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,31 @@ class MeasXyzImage:
 _STRIPE_PIXELS = 1 << 15
 
 
+class _StripeWorkspace:
+    """Named, grow-only buffers for the stripe temporaries of the Meas.-XYZ,
+    render and analysis passes.
+
+    ``take`` hands out a C-contiguous view of a name's buffer, grown only when
+    a larger stripe asks for more than it holds, so a workspace held across
+    captures stops allocating once it has seen the largest stripe. A view
+    holds whatever the name's last user left there, and the next take of the
+    name hands out the same memory. A pass called without a workspace makes
+    its own, dropped when the call returns; the CLI's image stages hold one
+    per process.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
 def _apply_matrix(matrix: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Write matrix @ x into ``out``, bit for bit as np.einsum("ij,hwj->hwi") computes it.
 
@@ -117,15 +143,17 @@ def _site_rows(capture: RawCapture, width: int) -> tuple[np.ndarray, np.ndarray]
     return black, span
 
 
-def _normalize(codes: np.ndarray, black: np.ndarray, span: np.ndarray, out: np.ndarray, own) -> int:
+def _normalize(codes: np.ndarray, black: np.ndarray, span: np.ndarray, out: np.ndarray, own,
+               flags: np.ndarray) -> int:
     """Write clip((codes - black) / span, 0, 1) into ``out``, with black[p] and
     span[p] along the rows p, p + 2, ...; return how many values of
-    ``out[own]`` the clip brought down from above 1."""
+    ``out[own]`` the clip brought down from above 1, found in the bool
+    ``flags`` of ``out[own]``'s shape."""
     for parity in range(2):
         rows = out[parity::2]
         np.subtract(codes[parity::2], black[parity], out=rows)
         np.divide(rows, span[parity], out=rows)
-    saturated = int(np.count_nonzero(out[own] > 1.0))
+    saturated = int(np.count_nonzero(np.greater(out[own], 1.0, out=flags)))
     np.clip(out, 0.0, 1.0, out=out)
     return saturated
 
@@ -139,13 +167,15 @@ def normalize_mosaic(capture: RawCapture) -> np.ndarray:
     """Map sensor codes to [0, 1]: (code - black_site) / (white - black_site)."""
     black, span = _site_rows(capture, capture.width)
     out = np.empty(capture.mosaic.shape)
-    _log_saturated(capture, _normalize(capture.mosaic, black, span, out, ...))
+    flags = np.empty(capture.mosaic.shape, dtype=bool)
+    _log_saturated(capture, _normalize(capture.mosaic, black, span, out, ..., flags))
     return out
 
 
-def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray) -> None:
+def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray, workspace: _StripeWorkspace) -> None:
     """Write the demosaic of ``padded``'s interior into ``out``, which holds the
-    R, G and B planes, (H, W) each, along its first axis.
+    R, G and B planes, (H, W) each, along its first axis; the neighbor sums
+    take their buffer from ``workspace``.
 
     ``padded`` is the mosaic with one row and column more on each side, its
     interior starting on the CFA tile's first row and column. Each site of
@@ -155,7 +185,7 @@ def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray) -> None:
     """
     height, width = out.shape[1:]
     # the sums accumulate in a contiguous buffer, faster than in ``out``'s strided sites
-    sums = np.empty(((height + 1) // 2, (width + 1) // 2))
+    sums = workspace.take("demosaic sums", ((height + 1) // 2, (width + 1) // 2))
     for pi in range(2):
         for pj in range(2):
             sites = out[:, pi::2, pj::2]
@@ -186,7 +216,8 @@ def demosaic_bilinear(norm_mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
     """
     mosaic = np.asarray(norm_mosaic, dtype=np.float64)
     out = np.empty(mosaic.shape + (3,))
-    _demosaic_padded(np.pad(mosaic, 1, mode="reflect"), _CFA_TILES[cfa_pattern], np.moveaxis(out, -1, 0))
+    _demosaic_padded(np.pad(mosaic, 1, mode="reflect"), _CFA_TILES[cfa_pattern], np.moveaxis(out, -1, 0),
+                     _StripeWorkspace())
     return out
 
 
@@ -205,15 +236,18 @@ def _stripe_step(width: int) -> int:
     return max(2, _STRIPE_PIXELS // max(1, width) // 2 * 2)
 
 
-def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
+def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | None = None) -> MeasXyzImage:
     """Full observation operator: capture -> normalized linear XYZ image.
 
     One pass over row stripes: each stripe is normalized with a one-row halo
     above and below, mirrored only at the frame edges as
     demosaic_bilinear's padding mirrors them, then demosaiced, white
     balanced, matrixed, clamped and scaled into the output, bit for bit as
-    the whole frame would be.
+    the whole frame would be. Every stripe-sized temporary comes from
+    ``workspace``, or from one made for this call when it is None.
     """
+    if workspace is None:
+        workspace = _StripeWorkspace()
     height, width = capture.mosaic.shape
     step = _stripe_step(width)
     rows = min(step, height)
@@ -222,11 +256,14 @@ def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
     scale = white_scale(capture)
     gains = np.asarray(capture.wb_gains).reshape(3, 1, 1)
     tile = _CFA_TILES[capture.cfa_pattern]
-    padded = np.empty((rows + 2, width + 2))
+    codes = workspace.take("mosaic rows", (rows + 2, width), capture.mosaic.dtype)
+    padded = workspace.take("padded mosaic", (rows + 2, width + 2))
     # the R, G, B planes: the matrix reads contiguous planes faster than
     # interleaved channels
-    rgb = np.empty((3, rows, width))
-    scratch = np.empty((2, rows, width))
+    rgb = workspace.take("rgb planes", (3, rows, width))
+    scratch = workspace.take("matrix sums", (2, rows, width))
+    over = workspace.take("saturated flags", (rows, width), bool)
+    under = workspace.take("negative flags", (rows, width, 3), bool)
     xyz = np.empty((height, width, 3))
     saturated = negative = 0
     for top in range(0, height, step):
@@ -236,16 +273,18 @@ def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
         source[0] = abs(source[0])
         if source[-1] == height:
             source[-1] = height - 2
+        # the indices are in range; mode="clip" only skips the bounds check
+        mosaic_rows = np.take(capture.mosaic, source, axis=0, out=codes[:count + 2], mode="clip")
         stripe = padded[:count + 2]
-        saturated += _normalize(capture.mosaic[source], black, span, stripe[:, 1:-1], slice(1, -1))
+        saturated += _normalize(mosaic_rows, black, span, stripe[:, 1:-1], slice(1, -1), over[:count])
         stripe[:, 0] = stripe[:, 2]
         stripe[:, -1] = stripe[:, -3]
         linear = rgb[:, :count]
-        _demosaic_padded(stripe, tile, linear)
+        _demosaic_padded(stripe, tile, linear, workspace)
         linear *= gains
         out = xyz[top:top + count]
         _apply_matrix(capture.cam_to_xyz, linear, np.moveaxis(out, -1, 0), scratch[:, :count])
-        negative += int(np.count_nonzero(out < 0.0))
+        negative += int(np.count_nonzero(np.less(out, 0.0, out=under[:count])))
         np.clip(out, 0.0, None, out=out)
         out /= scale
         np.clip(out, 0.0, 1.0, out=out)

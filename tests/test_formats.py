@@ -5,6 +5,7 @@ the path."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def oracle_pgm(data: np.ndarray, maxval: int) -> bytes:
 
 
 def oracle_plane(data: np.ndarray) -> bytes:
-    return np.asarray(data, dtype=np.float64).astype("<f4").tobytes()
+    return np.asarray(data, dtype=np.float64).astype("<f4", order="C").tobytes()
 
 
 def _layouts(array: np.ndarray):
@@ -82,11 +83,52 @@ def test_plane(tmp_path, layout, shape):
     assert np.array_equal(loaded, data.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", [(5, 6), (5, 6, 3)])
+# one block for the whole plane; blocks of two rows, the last of one; a row per block
+@pytest.mark.parametrize("dtype, block_values", [(np.float32, None), (np.float64, 40), (np.float32, 40),
+                                                 (np.float64, 1), (np.float32, 1)])
+def test_plane_blocks_write_the_whole_frame_bytes(tmp_path, layout, shape, dtype, block_values, monkeypatch):
+    if block_values is not None:
+        monkeypatch.setattr(formats, "_PLANE_BLOCK_VALUES", block_values)
+    data = _layouts(np.random.default_rng(2).uniform(-1, 1, shape).astype(dtype))[layout]
+    formats.write_plane(tmp_path / "x", data, {})
+    assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
+
+
 def test_plane_from_float32_and_ints(tmp_path):
     for data in (np.random.default_rng(3).uniform(0, 1, (3, 4)).astype(np.float32),
                  np.arange(12, dtype=np.int64).reshape(3, 4) * 1_000_003):
         formats.write_plane(tmp_path / "x", data, {})
         assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
+
+
+def test_plane_write_peaks_below_its_float32_copy(tmp_path):
+    data = np.random.default_rng(4).uniform(0, 1, (1024, 1024, 3))
+    tracemalloc.start()
+    try:
+        formats.write_plane(tmp_path / "x", data, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of rows is 256 KiB; a whole-frame float32 copy is 12 MiB
+    assert peak < data.size * 4 // 8
+    assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
+
+
+@pytest.mark.parametrize("writer, data", [
+    (formats.write_pgm16, np.zeros((2, 2, 3), np.uint16)),
+    (formats.write_pgm8, np.zeros((2, 2, 3), np.uint8)),
+    (formats.write_pgm8, np.zeros(4, np.uint8)),
+    (formats.write_ppm, np.zeros((2, 2), np.uint8)),
+    (formats.write_plane, np.zeros(4)),
+])
+def test_a_wrongly_shaped_array_is_refused_naming_the_path(tmp_path, writer, data):
+    path = tmp_path / "artifact"
+    args = {formats.write_ppm: (255,), formats.write_plane: ({},)}.get(writer, ())
+    with pytest.raises(IoFailure, match=re.escape(str(path))):
+        writer(path, data, *args)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_jsonl_and_text(tmp_path):

@@ -253,7 +253,8 @@ def test_code_table_matches_formula(bits, transfer):
 
 def table_codes(values: np.ndarray, bits: int, transfer: str, k: int = 0) -> np.ndarray:
     codes = np.empty(values.shape, dtype=np.uint16)
-    isp._table_codes(values, k, bits, transfer, codes, isp._lookup_buffers(values.size))
+    isp._table_codes(values, k, bits, transfer, codes,
+                     isp._lookup_buffers(measxyz._StripeWorkspace(), values.size))
     return codes
 
 
@@ -552,3 +553,87 @@ def test_analysis_of_a_loaded_plane_peaks_below_its_float64_copy(tmp_path):
     # buffers. A float64 plane in its place (24 B/px, with Y a view of it)
     # comes to 50 B/px, and luminance widening the whole plane to 62.
     assert peak < (12 + 34 + 2) * _PIXELS
+
+
+# --- a stripe workspace held across captures ----------------------------------------------
+
+def _poisoned(workspace: measxyz._StripeWorkspace) -> measxyz._StripeWorkspace:
+    """``workspace`` with every held byte set to 0xFF (NaN as float64), so a
+    stale read shows in the output."""
+    for buffer in workspace._buffers.values():
+        buffer.fill(0xFF)
+    return workspace
+
+
+def _assert_reports_equal(a, b) -> None:
+    assert np.array_equal(a.residual_map, b.residual_map)
+    assert np.array_equal(a.lost_mask, b.lost_mask)
+    assert a.histogram == b.histogram and a.summary_dict() == b.summary_dict()
+
+
+# (height, width, pattern) at stripes of 60 pixels: the frames grow and shrink
+# in both dimensions, and include 2-row frames and frames wider than a stripe
+_REUSE_SEQUENCE = [
+    (8, 10, "RGGB"), (2, 10, "BGGR"), (14, 12, "GRBG"), (4, 64, "GBRG"), (2, 2, "RGGB"),
+    (20, 6, "BGGR"), (6, 70, "GRBG"), (2, 62, "GBRG"), (10, 10, "RGGB"),
+]
+_REUSE_GAINS = [0.5, 1.0, 2.0, 3.0, 0.3]
+
+
+def test_a_held_workspace_gives_every_capture_a_fresh_calls_output(monkeypatch):
+    monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 60)
+    monkeypatch.setattr(isp, "_STRIPE_PIXELS", 60)
+    workspace = measxyz._StripeWorkspace()
+    for index, (height, width, pattern) in enumerate(_REUSE_SEQUENCE):
+        capture = _saturating_capture(pattern, height, width, seed=index)
+        z = meas_xyz_transform(capture)
+        assert np.array_equal(meas_xyz_transform(capture, workspace=_poisoned(workspace)).data, z.data)
+        for quantize in (True, False):
+            held = isp.make_bracket(z, _REUSE_GAINS, workspace=_poisoned(workspace), quantize=quantize)
+            for a, b in zip(held, isp.make_bracket(z, _REUSE_GAINS, quantize=quantize)):
+                assert np.array_equal(a.codes, b.codes), (index, a.params)
+        for params in (RenderParams(exposure_gain=2.0), RenderParams(exposure_gain=1.5),
+                       RenderParams(exposure_gain=2.0, quantize=False)):
+            _assert_reports_equal(analyze_render(z, params, workspace=_poisoned(workspace)),
+                                  analyze_render(z, params))
+
+
+def test_a_held_workspace_allocates_no_stripe_buffer_again(monkeypatch):
+    # 256 x 256: two stripes of 128 rows, whose smallest buffer, one bool per
+    # pixel, is 32 KiB. NumPy's ufunc loops buffer up to 64 KiB per operand
+    # at the default size; a small one keeps that out of the count.
+    shape = (256, 256)
+    pixels = shape[0] * shape[1]
+    margin = 3 * measxyz._STRIPE_PIXELS // 4
+    params = RenderParams(exposure_gain=2.0)
+    workspace = measxyz._StripeWorkspace()
+    z = meas_xyz_transform(make_capture(1, *shape), workspace=workspace)
+    isp.make_bracket(z, workspace=workspace)
+    analyze_render(z, params, workspace=workspace)
+    held = dict(workspace._buffers)
+
+    stripe_pass_peak = []
+    luminance_report = lost_signal._luminance_report
+
+    def report_after_the_stripe_pass(*args, **kwargs):
+        stripe_pass_peak.append(tracemalloc.get_traced_memory()[1])
+        return luminance_report(*args, **kwargs)
+
+    monkeypatch.setattr(lost_signal, "_luminance_report", report_after_the_stripe_pass)
+    capture = make_capture(2, *shape)
+    bufsize = np.setbufsize(64)
+    try:
+        image, peak = _traced_peak(lambda: meas_xyz_transform(capture, workspace=workspace))
+        assert peak < image.data.nbytes + margin
+        bracket, peak = _traced_peak(lambda: isp.make_bracket(image, workspace=workspace))
+        assert peak < sum(rendered.codes.nbytes for rendered in bracket) + margin
+        _, peak = _traced_peak(lambda: analyze_render(image, params, workspace=workspace))
+    finally:
+        np.setbufsize(bufsize)
+    # the stripe pass: recovered Y and the clip mask (9 B/px); the report:
+    # those, the residual, the lost mask and a percentile copy or the
+    # histogram's bin indices (26 B/px)
+    assert stripe_pass_peak[0] < 9 * pixels + margin
+    assert peak < 26 * pixels + margin
+    assert workspace._buffers.keys() == held.keys()
+    assert all(workspace._buffers[name] is buffer for name, buffer in held.items())
