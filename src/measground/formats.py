@@ -187,10 +187,7 @@ def _float32_blocks(data: np.ndarray):
 def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
     import numpy as np
 
-    data = np.asarray(data)
-    if data.dtype != np.float32:
-        # widened first, so each sample is rounded to float32 once, from float64
-        data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=np.float64)
     if data.ndim not in (2, 3):
         raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
     full = dict(header)
