@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import formats
+from . import formats, remote
 from .errors import (
     AnnotatorUnavailable,
     EmptyInput,
@@ -199,61 +199,35 @@ class HttpAnnotatorClient:
     """POSTs {capture_id, exposure_gain, image: base64 PPM} and expects
     {"candidates": [{question, answer, score, question_type, template_id}]}."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def fetch(self, capture_id: str, exposure_gain: float, image_ppm: bytes) -> list[dict]:
-        import requests
-
         payload = {
             "capture_id": capture_id,
             "exposure_gain": exposure_gain,
             "image": base64.b64encode(image_ppm).decode("ascii"),
         }
-        try:
-            response = requests.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise AnnotatorUnavailable(f"{self.endpoint}: {exc}") from exc
-        if response.status_code != 200:
-            raise AnnotatorUnavailable(f"{self.endpoint}: HTTP {response.status_code}")
-        try:
-            body = response.json()
-        except ValueError as exc:
-            raise MalformedResponse(f"{self.endpoint}: non-JSON response") from exc
-        if not isinstance(body, dict) or not isinstance(body.get("candidates"), list):
+        body = remote.post_json(self.endpoint, payload, AnnotatorUnavailable, MalformedResponse)
+        if not isinstance(body.get("candidates"), list):
             raise MalformedResponse(f"{self.endpoint}: missing candidates list")
         return body["candidates"]
 
 
-def annotate(
-    proxy: EncodedProxy,
-    client,
-    source_prefix: str = "",
-    max_retries: int = 3,
-) -> list[CandidateRecord]:
-    """Fetch candidates for one proxy, retrying transient failures.
+def annotate(proxy: EncodedProxy, client, source_prefix: str = "") -> list[CandidateRecord]:
+    """Fetch candidates for one proxy, retrying transient failures as ``remote`` does.
 
     Malformed responses are logged and yield no candidates; individually
     malformed candidates are dropped while the rest are kept. A candidate is
     the five wire keys, decoded with the proxy's gain and ``source_prefix``.
     """
     gain = proxy.exposure_gain
-    retries = 0
-    while True:
-        try:
-            raw = client.fetch(proxy.capture_id, gain, proxy.ppm)
-            break
-        except AnnotatorUnavailable:
-            if retries >= max_retries:
-                raise
-            retries += 1
-            log.info("annotator retry %d for %s @ e=%s", retries, proxy.capture_id, gain)
-        except MalformedResponse as exc:
-            log.warning("malformed annotator response skipped: %s", exc)
-            return []
-    if retries:
-        log.info("annotator succeeded after %d retries for %s @ e=%s", retries, proxy.capture_id, gain)
+    try:
+        raw = remote.with_retries(lambda: client.fetch(proxy.capture_id, gain, proxy.ppm),
+                                  AnnotatorUnavailable, f"annotator {proxy.capture_id} @ e={gain}")
+    except MalformedResponse as exc:
+        log.warning("malformed annotator response skipped: %s", exc)
+        return []
 
     stamp = {"exposure_gain": gain, "source_prefix": source_prefix}
     records = []

@@ -32,7 +32,7 @@ class InvalidSpec(MeasgroundError):
 
 
 class IoFailure(MeasgroundError):
-    """Filesystem write/read failed."""
+    """Filesystem write/read failed, or a remote call failed permanently (not retried)."""
 
 
 # --- numeric pipeline --------------------------------------------------------

@@ -15,13 +15,7 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (
-    IoFailure,
-    MalformedMosaic,
-    MalformedVerdict,
-    MissingFile,
-    SchemaViolation,
-)
+from .errors import IoFailure, MalformedMosaic, MissingFile, SchemaViolation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -277,7 +271,7 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
 
     A row that is not a JSON object, or that ``parse`` rejects with KeyError
     or SchemaViolation (``records.decode``'s error), raises SchemaViolation
-    naming the file line; MalformedVerdict keeps its type and gains the file line.
+    naming the file line.
     """
     rows = []
     for lineno, line in enumerate(lines, start=1):
@@ -295,8 +289,6 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
             raise SchemaViolation(f"{path}:{lineno}: missing key {exc}") from exc
         except SchemaViolation as exc:
             raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
-        except MalformedVerdict as exc:
-            raise MalformedVerdict(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

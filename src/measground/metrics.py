@@ -9,18 +9,15 @@ treats CJK code points as single tokens.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import formats
+from . import formats, remote
 from .benchmark import BenchmarkExample, CapabilityDimension
-from .errors import JudgeUnavailable, MalformedVerdict, ManifestMismatch
+from .errors import JudgeUnavailable, MalformedVerdict, ManifestMismatch, SchemaViolation
 from .records import decode
-
-log = logging.getLogger(__name__)
 
 _CJK_RANGES = (
     (0x3040, 0x30FF),    # kana
@@ -144,7 +141,7 @@ class TranscriptJudge:
         def parse(row):
             verdict = row.get("verdict")
             if verdict not in ("correct", "incorrect"):
-                raise MalformedVerdict(f"transcript verdict must be correct/incorrect, got {verdict!r}")
+                raise SchemaViolation(f"transcript verdict must be correct/incorrect, got {verdict!r}")
             key = tuple(decode(str, row[k], k) for k in ("question", "reference", "prediction"))
             return key, verdict == "correct"
 
@@ -163,41 +160,21 @@ class TranscriptJudge:
 class HttpJudgeClient:
     """POSTs {question, reference, prediction}; expects {"verdict": "correct"|"incorrect"}."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def verdict(self, question: str, reference: str, prediction: str) -> bool:
-        import requests
-
         payload = {"question": question, "reference": reference, "prediction": prediction}
-        try:
-            response = requests.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise JudgeUnavailable(f"{self.endpoint}: {exc}") from exc
-        if response.status_code != 200:
-            raise JudgeUnavailable(f"{self.endpoint}: HTTP {response.status_code}")
-        try:
-            body = response.json()
-        except ValueError as exc:
-            raise MalformedVerdict(f"{self.endpoint}: non-JSON response") from exc
-        verdict = body.get("verdict") if isinstance(body, dict) else None
+        verdict = remote.post_json(self.endpoint, payload, JudgeUnavailable, MalformedVerdict).get("verdict")
         if verdict not in ("correct", "incorrect"):
             raise MalformedVerdict(f"{self.endpoint}: verdict must be correct/incorrect, got {verdict!r}")
         return verdict == "correct"
 
 
-def judge(question: str, reference: str, prediction: str, client, max_retries: int = 3) -> bool:
-    """Client verdict with retries on transient unavailability."""
-    retries = 0
-    while True:
-        try:
-            return bool(client.verdict(question, reference, prediction))
-        except JudgeUnavailable:
-            if retries >= max_retries:
-                raise
-            retries += 1
-            log.info("judge retry %d", retries)
+def judge(question: str, reference: str, prediction: str, client) -> bool:
+    """Client verdict, retrying transient unavailability as ``remote`` does."""
+    return bool(remote.with_retries(lambda: client.verdict(question, reference, prediction),
+                                    JudgeUnavailable, "judge"))
 
 
 # --- evaluation ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import bracketsup, formats
+from measground import bracketsup, formats, remote
 from measground.bracketsup import (
     CandidateRecord,
     EncodedProxy,
@@ -91,7 +91,7 @@ class TestMockAnnotate:
             ],
         }])
         client = MockAnnotatorClient(transcript)
-        records = annotate(_proxy(), client, max_retries=3)
+        records = annotate(_proxy(), client)
         assert len(records) == 1
         assert client.calls == 3  # first call plus 2 retries
 
@@ -100,8 +100,10 @@ class TestMockAnnotate:
             "capture_id": "cap-a", "exposure_gain": 1.0, "fail_times": 10,
             "candidates": [],
         }])
+        client = MockAnnotatorClient(transcript)
         with pytest.raises(AnnotatorUnavailable):
-            annotate(_proxy(), MockAnnotatorClient(transcript), max_retries=2)
+            annotate(_proxy(), client)
+        assert client.calls == 1 + remote.MAX_RETRIES
 
     def test_malformed_candidate_skipped(self, tmp_path):
         transcript = _write_transcript(tmp_path / "t.jsonl", [{
@@ -181,6 +183,13 @@ class TestReadProxy:
             formats.read_ppm_bytes(tmp_path / "x.ppm")
 
 
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
 class _AnnotatorHandler(BaseHTTPRequestHandler):
     script = []
     seen = []
@@ -238,6 +247,38 @@ class TestHttpAnnotator:
         endpoint, handler = http_annotator
         handler.script.append((200, {"unexpected": True}))
         assert annotate(_proxy(), HttpAnnotatorClient(endpoint)) == []
+
+    def test_client_error_is_not_retried(self, http_annotator):
+        endpoint, handler = http_annotator
+        handler.script.extend([(400, {})] * 4)
+        with pytest.raises(IoFailure, match="HTTP 400"):
+            annotate(_proxy(), HttpAnnotatorClient(endpoint))
+        assert len(handler.seen) == 1
+
+    def test_rate_limit_retried_then_success(self, http_annotator):
+        endpoint, handler = http_annotator
+        handler.script.append((429, {}))
+        handler.script.append((200, {"candidates": []}))
+        assert annotate(_proxy(), HttpAnnotatorClient(endpoint)) == []
+        assert len(handler.seen) == 2
+
+    def test_scheme_less_endpoint_fails_after_one_attempt(self, http_annotator, monkeypatch):
+        endpoint, handler = http_annotator
+        calls = []
+        client = HttpAnnotatorClient(endpoint.removeprefix("http://"))
+        monkeypatch.setattr(client, "fetch", _counted(client.fetch, calls))
+        with pytest.raises(IoFailure, match="127.0.0.1"):
+            annotate(_proxy(), client)
+        assert len(calls) == 1
+        assert handler.seen == []
+
+    def test_unreachable_endpoint_is_retried(self, monkeypatch):
+        calls = []
+        client = HttpAnnotatorClient("http://127.0.0.1:9/annotate")
+        monkeypatch.setattr(client, "fetch", _counted(client.fetch, calls))
+        with pytest.raises(AnnotatorUnavailable):
+            annotate(_proxy(), client)
+        assert len(calls) == 1 + remote.MAX_RETRIES
 
 
 class TestAggregate:

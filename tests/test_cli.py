@@ -152,6 +152,20 @@ class TestIngest:
                      "--config", str(config),
                      "--out", str(tmp_path / "a")]) == 2
 
+    def test_unsendable_annotator_endpoint_exits_2_with_one_log_line(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1", "--seed", "0"]) == 0
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "m")]) == 0
+        assert main(["render", "--input", str(tmp_path / "m"), "--gain", "1.0",
+                     "--out", str(tmp_path / "r")]) == 0
+        (tmp_path / "c.json").write_text('{"annotator_endpoint": "localhost:9/x"}')
+        proc = _run_cli("annotate", "--proxies", tmp_path / "r", "--config", tmp_path / "c.json",
+                        "--out", tmp_path / "a")
+        assert proc.returncode == 2, proc.stderr
+        events = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert [e["level"] for e in events] == ["error"]
+        assert "localhost:9/x" in events[0]["event"]
+
 
 class TestSynth:
     def test_writes_bundles_and_refs(self, tmp_path, monkeypatch):

@@ -6,8 +6,15 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from measground import remote
 from measground.benchmark import BenchmarkExample, CapabilityDimension
-from measground.errors import JudgeUnavailable, MalformedVerdict, ManifestMismatch
+from measground.errors import (
+    IoFailure,
+    JudgeUnavailable,
+    MalformedVerdict,
+    ManifestMismatch,
+    SchemaViolation,
+)
 from measground.metrics import (
     ExactMatchJudge,
     HttpJudgeClient,
@@ -146,7 +153,7 @@ class TestJudges:
         path.write_text(json.dumps({
             "question": "q", "reference": "r", "prediction": "p", "verdict": "maybe",
         }) + "\n")
-        with pytest.raises(MalformedVerdict):
+        with pytest.raises(SchemaViolation, match="judge.jsonl:1"):
             TranscriptJudge(path)
 
 
@@ -156,7 +163,7 @@ class _JudgeHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         status, payload = type(self).script.pop(0)
-        blob = json.dumps(payload).encode()
+        blob = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Length", str(len(blob)))
         self.end_headers()
@@ -190,9 +197,30 @@ class TestHttpJudge:
 
     def test_gives_up(self, judge_server):
         endpoint, handler = judge_server
-        handler.script.extend([(500, {})] * 4)
+        handler.script.extend([(500, {})] * (1 + remote.MAX_RETRIES))
         with pytest.raises(JudgeUnavailable):
-            judge("q", "r", "p", HttpJudgeClient(endpoint), max_retries=3)
+            judge("q", "r", "p", HttpJudgeClient(endpoint))
+        assert handler.script == []
+
+    def test_client_error_is_not_retried(self, judge_server):
+        endpoint, handler = judge_server
+        handler.script.extend([(404, {})] * 4)
+        with pytest.raises(IoFailure, match="HTTP 404"):
+            judge("q", "r", "p", HttpJudgeClient(endpoint))
+        assert len(handler.script) == 3
+
+    def test_rate_limit_and_timeout_statuses_are_retried(self, judge_server):
+        endpoint, handler = judge_server
+        handler.script.extend([(429, {}), (408, {}), (200, {"verdict": "correct"})])
+        assert judge("q", "r", "p", HttpJudgeClient(endpoint)) is True
+        assert handler.script == []
+
+    def test_non_json_body_is_malformed_not_retried(self, judge_server):
+        endpoint, handler = judge_server
+        handler.script.extend([(200, b"not json")] * 2)
+        with pytest.raises(MalformedVerdict, match="non-JSON"):
+            judge("q", "r", "p", HttpJudgeClient(endpoint))
+        assert len(handler.script) == 1
 
     def test_malformed_verdict(self, judge_server):
         endpoint, handler = judge_server

@@ -18,13 +18,14 @@ from test_cli import _simple_candidates, _write_predictions, _write_transcript
 
 SRC = str(Path(measground.__file__).resolve().parents[1])
 
-# Runs one CLI stage in this process, then reports its status and whether numpy was loaded.
+# Runs one CLI stage in this process, then reports its status and which slow imports it loaded.
 _STAGE = textwrap.dedent("""
     import json, sys
     from measground import cli
     status = cli.main(sys.argv[1:])
     print(json.dumps({"status": status, "numpy": "numpy" in sys.modules,
-                      "metadata": "importlib.metadata" in sys.modules}))
+                      "metadata": "importlib.metadata" in sys.modules,
+                      "requests": "requests" in sys.modules}))
 """)
 
 _PACKAGE = textwrap.dedent("""
@@ -80,13 +81,17 @@ def test_text_stages_never_import_numpy(images):
          "split/bench_manifest.jsonl", "--out", "verify"),
         ("eval", "--bench", "split/bench_manifest.jsonl", "--predictions", "predictions.jsonl",
          "--out", "eval"),
+        ("eval", "--bench", "split/bench_manifest.jsonl", "--predictions", "predictions.jsonl",
+         "--mock-judge", "judge.jsonl", "--out", "eval-mock-judge"),
         ("report", "--input", "eval/metrics.json"),
     ]
+    (images / "judge.jsonl").write_text(json.dumps(
+        {"question": "q", "reference": "r", "prediction": "p", "verdict": "correct"}) + "\n")
     for argv in chain:
         if argv[0] == "eval":
             _write_predictions(images / "split" / "bench_manifest.jsonl", images / "predictions.jsonl")
         result = _python(_STAGE, *argv, cwd=images)
-        assert result == {"status": 0, "numpy": False, "metadata": False}, argv[0]
+        assert result == {"status": 0, "numpy": False, "metadata": False, "requests": False}, argv
     run = json.loads((images / "split" / "run.json").read_text())
     assert run["versions"]["numpy"] == np.__version__
     assert run["counts"]["bench_examples"] > 0
