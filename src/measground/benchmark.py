@@ -22,7 +22,7 @@ from pathlib import Path
 from . import formats
 from .bracketsup import TrainingSample
 from .errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
-from .records import CameraMetadata, CaptureRef, decode
+from .records import CameraMetadata, CaptureRef, decode, encode
 
 log = logging.getLogger(__name__)
 
@@ -55,17 +55,6 @@ class BenchmarkExample:
     reference_answer: str
     dimension: CapabilityDimension
     metadata: CameraMetadata
-
-    def to_dict(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "meas_xyz_path": self.meas_xyz_path,
-            "rgb_proxy_path": self.rgb_proxy_path,
-            "question": self.question,
-            "reference_answer": self.reference_answer,
-            "dimension": self.dimension.value,
-            "metadata": self.metadata.to_dict(),
-        }
 
 
 # --- grouped holdout split -----------------------------------------------------
@@ -172,9 +161,6 @@ class DisjointnessReport:
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "intersections": self.intersections}
 
 
 _NESTED_KEYS = ("scene_id", "session_id", "device_id")
@@ -332,7 +318,7 @@ def make_benchmark_examples(
 
 
 def write_benchmark(path: Path, examples: list[BenchmarkExample]) -> None:
-    formats.write_jsonl(path, (e.to_dict() for e in examples))
+    formats.write_jsonl(path, map(encode, examples))
 
 
 def read_benchmark(path: Path) -> list[BenchmarkExample]:

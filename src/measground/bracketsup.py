@@ -24,7 +24,7 @@ from .errors import (
     MissingMeasXyz,
     SchemaViolation,
 )
-from .records import CameraMetadata, decode, read_meas_xyz_header, read_render_header
+from .records import CameraMetadata, decode, encode, read_meas_xyz_header, read_render_header
 
 log = logging.getLogger(__name__)
 
@@ -62,19 +62,6 @@ class CandidateRecord:
         if self.exposure_gain <= 0:
             raise MalformedResponse("candidate exposure_gain must be > 0")
 
-    def to_dict(self, capture_id: str) -> dict:
-        """One candidates.jsonl row: the record plus the capture it came from."""
-        return {
-            "capture_id": capture_id,
-            "question": self.question,
-            "answer": self.answer,
-            "score": self.score,
-            "exposure_gain": self.exposure_gain,
-            "question_type": self.question_type,
-            "template_id": self.template_id,
-            "source_prefix": self.source_prefix,
-        }
-
 
 @dataclass(frozen=True)
 class InstructionRecord:
@@ -97,17 +84,6 @@ class InstructionRecord:
             raise SchemaViolation("record provenance must be non-empty")
         object.__setattr__(self, "provenance", tuple(float(e) for e in self.provenance))
 
-    def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "answer": self.answer,
-            "score": self.score,
-            "question_type": self.question_type,
-            "template_id": self.template_id,
-            "source_prefix": self.source_prefix,
-            "provenance": list(self.provenance),
-        }
-
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -117,14 +93,6 @@ class TrainingSample:
     meas_xyz_path: str
     record: InstructionRecord
     metadata: CameraMetadata
-
-    def to_dict(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "meas_xyz_path": self.meas_xyz_path,
-            "record": self.record.to_dict(),
-            "metadata": self.metadata.to_dict(),
-        }
 
 
 # --- proxies ---------------------------------------------------------------------
@@ -341,7 +309,7 @@ def samples_for_stem(
 
 
 def write_samples(path: Path, samples: list[TrainingSample]) -> None:
-    formats.write_jsonl(path, (s.to_dict() for s in samples))
+    formats.write_jsonl(path, map(encode, samples))
 
 
 def read_samples(path: Path) -> list[TrainingSample]:

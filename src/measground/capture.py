@@ -24,7 +24,7 @@ from .errors import (
     SchemaViolation,
 )
 # CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
-from .records import CameraMetadata, CaptureRef, Matrix3x3, _positive_finite, decode
+from .records import CameraMetadata, CaptureRef, Matrix3x3, _positive_finite, decode, encode
 
 CFA_PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 MIN_CAM_TO_XYZ_DET = 1e-9
@@ -122,7 +122,7 @@ class RawCapture:
             "white_level": self.white_level,
             "wb_gains": list(self.wb_gains),
             "cam_to_xyz": [[float(v) for v in row] for row in self.cam_to_xyz],
-            "metadata": self.metadata.to_dict(),
+            "metadata": encode(self.metadata),
             "raw_path": self.raw_path,
         }
 

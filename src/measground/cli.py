@@ -33,6 +33,7 @@ from .errors import (
     JudgeUnavailable,
     MeasgroundError,
     MissingFile,
+    SchemaViolation,
 )
 
 log = logging.getLogger("measground")
@@ -124,13 +125,6 @@ class RunConfig:
             if value is not None and not Path(value).exists():
                 raise ConfigInvalid(f"config.{name}: path {value!r} does not exist")
 
-    def to_dict(self) -> dict:
-        out = {}
-        for item in fields(self):
-            value = getattr(self, item.name)
-            out[item.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
@@ -152,7 +146,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _config_hash(config: RunConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    blob = json.dumps(records.encode(config), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -362,7 +356,7 @@ def _synth_one(index: int, base_spec, seed: int, group_size: int, devices: int,
     synthetic = capture_mod.synth_capture(spec, seed=seed + index, capture_id=capture_id)
     bundle_dir = out / "bundles" / capture_id
     capture_mod.save_capture_bundle(synthetic.capture, bundle_dir)
-    return capture_mod.CaptureRef.from_capture(synthetic.capture, str(bundle_dir)).to_dict()
+    return records.encode(records.CaptureRef.from_capture(synthetic.capture, str(bundle_dir)))
 
 
 def _cmd_synth(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -385,7 +379,7 @@ def _ingest_one(bundle_dir: Path) -> dict:
     from . import capture as capture_mod
 
     loaded = capture_mod.load_capture_bundle(bundle_dir)
-    return records.CaptureRef.from_capture(loaded, str(bundle_dir)).to_dict()
+    return records.encode(records.CaptureRef.from_capture(loaded, str(bundle_dir)))
 
 
 def _cmd_ingest(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -498,7 +492,7 @@ def _cmd_annotate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tup
     for stem in stems:
         proxy = bracketsup.read_proxy(stem)
         candidates = bracketsup.annotate(proxy, client, source_prefix=config.source_prefix)
-        rows.extend(candidate.to_dict(proxy.capture_id) for candidate in candidates)
+        rows.extend({"capture_id": proxy.capture_id, **records.encode(candidate)} for candidate in candidates)
     formats.write_jsonl(out / "candidates.jsonl", rows)
     return {"proxies": len(stems), "candidates": len(rows)}, EXIT_OK
 
@@ -555,7 +549,7 @@ def _cmd_split(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[
     train_ids, bench_ids = benchmark.holdout_split(refs, config.fraction, config.seed)
     by_id = {r.capture_id: r for r in refs}
     for name, ids in (("train_refs.json", train_ids), ("bench_refs.json", bench_ids)):
-        formats.write_json(out / name, [by_id[i].to_dict() for i in ids])
+        formats.write_json(out / name, [records.encode(by_id[i]) for i in ids])
     counts = {"train": len(train_ids), "bench": len(bench_ids)}
 
     if args.samples:
@@ -591,28 +585,38 @@ def _cmd_verify_split(args, config: RunConfig, out: Path | None, pool: _CaptureP
     train, bench = (benchmark.load_manifest_entries(Path(path), benchmark._entry_fields)
                     for path in (args.train, args.bench))
     report = benchmark._disjointness(train, bench)
+    result = records.encode(report)
     if out is not None:
-        formats.write_json(out / "disjointness.json", report.to_dict())
-    print(json.dumps(report.to_dict(), sort_keys=True))
+        formats.write_json(out / "disjointness.json", result)
+    print(formats.dump_json(result))
     status = EXIT_OK if report.status in ("PASS", "WARN") else EXIT_VALIDATION
     return {"status": report.status}, status
 
 
-def _prediction(row: dict) -> tuple[tuple[str, str], str]:
-    """One predictions row: ((capture_id, question), prediction), each a JSON string."""
-    capture_id, question, prediction = (records.decode(str, row[key], key)
-                                        for key in ("capture_id", "question", "prediction"))
-    return (capture_id, question), prediction
+def _read_predictions(path: Path) -> dict[tuple[str, str], str]:
+    """The predictions file as {(capture_id, question): prediction}, each a JSON
+    string. A second row for one key is refused, naming its line."""
+    predictions = {}
+
+    def add(row: dict) -> None:
+        capture_id, question, prediction = (records.decode(str, row[key], key)
+                                            for key in ("capture_id", "question", "prediction"))
+        if (capture_id, question) in predictions:
+            raise SchemaViolation(f"second prediction for capture_id {capture_id!r}, question {question!r}")
+        predictions[capture_id, question] = prediction
+
+    formats.read_jsonl(path, add)
+    return predictions
 
 
 def _cmd_eval(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
     manifest = benchmark.read_benchmark(Path(args.bench))
-    predictions = dict(formats.read_jsonl(Path(args.predictions), _prediction))
+    predictions = _read_predictions(Path(args.predictions))
     report = metrics.evaluate_run(predictions, manifest, _judge_client(config))
     table = metrics.render_table(report)
     print(table)
     if out is not None:
-        formats.write_json(out / "metrics.json", report.to_dict())
+        formats.write_json(out / "metrics.json", records.encode(report))
         formats.write_text(out / "report.txt", table + "\n")
     return {"examples": report.total, "missing_predictions": report.missing_predictions}, EXIT_OK
 
@@ -643,7 +647,7 @@ def _cmd_condition_check(args, config: RunConfig, out: Path | None, pool: _Captu
         "inject_layers": list(stack.inject_layers),
         "status": "PASS" if passed else "FAIL",
     }
-    print(json.dumps(result, sort_keys=True))
+    print(formats.dump_json(result))
     if out is not None:
         formats.write_json(out / "condition_check.json", result)
     return result, EXIT_OK if passed else EXIT_VALIDATION

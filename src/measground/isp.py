@@ -22,6 +22,8 @@ from .records import (
     SRGB_PIECEWISE,
     XYZ_TO_LINEAR_SRGB_D65,
     RenderParams,
+    _RenderHeader,
+    encode,
 )
 
 # Standard sRGB transfer constants (piecewise definition).
@@ -312,7 +314,5 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
     if not rendered.params.quantize:
         raise IoFailure("only quantized renders can be exported as PPM")
     formats.write_ppm(Path(str(stem) + ".ppm"), rendered.codes, rendered.params.max_code)
-    formats.write_json(
-        Path(str(stem) + ".json"),
-        {"capture_id": rendered.capture_id, "params": rendered.params.to_dict()},
-    )
+    header = _RenderHeader(rendered.capture_id, rendered.params)
+    formats.write_json(Path(str(stem) + ".json"), encode(header))

@@ -20,7 +20,7 @@ import numpy as np
 from . import formats
 from .capture import RawCapture
 from .errors import DegenerateCalibration, DomainError, ShapeMismatch
-from .records import CameraMetadata, meas_xyz_header_fields
+from .records import CameraMetadata, encode, meas_xyz_header_fields
 
 log = logging.getLogger(__name__)
 
@@ -301,7 +301,7 @@ def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
     header = {
         "capture_id": image.capture_id,
         "range": [0, 1],
-        "metadata": image.metadata.to_dict(),
+        "metadata": encode(image.metadata),
     }
     formats.write_plane(stem, image.data, header)
 

@@ -185,9 +185,6 @@ class MetricTriple:
     rouge_l: float
     judge_accuracy: float  # fraction; rendered as percent
 
-    def to_dict(self) -> dict:
-        return {"bleu": self.bleu, "rouge_l": self.rouge_l, "judge_accuracy": self.judge_accuracy}
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -200,19 +197,6 @@ class MetricReport:
     def __post_init__(self):
         if self.per_dimension.keys() != self.counts.keys():
             raise ManifestMismatch("per_dimension and counts name different dimensions")
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall.to_dict(),
-            "per_dimension": {
-                dim.value: triple.to_dict() for dim, triple in sorted(
-                    self.per_dimension.items(), key=lambda kv: kv[0].value
-                )
-            },
-            "counts": {dim.value: n for dim, n in sorted(self.counts.items(), key=lambda kv: kv[0].value)},
-            "total": self.total,
-            "missing_predictions": self.missing_predictions,
-        }
 
 
 def evaluate_run(

@@ -1,11 +1,17 @@
 """Records the text stages share with the numeric ones, without numpy, and
-``decode``, the one reader of a JSON record.
+``decode`` and ``encode``, the one reader and the one writer of a JSON record.
 
 Capture metadata and refs, render parameters, and the readers of the plane
 and render headers live here, so annotate, aggregate, filter, balance,
 split, verify-split, eval and report never import numpy. ``capture``,
 ``measxyz`` and ``isp`` import these names from here and export them as
 before.
+
+Every record the program writes as JSON (sidecar and plane-header metadata,
+render headers, refs, candidates, samples, the benchmark manifest, the
+disjointness and metrics reports, and the config that ``run.json`` hashes)
+goes through ``encode``, whose output ``decode`` reads back; both read the
+record's field annotations, so a record's on-disk form is decided once.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import dataclasses
 import enum
 import functools
 import math
+import operator
 import re
 import types
 import typing
@@ -170,6 +177,76 @@ def decode(hint, value, where: str, error: type[MeasgroundError] = SchemaViolati
         raise error(f"{where}: {exc}") from exc
 
 
+# --- the JSON record encoder ------------------------------------------------------
+#
+# ``encode`` is the inverse of ``decode``, and the one way a record becomes
+# JSON. The rule, read from the same annotations: str, int, float, bool, None
+# and a bare ``dict`` are written as they are; a tuple becomes a list; an Enum
+# becomes its value; a nested record becomes an object; and ``dict[K, V]``
+# becomes an object with encoded keys. A None is written as null, except in a
+# field whose metadata sets ``_OMIT_IF_NONE``, which is then left out.
+
+_OMIT_IF_NONE = "omit_if_none"
+
+
+def _same(value):
+    return value
+
+
+@functools.cache
+def _encoder(hint):
+    """The function that returns a ``hint`` value as JSON, or None where the value
+    is written as it is; built once per hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (str, int, float, bool, dict, type(None)):
+        return None
+    if origin is types.UnionType and len(args) == 2 and type(None) in args:
+        (item,) = (_encoder(arg) for arg in args if arg is not type(None))
+        if item is None:
+            return None
+        return lambda value: None if value is None else item(value)
+    if origin is tuple:
+        items = [_encoder(arg) for arg in args if arg is not Ellipsis]
+        if not any(items):
+            return list
+        if args[-1] is Ellipsis:
+            return lambda value: list(map(items[0], value))
+        items = [item or _same for item in items]
+        return lambda value: [item(v) for item, v in zip(items, value)]
+    if origin is dict:
+        key, item = (_encoder(arg) or _same for arg in args)
+        return lambda value: {key(k): item(v) for k, v in value.items()}
+    if isinstance(hint, enum.EnumMeta):
+        return operator.attrgetter("value")
+    if dataclasses.is_dataclass(hint):
+        return _record_encoder(hint)
+    raise TypeError(f"no JSON encoding for {hint!r}")
+
+
+def _record_encoder(cls):
+    """The encoder of a record dataclass: each field's value by its annotation."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    converted = tuple((f.name, item) for f in fields if (item := _encoder(hints[f.name])))
+    omitted = tuple(f.name for f in fields if f.metadata.get(_OMIT_IF_NONE))
+
+    def encode_record(record):
+        out = dict(vars(record))  # a record's instance dict holds its fields and nothing else
+        for name, item in converted:
+            out[name] = item(out[name])
+        for name in omitted:
+            if out[name] is None:
+                del out[name]
+        return out
+    return encode_record
+
+
+def encode(record) -> dict:
+    """``record`` as the JSON object that ``decode(type(record), ...)`` reads back,
+    by the rule above."""
+    return _encoder(type(record))(record)
+
+
 def _positive_finite(value, name: str) -> float:
     try:
         value = float(value)
@@ -188,8 +265,8 @@ class CameraMetadata:
     exposure_time: float
     aperture: float
     device_id: str
-    scene_id: str | None = None
-    session_id: str | None = None
+    scene_id: str | None = dataclasses.field(default=None, metadata={_OMIT_IF_NONE: True})
+    session_id: str | None = dataclasses.field(default=None, metadata={_OMIT_IF_NONE: True})
 
     def __post_init__(self):
         _positive_finite(self.iso, "metadata.iso")
@@ -197,19 +274,6 @@ class CameraMetadata:
         _positive_finite(self.aperture, "metadata.aperture")
         if not self.device_id:
             raise MalformedSidecar("metadata.device_id must be non-empty")
-
-    def to_dict(self) -> dict:
-        out = {
-            "iso": self.iso,
-            "exposure_time": self.exposure_time,
-            "aperture": self.aperture,
-            "device_id": self.device_id,
-        }
-        if self.scene_id is not None:
-            out["scene_id"] = self.scene_id
-        if self.session_id is not None:
-            out["session_id"] = self.session_id
-        return out
 
 
 @dataclass(frozen=True)
@@ -235,14 +299,7 @@ class CaptureRef:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "raw_path": self.raw_path,
-            "bundle_path": self.bundle_path,
-            "scene_id": self.scene_id,
-            "device_id": self.device_id,
-            "session_id": self.session_id,
-        }
+        return encode(self)
 
 
 # --- Meas.-XYZ plane headers ------------------------------------------------------
@@ -349,15 +406,6 @@ class RenderParams:
     @property
     def max_code(self) -> int:
         return (1 << self.bit_depth) - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "exposure_gain": self.exposure_gain,
-            "bit_depth": self.bit_depth,
-            "xyz_to_linear_srgb": [list(row) for row in self.xyz_to_linear_srgb],
-            "transfer": self.transfer,
-            "quantize": self.quantize,
-        }
 
 
 @dataclass(frozen=True)

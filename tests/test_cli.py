@@ -665,6 +665,14 @@ def _prediction_row_with_null_prediction(root):
         "preds.jsonl:1: prediction: expected str, got None"
 
 
+def _prediction_row_twice(root):
+    (root / "bench.jsonl").write_text(json.dumps(_bench_row()) + "\n")
+    row = {"capture_id": "synth-0000", "question": "How many?", "prediction": "two"}
+    (root / "preds.jsonl").write_text(json.dumps(row) + "\n" + json.dumps(dict(row, prediction="None")) + "\n")
+    return ["eval", "--bench", root / "bench.jsonl", "--predictions", root / "preds.jsonl"], \
+        "preds.jsonl:2: second prediction for capture_id 'synth-0000', question 'How many?'"
+
+
 def _metrics_report(named, **fields):
     """report over a metrics.json of one NG example, its fields updated."""
     def case(root):
@@ -846,6 +854,7 @@ class TestMalformedInputs:
         _sample_row_with_string_provenance,
         _bench_row_with_null_reference,
         _prediction_row_with_null_prediction,
+        _prediction_row_twice,
         _metrics_report(".overall.bleu: expected float, got 'x'",
                         overall={"bleu": "x", "rouge_l": 0.5, "judge_accuracy": 0.5}),
         _metrics_report(": per_dimension and counts name different dimensions", counts={}),
@@ -998,6 +1007,20 @@ class TestCapturePool:
             proc.wait(timeout=30)
         time.sleep(3)
         assert list(tmp_path.glob("*.finished")) == []
+
+
+class TestStdout:
+    def test_verify_split_prints_the_text_it_writes(self, tmp_path, capsys):
+        """A shared non-ASCII capture id fails the check; stdout holds it as the file does."""
+        ref = {"capture_id": "café-0", "raw_path": "", "bundle_path": "", "scene_id": None,
+               "device_id": None, "session_id": None}
+        for name in ("train", "bench"):
+            (tmp_path / f"{name}.json").write_text(json.dumps([ref]))
+        assert main(["verify-split", "--train", str(tmp_path / "train.json"),
+                     "--bench", str(tmp_path / "bench.json"), "--out", str(tmp_path / "out")]) == 1
+        printed = capsys.readouterr().out
+        assert '"capture_id": ["café-0"]' in printed
+        assert printed == (tmp_path / "out" / "disjointness.json").read_text(encoding="utf-8")
 
 
 class TestConditionCheck:

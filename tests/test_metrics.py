@@ -27,7 +27,7 @@ from measground.metrics import (
     rouge_l,
     tokenize,
 )
-from measground.records import decode
+from measground.records import decode, encode
 
 from conftest import make_metadata
 
@@ -310,7 +310,7 @@ class TestEvaluateRun:
         manifest = [_example(i, CapabilityDimension.NG) for i in range(2)]
         predictions = {(e.capture_id, e.question): e.reference_answer for e in manifest}
         report = evaluate_run(predictions, manifest)
-        round_tripped = decode(MetricReport, json.loads(json.dumps(report.to_dict())), "report")
+        round_tripped = decode(MetricReport, json.loads(json.dumps(encode(report))), "report")
         assert round_tripped == report
         table = render_table(report)
         assert "OVERALL" in table and "NG" in table and "100.00" in table

@@ -1,14 +1,22 @@
 """``records.decode``'s rule, checked on a record that uses every kind of annotation
 it decodes: a value of the right JSON type is converted, any other is refused
-with a message naming its key path."""
+with a message naming its key path. ``records.encode``, its inverse, writes the
+bytes the hand-written writers it replaced wrote, and every record it writes
+decodes back to itself."""
 
 import enum
+import json
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from measground import benchmark, bracketsup, cli, formats, isp, metrics, records
+from measground.benchmark import CapabilityDimension
 from measground.errors import ConfigInvalid, DomainError, SchemaViolation
-from measground.records import RenderParams, decode
+from measground.records import CameraMetadata, CaptureRef, RenderParams, decode
 
 
 class Color(enum.Enum):
@@ -78,3 +86,194 @@ def test_a_constructor_check_is_refused_as_the_readers_error():
         decode(RenderParams, params, "header")
     with pytest.raises(DomainError):
         RenderParams(**params)
+
+
+# --- encoding: the bytes the writers write ------------------------------------------
+#
+# Each writer below writes one record, and its output is pinned to the bytes
+# the hand-written ``to_dict`` methods wrote before ``records.encode`` replaced
+# them, so a sidecar, header, sample, manifest or report does not change.
+
+META = CameraMetadata(iso=100.0, exposure_time=0.01, aperture=2.8, device_id="cam-é",
+                      scene_id="scène-1", session_id="s-1")
+META_WITHOUT_IDS = CameraMetadata(iso=200, exposure_time=0.5, aperture=4.0, device_id="cam-1")
+RECORD = bracketsup.InstructionRecord(question="How many 猫?", answer="two", score=0.85,
+                                      question_type="count", template_id="t1", source_prefix="src",
+                                      provenance=(1.0, 2.0))
+META_JSON = ('{"aperture": 2.8, "device_id": "cam-é", "exposure_time": 0.01, "iso": 100.0, '
+             '"scene_id": "scène-1", "session_id": "s-1"}')
+
+
+def _example(capture_id, dimension, answer="red"):
+    return benchmark.BenchmarkExample(capture_id=capture_id, meas_xyz_path=f"m/{capture_id}",
+                                      rgb_proxy_path=f"r/{capture_id}_e1.ppm", question="What colour?",
+                                      reference_answer=answer, dimension=dimension, metadata=META_WITHOUT_IDS)
+
+
+def _samples_file(tmp_path):
+    """A sample with metadata ids: TrainingSample, InstructionRecord, CameraMetadata."""
+    sample = bracketsup.TrainingSample(capture_id="c-1", meas_xyz_path="m/c-1", record=RECORD, metadata=META)
+    bracketsup.write_samples(tmp_path / "samples.jsonl", [sample])
+    return tmp_path / "samples.jsonl", (
+        '{"capture_id": "c-1", "meas_xyz_path": "m/c-1", "metadata": ' + META_JSON + ', "record": '
+        '{"answer": "two", "provenance": [1.0, 2.0], "question": "How many 猫?", "question_type": "count", '
+        '"score": 0.85, "source_prefix": "src", "template_id": "t1"}}\n')
+
+
+def _manifest_file(tmp_path):
+    """An example without metadata ids: BenchmarkExample, its dimension, CameraMetadata."""
+    benchmark.write_benchmark(tmp_path / "bench.jsonl", [_example("c-1", CapabilityDimension.CAG)])
+    return tmp_path / "bench.jsonl", (
+        '{"capture_id": "c-1", "dimension": "CAG", "meas_xyz_path": "m/c-1", "metadata": '
+        '{"aperture": 4.0, "device_id": "cam-1", "exposure_time": 0.5, "iso": 200}, '
+        '"question": "What colour?", "reference_answer": "red", "rgb_proxy_path": "r/c-1_e1.ppm"}\n')
+
+
+def _refs_file(tmp_path):
+    """A capture ref with null ids."""
+    formats.write_json(tmp_path / "refs.json", [CaptureRef(capture_id="c-1", raw_path="/raw/c-1.dng").to_dict()])
+    return tmp_path / "refs.json", (
+        '[{"bundle_path": "", "capture_id": "c-1", "device_id": null, "raw_path": "/raw/c-1.dng", '
+        '"scene_id": null, "session_id": null}]\n')
+
+
+def _save_proxy(tmp_path):
+    codes = np.zeros((1, 1, 3), dtype=np.uint16)
+    isp.save_rendered(isp.RenderedRgb(codes, RenderParams(exposure_gain=2, bit_depth=10), "c-1"),
+                      tmp_path / "proxies" / "c-1_e2")
+
+
+def _render_header_file(tmp_path):
+    """A render header: _RenderHeader and RenderParams."""
+    (tmp_path / "proxies").mkdir()
+    _save_proxy(tmp_path)
+    return tmp_path / "proxies" / "c-1_e2.json", (
+        '{"capture_id": "c-1", "params": {"bit_depth": 10, "exposure_gain": 2.0, "quantize": true, '
+        '"transfer": "SRGB_PIECEWISE", "xyz_to_linear_srgb": [[3.2404542, -1.5371385, -0.4985314], '
+        '[-0.969266, 1.8760108, 0.041556], [0.0556434, -0.2040259, 1.0572252]]}}\n')
+
+
+def _candidates_file(tmp_path):
+    """A candidates row: the capture id and a CandidateRecord, as annotate writes it."""
+    (tmp_path / "proxies").mkdir()
+    _save_proxy(tmp_path)
+    candidate = {"question": "How many 猫?", "answer": "two", "score": 0.75,
+                 "question_type": "count", "template_id": "t1"}
+    (tmp_path / "t.jsonl").write_text(json.dumps(
+        {"capture_id": "c-1", "exposure_gain": 2.0, "candidates": [candidate]}) + "\n")
+    assert cli.main(["annotate", "--proxies", str(tmp_path / "proxies"), "--mock-annotator",
+                     str(tmp_path / "t.jsonl"), "--source-prefix", "src", "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / "candidates.jsonl", (
+        '{"answer": "two", "capture_id": "c-1", "exposure_gain": 2.0, "question": "How many 猫?", '
+        '"question_type": "count", "score": 0.75, "source_prefix": "src", "template_id": "t1"}\n')
+
+
+def _metrics_file(tmp_path):
+    """An eval report over two dimensions: MetricReport, MetricTriple, dimension keys."""
+    benchmark.write_benchmark(tmp_path / "bench.jsonl", [
+        _example("c-1", CapabilityDimension.NG, "two"), _example("c-2", CapabilityDimension.NG, "one"),
+        _example("c-3", CapabilityDimension.CAG)])
+    (tmp_path / "preds.jsonl").write_text(
+        '{"capture_id": "c-1", "question": "What colour?", "prediction": "two"}\n'
+        '{"capture_id": "c-3", "question": "What colour?", "prediction": "blue"}\n')
+    assert cli.main(["eval", "--bench", str(tmp_path / "bench.jsonl"), "--predictions",
+                     str(tmp_path / "preds.jsonl"), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / "metrics.json", (
+        '{"counts": {"CAG": 1, "NG": 2}, "missing_predictions": 1, "overall": {"bleu": 0.3333333333333333, '
+        '"judge_accuracy": 0.3333333333333333, "rouge_l": 0.3333333333333333}, "per_dimension": '
+        '{"CAG": {"bleu": 0.0, "judge_accuracy": 0.0, "rouge_l": 0.0}, "NG": {"bleu": 0.5, '
+        '"judge_accuracy": 0.5, "rouge_l": 0.5}}, "total": 3}\n')
+
+
+def _disjointness_file(tmp_path):
+    """A failed verify-split: DisjointnessReport and its intersections."""
+    for name, device in (("train", "cam-1"), ("bench", "cam-2")):
+        formats.write_json(tmp_path / f"{name}.json",
+                           [CaptureRef(capture_id="c-ü", device_id=device).to_dict()])
+    assert cli.main(["verify-split", "--train", str(tmp_path / "train.json"), "--bench",
+                     str(tmp_path / "bench.json"), "--out", str(tmp_path / "out")]) == 1
+    return tmp_path / "out" / "disjointness.json", (
+        '{"intersections": {"capture_id": ["c-ü"], "device_id": [], "raw_path": [], "scene_id": [], '
+        '"session_id": []}, "status": "FAIL"}\n')
+
+
+@pytest.mark.parametrize("write", [
+    _samples_file, _manifest_file, _refs_file, _render_header_file, _candidates_file, _metrics_file,
+    _disjointness_file,
+], ids=lambda write: write.__name__.lstrip("_"))
+def test_written_records_keep_their_bytes(tmp_path, write):
+    path, expected = write(tmp_path)
+    assert path.read_bytes().decode("utf-8") == expected
+
+
+def test_default_config_hash_is_unchanged():
+    assert cli._config_hash(cli.RunConfig()) == (
+        "4fd1346589cc0e6da014b438be7023eb260eaa7313637af5583c9dc7ca921157")
+
+
+# --- encoding: every record decodes back to itself ------------------------------------
+
+_text = st.text(max_size=8)
+_words = st.text(min_size=1, max_size=8).filter(str.strip)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_dimensions = st.sampled_from(CapabilityDimension)
+
+_metadata = st.builds(CameraMetadata, iso=_positive, exposure_time=_positive, aperture=_positive,
+                      device_id=_words, scene_id=st.none() | _text, session_id=st.none() | _text)
+_refs = st.builds(CaptureRef, capture_id=_text, raw_path=_text, bundle_path=_text,
+                  scene_id=st.none() | _text, device_id=st.none() | _text, session_id=st.none() | _text)
+_params = st.builds(RenderParams, exposure_gain=_positive, bit_depth=st.integers(1, 16),
+                    xyz_to_linear_srgb=st.sampled_from([records.XYZ_TO_LINEAR_SRGB_D65,
+                                                        ((1, 0, 0), (0, 1, 0), (0, 0, 1))]),
+                    transfer=st.sampled_from([records.SRGB_PIECEWISE, records.IDENTITY]),
+                    quantize=st.booleans())
+_instruction = st.builds(bracketsup.InstructionRecord, question=_words, answer=_words, score=_unit,
+                         question_type=_text, template_id=_text, source_prefix=_text,
+                         provenance=st.lists(_positive, min_size=1, max_size=4).map(tuple))
+_triples = st.builds(metrics.MetricTriple, bleu=_finite, rouge_l=_finite, judge_accuracy=_finite)
+
+
+def _report(per_dimension):
+    return st.builds(metrics.MetricReport, overall=_triples, per_dimension=st.just(per_dimension),
+                     counts=st.fixed_dictionaries({dim: st.integers(0, 99) for dim in per_dimension}),
+                     total=st.integers(0, 99), missing_predictions=st.integers(0, 99))
+
+
+_RECORDS = {
+    CameraMetadata: _metadata,
+    CaptureRef: _refs,
+    RenderParams: _params,
+    records._RenderHeader: st.builds(records._RenderHeader, capture_id=_text, params=_params),
+    bracketsup.CandidateRecord: st.builds(
+        bracketsup.CandidateRecord, question=_words, answer=_words, score=_unit, exposure_gain=_positive,
+        question_type=_text, template_id=_text, source_prefix=_text),
+    bracketsup.InstructionRecord: _instruction,
+    bracketsup.TrainingSample: st.builds(bracketsup.TrainingSample, capture_id=_text, meas_xyz_path=_text,
+                                         record=_instruction, metadata=_metadata),
+    benchmark.BenchmarkExample: st.builds(
+        benchmark.BenchmarkExample, capture_id=_text, meas_xyz_path=_text, rgb_proxy_path=_text,
+        question=_text, reference_answer=_text, dimension=_dimensions, metadata=_metadata),
+    benchmark.DisjointnessReport: st.builds(
+        benchmark.DisjointnessReport, status=st.sampled_from(["PASS", "WARN", "FAIL"]),
+        intersections=st.dictionaries(_text, st.lists(_text, max_size=3), max_size=5)),
+    metrics.MetricTriple: _triples,
+    metrics.MetricReport: st.dictionaries(_dimensions, _triples, max_size=4).flatmap(_report),
+    cli.RunConfig: st.builds(cli.RunConfig, gain=_positive, exposures=st.lists(_positive, max_size=4).map(tuple),
+                             placeholder_patterns=st.lists(_text, max_size=3).map(tuple),
+                             mock_judge=st.none() | _text, seed=st.integers(0, 2**31)),
+}
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_encoded_records_decode_back(cls, data):
+    record = data.draw(_RECORDS[cls])
+    assert decode(cls, json.loads(formats.dump_json(records.encode(record))), "record") == record
+
+
+def test_absent_ids_are_left_out_of_metadata_but_written_as_null_in_refs():
+    assert "scene_id" not in records.encode(META_WITHOUT_IDS)
+    assert records.encode(CaptureRef(capture_id="c-1"))["scene_id"] is None
