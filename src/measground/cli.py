@@ -47,7 +47,8 @@ _IO_ERRORS = (IoFailure, MissingFile, AnnotatorUnavailable, JudgeUnavailable, OS
 
 class _JsonLogHandler(logging.Handler):
     def emit(self, record):
-        payload = {"level": record.levelname.lower(), "event": record.getMessage(), "logger": record.name}
+        payload = {"level": record.levelname.lower(), "event": record.getMessage(), "logger": record.name,
+                   **getattr(record, "fields", {})}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
@@ -65,7 +66,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{message}\n{self.format_usage()}")
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 # --- configuration ---------------------------------------------------------------
@@ -665,28 +666,40 @@ def _cmd_report(args, config: RunConfig, out: Path | None, pool: _CapturePool) -
 
 # --- argument parsing -----------------------------------------------------------------
 
+def _gains(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+# The setting flags by the RunConfig field each one sets: (type, help). A stage takes those it reads.
+_SETTING_FLAGS = {
+    "seed": (int, "random seed"),
+    "gain": (float, "exposure gain"),
+    "exposures": (_gains, "comma-separated bracket gains"),
+    "mock_annotator": (str, "annotator transcript JSONL, used in place of an endpoint"),
+    "mock_judge": (str, "judge transcript JSONL, used in place of an endpoint"),
+    "tau": (float, "residual threshold of the lost-signal mask"),
+    "bins": (int, "residual histogram bins"),
+    "floor": (float, "minimum sample score"),
+    "target": (int, "manifest size"),
+    "fraction": (float, "share of capture groups held out for the benchmark"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="measground", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def stage(name: str, run, summary: str, out_required: bool = True) -> _Parser:
+    def stage(name: str, run, summary: str, settings: str = "", out_required: bool = True) -> _Parser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="JSON run config; flags override")
         p.add_argument("--out", required=out_required, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--gain", type=float, default=None)
-        p.add_argument("--exposures", default=None, help="comma-separated gains")
-        p.add_argument("--mock-annotator", dest="mock_annotator", default=None)
-        p.add_argument("--mock-judge", dest="mock_judge", default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--bins", type=int, default=None)
-        p.add_argument("--floor", type=float, default=None)
-        p.add_argument("--target", type=int, default=None)
-        p.add_argument("--fraction", type=float, default=None)
+        for field in settings.split():
+            kind, text = _SETTING_FLAGS[field]
+            p.add_argument("--" + field.replace("_", "-"), type=kind, help=text)
         return p
 
-    p = stage("synth", _cmd_synth, "generate synthetic capture bundles")
+    p = stage("synth", _cmd_synth, "generate synthetic capture bundles", "seed")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--scene", default=None, help="scene spec JSON")
     p.add_argument("--group-size", type=int, default=1)
@@ -698,16 +711,16 @@ def _build_parser() -> _Parser:
     p = stage("measxyz", _cmd_measxyz, "compute Meas.-XYZ observations")
     p.add_argument("--input", required=True, help="bundles root or captures.json")
 
-    p = stage("render", _cmd_render, "render proxies at one gain")
+    p = stage("render", _cmd_render, "render proxies at one gain", "gain")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = stage("bracket", _cmd_bracket, "render the exposure bracket")
+    p = stage("bracket", _cmd_bracket, "render the exposure bracket", "exposures")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = stage("lost-signal", _cmd_lost_signal, "invert renders and report residuals")
+    p = stage("lost-signal", _cmd_lost_signal, "invert renders and report residuals", "gain tau bins")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = stage("annotate", _cmd_annotate, "collect candidates over rendered proxies")
+    p = stage("annotate", _cmd_annotate, "collect candidates over rendered proxies", "mock_annotator")
     p.add_argument("--proxies", required=True, help="render/bracket output directory")
     p.add_argument("--source-prefix", dest="source_prefix", default=None)
 
@@ -715,16 +728,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--candidates", required=True, help="candidates.jsonl")
     p.add_argument("--measxyz", required=True, help="measxyz directory")
 
-    p = stage("filter", _cmd_filter, "score floor + placeholder filtering")
+    p = stage("filter", _cmd_filter, "score floor + placeholder filtering", "floor")
     p.add_argument("--input", required=True, help="samples.jsonl")
 
-    p = stage("balance", _cmd_balance, "balance samples into a manifest")
+    p = stage("balance", _cmd_balance, "balance samples into a manifest", "floor target seed")
     p.add_argument("--input", required=True, help="filtered samples.jsonl")
     p.add_argument("--cap-source", dest="per_source_cap", type=int, default=None)
     p.add_argument("--cap-type", dest="per_type_cap", type=int, default=None)
     p.add_argument("--cap-template", dest="per_template_cap", type=int, default=None)
 
-    p = stage("split", _cmd_split, "grouped capture-level holdout split")
+    p = stage("split", _cmd_split, "grouped capture-level holdout split", "fraction seed")
     p.add_argument("--captures", required=True, help="captures.json refs")
     p.add_argument("--samples", default=None, help="optional samples manifest to partition")
     p.add_argument("--proxies", default=None, help="render dir for benchmark RGB views")
@@ -734,12 +747,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--bench", required=True)
 
-    p = stage("eval", _cmd_eval, "score predictions against a benchmark", out_required=False)
+    p = stage("eval", _cmd_eval, "score predictions against a benchmark", "mock_judge",
+              out_required=False)
     p.add_argument("--bench", required=True, help="bench_manifest.jsonl")
     p.add_argument("--predictions", required=True, help="predictions JSONL")
 
     p = stage("condition-check", _cmd_condition_check, "gradient-check the conditioning probe",
-              out_required=False)
+              "seed", out_required=False)
     p.add_argument("--probe-config", dest="probe_config", default=None)
 
     p = stage("report", _cmd_report, "render a metrics JSON as a text table", out_required=False)
@@ -748,40 +762,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _overrides_from_args(args) -> dict:
-    """Every parsed flag; load_config keeps the RunConfig fields that were given."""
-    overrides = dict(vars(args), exposures=None)
-    if args.exposures:
-        try:
-            overrides["exposures"] = [float(v) for v in args.exposures.split(",")]
-        except ValueError:
-            raise ConfigInvalid(f"config.exposures: cannot parse {args.exposures!r}") from None
-    return overrides
-
-
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    if not args.subcommand:
-        print(parser.format_usage(), file=sys.stderr)
+        log.error("%s", exc)
         return EXIT_VALIDATION
 
     started = time.time()
     out = Path(args.out) if args.out else None
     try:
-        config = load_config(args.config, _overrides_from_args(args))
+        config = load_config(args.config, vars(args))
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         pool = _CapturePool()
         counts, status = args.run(args, config, out, pool)
         if out is not None:
             _write_run_record(out, args.subcommand, config, counts, started, pool.workers)
-        log.info("%s finished: %s", args.subcommand, json.dumps(counts, sort_keys=True))
+        log.info("finished", extra={"fields": {"stage": args.subcommand, "counts": counts}})
         return status
     except _IO_ERRORS as exc:
         log.error("%s failed (io/remote): %s", args.subcommand, exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -303,4 +304,9 @@ def list_stems(root: Path, suffix: str) -> list[Path]:
     root = Path(root)
     if not root.exists():
         raise MissingFile(str(root))
-    return sorted(p.with_suffix("") for p in root.glob("*.json") if p.with_suffix(suffix).exists())
+    # One listing. As for a Path, a bare ``.json`` is a name with no suffix; the stems
+    # sort as strings, ``a`` before ``a-b``, as the paths did (the names would not).
+    names = set(os.listdir(root))
+    stems = sorted(name[:-5] for name in names
+                   if name.endswith(".json") and len(name) > 5 and name[:-5] + suffix in names)
+    return [root / stem for stem in stems]

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import formats, remote
 from .benchmark import BenchmarkExample, CapabilityDimension
+from .bracketsup import normalize_answer
 from .errors import JudgeUnavailable, MalformedVerdict, ManifestMismatch, SchemaViolation
 from .records import decode
 
@@ -120,16 +121,12 @@ def rouge_l(candidate: list[str], reference: list[str]) -> float:
 
 # --- judge clients ------------------------------------------------------------------
 
-def _normalized(text: str) -> str:
-    return " ".join(text.lower().split())
-
-
 class ExactMatchJudge:
     """Offline fallback: correct iff prediction equals reference up to
     case and whitespace."""
 
     def verdict(self, question: str, reference: str, prediction: str) -> bool:
-        return _normalized(reference) == _normalized(prediction)
+        return normalize_answer(reference) == normalize_answer(prediction)
 
 
 class TranscriptJudge:

@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -66,14 +67,27 @@ def _simple_candidates(cid, gain):
     ]
 
 
+def _error_event(capsys) -> str:
+    """The event of the one JSON log line, an error, that the stage wrote to stderr."""
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["level"] for e in events] == ["error"]
+    return events[0]["event"]
+
+
 class TestBasics:
     def test_unknown_subcommand_exits_1_with_usage(self, capsys):
         assert main(["frobnicate"]) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+        assert "usage" in _error_event(capsys).lower()
 
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+        assert "usage" in _error_event(capsys).lower()
+
+    def test_an_unknown_flag_exits_1_with_usage(self, tmp_path, capsys):
+        assert main(["measxyz", "--input", str(tmp_path), "--bogus", "1", "--out", str(tmp_path / "o")]) == 1
+        event = _error_event(capsys)
+        assert "unrecognized arguments: --bogus 1" in event and "usage" in event
+        assert not (tmp_path / "o").exists()
 
     def test_config_unknown_key_exits_1(self, tmp_path):
         config = tmp_path / "c.json"
@@ -114,6 +128,114 @@ class TestBasics:
         proc = _run_cli("condition-check", "--seed", "3")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "PASS"
+
+
+# Each subcommand's own input flags, and the setting flags (RunConfig fields)
+# its stage reads. Every subcommand also takes --config and --out.
+FLAGS = {
+    "synth": ("--count --scene --group-size --devices", "--seed"),
+    "ingest": ("--input", ""),
+    "measxyz": ("--input", ""),
+    "render": ("--input", "--gain"),
+    "bracket": ("--input", "--exposures"),
+    "lost-signal": ("--input", "--gain --tau --bins"),
+    "annotate": ("--proxies --source-prefix", "--mock-annotator"),
+    "aggregate": ("--candidates --measxyz", ""),
+    "filter": ("--input", "--floor"),
+    "balance": ("--input --cap-source --cap-type --cap-template", "--floor --target --seed"),
+    "split": ("--captures --samples --proxies", "--fraction --seed"),
+    "verify-split": ("--train --bench", ""),
+    "eval": ("--bench --predictions", "--mock-judge"),
+    "condition-check": ("--probe-config", "--seed"),
+    "report": ("--input", ""),
+}
+
+TOP_LEVEL_HELP = """\
+usage: measground [-h]
+                  {synth,ingest,measxyz,render,bracket,lost-signal,annotate,aggregate,filter,balance,split,verify-split,eval,condition-check,report}
+                  ...
+
+Batch command-line surface. One subcommand per pipeline stage; every stage is
+runnable on its own given only its declared inputs, writes all artifacts under
+--out, and records a run.json with the resolved-config hash and per-stage
+counts. Identical config + seeds give byte-identical data outputs; timestamps
+exist only in run.json. Logging is line-oriented JSON on stderr, controlled by
+MEASGROUND_LOG={info,debug}.
+
+positional arguments:
+  {synth,ingest,measxyz,render,bracket,lost-signal,annotate,aggregate,filter,balance,split,verify-split,eval,condition-check,report}
+    synth               generate synthetic capture bundles
+    ingest              validate bundles and index captures
+    measxyz             compute Meas.-XYZ observations
+    render              render proxies at one gain
+    bracket             render the exposure bracket
+    lost-signal         invert renders and report residuals
+    annotate            collect candidates over rendered proxies
+    aggregate           aggregate candidates into samples
+    filter              score floor + placeholder filtering
+    balance             balance samples into a manifest
+    split               grouped capture-level holdout split
+    verify-split        check train/bench disjointness
+    eval                score predictions against a benchmark
+    condition-check     gradient-check the conditioning probe
+    report              render a metrics JSON as a text table
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+class TestFlagSurface:
+    """Each subcommand takes the setting flags its stage reads, and no other."""
+
+    def test_top_level_help_is_plain_text(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _help_text(capsys, "--help") == TOP_LEVEL_HELP
+
+    @pytest.mark.parametrize("subcommand", FLAGS)
+    def test_help_lists_exactly_the_flags_of_its_stage(self, capsys, subcommand):
+        text = _help_text(capsys, subcommand, "--help")
+        inputs, settings = FLAGS[subcommand]
+        listed = re.findall(r"^  (-[-\w]+)", text.split("options:", 1)[1], re.MULTILINE)
+        assert sorted(listed) == sorted(["-h", "--config", "--out", *inputs.split(), *settings.split()])
+
+    @pytest.fixture
+    def measxyz(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1"]) == 0
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "m")]) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bracket", "--input", "m", "--gain", "3"], "--gain"),
+        (["measxyz", "--input", "s/captures.json", "--seed", "1"], "--seed"),
+    ])
+    def test_a_setting_flag_its_stage_does_not_read_is_refused(self, measxyz, capsys, monkeypatch,
+                                                               argv, flag):
+        monkeypatch.chdir(measxyz)
+        capsys.readouterr()
+        assert main([*argv, "--out", "out"]) == 1
+        event = _error_event(capsys)
+        assert f"unrecognized arguments: {flag} " in event and "usage" in event
+        assert not (measxyz / "out").exists()
+
+    def test_the_last_log_line_is_a_finished_event(self, tmp_path):
+        proc = _run_cli("synth", "--count", "2", "--out", tmp_path / "s")
+        assert proc.returncode == 0, proc.stderr
+        event = json.loads(proc.stderr.splitlines()[-1])
+        run = json.loads((tmp_path / "s" / "run.json").read_text())
+        assert event == {"level": "info", "logger": "measground", "event": "finished",
+                         "stage": "synth", "counts": run["counts"]}
+        assert run["counts"] == {"captures": 2}
 
 
 class TestIngest:

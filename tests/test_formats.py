@@ -218,3 +218,27 @@ def test_a_write_into_a_missing_directory_names_the_path(tmp_path, writer):
     with pytest.raises(IoFailure, match=re.escape(str(path))):
         WRITERS[writer](path)
     assert not (tmp_path / "missing").exists()
+
+
+def test_list_stems_matches_the_glob_it_replaced(tmp_path):
+    """One listing, sorted as stems: the same paths, in the same order, as the
+    ``glob("*.json")`` and ``exists()`` expression, whose glob keeps dot names
+    and whose ``exists()`` counts directories."""
+    files = ["a_e1", "a_e1_e1", "a-b", "a", "é", "z", ".hidden", "only_json"]
+    for stem in files:
+        (tmp_path / f"{stem}.json").touch()
+        if stem != "only_json":
+            (tmp_path / f"{stem}.ppm").touch()
+    for name in ("dir_json.json", "dir_ppm.ppm", ".json", ".ppm", "x.f32"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "dir_json.ppm").touch()
+    (tmp_path / "dir_ppm.json").touch()
+    (tmp_path / "x.json").touch()
+
+    def glob_stems(suffix):
+        return sorted(p.with_suffix("") for p in tmp_path.glob("*.json") if p.with_suffix(suffix).exists())
+
+    for suffix in (".ppm", ".f32"):
+        assert formats.list_stems(tmp_path, suffix) == glob_stems(suffix)
+    assert [p.name for p in formats.list_stems(tmp_path, ".ppm")] == [
+        ".hidden", "a", "a-b", "a_e1", "a_e1_e1", "dir_json", "dir_ppm", "z", "é"]
