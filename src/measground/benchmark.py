@@ -282,14 +282,12 @@ def tag_capability(
 def make_benchmark_examples(
     samples: list[TrainingSample],
     proxy_paths: dict[str, str],
-    overrides: dict[str, CapabilityDimension] | None = None,
 ) -> list[BenchmarkExample]:
     """Turn held-out training samples into benchmark items.
 
     ``proxy_paths`` maps capture_id to the matched RGB view; both views must
     exist on disk.
     """
-    overrides = overrides or {}
     examples = []
     for sample in samples:
         proxy = proxy_paths.get(sample.capture_id)
@@ -306,11 +304,7 @@ def make_benchmark_examples(
                 rgb_proxy_path=proxy,
                 question=sample.record.question,
                 reference_answer=sample.record.answer,
-                dimension=tag_capability(
-                    sample.record.question,
-                    sample.record.answer,
-                    overrides.get(sample.capture_id),
-                ),
+                dimension=tag_capability(sample.record.question, sample.record.answer),
                 metadata=sample.metadata,
             )
         )

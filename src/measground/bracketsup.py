@@ -292,17 +292,17 @@ def samples_for_stem(
     The header must hold ``capture_id``; its metadata goes on every sample.
     """
     stem = Path(meas_xyz_stem)
-    stored_id, metadata = read_meas_xyz_header(stem)
-    if stored_id != capture_id:
+    header = read_meas_xyz_header(stem)
+    if header.capture_id != capture_id:
         raise MissingMeasXyz(
-            f"{stem} holds capture {stored_id!r}, expected {capture_id!r}"
+            f"{stem} holds capture {header.capture_id!r}, expected {capture_id!r}"
         )
     return [
         TrainingSample(
             capture_id=capture_id,
             meas_xyz_path=str(stem),
             record=record,
-            metadata=metadata,
+            metadata=header.metadata,
         )
         for record in records
     ]

@@ -9,7 +9,7 @@ unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +32,20 @@ MIN_CAM_TO_XYZ_DET = 1e-9
 MOSAIC_NAME = "mosaic.pgm"
 SIDECAR_NAME = "capture.json"
 
-# The sidecar's keys and what each holds, by records.decode's rule: RawCapture's
-# fields but the mosaic. black_level may be one number for every CFA site.
-_SIDECAR = {
-    "capture_id": str,
-    "cfa_pattern": str,
-    "black_level": float | tuple[float, float, float, float],
-    "white_level": float,
-    "wb_gains": tuple[float, float, float],
-    "cam_to_xyz": Matrix3x3,
-    "metadata": CameraMetadata,
-    "raw_path": str,
-}
-_SIDECAR_NUMBERS = ("black_level", "white_level", "wb_gains", "cam_to_xyz")
+
+@dataclass(frozen=True)
+class _Sidecar:
+    """A bundle's capture.json: RawCapture's fields but the mosaic. RawCapture
+    checks the values when the bundle is loaded."""
+
+    capture_id: str
+    cfa_pattern: str
+    black_level: tuple[float, float, float, float]
+    white_level: float
+    wb_gains: tuple[float, float, float]
+    cam_to_xyz: Matrix3x3
+    metadata: CameraMetadata
+    raw_path: str
 
 
 @dataclass(frozen=True)
@@ -114,24 +115,12 @@ class RawCapture:
     def width(self) -> int:
         return self.mosaic.shape[1]
 
-    def sidecar_dict(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "cfa_pattern": self.cfa_pattern,
-            "black_level": list(self.black_level),
-            "white_level": self.white_level,
-            "wb_gains": list(self.wb_gains),
-            "cam_to_xyz": [[float(v) for v in row] for row in self.cam_to_xyz],
-            "metadata": encode(self.metadata),
-            "raw_path": self.raw_path,
-        }
-
 
 # --- bundle IO -----------------------------------------------------------------
 
-def read_bundle_sidecar(path: Path) -> dict:
-    """The bundle's sidecar, decoded into RawCapture's arguments but the mosaic;
-    both bundle files must exist."""
+def read_bundle_sidecar(path: Path) -> _Sidecar:
+    """The bundle's sidecar; both bundle files must exist. A single black level
+    is read as the black level of every CFA site."""
     path = Path(path)
     mosaic_path = path / MOSAIC_NAME
     sidecar_path = path / SIDECAR_NAME
@@ -141,23 +130,12 @@ def read_bundle_sidecar(path: Path) -> dict:
         sidecar = formats.read_json(sidecar_path)
     except SchemaViolation as exc:
         raise MalformedSidecar(str(exc)) from exc
-    if not isinstance(sidecar, dict):
-        raise MalformedSidecar(f"{sidecar_path}: expected a JSON object")
-    unknown = sidecar.keys() - _SIDECAR
-    if unknown:
-        raise MalformedSidecar(f"{sidecar_path}: unknown keys {sorted(unknown)}")
-    missing = _SIDECAR.keys() - sidecar
-    if missing:
-        raise MalformedSidecar(f"{sidecar_path}: missing keys {sorted(missing)}")
-    for key, hint in _SIDECAR.items():
-        what = " must hold JSON numbers" if key in _SIDECAR_NUMBERS else ""
-        sidecar[key] = decode(hint, sidecar[key], f"{sidecar_path}: {key}{what}", MalformedSidecar)
-    if isinstance(sidecar["black_level"], float):
-        sidecar["black_level"] = (sidecar["black_level"],) * 4  # one per CFA site
-    return sidecar
+    if isinstance(sidecar, dict) and type(sidecar.get("black_level")) in (int, float):
+        sidecar["black_level"] = [sidecar["black_level"]] * 4
+    return decode(_Sidecar, sidecar, f"{sidecar_path}: sidecar", MalformedSidecar)
 
 
-def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
+def load_capture_bundle(path: Path, sidecar: _Sidecar | None = None) -> RawCapture:
     """Load and validate a capture bundle directory.
 
     ``sidecar`` is the bundle's ``read_bundle_sidecar`` result when the
@@ -173,7 +151,7 @@ def load_capture_bundle(path: Path, sidecar: dict | None = None) -> RawCapture:
         raise DimensionMismatch(f"{mosaic_path}: odd mosaic dimensions {mosaic.shape}")
 
     try:
-        return RawCapture(mosaic=mosaic, **sidecar)
+        return RawCapture(mosaic=mosaic, **vars(sidecar))
     except MalformedSidecar as exc:
         raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
 
@@ -186,7 +164,9 @@ def save_capture_bundle(capture: RawCapture, path: Path) -> None:
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
     formats.write_pgm16(path / MOSAIC_NAME, capture.mosaic)
-    formats.write_json(path / SIDECAR_NAME, capture.sidecar_dict())
+    sidecar = {f.name: getattr(capture, f.name) for f in fields(_Sidecar)}
+    sidecar["cam_to_xyz"] = tuple(map(tuple, capture.cam_to_xyz.tolist()))
+    formats.write_json(path / SIDECAR_NAME, encode(_Sidecar(**sidecar)))
 
 
 # --- synthetic captures ----------------------------------------------------------

@@ -11,6 +11,7 @@ MEASGROUND_LOG={info,debug}.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -394,8 +395,8 @@ def _cmd_ingest(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple
     return {"captures": len(refs)}, EXIT_OK
 
 
-def _measxyz_one(bundle: tuple[Path, dict], out: Path) -> None:
-    """Transform one bundle, given with the sidecar the stage process read."""
+def _measxyz_one(bundle: tuple[Path, object], out: Path) -> None:
+    """Transform one bundle, given with the sidecar record the stage process read."""
     from . import capture as capture_mod
     from . import measxyz
 
@@ -409,9 +410,7 @@ def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
 
     bundles = [(bundle, capture_mod.read_bundle_sidecar(bundle))
                for bundle in _capture_paths(Path(args.input))]
-    _refuse_duplicate_ids(
-        (bundle / capture_mod.SIDECAR_NAME, sidecar["capture_id"]) for bundle, sidecar in bundles
-    )
+    _refuse_duplicate_ids((bundle / capture_mod.SIDECAR_NAME, sidecar.capture_id) for bundle, sidecar in bundles)
     pool.map(partial(_measxyz_one, out=out), bundles)
     return {"images": len(bundles)}, EXIT_OK
 
@@ -425,19 +424,16 @@ def _render_params(config: RunConfig, gain: float) -> records.RenderParams:
     )
 
 
-def _plane_stems(measxyz_dir: Path) -> list[tuple[Path, tuple[dict, tuple[int, ...]]]]:
+def _plane_stems(measxyz_dir: Path) -> list[tuple[Path, records.MeasXyzHeader]]:
     """The Meas.-XYZ plane pairs under ``measxyz_dir`` with their headers, refused if
     two hold one capture. The workers load each pair with the header read here."""
-    planes = [(stem, formats.read_plane_header(stem))
+    planes = [(stem, records.read_meas_xyz_header(stem))
               for stem in formats.list_stems(measxyz_dir, ".f32")]
-    _refuse_duplicate_ids(
-        (Path(f"{stem}.json"), records.meas_xyz_header_fields(stem, header)[0])
-        for stem, (header, _) in planes
-    )
+    _refuse_duplicate_ids((Path(f"{stem}.json"), header.capture_id) for stem, header in planes)
     return planes
 
 
-def _render_one(plane: tuple[Path, tuple], config: RunConfig, gains, out: Path) -> None:
+def _render_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, gains, out: Path) -> None:
     """Render one plane at every gain in one pass, then save each render."""
     from . import isp, measxyz
 
@@ -449,6 +445,8 @@ def _render_one(plane: tuple[Path, tuple], config: RunConfig, gains, out: Path) 
 
 
 def _render_gains(measxyz_dir: Path, config: RunConfig, out: Path, pool: _CapturePool, gains) -> int:
+    if not config.quantize:  # a render file holds integer codes
+        raise ConfigInvalid("config.quantize: render and bracket write quantized renders only")
     from . import isp  # noqa: F401  (loaded once here, before the workers fork)
 
     planes = _plane_stems(measxyz_dir)
@@ -466,7 +464,7 @@ def _cmd_bracket(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
     return {"renders": n, "exposures": list(config.exposures)}, EXIT_OK
 
 
-def _lost_signal_one(plane: tuple[Path, tuple], config: RunConfig, out: Path) -> None:
+def _lost_signal_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, out: Path) -> None:
     from . import lost_signal, measxyz
 
     image = measxyz.load_meas_xyz(*plane)
@@ -477,8 +475,6 @@ def _lost_signal_one(plane: tuple[Path, tuple], config: RunConfig, out: Path) ->
 
 
 def _cmd_lost_signal(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
-    if args.gain is None:
-        raise ConfigInvalid("config.gain: lost-signal requires an explicit --gain")
     from . import lost_signal  # noqa: F401  (loaded once here, before the workers fork)
 
     planes = _plane_stems(Path(args.input))
@@ -691,7 +687,7 @@ def _build_parser() -> _Parser:
 
     def stage(name: str, run, summary: str, settings: str = "", out_required: bool = True) -> _Parser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         p.add_argument("--config", default=None, help="JSON run config; flags override")
         p.add_argument("--out", required=out_required, default=None, help="output directory")
         for field in settings.split():
@@ -765,17 +761,21 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     _setup_logging()
     try:
-        args = _build_parser().parse_args(argv)
+        args, unknown = _build_parser().parse_known_args(argv)
+        if unknown:  # reported by the subcommand's parser, so its usage is the one shown
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except _UsageError as exc:
         log.error("%s", exc)
         return EXIT_VALIDATION
 
     started = time.time()
     out = Path(args.out) if args.out else None
+    made_out = False
     try:
         config = load_config(args.config, vars(args))
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+        if out is not None and not out.exists():
+            out.mkdir(parents=True)
+            made_out = True
         pool = _CapturePool()
         counts, status = args.run(args, config, out, pool)
         if out is not None:
@@ -788,6 +788,10 @@ def main(argv=None) -> int:
     except MeasgroundError as exc:
         log.error("%s failed (validation): %s", args.subcommand, exc)
         return EXIT_VALIDATION
+    finally:
+        if made_out:  # a failed stage leaves no empty --out; rmdir refuses a directory with files
+            with contextlib.suppress(OSError):
+                out.rmdir()
 
 
 def entry() -> None:

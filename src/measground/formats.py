@@ -192,43 +192,15 @@ def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
     write_json(Path(str(stem) + ".json"), full)
 
 
-def read_plane_header(stem: Path) -> tuple[dict, tuple[int, ...]]:
-    """The header of a plane pair and the array shape it declares.
-
-    The .f32 size is checked against that shape by ``stat``, so the samples
-    are not read.
-    """
-    header_path = Path(str(stem) + ".json")
-    data_path = Path(str(stem) + ".f32")
-    if not header_path.exists() or not data_path.exists():
-        raise IoFailure(f"{stem}: missing .f32/.json plane pair")
-    header = read_json(header_path)
-    try:
-        height, width, channels = (int(header[k]) for k in ("height", "width", "channels"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(
-            f"{header_path}: plane header needs integer height, width and channels"
-        ) from exc
-    if data_path.stat().st_size != height * width * channels * 4:
-        raise IoFailure(f"{stem}: plane payload does not match header dimensions")
-    shape = (height, width) if channels == 1 else (height, width, channels)
-    return header, shape
-
-
-def read_plane(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None
-               ) -> tuple[np.ndarray, dict]:
-    """The stored float32 samples of a plane pair, read-only, and its header.
-
-    ``header`` is the pair's ``read_plane_header`` result when the caller
-    has read it already, so the header is not read again.
-    """
+def read_plane(stem: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The stored float32 samples of a plane pair, read-only, in ``shape``, the
+    shape its header declares."""
     import numpy as np
 
-    header, shape = read_plane_header(stem) if header is None else header
     raw = Path(str(stem) + ".f32").read_bytes()
     if len(raw) != 4 * math.prod(shape):
         raise IoFailure(f"{stem}: plane payload does not match header dimensions")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape), header
+    return np.frombuffer(raw, dtype="<f4").reshape(shape)
 
 
 # --- JSON / JSONL --------------------------------------------------------------

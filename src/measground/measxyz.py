@@ -20,7 +20,7 @@ import numpy as np
 from . import formats
 from .capture import RawCapture
 from .errors import DegenerateCalibration, DomainError, ShapeMismatch
-from .records import CameraMetadata, encode, meas_xyz_header_fields
+from .records import CameraMetadata, MeasXyzHeader, encode, read_meas_xyz_header
 
 log = logging.getLogger(__name__)
 
@@ -298,16 +298,14 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
 
 def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
     """Write the image as a float32 plane pair (<stem>.f32 + <stem>.json)."""
-    header = {
-        "capture_id": image.capture_id,
-        "range": [0, 1],
-        "metadata": encode(image.metadata),
-    }
-    formats.write_plane(stem, image.data, header)
+    # the range as integers, so it stays written as [0, 1]
+    header = MeasXyzHeader(image.capture_id, image.metadata, (0, 1), *image.data.shape)
+    formats.write_plane(stem, image.data, encode(header))
 
 
-def load_meas_xyz(stem: Path, header: tuple[dict, tuple[int, ...]] | None = None) -> MeasXyzImage:
-    """The image saved at ``stem``; ``header`` is as ``formats.read_plane`` takes it."""
-    data, header = formats.read_plane(stem, header)
-    capture_id, metadata = meas_xyz_header_fields(stem, header)
-    return MeasXyzImage._adopt(data, capture_id, metadata)
+def load_meas_xyz(stem: Path, header: MeasXyzHeader | None = None) -> MeasXyzImage:
+    """The image saved at ``stem``; ``header`` is its ``read_meas_xyz_header`` result
+    when the caller has read it already, so the header is not read again."""
+    if header is None:
+        header = read_meas_xyz_header(stem)
+    return MeasXyzImage._adopt(formats.read_plane(stem, header.shape), header.capture_id, header.metadata)

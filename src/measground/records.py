@@ -7,8 +7,8 @@ split, verify-split, eval and report never import numpy. ``capture``,
 ``measxyz`` and ``isp`` import these names from here and export them as
 before.
 
-Every record the program writes as JSON (sidecar and plane-header metadata,
-render headers, refs, candidates, samples, the benchmark manifest, the
+Every record the program writes as JSON (capture sidecars, Meas.-XYZ plane
+and render headers, refs, candidates, samples, the benchmark manifest, the
 disjointness and metrics reports, and the config that ``run.json`` hashes)
 goes through ``encode``, whose output ``decode`` reads back; both read the
 record's field annotations, so a record's on-disk form is decided once.
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import formats
-from .errors import DomainError, MalformedSidecar, MeasgroundError, SchemaViolation, SingularMatrix
+from .errors import DomainError, IoFailure, MalformedSidecar, MeasgroundError, SchemaViolation, SingularMatrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -305,7 +305,7 @@ class CaptureRef:
 # --- Meas.-XYZ plane headers ------------------------------------------------------
 
 @dataclass(frozen=True)
-class _MeasXyzHeader:
+class MeasXyzHeader:
     """A Meas.-XYZ plane's <stem>.json, as measxyz.save_meas_xyz writes it."""
 
     capture_id: str
@@ -315,21 +315,25 @@ class _MeasXyzHeader:
     width: int
     channels: int
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the plane's sample array."""
+        return (self.height, self.width) if self.channels == 1 else (self.height, self.width, self.channels)
 
-def meas_xyz_header_fields(stem: Path, header: dict) -> tuple[str, CameraMetadata]:
-    """The capture id and metadata of a plane header that ``stem``'s pair holds."""
-    decoded = decode(_MeasXyzHeader, header, f"{stem}.json: plane header")
-    return decoded.capture_id, decoded.metadata
 
+def read_meas_xyz_header(stem: Path) -> MeasXyzHeader:
+    """The header of the plane pair at ``stem``, without reading its samples.
 
-def read_meas_xyz_header(stem: Path) -> tuple[str, CameraMetadata]:
-    """The capture id and metadata of a plane pair, without reading its samples.
-
-    The header is checked as load_meas_xyz checks it, and the .f32 size
-    against the header dimensions.
+    The .f32 size is checked against the header's shape by ``stat``.
     """
-    header, _ = formats.read_plane_header(stem)
-    return meas_xyz_header_fields(stem, header)
+    header_path = Path(str(stem) + ".json")
+    data_path = Path(str(stem) + ".f32")
+    if not header_path.exists() or not data_path.exists():
+        raise IoFailure(f"{stem}: missing .f32/.json plane pair")
+    header = decode(MeasXyzHeader, formats.read_json(header_path), f"{header_path}: plane header")
+    if data_path.stat().st_size != 4 * math.prod(header.shape):
+        raise IoFailure(f"{stem}: plane payload does not match header dimensions")
+    return header
 
 
 # --- render parameters ------------------------------------------------------------

@@ -225,7 +225,8 @@ class TestFlagSurface:
         capsys.readouterr()
         assert main([*argv, "--out", "out"]) == 1
         event = _error_event(capsys)
-        assert f"unrecognized arguments: {flag} " in event and "usage" in event
+        assert f"unrecognized arguments: {flag} " in event
+        assert f"usage: measground {argv[0]} " in event
         assert not (measxyz / "out").exists()
 
     def test_the_last_log_line_is_a_finished_event(self, tmp_path):
@@ -236,6 +237,43 @@ class TestFlagSurface:
         assert event == {"level": "info", "logger": "measground", "event": "finished",
                          "stage": "synth", "counts": run["counts"]}
         assert run["counts"] == {"captures": 2}
+
+
+class TestFailedStageOutput:
+    """A stage that fails removes the --out it made while it is still empty, and
+    keeps one that holds files or that was there before."""
+
+    @pytest.fixture
+    def measxyz(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "2"]) == 0
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "m")]) == 0
+        return tmp_path
+
+    def test_missing_input_leaves_no_out(self, tmp_path, capsys):
+        assert main(["measxyz", "--input", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")]) == 2
+        assert "nowhere" in _error_event(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_an_out_that_was_there_is_kept(self, tmp_path):
+        (tmp_path / "o").mkdir()
+        assert main(["measxyz", "--input", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")]) == 2
+        assert (tmp_path / "o").is_dir()
+
+    def test_an_out_with_partial_files_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "2"]) == 0
+        mosaic = tmp_path / "s" / "bundles" / "synth-0001" / "mosaic.pgm"
+        mosaic.write_bytes(mosaic.read_bytes()[:-100])
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["synth-0000.f32", "synth-0000.json"]
+
+    def test_lost_signal_takes_unquantized_renders(self, measxyz):
+        (measxyz / "c.json").write_text('{"quantize": false}')
+        assert main(["lost-signal", "--input", str(measxyz / "m"), "--config", str(measxyz / "c.json"),
+                     "--gain", "2", "--out", str(measxyz / "l")]) == 0
+        assert (measxyz / "l" / "synth-0000_summary.json").exists()
 
 
 class TestIngest:
@@ -367,14 +405,23 @@ class TestLostSignalAnalytic:
         assert 0.0 < expected_fraction < 1.0
         assert summary["clipped_fraction"] == expected_fraction
 
-    def test_lost_signal_requires_gain(self, tmp_path):
+    def test_lost_signal_reads_gain_from_the_config(self, tmp_path):
+        """The gain may come from --config, as for render; the files match --gain's."""
         scene = self._scene(tmp_path, 0.5)
         assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1",
                      "--seed", "0", "--scene", str(scene)]) == 0
         assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
                      "--out", str(tmp_path / "m")]) == 0
-        assert main(["lost-signal", "--input", str(tmp_path / "m"),
-                     "--out", str(tmp_path / "l")]) == 1
+        (tmp_path / "c.json").write_text('{"gain": 2}')
+        assert main(["lost-signal", "--input", str(tmp_path / "m"), "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "from-config")]) == 0
+        assert main(["lost-signal", "--input", str(tmp_path / "m"), "--gain", "2",
+                     "--out", str(tmp_path / "from-flag")]) == 0
+        names = sorted(p.name for p in (tmp_path / "from-flag").iterdir() if p.name != "run.json")
+        assert "synth-0000_summary.json" in names
+        assert names == sorted(p.name for p in (tmp_path / "from-config").iterdir() if p.name != "run.json")
+        for name in names:
+            assert (tmp_path / "from-config" / name).read_bytes() == (tmp_path / "from-flag" / name).read_bytes()
 
 
 class TestPipelineStages:
@@ -738,7 +785,7 @@ def _sidecar_metadata_with(key, value):
         obj["metadata"][key] = value
         path.write_text(json.dumps(obj))
         return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
-            f"synth-0000/capture.json: metadata.{key}: expected "
+            f"synth-0000/capture.json: sidecar.metadata.{key}: expected "
     case.__name__ = f"_sidecar_metadata_{key}_of_{type(value).__name__}"
     return case
 
@@ -839,6 +886,16 @@ def _bracket_exposures(exposures):
         return ["bracket", "--input", root / "m", "--exposures", exposures,
                 "--out", root / "out"], "*_e1 renders"
     case.__name__ = f"_exposures_{exposures.replace(',', '_')}_share_a_file_tag"
+    return case
+
+
+def _unquantized_renders(stage):
+    """render or bracket with quantize false in the config: a render file holds integer codes."""
+    def case(root):
+        (root / "config.json").write_text('{"quantize": false}')
+        return [stage, "--input", root / "m", "--config", root / "config.json", "--out", root / "out"], \
+            f"{stage} failed (validation): config.quantize: "
+    case.__name__ = f"_{stage}_of_unquantized_renders"
     return case
 
 
@@ -955,6 +1012,8 @@ class TestMalformedInputs:
         _ppm_16_bit_sample_above_maxval,
         _bracket_exposures("1,1"),
         _bracket_exposures("1.0000001,1.0000002"),
+        _unquantized_renders("render"),
+        _unquantized_renders("bracket"),
         _config_file("condition-check", "--probe-config", "5", "probe_config_of_a_number"),
         _config_file("condition-check", "--probe-config", '{"depth": "x"}', "string_depth"),
         _config_file("condition-check", "--probe-config", '{"inject_layers": 5}',
@@ -996,6 +1055,8 @@ class TestMalformedInputs:
         assert named in events[0]["event"]
         if argv[0] == "bracket":  # refused with the config, before --out is made
             assert not (rendered / "out").exists()
+        # an --out that the stage made is removed while it is still empty
+        assert not (rendered / "out").exists() or any((rendered / "out").iterdir())
         if argv[0] == "synth":  # the scene is refused before any bundle is written
             assert not (rendered / "out" / "bundles").exists()
         # no plane is left half-written
@@ -1041,7 +1102,7 @@ class TestDuplicateCaptureIds:
         assert [e["level"] for e in events] == ["error"]
         assert "'synth-0001'" in events[0]["event"]
         assert first in events[0]["event"] and second in events[0]["event"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def _worker_pid(item):

@@ -79,7 +79,7 @@ def test_plane(tmp_path, layout, shape):
     channels = 1 if len(shape) == 2 else shape[2]
     assert json.loads((tmp_path / "x.json").read_text()) == {
         "capture_id": "x", "height": shape[0], "width": shape[1], "channels": channels}
-    loaded, _ = formats.read_plane(tmp_path / "x")
+    loaded = formats.read_plane(tmp_path / "x", shape)
     assert np.array_equal(loaded, data.astype(np.float32).astype(np.float64))
 
 

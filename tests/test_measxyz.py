@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import formats
 from measground import measxyz as measxyz_mod
 from measground.capture import SyntheticSceneSpec, synth_capture
 from measground.errors import DomainError, IoFailure, SchemaViolation
@@ -218,7 +217,8 @@ class TestPlaneExport:
     def test_header_reader_checks_size_without_reading_samples(self, tmp_path):
         image = MeasXyzImage(data=np.zeros((2, 4, 3)), capture_id="x-2", metadata=make_metadata(2))
         save_meas_xyz(image, tmp_path / "x-2")
-        assert read_meas_xyz_header(tmp_path / "x-2") == ("x-2", image.metadata)
+        header = read_meas_xyz_header(tmp_path / "x-2")
+        assert (header.capture_id, header.metadata, header.shape) == ("x-2", image.metadata, (2, 4, 3))
         with (tmp_path / "x-2.f32").open("ab") as fh:
             fh.write(b"\0")
         for reader in (read_meas_xyz_header, load_meas_xyz):
@@ -228,7 +228,7 @@ class TestPlaneExport:
     def test_load_with_a_header_read_earlier_reads_no_header(self, tmp_path):
         image = MeasXyzImage(data=np.full((2, 4, 3), 0.25), capture_id="x-4", metadata=make_metadata(4))
         save_meas_xyz(image, tmp_path / "x-4")
-        header = formats.read_plane_header(tmp_path / "x-4")
+        header = read_meas_xyz_header(tmp_path / "x-4")
         (tmp_path / "x-4.json").unlink()
         loaded = load_meas_xyz(tmp_path / "x-4", header)
         assert np.array_equal(loaded.data, image.data)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import benchmark, bracketsup, cli, formats, isp, metrics, records
+from measground import benchmark, bracketsup, capture, cli, formats, isp, measxyz, metrics, records
 from measground.benchmark import CapabilityDimension
 from measground.errors import ConfigInvalid, DomainError, SchemaViolation
 from measground.records import CameraMetadata, CaptureRef, RenderParams, decode
@@ -143,6 +143,32 @@ def _save_proxy(tmp_path):
                       tmp_path / "proxies" / "c-1_e2")
 
 
+def _sidecar_file(metadata, metadata_json):
+    """A bundle's capture.json: every RawCapture field but the mosaic."""
+    def write(tmp_path):
+        raw = capture.RawCapture(
+            capture_id="c-1", mosaic=np.zeros((2, 2), np.uint16), cfa_pattern="GRBG",
+            black_level=(64, 64.5, 64, 64), white_level=1023, wb_gains=(2, 1.0, 1.5),
+            cam_to_xyz=np.array([[0.5, 0.25, 0], [0, 1, 0], [0, 0.125, 2]]), metadata=metadata,
+            raw_path="/raw/c-1.dng")
+        capture.save_capture_bundle(raw, tmp_path / "b")
+        return tmp_path / "b" / "capture.json", (
+            '{"black_level": [64.0, 64.5, 64.0, 64.0], "cam_to_xyz": [[0.5, 0.25, 0.0], [0.0, 1.0, 0.0], '
+            '[0.0, 0.125, 2.0]], "capture_id": "c-1", "cfa_pattern": "GRBG", "metadata": ' + metadata_json
+            + ', "raw_path": "/raw/c-1.dng", "wb_gains": [2.0, 1.0, 1.5], "white_level": 1023.0}\n')
+    write.__name__ = "_sidecar_" + ("with_ids" if metadata.scene_id else "without_ids")
+    return write
+
+
+def _plane_header_file(tmp_path):
+    """A Meas.-XYZ plane header: its capture id, metadata, range and shape."""
+    image = measxyz.MeasXyzImage(data=np.zeros((2, 4, 3)), capture_id="c-1", metadata=META)
+    measxyz.save_meas_xyz(image, tmp_path / "c-1")
+    return tmp_path / "c-1.json", (
+        '{"capture_id": "c-1", "channels": 3, "height": 2, "metadata": ' + META_JSON
+        + ', "range": [0, 1], "width": 4}\n')
+
+
 def _render_header_file(tmp_path):
     """A render header: _RenderHeader and RenderParams."""
     (tmp_path / "proxies").mkdir()
@@ -199,7 +225,9 @@ def _disjointness_file(tmp_path):
 
 @pytest.mark.parametrize("write", [
     _samples_file, _manifest_file, _refs_file, _render_header_file, _candidates_file, _metrics_file,
-    _disjointness_file,
+    _disjointness_file, _sidecar_file(META, META_JSON),
+    _sidecar_file(META_WITHOUT_IDS, '{"aperture": 4.0, "device_id": "cam-1", "exposure_time": 0.5, "iso": 200}'),
+    _plane_header_file,
 ], ids=lambda write: write.__name__.lstrip("_"))
 def test_written_records_keep_their_bytes(tmp_path, write):
     path, expected = write(tmp_path)
