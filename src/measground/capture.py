@@ -34,7 +34,7 @@ SIDECAR_NAME = "capture.json"
 
 
 @dataclass(frozen=True)
-class _Sidecar:
+class Sidecar:
     """A bundle's capture.json: RawCapture's fields but the mosaic. RawCapture
     checks the values when the bundle is loaded."""
 
@@ -118,7 +118,7 @@ class RawCapture:
 
 # --- bundle IO -----------------------------------------------------------------
 
-def read_bundle_sidecar(path: Path) -> _Sidecar:
+def read_bundle_sidecar(path: Path) -> Sidecar:
     """The bundle's sidecar; both bundle files must exist. A single black level
     is read as the black level of every CFA site."""
     path = Path(path)
@@ -132,10 +132,10 @@ def read_bundle_sidecar(path: Path) -> _Sidecar:
         raise MalformedSidecar(str(exc)) from exc
     if isinstance(sidecar, dict) and type(sidecar.get("black_level")) in (int, float):
         sidecar["black_level"] = [sidecar["black_level"]] * 4
-    return decode(_Sidecar, sidecar, f"{sidecar_path}: sidecar", MalformedSidecar)
+    return decode(Sidecar, sidecar, f"{sidecar_path}: sidecar", MalformedSidecar)
 
 
-def load_capture_bundle(path: Path, sidecar: _Sidecar | None = None) -> RawCapture:
+def load_capture_bundle(path: Path, sidecar: Sidecar | None = None) -> RawCapture:
     """Load and validate a capture bundle directory.
 
     ``sidecar`` is the bundle's ``read_bundle_sidecar`` result when the
@@ -164,9 +164,9 @@ def save_capture_bundle(capture: RawCapture, path: Path) -> None:
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
     formats.write_pgm16(path / MOSAIC_NAME, capture.mosaic)
-    sidecar = {f.name: getattr(capture, f.name) for f in fields(_Sidecar)}
+    sidecar = {f.name: getattr(capture, f.name) for f in fields(Sidecar)}
     sidecar["cam_to_xyz"] = tuple(map(tuple, capture.cam_to_xyz.tolist()))
-    formats.write_json(path / SIDECAR_NAME, encode(_Sidecar(**sidecar)))
+    formats.write_json(path / SIDECAR_NAME, encode(Sidecar(**sidecar)))
 
 
 # --- synthetic captures ----------------------------------------------------------

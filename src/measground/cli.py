@@ -152,41 +152,16 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _numpy_version() -> str:
-    """The installed numpy's version, read without importing numpy.
-
-    A stage that has imported numpy reads its ``__version__``. The others
-    read the ``Version:`` line of the ``numpy-*.dist-info/METADATA`` beside
-    the package the import system finds, the file ``importlib.metadata``
-    reads, without importing that module (10-30 ms, much of a text stage's
-    own work). It stays the fallback where there is not exactly one record.
-    """
-    numpy = sys.modules.get("numpy")
-    if numpy is not None:
-        return numpy.__version__
-    import importlib.util
-
-    spec = importlib.util.find_spec("numpy")
-    records = list(Path(spec.origin).parent.parent.glob("numpy-*.dist-info")) if spec and spec.origin else []
-    if len(records) == 1:
-        try:
-            lines = (records[0] / "METADATA").read_text(encoding="utf-8").splitlines()
-        except OSError:
-            lines = []
-        for line in lines:
-            if line.startswith("Version:"):
-                return line[len("Version:"):].strip()
-    from importlib import metadata
-
-    return metadata.version("numpy")
-
-
 def _write_run_record(out_dir: Path, subcommand: str, config: RunConfig, counts: dict,
                       started: float, workers: int) -> None:
+    versions = {"measground": __version__}
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:  # the text stages never load it
+        versions["numpy"] = numpy.__version__
     record = {
         "subcommand": subcommand,
         "config_hash": _config_hash(config),
-        "versions": {"measground": __version__, "numpy": _numpy_version()},
+        "versions": versions,
         "counts": counts,
         "workers": workers,
         "started_at": started,
@@ -415,15 +390,6 @@ def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
     return {"images": len(bundles)}, EXIT_OK
 
 
-def _render_params(config: RunConfig, gain: float) -> records.RenderParams:
-    return records.RenderParams(
-        exposure_gain=gain,
-        bit_depth=config.bit_depth,
-        transfer=config.transfer,
-        quantize=config.quantize,
-    )
-
-
 def _plane_stems(measxyz_dir: Path) -> list[tuple[Path, records.MeasXyzHeader]]:
     """The Meas.-XYZ plane pairs under ``measxyz_dir`` with their headers, refused if
     two hold one capture. The workers load each pair with the header read here."""
@@ -433,42 +399,34 @@ def _plane_stems(measxyz_dir: Path) -> list[tuple[Path, records.MeasXyzHeader]]:
     return planes
 
 
-def _render_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, gains, out: Path) -> None:
-    """Render one plane at every gain in one pass, then save each render."""
+def _bracket_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, out: Path) -> None:
+    """Render one plane at every gain of the bracket in one pass, then save each render."""
     from . import isp, measxyz
 
     image = measxyz.load_meas_xyz(*plane)
+    gains = config.exposures
     renders = isp.make_bracket(image, gains, workspace=_stage_workspace(), bit_depth=config.bit_depth,
                                transfer=config.transfer, quantize=config.quantize)
     for gain, rendered in zip(gains, renders):
         isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(gain)}")
 
 
-def _render_gains(measxyz_dir: Path, config: RunConfig, out: Path, pool: _CapturePool, gains) -> int:
+def _cmd_bracket(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
     if not config.quantize:  # a render file holds integer codes
-        raise ConfigInvalid("config.quantize: render and bracket write quantized renders only")
+        raise ConfigInvalid("config.quantize: bracket writes quantized renders only")
     from . import isp  # noqa: F401  (loaded once here, before the workers fork)
 
-    planes = _plane_stems(measxyz_dir)
-    pool.map(partial(_render_one, config=config, gains=gains, out=out), planes)
-    return len(planes) * len(gains)
-
-
-def _cmd_render(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
-    n = _render_gains(Path(args.input), config, out, pool, (config.gain,))
-    return {"renders": n, "gain": config.gain}, EXIT_OK
-
-
-def _cmd_bracket(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
-    n = _render_gains(Path(args.input), config, out, pool, config.exposures)
-    return {"renders": n, "exposures": list(config.exposures)}, EXIT_OK
+    planes = _plane_stems(Path(args.input))
+    pool.map(partial(_bracket_one, config=config, out=out), planes)
+    return {"renders": len(planes) * len(config.exposures), "exposures": list(config.exposures)}, EXIT_OK
 
 
 def _lost_signal_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, out: Path) -> None:
     from . import lost_signal, measxyz
 
     image = measxyz.load_meas_xyz(*plane)
-    params = _render_params(config, config.gain)
+    params = records.RenderParams(exposure_gain=config.gain, bit_depth=config.bit_depth,
+                                  transfer=config.transfer, quantize=config.quantize)
     report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins,
                                         workspace=_stage_workspace())
     lost_signal.emit_report(report, out)
@@ -626,12 +584,11 @@ def _cmd_condition_check(args, config: RunConfig, out: Path | None, pool: _Captu
 
     from . import probe
 
+    probe_config = probe.ProbeConfig()
     if config.probe_config:
         probe_config = probe.ProbeConfig.from_file(Path(config.probe_config))
-    else:
-        probe_config = probe.ProbeConfig(seed=config.seed)
-    stack = probe_config.build()
-    rng = np.random.default_rng(probe_config.seed)
+    stack = probe_config.build(config.seed)
+    rng = np.random.default_rng(config.seed)
     h0 = rng.normal(0.0, 1.0, stack.hidden_dim)
     mvec = rng.normal(0.0, 1.0, 3)
     error = probe.grad_check(stack, h0, mvec)
@@ -707,9 +664,6 @@ def _build_parser() -> _Parser:
     p = stage("measxyz", _cmd_measxyz, "compute Meas.-XYZ observations")
     p.add_argument("--input", required=True, help="bundles root or captures.json")
 
-    p = stage("render", _cmd_render, "render proxies at one gain", "gain")
-    p.add_argument("--input", required=True, help="measxyz directory")
-
     p = stage("bracket", _cmd_bracket, "render the exposure bracket", "exposures")
     p.add_argument("--input", required=True, help="measxyz directory")
 
@@ -717,7 +671,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="measxyz directory")
 
     p = stage("annotate", _cmd_annotate, "collect candidates over rendered proxies", "mock_annotator")
-    p.add_argument("--proxies", required=True, help="render/bracket output directory")
+    p.add_argument("--proxies", required=True, help="bracket output directory")
     p.add_argument("--source-prefix", dest="source_prefix", default=None)
 
     p = stage("aggregate", _cmd_aggregate, "aggregate candidates into samples")
@@ -736,7 +690,7 @@ def _build_parser() -> _Parser:
     p = stage("split", _cmd_split, "grouped capture-level holdout split", "fraction seed")
     p.add_argument("--captures", required=True, help="captures.json refs")
     p.add_argument("--samples", default=None, help="optional samples manifest to partition")
-    p.add_argument("--proxies", default=None, help="render dir for benchmark RGB views")
+    p.add_argument("--proxies", default=None, help="bracket directory for benchmark RGB views")
 
     p = stage("verify-split", _cmd_verify_split, "check train/bench disjointness",
               out_required=False)
@@ -770,12 +724,14 @@ def main(argv=None) -> int:
 
     started = time.time()
     out = Path(args.out) if args.out else None
-    made_out = False
+    made: list[Path] = []  # the directories made on the way to --out, deepest last
     try:
         config = load_config(args.config, vars(args))
-        if out is not None and not out.exists():
-            out.mkdir(parents=True)
-            made_out = True
+        if out is not None:
+            for directory in (*reversed(out.parents), out):
+                if not directory.exists():
+                    directory.mkdir()
+                    made.append(directory)
         pool = _CapturePool()
         counts, status = args.run(args, config, out, pool)
         if out is not None:
@@ -789,9 +745,10 @@ def main(argv=None) -> int:
         log.error("%s failed (validation): %s", args.subcommand, exc)
         return EXIT_VALIDATION
     finally:
-        if made_out:  # a failed stage leaves no empty --out; rmdir refuses a directory with files
-            with contextlib.suppress(OSError):
-                out.rmdir()
+        # a failed stage leaves none of them empty; rmdir refuses a directory with files
+        with contextlib.suppress(OSError):
+            for directory in reversed(made):
+                directory.rmdir()
 
 
 def entry() -> None:

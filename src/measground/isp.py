@@ -21,8 +21,8 @@ from .records import (
     IDENTITY,
     SRGB_PIECEWISE,
     XYZ_TO_LINEAR_SRGB_D65,
+    RenderHeader,
     RenderParams,
-    _RenderHeader,
     encode,
 )
 
@@ -314,5 +314,5 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
     if not rendered.params.quantize:
         raise IoFailure("only quantized renders can be exported as PPM")
     formats.write_ppm(Path(str(stem) + ".ppm"), rendered.codes, rendered.params.max_code)
-    header = _RenderHeader(rendered.capture_id, rendered.params)
+    header = RenderHeader(rendered.capture_id, rendered.params)
     formats.write_json(Path(str(stem) + ".json"), encode(header))

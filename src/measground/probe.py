@@ -298,7 +298,6 @@ class ProbeConfig:
     depth: int = 4
     hidden_dim: int = 8
     inject_layers: tuple[int, ...] | None = None
-    seed: int = 0
     nonlinearity: str = TANH
     per_layer_projection: bool = False
 
@@ -306,7 +305,7 @@ class ProbeConfig:
     def from_file(cls, path: Path) -> "ProbeConfig":
         return decode(cls, formats.read_json(path), f"{path}: probe", ConfigInvalid)
 
-    def build(self) -> ProbeStack:
+    def build(self, seed: int) -> ProbeStack:
         if self.depth < 1:
             raise ConfigInvalid("probe.depth must be >= 1")
         if self.hidden_dim < 1:
@@ -314,7 +313,7 @@ class ProbeConfig:
         return random_stack(
             depth=self.depth,
             hidden_dim=self.hidden_dim,
-            seed=self.seed,
+            seed=seed,
             inject_layers=self.inject_layers,
             nonlinearity=self.nonlinearity,
             per_layer_projection=self.per_layer_projection,

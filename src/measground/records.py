@@ -413,7 +413,7 @@ class RenderParams:
 
 
 @dataclass(frozen=True)
-class _RenderHeader:
+class RenderHeader:
     """A render's <stem>.json, as isp.save_rendered writes it."""
 
     capture_id: str
@@ -426,5 +426,5 @@ def read_render_header(stem: Path) -> tuple[str, RenderParams]:
     Every check RenderParams makes applies; a failed one names the file.
     """
     path = Path(str(stem) + ".json")
-    header = decode(_RenderHeader, formats.read_json(path), f"{path}: render header")
+    header = decode(RenderHeader, formats.read_json(path), f"{path}: render header")
     return header.capture_id, header.params

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import operator
@@ -136,7 +137,6 @@ FLAGS = {
     "synth": ("--count --scene --group-size --devices", "--seed"),
     "ingest": ("--input", ""),
     "measxyz": ("--input", ""),
-    "render": ("--input", "--gain"),
     "bracket": ("--input", "--exposures"),
     "lost-signal": ("--input", "--gain --tau --bins"),
     "annotate": ("--proxies --source-prefix", "--mock-annotator"),
@@ -152,7 +152,7 @@ FLAGS = {
 
 TOP_LEVEL_HELP = """\
 usage: measground [-h]
-                  {synth,ingest,measxyz,render,bracket,lost-signal,annotate,aggregate,filter,balance,split,verify-split,eval,condition-check,report}
+                  {synth,ingest,measxyz,bracket,lost-signal,annotate,aggregate,filter,balance,split,verify-split,eval,condition-check,report}
                   ...
 
 Batch command-line surface. One subcommand per pipeline stage; every stage is
@@ -163,11 +163,10 @@ exist only in run.json. Logging is line-oriented JSON on stderr, controlled by
 MEASGROUND_LOG={info,debug}.
 
 positional arguments:
-  {synth,ingest,measxyz,render,bracket,lost-signal,annotate,aggregate,filter,balance,split,verify-split,eval,condition-check,report}
+  {synth,ingest,measxyz,bracket,lost-signal,annotate,aggregate,filter,balance,split,verify-split,eval,condition-check,report}
     synth               generate synthetic capture bundles
     ingest              validate bundles and index captures
     measxyz             compute Meas.-XYZ observations
-    render              render proxies at one gain
     bracket             render the exposure bracket
     lost-signal         invert renders and report residuals
     annotate            collect candidates over rendered proxies
@@ -207,6 +206,22 @@ class TestFlagSurface:
         inputs, settings = FLAGS[subcommand]
         listed = re.findall(r"^  (-[-\w]+)", text.split("options:", 1)[1], re.MULTILINE)
         assert sorted(listed) == sorted(["-h", "--config", "--out", *inputs.split(), *settings.split()])
+
+    def test_the_readme_table_names_the_registered_setting_flags(self):
+        """README's `| subcommand | setting flags |` rows name every subcommand once,
+        each with the setting flags its parser registers."""
+        readme = Path(measground.__file__).resolve().parents[2] / "README.md"
+        rows = readme.read_text(encoding="utf-8").split("| subcommand | setting flags |\n|---|---|\n", 1)[1]
+        documented = {}
+        for row in rows.split("\n\n", 1)[0].splitlines():
+            names, flags = row.strip("|").split("|")
+            for name in re.findall(r"`([-\w]+)`", names):
+                assert name not in documented, name
+                documented[name] = sorted(re.findall(r"--[-\w]+", flags))
+        subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        registered = {name: sorted(a.option_strings[0] for a in parser._actions if a.dest in cli._SETTING_FLAGS)
+                      for name, parser in subparsers.choices.items()}
+        assert documented == registered
 
     @pytest.fixture
     def measxyz(self, tmp_path):
@@ -254,6 +269,17 @@ class TestFailedStageOutput:
         assert main(["measxyz", "--input", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")]) == 2
         assert "nowhere" in _error_event(capsys)
         assert not (tmp_path / "o").exists()
+
+    def test_missing_input_leaves_none_of_the_parents_it_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["measxyz", "--input", str(tmp_path / "nowhere"), "--out", str(out)]) == 2
+        assert not (tmp_path / "a").exists()
+
+    def test_a_parent_that_was_there_is_kept(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["measxyz", "--input", str(tmp_path / "nowhere"), "--out", str(out)]) == 2
+        assert list((tmp_path / "a").iterdir()) == []
 
     def test_an_out_that_was_there_is_kept(self, tmp_path):
         (tmp_path / "o").mkdir()
@@ -304,7 +330,7 @@ class TestIngest:
                      "--seed", "0"]) == 0
         assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
                      "--out", str(tmp_path / "m")]) == 0
-        assert main(["render", "--input", str(tmp_path / "m"), "--gain", "1.0",
+        assert main(["bracket", "--input", str(tmp_path / "m"), "--exposures", "1.0",
                      "--out", str(tmp_path / "r")]) == 0
         config = tmp_path / "c.json"
         config.write_text('{"annotator_endpoint": "http://127.0.0.1:9/none"}')
@@ -316,7 +342,7 @@ class TestIngest:
         assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1", "--seed", "0"]) == 0
         assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
                      "--out", str(tmp_path / "m")]) == 0
-        assert main(["render", "--input", str(tmp_path / "m"), "--gain", "1.0",
+        assert main(["bracket", "--input", str(tmp_path / "m"), "--exposures", "1.0",
                      "--out", str(tmp_path / "r")]) == 0
         (tmp_path / "c.json").write_text('{"annotator_endpoint": "localhost:9/x"}')
         proc = _run_cli("annotate", "--proxies", tmp_path / "r", "--config", tmp_path / "c.json",
@@ -366,8 +392,8 @@ class TestLostSignalAnalytic:
                      "--seed", "0", "--scene", str(scene)]) == 0
         assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
                      "--out", str(tmp_path / "m")]) == 0
-        assert main(["render", "--input", str(tmp_path / "m"),
-                     "--gain", str(gain), "--out", str(tmp_path / "r")]) == 0
+        assert main(["bracket", "--input", str(tmp_path / "m"),
+                     "--exposures", str(gain), "--out", str(tmp_path / "r")]) == 0
         assert main(["lost-signal", "--input", str(tmp_path / "m"),
                      "--gain", str(gain), "--out", str(tmp_path / "l")]) == 0
         return json.loads((tmp_path / "l" / "synth-0000_summary.json").read_text())
@@ -406,7 +432,7 @@ class TestLostSignalAnalytic:
         assert summary["clipped_fraction"] == expected_fraction
 
     def test_lost_signal_reads_gain_from_the_config(self, tmp_path):
-        """The gain may come from --config, as for render; the files match --gain's."""
+        """The gain may come from --config; the files match --gain's."""
         scene = self._scene(tmp_path, 0.5)
         assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1",
                      "--seed", "0", "--scene", str(scene)]) == 0
@@ -553,10 +579,9 @@ class TestPipelineStages:
             assert workers == ([1, 2] if stage in per_capture else [1, 1]), stage
             return outs[0]
 
-        per_capture = {"measxyz", "render", "bracket", "lost-signal"}
+        per_capture = {"measxyz", "bracket", "lost-signal"}
 
         measxyz = rerun("measxyz", "--input", root / "synth" / "captures.json")
-        render = rerun("render", "--input", measxyz, "--gain", "2.0")
         bracket = rerun("bracket", "--input", measxyz, "--exposures", "0.5,1.0,2.0")
         rerun("lost-signal", "--input", measxyz, "--gain", "2.0")
         annotate = rerun("annotate", "--proxies", bracket, "--mock-annotator", root / "transcript.jsonl")
@@ -568,12 +593,6 @@ class TestPipelineStages:
                       "--fraction", "0.34", "--seed", "4")
         preds = _write_predictions(split / "bench_manifest.jsonl", root / "preds.jsonl")
         rerun("eval", "--bench", split / "bench_manifest.jsonl", "--predictions", preds)
-
-        # a single-gain render is the bracket's render at that gain
-        rendered = sorted(p.name for p in render.iterdir() if p.name != "run.json")
-        assert rendered
-        for name in rendered:
-            assert (render / name).read_bytes() == (bracket / name).read_bytes(), name
 
 
 class TestStripedPassFiles:
@@ -597,6 +616,8 @@ class TestStripedPassFiles:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_bracket_writes_the_single_gain_renders(self, measxyz, tmp_path, monkeypatch, cpus):
+        """Each one-gain bracket writes the bytes of that gain's render in the five-gain
+        bracket, whose one pass shares the gain-1 product among the power-of-two gains."""
         from measground import isp
         from measground.measxyz import load_meas_xyz
 
@@ -608,8 +629,8 @@ class TestStripedPassFiles:
         assert len(list(bracket.glob("*.ppm"))) == 3 * len(gains)
         images = [load_meas_xyz(plane.with_suffix("")) for plane in sorted(measxyz.glob("*.f32"))]
         for gain in gains:
-            single = tmp_path / f"render-{gain}"
-            assert main(["render", "--input", str(measxyz), "--gain", gain,
+            single = tmp_path / f"bracket-{gain}"
+            assert main(["bracket", "--input", str(measxyz), "--exposures", gain,
                          "--out", str(single)]) == 0
             names = sorted(p.name for p in single.iterdir() if p.name != "run.json")
             assert len(names) == 3 * 2
@@ -658,7 +679,7 @@ def _drop_key(path, key):
 
 def _plane_header_without_height(root):
     _drop_key(root / "m" / "synth-0000.json", "height")
-    return ["render", "--input", root / "m", "--gain", "1.0", "--out", root / "out"], "synth-0000.json"
+    return ["bracket", "--input", root / "m", "--exposures", "1.0", "--out", root / "out"], "synth-0000.json"
 
 
 def _set_iso(path, iso):
@@ -669,13 +690,19 @@ def _set_iso(path, iso):
 
 def _plane_header_with_non_numeric_iso(root):
     _set_iso(root / "m" / "synth-0000.json", "fast")
-    return ["render", "--input", root / "m", "--gain", "1.0", "--out", root / "out"], "synth-0000.json"
+    return ["bracket", "--input", root / "m", "--exposures", "1.0", "--out", root / "out"], "synth-0000.json"
 
 
 def _sidecar_with_non_numeric_iso(root):
     _set_iso(root / "s" / "bundles" / "synth-0000" / "capture.json", "fast")
     return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
         "synth-0000/capture.json"
+
+
+def _sidecar_of_a_list(root):
+    (root / "s" / "bundles" / "synth-0000" / "capture.json").write_text("[]")
+    return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
+        "synth-0000/capture.json: sidecar: expected Sidecar, got []"
 
 
 def _sidecar_with(key, value, stage):
@@ -695,6 +722,11 @@ def _render_header_not_json(root):
     (root / "r" / "synth-0000_e1.json").write_text("{not json")
     return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
             "--out", root / "out"], "synth-0000_e1.json"
+
+
+def _render_header_of_a_list(root):
+    (root / "r" / "synth-0000_e1.json").write_text("[]")
+    return _annotate_argv(root), "synth-0000_e1.json: render header: expected RenderHeader, got []"
 
 
 def _render_header_without_params(root):
@@ -889,14 +921,11 @@ def _bracket_exposures(exposures):
     return case
 
 
-def _unquantized_renders(stage):
-    """render or bracket with quantize false in the config: a render file holds integer codes."""
-    def case(root):
-        (root / "config.json").write_text('{"quantize": false}')
-        return [stage, "--input", root / "m", "--config", root / "config.json", "--out", root / "out"], \
-            f"{stage} failed (validation): config.quantize: "
-    case.__name__ = f"_{stage}_of_unquantized_renders"
-    return case
+def _bracket_of_unquantized_renders(root):
+    """bracket with quantize false in the config: a render file holds integer codes."""
+    (root / "config.json").write_text('{"quantize": false}')
+    return ["bracket", "--input", root / "m", "--config", root / "config.json", "--out", root / "out"], \
+        "bracket failed (validation): config.quantize: bracket writes quantized renders only"
 
 
 def _config_file(stage, option, text, name, named="config.json"):
@@ -975,11 +1004,11 @@ class TestMalformedInputs:
 
     @pytest.fixture
     def rendered(self, tmp_path):
-        """synth -> measxyz -> render at gain 1, plus a matching annotator transcript."""
+        """synth -> measxyz -> bracket at gain 1, plus a matching annotator transcript."""
         assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1", "--seed", "0"]) == 0
         assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
                      "--out", str(tmp_path / "m")]) == 0
-        assert main(["render", "--input", str(tmp_path / "m"), "--gain", "1.0",
+        assert main(["bracket", "--input", str(tmp_path / "m"), "--exposures", "1.0",
                      "--out", str(tmp_path / "r")]) == 0
         _write_transcript(tmp_path / "t.jsonl", ["synth-0000"], [1.0], _simple_candidates)
         return tmp_path
@@ -988,12 +1017,14 @@ class TestMalformedInputs:
         _plane_header_without_height,
         _plane_header_with_non_numeric_iso,
         _sidecar_with_non_numeric_iso,
+        _sidecar_of_a_list,
         _sidecar_with("black_level", lambda black: ["x", 0, 0, 0], "ingest"),
         _sidecar_with("cam_to_xyz", lambda m: [m[0], [m[1][0], "x", m[1][2]], m[2]], "measxyz"),
         _sidecar_with("wb_gains", lambda wb: ["x", 1, 1], "ingest"),
         _sidecar_with("white_level", lambda white: "abc", "measxyz"),
         _render_header_not_json,
         _render_header_without_params,
+        _render_header_of_a_list,
         _refs_row_without_capture_id,
         _annotator_row_without_capture_id,
         _judge_row_without_question,
@@ -1012,12 +1043,13 @@ class TestMalformedInputs:
         _ppm_16_bit_sample_above_maxval,
         _bracket_exposures("1,1"),
         _bracket_exposures("1.0000001,1.0000002"),
-        _unquantized_renders("render"),
-        _unquantized_renders("bracket"),
+        _bracket_of_unquantized_renders,
         _config_file("condition-check", "--probe-config", "5", "probe_config_of_a_number"),
         _config_file("condition-check", "--probe-config", '{"depth": "x"}', "string_depth"),
         _config_file("condition-check", "--probe-config", '{"inject_layers": 5}',
                      "scalar_inject_layers"),
+        _config_file("condition-check", "--probe-config", '{"depth": 2, "seed": 5}', "probe_seed",
+                     "config.json: probe: unknown keys ['seed']"),
         _config_file("synth", "--scene", "[]", "scene_of_a_list"),
         _config_file("synth", "--scene", '{"white_level": "abc"}', "scene_with_string_white_level",
                      "config.json: config.scene.white_level: expected float, got 'abc'"),
@@ -1089,7 +1121,7 @@ class TestDuplicateCaptureIds:
     @pytest.mark.parametrize("stage, inputs, flags", [
         ("ingest", "_copy_bundle", []),
         ("measxyz", "_copy_bundle", []),
-        ("render", "_copy_plane", ["--gain", "1.0"]),
+        ("bracket", "_copy_plane", ["--exposures", "1.0"]),
         ("bracket", "_copy_plane", []),
         ("lost-signal", "_copy_plane", ["--gain", "2.0"]),
     ])
@@ -1217,7 +1249,24 @@ class TestConditionCheck:
 
     def test_probe_config_file(self, tmp_path, capsys):
         config = tmp_path / "probe.json"
-        config.write_text('{"depth": 2, "hidden_dim": 4, "seed": 5}')
-        assert main(["condition-check", "--probe-config", str(config)]) == 0
+        config.write_text('{"depth": 2, "hidden_dim": 4}')
+        assert main(["condition-check", "--probe-config", str(config), "--seed", "5"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["depth"] == 2
+
+    def _max_relative_error(self, capsys, *argv) -> float:
+        capsys.readouterr()
+        assert main(["condition-check", *map(str, argv)]) == 0
+        return json.loads(capsys.readouterr().out)["max_relative_error"]
+
+    def test_a_probe_config_takes_the_run_seed(self, tmp_path, capsys):
+        config = tmp_path / "probe.json"
+        config.write_text('{"depth": 2, "hidden_dim": 3}')
+        errors = {self._max_relative_error(capsys, "--probe-config", config, "--seed", seed) for seed in (0, 5)}
+        assert len(errors) == 2
+
+    def test_a_probe_config_of_defaults_is_the_default_probe(self, tmp_path, capsys):
+        config = tmp_path / "probe.json"
+        config.write_text("{}")
+        assert self._max_relative_error(capsys, "--probe-config", config, "--seed", 3) == \
+            self._max_relative_error(capsys, "--seed", 3)

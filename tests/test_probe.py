@@ -189,9 +189,9 @@ class TestProbeConfig:
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "probe.json"
-        path.write_text('{"depth": 3, "hidden_dim": 5, "inject_layers": [2], "seed": 9}')
+        path.write_text('{"depth": 3, "hidden_dim": 5, "inject_layers": [2]}')
         config = ProbeConfig.from_file(path)
-        stack = config.build()
+        stack = config.build(9)
         assert stack.depth == 3
         assert stack.hidden_dim == 5
         assert stack.inject_layers == (2,)

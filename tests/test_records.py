@@ -170,7 +170,7 @@ def _plane_header_file(tmp_path):
 
 
 def _render_header_file(tmp_path):
-    """A render header: _RenderHeader and RenderParams."""
+    """A render header: RenderHeader and RenderParams."""
     (tmp_path / "proxies").mkdir()
     _save_proxy(tmp_path)
     return tmp_path / "proxies" / "c-1_e2.json", (
@@ -273,7 +273,7 @@ _RECORDS = {
     CameraMetadata: _metadata,
     CaptureRef: _refs,
     RenderParams: _params,
-    records._RenderHeader: st.builds(records._RenderHeader, capture_id=_text, params=_params),
+    records.RenderHeader: st.builds(records.RenderHeader, capture_id=_text, params=_params),
     bracketsup.CandidateRecord: st.builds(
         bracketsup.CandidateRecord, question=_words, answer=_words, score=_unit, exposure_gain=_positive,
         question_type=_text, template_id=_text, source_prefix=_text),

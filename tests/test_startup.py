@@ -93,8 +93,12 @@ def test_text_stages_never_import_numpy(images):
         result = _python(_STAGE, *argv, cwd=images)
         assert result == {"status": 0, "numpy": False, "metadata": False, "requests": False}, argv
     run = json.loads((images / "split" / "run.json").read_text())
-    assert run["versions"]["numpy"] == np.__version__
+    assert "numpy" not in run["versions"]
     assert run["counts"]["bench_examples"] > 0
+    # an image stage loads numpy, and records its version
+    assert _python(_STAGE, "bracket", "--input", "measxyz", "--exposures", "1", "--out", "bracket-1",
+                   cwd=images)["numpy"]
+    assert json.loads((images / "bracket-1" / "run.json").read_text())["versions"]["numpy"] == np.__version__
 
 
 def test_records_resolve_without_numpy():
