@@ -108,7 +108,7 @@ class EncodedProxy:
 
 def read_proxy(stem: Path) -> EncodedProxy:
     """The proxy ``isp.save_rendered`` wrote at ``stem``, its .ppm bytes as
-    ``formats.write_ppm`` wrote the render's codes, without decoding its samples.
+    ``formats.write_pnm`` wrote the render's codes, without decoding its samples.
 
     The .ppm's maxval must be the render header's ``max_code``, and no
     sample may exceed it.

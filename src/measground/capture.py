@@ -163,7 +163,7 @@ def save_capture_bundle(capture: RawCapture, path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
-    formats.write_pgm16(path / MOSAIC_NAME, capture.mosaic)
+    formats.write_pnm(path / MOSAIC_NAME, capture.mosaic, formats.PGM_MAXVAL)
     sidecar = {f.name: getattr(capture, f.name) for f in fields(Sidecar)}
     sidecar["cam_to_xyz"] = tuple(map(tuple, capture.cam_to_xyz.tolist()))
     formats.write_json(path / SIDECAR_NAME, encode(Sidecar(**sidecar)))

@@ -19,7 +19,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -129,7 +129,6 @@ class RunConfig:
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     if path is not None:
         try:
@@ -141,7 +140,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigInvalid("config: top level must be a JSON object")
         values.update(raw)
-    values.update({k: v for k, v in overrides.items() if v is not None and k in known})
+    values.update({k: v for k, v in overrides.items() if v is not None})
     config = records.decode(RunConfig, values, "config", ConfigInvalid)
     config.validate()
     return config
@@ -500,6 +499,8 @@ def _cmd_balance(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
 
 
 def _cmd_split(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    if bool(args.samples) != bool(args.proxies):  # the benchmark examples need both
+        raise ConfigInvalid("split: --samples and --proxies are given together or not at all")
     refs = _load_refs(Path(args.captures))
     train_ids, bench_ids = benchmark.holdout_split(refs, config.fraction, config.seed)
     by_id = {r.capture_id: r for r in refs}
@@ -513,9 +514,7 @@ def _cmd_split(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[
         train_samples = [s for s in samples if s.capture_id not in bench_set]
         bench_samples = [s for s in samples if s.capture_id in bench_set]
         bracketsup.write_samples(out / "train_samples.jsonl", train_samples)
-        proxy_paths = {}
-        if args.proxies:
-            proxy_paths = _proxy_lookup(Path(args.proxies), bench_set)
+        proxy_paths = _proxy_lookup(Path(args.proxies), bench_set)
         examples = benchmark.make_benchmark_examples(bench_samples, proxy_paths)
         benchmark.write_benchmark(out / "bench_manifest.jsonl", examples)
         counts.update({"train_samples": len(train_samples), "bench_examples": len(examples)})
@@ -623,7 +622,8 @@ def _gains(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-# The setting flags by the RunConfig field each one sets: (type, help). A stage takes those it reads.
+# The setting flags by the RunConfig field each one sets: (type, help), and the
+# flag's name where it is not the field's. A stage takes those it reads.
 _SETTING_FLAGS = {
     "seed": (int, "random seed"),
     "gain": (float, "exposure gain"),
@@ -635,6 +635,11 @@ _SETTING_FLAGS = {
     "floor": (float, "minimum sample score"),
     "target": (int, "manifest size"),
     "fraction": (float, "share of capture groups held out for the benchmark"),
+    "per_source_cap": (int, "most manifest samples per source prefix", "--cap-source"),
+    "per_type_cap": (int, "most manifest samples per question type", "--cap-type"),
+    "per_template_cap": (int, "most manifest samples per template", "--cap-template"),
+    "source_prefix": (str, "source prefix recorded on every candidate"),
+    "probe_config": (str, "probe config JSON"),
 }
 
 
@@ -643,13 +648,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def stage(name: str, run, summary: str, settings: str = "", out_required: bool = True) -> _Parser:
+        fields = settings.split()
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run, parser=p)
+        p.set_defaults(run=run, parser=p, settings=fields)
         p.add_argument("--config", default=None, help="JSON run config; flags override")
         p.add_argument("--out", required=out_required, default=None, help="output directory")
-        for field in settings.split():
-            kind, text = _SETTING_FLAGS[field]
-            p.add_argument("--" + field.replace("_", "-"), type=kind, help=text)
+        for field in fields:
+            kind, text, *flag = _SETTING_FLAGS[field]
+            p.add_argument(*flag or ["--" + field.replace("_", "-")], dest=field, type=kind, help=text)
         return p
 
     p = stage("synth", _cmd_synth, "generate synthetic capture bundles", "seed")
@@ -670,9 +676,9 @@ def _build_parser() -> _Parser:
     p = stage("lost-signal", _cmd_lost_signal, "invert renders and report residuals", "gain tau bins")
     p.add_argument("--input", required=True, help="measxyz directory")
 
-    p = stage("annotate", _cmd_annotate, "collect candidates over rendered proxies", "mock_annotator")
+    p = stage("annotate", _cmd_annotate, "collect candidates over rendered proxies",
+              "mock_annotator source_prefix")
     p.add_argument("--proxies", required=True, help="bracket output directory")
-    p.add_argument("--source-prefix", dest="source_prefix", default=None)
 
     p = stage("aggregate", _cmd_aggregate, "aggregate candidates into samples")
     p.add_argument("--candidates", required=True, help="candidates.jsonl")
@@ -681,16 +687,14 @@ def _build_parser() -> _Parser:
     p = stage("filter", _cmd_filter, "score floor + placeholder filtering", "floor")
     p.add_argument("--input", required=True, help="samples.jsonl")
 
-    p = stage("balance", _cmd_balance, "balance samples into a manifest", "floor target seed")
+    p = stage("balance", _cmd_balance, "balance samples into a manifest",
+              "floor target seed per_source_cap per_type_cap per_template_cap")
     p.add_argument("--input", required=True, help="filtered samples.jsonl")
-    p.add_argument("--cap-source", dest="per_source_cap", type=int, default=None)
-    p.add_argument("--cap-type", dest="per_type_cap", type=int, default=None)
-    p.add_argument("--cap-template", dest="per_template_cap", type=int, default=None)
 
     p = stage("split", _cmd_split, "grouped capture-level holdout split", "fraction seed")
     p.add_argument("--captures", required=True, help="captures.json refs")
-    p.add_argument("--samples", default=None, help="optional samples manifest to partition")
-    p.add_argument("--proxies", default=None, help="bracket directory for benchmark RGB views")
+    p.add_argument("--samples", default=None, help="samples manifest to partition; needs --proxies")
+    p.add_argument("--proxies", default=None, help="bracket directory for benchmark RGB views; needs --samples")
 
     p = stage("verify-split", _cmd_verify_split, "check train/bench disjointness",
               out_required=False)
@@ -702,9 +706,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--bench", required=True, help="bench_manifest.jsonl")
     p.add_argument("--predictions", required=True, help="predictions JSONL")
 
-    p = stage("condition-check", _cmd_condition_check, "gradient-check the conditioning probe",
-              "seed", out_required=False)
-    p.add_argument("--probe-config", dest="probe_config", default=None)
+    stage("condition-check", _cmd_condition_check, "gradient-check the conditioning probe",
+          "seed probe_config", out_required=False)
 
     p = stage("report", _cmd_report, "render a metrics JSON as a text table", out_required=False)
     p.add_argument("--input", required=True, help="metrics.json")
@@ -726,7 +729,7 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out else None
     made: list[Path] = []  # the directories made on the way to --out, deepest last
     try:
-        config = load_config(args.config, vars(args))
+        config = load_config(args.config, {field: getattr(args, field) for field in args.settings})
         if out is not None:
             for directory in (*reversed(out.parents), out):
                 if not directory.exists():

@@ -82,28 +82,18 @@ def write_text(path: Path, text: str) -> None:
     _write(path, [text])
 
 
-def write_pgm16(path: Path, data: np.ndarray) -> None:
-    """Write a uint16 (H, W) array as binary P5 with maxval 65535."""
+def write_pnm(path: Path, samples: np.ndarray, maxval: int) -> None:
+    """Write integer samples as binary PNM with the given maxval: P5 for (H, W)
+    data, P6 for (H, W, 3); one byte per sample up to maxval 255, two
+    big-endian bytes above."""
     import numpy as np
 
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise IoFailure(f"{path}: PGM data must be 2-D, got shape {data.shape}")
-    height, width = data.shape
-    _write(path, [_pnm_header("P5", width, height, PGM_MAXVAL),
-                  data.astype(">u2", order="C", copy=False)])
-
-
-def write_pgm8(path: Path, data: np.ndarray) -> None:
-    """Write a uint8 (H, W) array as binary P5 with maxval 255 (masks)."""
-    import numpy as np
-
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise IoFailure(f"{path}: PGM data must be 2-D, got shape {data.shape}")
-    height, width = data.shape
-    _write(path, [_pnm_header("P5", width, height, 255),
-                  data.astype(np.uint8, order="C", copy=False)])
+    samples = np.asarray(samples)
+    if samples.ndim not in (2, 3) or samples.shape[2:] not in ((), (3,)):
+        raise IoFailure(f"{path}: PNM data must be (H, W) or (H, W, 3), got shape {samples.shape}")
+    height, width = samples.shape[:2]
+    _write(path, [_pnm_header("P5" if samples.ndim == 2 else "P6", width, height, maxval),
+                  samples.astype(">u2" if maxval > 255 else np.uint8, order="C", copy=False)])
 
 
 def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
@@ -121,7 +111,7 @@ def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
 
 
 def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
-    """A binary P6 PPM as ``write_ppm`` writes it, and its maxval.
+    """A binary P6 PPM as ``write_pnm`` writes it, and its maxval.
 
     Samples are one byte for maxval < 256, two big-endian bytes otherwise,
     per the PPM convention. They are kept as stored, once their size is
@@ -141,18 +131,6 @@ def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
     if raw[:offset] != header:
         raw = header + raw[offset:]
     return raw, maxval
-
-
-def write_ppm(path: Path, codes: np.ndarray, maxval: int) -> None:
-    """Write integer (H, W, 3) codes as binary P6 with the given maxval."""
-    import numpy as np
-
-    codes = np.asarray(codes)
-    if codes.ndim != 3 or codes.shape[2] != 3:
-        raise IoFailure(f"{path}: PPM data must be (H, W, 3), got {codes.shape}")
-    height, width = codes.shape[:2]
-    _write(path, [_pnm_header("P6", width, height, maxval),
-                  codes.astype(">u2" if maxval > 255 else np.uint8, order="C", copy=False)])
 
 
 # --- float planes -------------------------------------------------------------
@@ -180,16 +158,15 @@ def _float32_blocks(data: np.ndarray):
 
 
 def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
+    """Write ``data`` as <stem>.f32 and ``header``, an encoded record that holds
+    the plane's shape, as <stem>.json."""
     import numpy as np
 
     data = np.asarray(data, dtype=np.float64)
     if data.ndim not in (2, 3):
         raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
-    full = dict(header)
-    full.update(height=int(data.shape[0]), width=int(data.shape[1]),
-                channels=data.shape[2] if data.ndim == 3 else 1)
     _write(Path(str(stem) + ".f32"), _float32_blocks(data))
-    write_json(Path(str(stem) + ".json"), full)
+    write_json(Path(str(stem) + ".json"), header)
 
 
 def read_plane(stem: Path, shape: tuple[int, ...]) -> np.ndarray:

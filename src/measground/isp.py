@@ -313,6 +313,6 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
     """Write quantized output as <stem>.ppm plus a <stem>.json params header."""
     if not rendered.params.quantize:
         raise IoFailure("only quantized renders can be exported as PPM")
-    formats.write_ppm(Path(str(stem) + ".ppm"), rendered.codes, rendered.params.max_code)
+    formats.write_pnm(Path(str(stem) + ".ppm"), rendered.codes, rendered.params.max_code)
     header = RenderHeader(rendered.capture_id, rendered.params)
     formats.write_json(Path(str(stem) + ".json"), encode(header))

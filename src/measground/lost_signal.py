@@ -29,7 +29,7 @@ from .isp import (
     srgb_eotf,
 )
 from .measxyz import MeasXyzImage, _apply_matrix, _StripeWorkspace
-from .records import DEFAULT_TAU
+from .records import DEFAULT_TAU, LostSignalSummary, ResidualHeader, encode
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class LostSignalReport:
         return report
 
     def _freeze(self, residual: np.ndarray, mask: np.ndarray) -> None:
-        if residual.shape != mask.shape:
-            raise ShapeMismatch("residual_map and lost_mask shapes differ")
+        if residual.ndim != 2 or residual.shape != mask.shape:
+            raise ShapeMismatch("residual_map and lost_mask must be (H, W) arrays of one shape")
         if not 0.0 <= self.clipped_fraction <= 1.0:
             raise DomainError(f"clipped_fraction outside [0, 1]: {self.clipped_fraction}")
         if sum(count for _, _, count in self.histogram) != residual.size:
@@ -77,17 +77,6 @@ class LostSignalReport:
         mask.setflags(write=False)
         object.__setattr__(self, "residual_map", residual)
         object.__setattr__(self, "lost_mask", mask)
-
-    def summary_dict(self) -> dict:
-        return {
-            "capture_id": self.capture_id,
-            "exposure_gain": self.exposure_gain,
-            "clipped_fraction": self.clipped_fraction,
-            "p99_original": self.p99_original,
-            "p99_recovered": self.p99_recovered,
-            "tau": self.tau,
-            "bits": self.bits,
-        }
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,13 +263,15 @@ def emit_report(report: LostSignalReport, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = report.capture_id or "report"
-    formats.write_plane(
-        out_dir / f"{name}_residual",
-        report.residual_map,
-        {"capture_id": report.capture_id, "range": [0, float(report.residual_map.max()) if report.residual_map.size else 0.0]},
-    )
-    formats.write_pgm8(out_dir / f"{name}_lost_mask.pgm", report.lost_mask.view(np.uint8) * 255)
+    residual = report.residual_map
+    # the range starts at an integer 0, so it stays written as 0
+    header = ResidualHeader(report.capture_id, (0, float(residual.max()) if residual.size else 0.0),
+                            *residual.shape, 1)
+    formats.write_plane(out_dir / f"{name}_residual", residual, encode(header))
+    formats.write_pnm(out_dir / f"{name}_lost_mask.pgm", report.lost_mask.view(np.uint8) * 255, 255)
     lines = ["bin_lo,bin_hi,count"]
     lines += [f"{lo!r},{hi!r},{count}" for lo, hi, count in report.histogram]
     formats.write_text(out_dir / f"{name}_histogram.csv", "\n".join(lines) + "\n")
-    formats.write_json(out_dir / f"{name}_summary.json", report.summary_dict())
+    summary = LostSignalSummary(report.capture_id, report.exposure_gain, report.clipped_fraction,
+                                report.p99_original, report.p99_recovered, report.tau, report.bits)
+    formats.write_json(out_dir / f"{name}_summary.json", encode(summary))

@@ -8,8 +8,9 @@ split, verify-split, eval and report never import numpy. ``capture``,
 before.
 
 Every record the program writes as JSON (capture sidecars, Meas.-XYZ plane
-and render headers, refs, candidates, samples, the benchmark manifest, the
-disjointness and metrics reports, and the config that ``run.json`` hashes)
+and render headers, lost-signal summaries and residual headers, refs,
+candidates, samples, the benchmark manifest, the disjointness and metrics
+reports, and the config that ``run.json`` hashes)
 goes through ``encode``, whose output ``decode`` reads back; both read the
 record's field annotations, so a record's on-disk form is decided once.
 """
@@ -334,6 +335,32 @@ def read_meas_xyz_header(stem: Path) -> MeasXyzHeader:
     if data_path.stat().st_size != 4 * math.prod(header.shape):
         raise IoFailure(f"{stem}: plane payload does not match header dimensions")
     return header
+
+
+# --- lost-signal reports ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class LostSignalSummary:
+    """A lost-signal report's <id>_summary.json, as lost_signal.emit_report writes it."""
+
+    capture_id: str
+    exposure_gain: float
+    clipped_fraction: float
+    p99_original: float
+    p99_recovered: float
+    tau: float
+    bits: int
+
+
+@dataclass(frozen=True)
+class ResidualHeader:
+    """A lost-signal residual plane's <id>_residual.json: the residual's range and shape."""
+
+    capture_id: str
+    range: tuple[float, float]
+    height: int
+    width: int
+    channels: int
 
 
 # --- render parameters ------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from measground.capture import CameraMetadata, RawCapture
 from measground.isp import RenderParams
 from measground.measxyz import MeasXyzImage
+from measground.records import LostSignalSummary
 
 
 def make_metadata(seed: int = 0, **overrides) -> CameraMetadata:
@@ -47,6 +50,11 @@ def make_capture(seed: int = 0, height: int | None = None, width: int | None = N
 
 def make_image(data: np.ndarray, capture_id: str = "img-0", seed: int = 0) -> MeasXyzImage:
     return MeasXyzImage(data=data, capture_id=capture_id, metadata=make_metadata(seed))
+
+
+def summary_fields(report) -> dict:
+    """The fields of a lost-signal report that its summary record holds."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(LostSignalSummary)}
 
 
 # --- whole-frame render and PPM oracles ---------------------------------------------

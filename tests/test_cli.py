@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import json
 import operator
@@ -139,14 +140,14 @@ FLAGS = {
     "measxyz": ("--input", ""),
     "bracket": ("--input", "--exposures"),
     "lost-signal": ("--input", "--gain --tau --bins"),
-    "annotate": ("--proxies --source-prefix", "--mock-annotator"),
+    "annotate": ("--proxies", "--mock-annotator --source-prefix"),
     "aggregate": ("--candidates --measxyz", ""),
     "filter": ("--input", "--floor"),
-    "balance": ("--input --cap-source --cap-type --cap-template", "--floor --target --seed"),
+    "balance": ("--input", "--floor --target --seed --cap-source --cap-type --cap-template"),
     "split": ("--captures --samples --proxies", "--fraction --seed"),
     "verify-split": ("--train --bench", ""),
     "eval": ("--bench --predictions", "--mock-judge"),
-    "condition-check": ("--probe-config", "--seed"),
+    "condition-check": ("", "--seed --probe-config"),
     "report": ("--input", ""),
 }
 
@@ -222,6 +223,23 @@ class TestFlagSurface:
         registered = {name: sorted(a.option_strings[0] for a in parser._actions if a.dest in cli._SETTING_FLAGS)
                       for name, parser in subparsers.choices.items()}
         assert documented == registered
+
+    def test_every_flag_that_sets_a_config_field_comes_from_the_setting_table(self):
+        """A parser action whose dest is a RunConfig field is registered from
+        ``_SETTING_FLAGS``: the table's flag name, type and help, and no default."""
+        config_fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+        def from_table(action) -> bool:
+            if action.dest not in cli._SETTING_FLAGS:
+                return False
+            kind, text, *flag = cli._SETTING_FLAGS[action.dest]
+            return (action.option_strings == (flag or ["--" + action.dest.replace("_", "-")])
+                    and (action.type, action.help, action.default) == (kind, text, None))
+
+        subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        outside = [f"{name} {action.option_strings[0]}" for name, parser in subparsers.choices.items()
+                   for action in parser._actions if action.dest in config_fields and not from_table(action)]
+        assert outside == []
 
     @pytest.fixture
     def measxyz(self, tmp_path):
@@ -518,6 +536,16 @@ class TestPipelineStages:
         assert "OVERALL" in capsys.readouterr().out
 
         assert main(["report", "--input", str(root / "eval" / "metrics.json")]) == 0
+
+    @pytest.mark.parametrize("given", [["--samples", "aggregate/samples.jsonl"], ["--proxies", "bracket"]])
+    def test_split_refuses_samples_or_proxies_alone(self, staged, capsys, monkeypatch, given):
+        """The benchmark examples need both: one alone is refused before anything is written."""
+        monkeypatch.chdir(staged)
+        capsys.readouterr()
+        assert main(["split", "--captures", "synth/captures.json", *given, "--out", "split"]) == 1
+        event = _error_event(capsys)
+        assert "--samples" in event and "--proxies" in event
+        assert not (staged / "split").exists()
 
     def test_eval_with_mock_judge_transcript(self, staged, capsys):
         root = staged

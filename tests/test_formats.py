@@ -1,7 +1,8 @@
 """Every writer in ``formats`` writes the bytes of the formula it replaced,
 ``header + payload.astype(...).tobytes()``, kept here as the oracle, whatever
-the memory layout of its input; and a failed write raises IoFailure naming
-the path."""
+the memory layout of its input; a failed write raises IoFailure naming the
+path; and the mask, mosaic and render files the pipeline writes keep their
+bytes."""
 
 import json
 import re
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import formats
+from measground import capture, formats, isp, lost_signal
 from measground.errors import IoFailure, MalformedMosaic
+from measground.records import RenderParams
 
-from conftest import oracle_encode_ppm
+from conftest import make_capture, oracle_encode_ppm
 
 
 def oracle_pgm(data: np.ndarray, maxval: int) -> bytes:
@@ -45,7 +47,7 @@ LAYOUTS = ["c", "fortran", "transposed"]
 def test_pgm16(tmp_path, layout):
     data = np.random.default_rng(0).integers(0, 65536, (5, 7)).astype(np.uint16)
     data = _layouts(data)[layout]
-    formats.write_pgm16(tmp_path / "m.pgm", data)
+    formats.write_pnm(tmp_path / "m.pgm", data, 65535)
     assert (tmp_path / "m.pgm").read_bytes() == oracle_pgm(data, 65535)
     assert np.array_equal(formats.read_pgm16(tmp_path / "m.pgm"), data)
 
@@ -54,7 +56,7 @@ def test_pgm16(tmp_path, layout):
 def test_pgm8(tmp_path, layout):
     data = (np.random.default_rng(1).uniform(0, 1, (6, 3)) > 0.5).astype(np.uint8) * 255
     data = _layouts(data)[layout]
-    formats.write_pgm8(tmp_path / "m.pgm", data)
+    formats.write_pnm(tmp_path / "m.pgm", data, 255)
     assert (tmp_path / "m.pgm").read_bytes() == oracle_pgm(data, 255)
 
 
@@ -64,21 +66,62 @@ def test_pgm8(tmp_path, layout):
 def test_ppm(tmp_path, layout, maxval, dtype):
     codes = np.random.default_rng(maxval).integers(0, maxval + 1, (4, 5, 3)).astype(dtype)
     codes = _layouts(codes)[layout]
-    formats.write_ppm(tmp_path / "p.ppm", codes, maxval)
+    formats.write_pnm(tmp_path / "p.ppm", codes, maxval)
     written = (tmp_path / "p.ppm").read_bytes()
     assert written == oracle_encode_ppm(codes, maxval)
     assert formats.read_ppm_bytes(tmp_path / "p.ppm") == (written, maxval)
+
+
+# --- the PNM files the pipeline writes, pinned to their bytes ----------------------
+
+def _mask(tmp_path):
+    """A lost-signal mask: P5, maxval 255, 255 where the residual exceeds tau."""
+    residual = np.array([[0.0, 0.5, 0.25], [0.05, 0.0, 1.0]])
+    report = lost_signal.LostSignalReport(
+        residual_map=residual, lost_mask=residual > 0.1, clipped_fraction=0.0, p99_original=1.0,
+        p99_recovered=1.0, histogram=lost_signal.residual_histogram(residual, 2), tau=0.1, capture_id="c")
+    lost_signal.emit_report(report, tmp_path)
+    return tmp_path / "c_lost_mask.pgm", b"P5\n3 2\n255\n\x00\xff\xff\x00\x00\xff"
+
+
+def _mosaic(tmp_path):
+    """A capture mosaic: P5, maxval 65535, two big-endian bytes per sample."""
+    mosaic = np.array([[0, 1, 256, 65535], [0x1234, 2, 3, 4]], np.uint16)
+    capture.save_capture_bundle(make_capture(0, mosaic=mosaic), tmp_path / "b")
+    return tmp_path / "b" / "mosaic.pgm", (b"P5\n4 2\n65535\n"
+                                           b"\x00\x00\x00\x01\x01\x00\xff\xff\x12\x34\x00\x02\x00\x03\x00\x04")
+
+
+def _render(bits, codes, expected):
+    """A render: P6, maxval 2^bits - 1, one byte per sample up to 8 bits, two above."""
+    def write(tmp_path):
+        params = RenderParams(exposure_gain=2.0, bit_depth=bits)
+        isp.save_rendered(isp.RenderedRgb(np.array(codes, np.uint16), params, "c"), tmp_path / "c_e2")
+        return tmp_path / "c_e2.ppm", expected
+    write.__name__ = f"_render{bits}"
+    return write
+
+
+@pytest.mark.parametrize("write", [
+    _mask, _mosaic,
+    _render(8, [[[0, 1, 2], [253, 254, 255]]], b"P6\n2 1\n255\n\x00\x01\x02\xfd\xfe\xff"),
+    _render(16, [[[0, 1, 65535]], [[256, 0x1234, 1000]]],
+            b"P6\n1 2\n65535\n\x00\x00\x00\x01\xff\xff\x01\x00\x12\x34\x03\xe8"),
+], ids=lambda write: write.__name__.lstrip("_"))
+def test_written_pnm_files_keep_their_bytes(tmp_path, write):
+    path, expected = write(tmp_path)
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("shape", [(5, 6), (5, 6, 3)])
 def test_plane(tmp_path, layout, shape):
     data = _layouts(np.random.default_rng(2).uniform(-1, 1, shape))[layout]
-    formats.write_plane(tmp_path / "x", data, {"capture_id": "x"})
-    assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
     channels = 1 if len(shape) == 2 else shape[2]
-    assert json.loads((tmp_path / "x.json").read_text()) == {
-        "capture_id": "x", "height": shape[0], "width": shape[1], "channels": channels}
+    header = {"capture_id": "x", "height": shape[0], "width": shape[1], "channels": channels}
+    formats.write_plane(tmp_path / "x", data, header)
+    assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
+    assert (tmp_path / "x.json").read_text() == json.dumps(header, sort_keys=True) + "\n"
     loaded = formats.read_plane(tmp_path / "x", shape)
     assert np.array_equal(loaded, data.astype(np.float32).astype(np.float64))
 
@@ -116,18 +159,18 @@ def test_plane_write_peaks_below_its_float32_copy(tmp_path):
     assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
 
 
+# a PNM is (H, W) or (H, W, 3), a plane 2-D or 3-D
 @pytest.mark.parametrize("writer, data", [
-    (formats.write_pgm16, np.zeros((2, 2, 3), np.uint16)),
-    (formats.write_pgm8, np.zeros((2, 2, 3), np.uint8)),
-    (formats.write_pgm8, np.zeros(4, np.uint8)),
-    (formats.write_ppm, np.zeros((2, 2), np.uint8)),
+    (formats.write_pnm, np.zeros(4, np.uint8)),
+    (formats.write_pnm, np.zeros((2, 2, 1), np.uint16)),
+    (formats.write_pnm, np.zeros((2, 2, 4), np.uint8)),
+    (formats.write_pnm, np.zeros((2, 2, 3, 1), np.uint8)),
     (formats.write_plane, np.zeros(4)),
 ])
 def test_a_wrongly_shaped_array_is_refused_naming_the_path(tmp_path, writer, data):
     path = tmp_path / "artifact"
-    args = {formats.write_ppm: (255,), formats.write_plane: ({},)}.get(writer, ())
     with pytest.raises(IoFailure, match=re.escape(str(path))):
-        writer(path, data, *args)
+        writer(path, data, {formats.write_pnm: 255, formats.write_plane: {}}[writer])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -201,10 +244,11 @@ def test_header_examples(raw):
     assert _header(raw, b"P6") == oracle_read_pnm_header(raw, b"P6")
 
 
+# keyed by what is written: a 16-bit and an 8-bit PGM and a PPM go through write_pnm
 WRITERS = {
-    "write_pgm16": lambda path: formats.write_pgm16(path, np.zeros((2, 2), np.uint16)),
-    "write_pgm8": lambda path: formats.write_pgm8(path, np.zeros((2, 2), np.uint8)),
-    "write_ppm": lambda path: formats.write_ppm(path, np.zeros((2, 2, 3), np.uint8), 255),
+    "write_pgm16": lambda path: formats.write_pnm(path, np.zeros((2, 2), np.uint16), 65535),
+    "write_pgm8": lambda path: formats.write_pnm(path, np.zeros((2, 2), np.uint8), 255),
+    "write_ppm": lambda path: formats.write_pnm(path, np.zeros((2, 2, 3), np.uint8), 255),
     "write_plane": lambda path: formats.write_plane(path, np.zeros((2, 2)), {}),
     "write_json": lambda path: formats.write_json(path, {"a": 1}),
     "write_jsonl": lambda path: formats.write_jsonl(path, [{"a": 1}]),

@@ -16,7 +16,7 @@ from measground.lost_signal import (
     residual_histogram,
 )
 
-from conftest import make_image
+from conftest import make_image, summary_fields
 
 # Inline inverse transfer for the interval-propagation oracle; written from
 # the standard constants, independent of the package implementation.
@@ -210,10 +210,13 @@ class TestReportArrays:
         report = LostSignalReport._adopt(residual_map=residual, lost_mask=mask, **fields)
         assert report.residual_map is residual and report.lost_mask is mask
         assert not residual.flags.writeable and not mask.flags.writeable
-        assert report.summary_dict()["capture_id"] == "c"
+        assert report.capture_id == "c"
         with pytest.raises(ShapeMismatch):
             LostSignalReport._adopt(residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 3), bool),
                                     **fields)
+        with pytest.raises(ShapeMismatch):  # a residual plane is one luminance channel
+            LostSignalReport(residual_map=np.zeros((1, 2, 2)), lost_mask=np.zeros((1, 2, 2), bool),
+                             **dict(fields, histogram=((0.0, 0.0, 4),)))
         with pytest.raises(DomainError):
             LostSignalReport._adopt(residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 2), bool),
                                     **dict(fields, clipped_fraction=1.5))
@@ -232,7 +235,7 @@ class TestEmitReport:
         report = self._report()
         emit_report(report, tmp_path)
         summary = json.loads((tmp_path / "emit-1_summary.json").read_text())
-        assert summary == report.summary_dict()
+        assert summary == summary_fields(report)
         csv_lines = (tmp_path / "emit-1_histogram.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "bin_lo,bin_hi,count"
         assert len(csv_lines) - 1 == len(report.histogram)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import benchmark, bracketsup, capture, cli, formats, isp, measxyz, metrics, records
+from measground import benchmark, bracketsup, capture, cli, formats, isp, lost_signal, measxyz, metrics, records
 from measground.benchmark import CapabilityDimension
 from measground.errors import ConfigInvalid, DomainError, SchemaViolation
 from measground.records import CameraMetadata, CaptureRef, RenderParams, decode
@@ -169,6 +169,31 @@ def _plane_header_file(tmp_path):
         + ', "range": [0, 1], "width": 4}\n')
 
 
+def _lost_signal_report(tmp_path):
+    """A lost-signal report over a 2x3 residual, emitted under tmp_path."""
+    residual = np.array([[0.0, 0.5, 0.25], [0.125, 0.0, 0.75]])
+    report = lost_signal.LostSignalReport(
+        residual_map=residual, lost_mask=residual > 0.2, clipped_fraction=1 / 3, p99_original=0.875,
+        p99_recovered=0.5, histogram=lost_signal.residual_histogram(residual, 2), tau=0.2,
+        capture_id="c-é", exposure_gain=2.0, bits=10)
+    lost_signal.emit_report(report, tmp_path)
+
+
+def _summary_file(tmp_path):
+    """A lost-signal summary: LostSignalSummary."""
+    _lost_signal_report(tmp_path)
+    return tmp_path / "c-é_summary.json", (
+        '{"bits": 10, "capture_id": "c-é", "clipped_fraction": 0.3333333333333333, "exposure_gain": 2.0, '
+        '"p99_original": 0.875, "p99_recovered": 0.5, "tau": 0.2}\n')
+
+
+def _residual_header_file(tmp_path):
+    """A lost-signal residual plane header: ResidualHeader, its range and shape."""
+    _lost_signal_report(tmp_path)
+    return tmp_path / "c-é_residual.json", (
+        '{"capture_id": "c-é", "channels": 1, "height": 2, "range": [0, 0.75], "width": 3}\n')
+
+
 def _render_header_file(tmp_path):
     """A render header: RenderHeader and RenderParams."""
     (tmp_path / "proxies").mkdir()
@@ -227,7 +252,7 @@ def _disjointness_file(tmp_path):
     _samples_file, _manifest_file, _refs_file, _render_header_file, _candidates_file, _metrics_file,
     _disjointness_file, _sidecar_file(META, META_JSON),
     _sidecar_file(META_WITHOUT_IDS, '{"aperture": 4.0, "device_id": "cam-1", "exposure_time": 0.5, "iso": 200}'),
-    _plane_header_file,
+    _plane_header_file, _summary_file, _residual_header_file,
 ], ids=lambda write: write.__name__.lstrip("_"))
 def test_written_records_keep_their_bytes(tmp_path, write):
     path, expected = write(tmp_path)
@@ -274,6 +299,12 @@ _RECORDS = {
     CaptureRef: _refs,
     RenderParams: _params,
     records.RenderHeader: st.builds(records.RenderHeader, capture_id=_text, params=_params),
+    records.LostSignalSummary: st.builds(
+        records.LostSignalSummary, capture_id=_text, exposure_gain=_positive, clipped_fraction=_unit,
+        p99_original=_finite, p99_recovered=_finite, tau=_positive, bits=st.integers(1, 16)),
+    records.ResidualHeader: st.builds(
+        records.ResidualHeader, capture_id=_text, range=st.tuples(st.just(0), _finite),
+        height=st.integers(0, 99), width=st.integers(0, 99), channels=st.just(1)),
     bracketsup.CandidateRecord: st.builds(
         bracketsup.CandidateRecord, question=_words, answer=_words, score=_unit, exposure_gain=_positive,
         question_type=_text, template_id=_text, source_prefix=_text),
