@@ -179,10 +179,10 @@ def _available_cpus() -> int:
 
 
 def _exit_with(parent_pid: int) -> None:
-    """Worker initializer: end this worker once the process that forked it is gone.
+    """End this worker once the process that forked it is gone.
 
-    A worker waits on its task queue, which a killed stage process never
-    closes, so without this it would wait for ever.
+    A worker of a killed stage process would otherwise run the rest of its
+    captures and write into a pipe no one reads.
     """
     def watch():
         while os.getppid() == parent_pid:
@@ -192,16 +192,74 @@ def _exit_with(parent_pid: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or when it does not survive a pickle round trip, its type name
+    and message in the error class that gives the same exit code."""
+    import pickle
+
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        kind = IoFailure if isinstance(exc, _IO_ERRORS) else \
+            MeasgroundError if isinstance(exc, MeasgroundError) else RuntimeError
+        return kind(f"{type(exc).__name__}: {exc}")
+
+
+def _run_share(fn, items: list, first: int, step: int, pipe: int, parent_pid: int) -> None:
+    """A forked worker's life: run items first, first + step, ... in order until
+    one fails, send [(index, ok, value or error)] through ``pipe`` and exit.
+    A worker that cannot send its results exits non-zero."""
+    import pickle
+
+    status = EXIT_IO
+    try:
+        _exit_with(parent_pid)
+        results = []
+        for index in range(first, len(items), step):
+            try:
+                results.append((index, True, fn(items[index])))
+            except Exception as exc:
+                results.append((index, False, _portable(exc)))
+                break
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump(results, out)
+        status = EXIT_OK
+    finally:
+        with contextlib.suppress(Exception):
+            sys.stdout.flush()
+            sys.stderr.flush()
+        os._exit(status)
+
+
+def _fork_share(fn, items: list, first: int, step: int, parent_pid: int) -> tuple[int, int]:
+    """Fork a worker for items first, first + step, ...: its pid and the read
+    end of the pipe its results come through."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        os.close(read_end)
+        _run_share(fn, items, first, step, write_end, parent_pid)
+    os.close(write_end)
+    return pid, read_end
+
+
 class _CapturePool:
     """Maps a per-capture function over a stage's items, one forked worker per CPU.
 
-    It uses min(available CPUs, items) workers, and runs in this process when
-    that is one, when the platform cannot fork, or when other threads run here
-    (a forked child holds only the calling thread). Each call writes its own
-    capture's artifacts and returns a small value, so the files are the same
-    for any worker count. Results come back in input order; the first item to
-    fail in that order raises its error once the items already handed to
-    workers have finished, so no file is left half-written.
+    It uses N = min(available CPUs, items) workers, and runs in this process
+    when N is one, when the platform cannot fork, or when other threads run
+    here (a forked child holds only the calling thread). Worker w runs items
+    w, w + N, ... in order and stops at its first failure. Each call writes
+    its own capture's artifacts and returns a small value, so the files are
+    the same for any worker count. Results come back in input order; the
+    first item to fail in that order raises its error once every worker has
+    ended, so no file is left half-written.
     """
 
     def __init__(self):
@@ -211,24 +269,48 @@ class _CapturePool:
         workers = min(_available_cpus(), len(items))
         if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
             return [fn(item) for item in items]
-        # Imported here: at the top they would add about 17 ms to the start
-        # of every stage process, most of which never fork.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        # Imported here, as the text stages never fork.
+        import pickle
+        import signal
 
         self.workers = workers
-        # fork by name: spawn and forkserver would import the package again in
-        # every worker, and newer Pythons change the default start method
-        context = multiprocessing.get_context("fork")
-        # about eight chunks per worker: few round trips, and a short tail
-        chunksize = max(1, len(items) // (8 * workers))
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with,
-                                 initargs=(os.getpid(),)) as executor:
-            try:
-                return list(executor.map(fn, items, chunksize=chunksize))
-            except BrokenProcessPool as exc:
-                raise IoFailure(f"a worker process ended abruptly ({exc})") from None
+        # a child would write out again whatever this process holds unflushed
+        sys.stdout.flush()
+        sys.stderr.flush()
+        parent_pid = os.getpid()
+        children: list[tuple[int, int]] = []  # the running workers: pid, read end of their pipe
+        results: dict[int, tuple[bool, object]] = {}
+        abrupt = False
+        try:
+            for worker in range(workers):
+                children.append(_fork_share(fn, items, worker, workers, parent_pid))
+            while children:
+                pid, read_end = children[0]
+                with open(read_end, "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                del children[0]
+                os.close(read_end)
+                if status or not payload:
+                    abrupt = True
+                else:
+                    results.update((index, (ok, value)) for index, ok, value in pickle.loads(payload))
+        except BaseException:
+            # a worker reaped just before the interruption is gone already
+            for pid, _ in children:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            for pid, read_end in children:
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+                os.close(read_end)
+            raise
+        if abrupt:
+            raise IoFailure("a worker process ended abruptly")
+        failures = [index for index, (ok, _) in results.items() if not ok]
+        if failures:
+            raise results[min(failures)][1]
+        return [results[index][1] for index in range(len(items))]
 
 
 # Holds each thread's stripe workspace; see _stage_workspace.

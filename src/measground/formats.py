@@ -174,10 +174,12 @@ def read_plane(stem: Path, shape: tuple[int, ...]) -> np.ndarray:
     shape its header declares."""
     import numpy as np
 
-    raw = Path(str(stem) + ".f32").read_bytes()
-    if len(raw) != 4 * math.prod(shape):
-        raise IoFailure(f"{stem}: plane payload does not match header dimensions")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape)
+    data = np.empty(shape, dtype="<f4")
+    with open(str(stem) + ".f32", "rb") as fh:  # read straight into the array, without a bytes copy
+        if os.fstat(fh.fileno()).st_size != data.nbytes or fh.readinto(data) != data.nbytes:
+            raise IoFailure(f"{stem}: plane payload does not match header dimensions")
+    data.setflags(write=False)
+    return data
 
 
 # --- JSON / JSONL --------------------------------------------------------------

@@ -149,10 +149,13 @@ def _code_thresholds(bits: int, transfer: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _code_table(bits: int, transfer: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bucket (base code, threshold): code(v) = base[b] + (v >= step[b]).
+    """Per-bucket (base code, scaled threshold): with s = bits + 5,
+    code(v) = base[b] + (v * 2^s >= step[b]).
 
-    Bucket b covers [b, b + 1) * 2^-(bits + 5); the last bucket also takes
-    1.0, and values outside [0, 1] fall in the end buckets.
+    Bucket b covers [b, b + 1) * 2^-s; the last bucket also takes 1.0, and
+    values outside [0, 1] fall in the end buckets. ``step`` holds the
+    threshold in the bucket times 2^s, or NaN where none is: nothing
+    compares >= NaN, not even inf.
     """
     shift = bits + _BUCKET_EXTRA_BITS
     thresholds = _code_thresholds(bits, transfer)
@@ -160,45 +163,77 @@ def _code_table(bits: int, transfer: str) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(buckets) == 0):
         raise RuntimeError(f"two code thresholds share a bucket (bits={bits}, {transfer})")
     base = np.searchsorted(buckets, np.arange(1 << shift), side="left").astype(np.uint16)
-    step = np.full(1 << shift, np.nan)  # nothing compares >= NaN, not even inf
-    step[buckets] = thresholds
+    step = np.full(1 << shift, np.nan)
+    step[buckets] = np.ldexp(thresholds, shift)
     base.setflags(write=False)
     step.setflags(write=False)
     return base, step
 
 
-def _lookup_buffers(workspace: _StripeWorkspace, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float, index and flag temporaries of _table_codes for ``size`` values."""
-    return (workspace.take("lookup values", (size,)), workspace.take("lookup indices", (size,), np.intp),
-            workspace.take("lookup flags", (size,), bool))
+# A window's bucket index has at most this many bits, so no window table
+# holds more than 2^16 entries (640 KiB); a gain alone reads the code table.
+_WINDOW_INDEX_BITS = 16
 
 
-def _table_codes(v: np.ndarray, k: int, bits: int, transfer: str, out: np.ndarray,
-                 buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """Write quantize(transfer(clip(2^k * v))) into ``out`` through the exact threshold table.
+@functools.lru_cache(maxsize=None)
+def _window_table(bits: int, transfer: str, offset: int, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The code table of the gain ``offset`` octaves below the top of a window
+    ``span`` octaves wide, indexed by the window's bucket index F.
 
-    ``out`` is a contiguous uint16 array of ``v``'s shape, and ``buffers``
-    come from _lookup_buffers of at least ``v.size``. The scaling goes into
-    the bucket index, v * 2^(shift + k), and into the comparison,
-    v >= step * 2^-k, which is exact for thresholds in [2^-21, 1] and
-    |k| <= 64. (A product with a power of two rounds as ldexp does.)
+    The gain's own bucket is F >> offset, clamped to the last bucket, and its
+    scaled thresholds take the factor 2^offset, so its code is
+    base[F] + (r >= step[F]) for r = v * 2^(s + top exponent).
     """
     base, step = _code_table(bits, transfer)
+    if span == 0:
+        return base, step
+    buckets = np.minimum(np.arange(base.size << span) >> offset, base.size - 1)
+    window_base, window_step = base[buckets], np.ldexp(step[buckets], offset)
+    window_base.setflags(write=False)
+    window_step.setflags(write=False)
+    return window_base, window_step
+
+
+def _lookup_buffers(workspace: _StripeWorkspace, size: int) -> tuple[np.ndarray, ...]:
+    """The product, step, index and flag temporaries of _window_codes for ``size`` values."""
+    return (workspace.take("lookup products", (size,)), workspace.take("lookup steps", (size,)),
+            workspace.take("lookup indices", (size,), np.intp), workspace.take("lookup flags", (size,), bool))
+
+
+def _window_codes(v: np.ndarray, window: _Window, params: RenderParams, outs, lookup) -> None:
+    """Write each member's render of the stripe into the contiguous ``outs``, in
+    the order of ``window.members``; ``params`` is any member's.
+
+    2^window.k * v is the pre-clip linear RGB at the window's top gain, and
+    ``lookup`` comes from _lookup_buffers of at least ``v.size``. One product
+    r = v * 2^(s + k), s = bits + 5, gives every member's bucket index
+    F = trunc(clip(r)) and its comparison r >= step[F]. For v >= 0,
+    F >> offset is the member's own bucket floor(v * 2^(s + k - offset)),
+    and the product and the scaled thresholds are exact for thresholds in
+    [2^-21, 1] and k in _SHARED_EXPONENTS: a product with a power of two
+    rounds as ldexp does, and one that leaves the normal range is far from
+    every threshold.
+    """
+    if not params.quantize:  # a window of one, with k 0
+        encoded = np.clip(v, 0.0, 1.0)
+        outs[0][...] = srgb_oetf(encoded) if params.transfer == SRGB_PIECEWISE else encoded
+        return
     flat = v.reshape(-1)
-    real, index, flag = (buffer[:flat.size] for buffer in buffers)
+    product, step, index, flag = (buffer[:flat.size] for buffer in lookup)
     if np.isnan(flat, out=flag).any():
         raise DomainError("value outside [0, 1]")
-    np.multiply(flat, 2.0 ** (bits + _BUCKET_EXTRA_BITS + k), out=real)
-    np.clip(real, 0, base.size - 1, out=real)
-    np.copyto(index, real, casting="unsafe")  # truncates, as astype does
-    codes = out.reshape(-1)
-    # the indices are in range; mode="clip" only skips the bounds check
-    np.take(base, index, out=codes, mode="clip")
-    np.take(step, index, out=real, mode="clip")
-    if k:
-        np.multiply(real, 2.0 ** -k, out=real)
-    np.greater_equal(flat, real, out=flag)
-    codes += flag
+    shift = params.bit_depth + _BUCKET_EXTRA_BITS
+    np.multiply(flat, 2.0 ** (shift + window.k), out=product)
+    np.clip(product, 0, 2.0 ** (shift + window.span) - 1, out=step)
+    np.copyto(index, step, casting="unsafe")  # truncates, as astype does
+    for offset, out in zip(window.offsets, outs):
+        base, steps = _window_table(params.bit_depth, params.transfer, offset, window.span)
+        codes = out.reshape(-1)
+        # the indices are in range; mode="clip" only skips the bounds check
+        np.take(base, index, out=codes, mode="clip")
+        np.take(steps, index, out=step, mode="clip")
+        np.greater_equal(product, step, out=flag)
+        codes += flag
 
 
 # A quantized gain 2^k, k in this range, reads its codes from the stripe's
@@ -218,6 +253,54 @@ def _shared_exponent(params: RenderParams) -> int | None:
     return None
 
 
+@dataclass(frozen=True)
+class _Window:
+    """Renders of one pass whose codes come from one bucket index per stripe.
+
+    ``members`` are positions in the pass's params and ``offsets`` their
+    exponents' distances below the window's top exponent ``k``, which lies
+    ``span`` octaves above its lowest. ``shared`` windows read the stripe's
+    gain-1 product v, whose 2^k multiple is the pre-clip linear RGB at the
+    top gain; any other window holds one render, with k 0, that reads the
+    product at its own gain.
+    """
+
+    members: tuple[int, ...]
+    offsets: tuple[int, ...]
+    k: int
+    span: int
+    shared: bool
+
+
+def _windows(params_seq) -> list[_Window]:
+    """The windows of a pass over ``params_seq``.
+
+    Quantized power-of-two gains with one matrix, bit depth and transfer
+    share a window while their exponents lie within
+    16 - (bits + 5) octaves of its lowest, so 0.5, 1, 2 and 4 make one
+    8-bit window and from 11 bits each exponent is a window of its own.
+    Every other render is a window of one.
+    """
+    windows, groups = [], {}
+    for i, params in enumerate(params_seq):
+        k = _shared_exponent(params)
+        if k is None:
+            windows.append(_Window((i,), (0,), 0, 0, shared=False))
+        else:
+            key = (params.xyz_to_linear_srgb, params.bit_depth, params.transfer)
+            groups.setdefault(key, []).append((k, i))
+    for (_, bits, _), members in groups.items():
+        widest = max(0, _WINDOW_INDEX_BITS - bits - _BUCKET_EXTRA_BITS)
+        members.sort()
+        while members:
+            count = sum(k <= members[0][0] + widest for k, _ in members)
+            window, members = members[:count], members[count:]
+            top = window[-1][0]
+            windows.append(_Window(tuple(i for _, i in window), tuple(top - k for k, _ in window),
+                                   top, top - window[0][0], shared=True))
+    return windows
+
+
 def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
     """The shape of ``z``'s row stripes: as many rows as hold about _STRIPE_PIXELS pixels."""
     height, width = z.data.shape[:2]
@@ -225,25 +308,26 @@ def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
 
 
 def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace: _StripeWorkspace):
-    """Yield (rows, i, v, k) per row stripe of ``z`` and params_seq[i]: 2^k * v
-    is the stripe's pre-clip linear RGB at that gain, matrix @ (gain * xyz).
+    """Yield (rows, window, v) per row stripe of ``z`` and window of
+    params_seq: 2^window.k * v is the stripe's pre-clip linear RGB at the
+    window's top gain, matrix @ (gain * xyz).
 
     ``scratch`` is a float64 buffer of two stripe planes for _apply_matrix,
     which the caller may use between yields.
 
-    Power-of-two quantized gains share one gain-1 product; any other render
-    takes the formula on the stripe. Each stripe is first copied into float64
-    X, Y and Z planes, which widens a float32 plane and lets the matrix read
-    contiguous planes. ``v`` lives in a buffer the next stripe overwrites,
-    and every stripe buffer comes from ``workspace``: a caller that holds one
-    across captures allocates them once, not on every capture.
+    Shared windows read one gain-1 product per matrix; any other render
+    takes the formula on the stripe. Each stripe is first copied into
+    float64 X, Y and Z planes, which widens a float32 plane and lets the
+    matrix read contiguous planes. ``v`` lives in a buffer the next stripe
+    overwrites, and every stripe buffer comes from ``workspace``: a caller
+    that holds one across captures allocates them once, not on every capture.
     """
-    exponents = [_shared_exponent(params) for params in params_seq]
+    windows = _windows(params_seq)
     shape = _stripe_shape(z)
     planes = workspace.take("xyz planes", (3,) + shape[:2])  # the stripe's X, Y and Z
     product = workspace.take("gain-1 product", shape)
     scratch = scratch[:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
-    if None in exponents:
+    if not all(window.shared for window in windows):
         # matrix @ (gain * xyz), gain * xyz
         formula, scaled = workspace.take("formula", shape), workspace.take("scaled planes", planes.shape)
     for top in range(0, z.data.shape[0], max(1, shape[0])):
@@ -253,26 +337,18 @@ def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace:
         xyz = planes[:, :count]
         np.copyto(xyz, np.moveaxis(block, -1, 0))
         shared = None  # the matrix whose gain-1 product ``product`` holds
-        for i, (params, k) in enumerate(zip(params_seq, exponents)):
-            if k is None:
+        for window in windows:
+            params = params_seq[window.members[0]]
+            if not window.shared:
                 np.multiply(params.exposure_gain, xyz, out=scaled[:, :count])
                 _apply_matrix(params.matrix, scaled[:, :count], np.moveaxis(formula[:count], -1, 0),
                               scratch[:, :count])
-                yield rows, i, formula[:count], 0
+                yield rows, window, formula[:count]
                 continue
             if shared != params.xyz_to_linear_srgb:
                 _apply_matrix(params.matrix, xyz, np.moveaxis(product[:count], -1, 0), scratch[:, :count])
                 shared = params.xyz_to_linear_srgb
-            yield rows, i, product[:count], k
-
-
-def _stripe_codes(v: np.ndarray, k: int, params: RenderParams, out: np.ndarray, lookup) -> None:
-    """Write the render of pre-clip linear RGB 2^k * v into the contiguous ``out``."""
-    if params.quantize:
-        _table_codes(v, k, params.bit_depth, params.transfer, out, lookup)
-        return
-    encoded = np.clip(v, 0.0, 1.0)  # k is 0 off the shared path
-    out[...] = srgb_oetf(encoded) if params.transfer == SRGB_PIECEWISE else encoded
+            yield rows, window, product[:count]
 
 
 def _code_dtype(params: RenderParams):
@@ -283,9 +359,10 @@ def _render_pass(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> li
     """Render ``z`` under every params in one pass over its row stripes."""
     outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
     lookup = _lookup_buffers(workspace, math.prod(_stripe_shape(z)))
-    # the lookup's float buffer is free while a stripe's product is computed
-    for rows, i, v, k in _linear_stripes(z, params_seq, lookup[0], workspace):
-        _stripe_codes(v, k, params_seq[i], outs[i][rows], lookup)
+    # the lookup's product buffer is free while a stripe's product is computed
+    for rows, window, v in _linear_stripes(z, params_seq, lookup[0], workspace):
+        _window_codes(v, window, params_seq[window.members[0]], [outs[i][rows] for i in window.members],
+                      lookup)
     return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
 
 

@@ -24,8 +24,8 @@ from .isp import (
     _code_dtype,
     _linear_stripes,
     _lookup_buffers,
-    _stripe_codes,
     _stripe_shape,
+    _window_codes,
     srgb_eotf,
 )
 from .measxyz import MeasXyzImage, _apply_matrix, _StripeWorkspace
@@ -115,7 +115,10 @@ def luminance(xyz: np.ndarray) -> np.ndarray:
 
 def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
     """Nearest-rank percentile (no interpolation) for cross-platform stability."""
-    flat = np.array(values, dtype=np.float64).ravel()  # one copy, partitioned in place
+    values = np.asarray(values)
+    # one copy, partitioned in place; float32 stays float32, as widening is
+    # exact and keeps the order
+    flat = np.array(values, dtype=np.float32 if values.dtype == np.float32 else np.float64).ravel()
     if flat.size == 0:
         raise DomainError("percentile of empty array")
     rank = max(1, int(np.ceil(percent / 100.0 * flat.size)))
@@ -180,8 +183,8 @@ def _luminance_report(
     if bins < 2:
         raise DomainError("bins must be >= 2")
 
-    y_orig = luminance(z.data)
-    residual = np.subtract(y_orig, y_rec)
+    y_orig = z.data[..., 1]  # the stored Y, widened by the subtraction alone
+    residual = np.subtract(y_orig, y_rec, dtype=np.float64)
     np.abs(residual, out=residual)
     return LostSignalReport._adopt(
         residual_map=residual,
@@ -215,23 +218,23 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _Stri
     codes = workspace.take("codes", shape, _code_dtype(params))
     scratch = workspace.take("inverse sums", (2,) + shape[:2])  # _apply_matrix's sums
     over = workspace.take("clip flags", shape[:2], bool)
-    # the dequantized R, G, B planes share the lookup's float buffer, and
+    # the dequantized R, G, B planes share the lookup's product buffer, and
     # their codes as indices its index buffer: both are free once a stripe's
     # codes are written
     planes = lookup[0].reshape((3,) + shape[:2])
-    for rows, _, v, k in _linear_stripes(z, [params], scratch.reshape(-1), workspace):
+    for rows, window, v in _linear_stripes(z, [params], scratch.reshape(-1), workspace):
         count = v.shape[0]
-        top = np.ldexp(1.0, -k)  # 2^k * v > 1
+        top = np.ldexp(1.0, -window.k)  # 2^k * v > 1
         mask = clipped[rows]
         np.greater(v[..., 0], top, out=mask)
         for c in (1, 2):
             mask |= np.greater(v[..., c], top, out=over[:count])
         encoded = codes[:count]
-        _stripe_codes(v, k, params, encoded, lookup)
+        _window_codes(v, window, params, [encoded], lookup)
         if table is not None:
             linear = planes[:, :count]
             # np.take would convert each channel's codes into a fresh intp array
-            index = lookup[1][:v.size // 3].reshape(v.shape[:2])
+            index = lookup[2][:v.size // 3].reshape(v.shape[:2])
             for c in range(3):
                 np.copyto(index, encoded[..., c])
                 np.take(table, index, out=linear[c], mode="clip")

@@ -6,6 +6,7 @@ import operator
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
@@ -1177,6 +1178,35 @@ def _fail_on_5_and_9(item):
     return item
 
 
+def _fail_on_4_and_7(slow, item):
+    if item == slow:
+        time.sleep(0.5)  # the other failure comes first in time
+    if item in (4, 7):
+        raise DomainError(f"item {item}")
+    return item
+
+
+class _HoldsALock(DomainError):
+    """A capture error that pickle refuses: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _NeedsTwoArguments(IoFailure):
+    """A capture error that pickles but cannot be rebuilt from its message alone."""
+
+    def __init__(self, path, reason):
+        super().__init__(f"{path}: {reason}")
+
+
+def _synth_fails_on_1(error, index, **settings):
+    if index == 1:
+        raise error("capture 1", "unreadable") if error is _NeedsTwoArguments else error("capture 1: unreadable")
+    return {}
+
+
 def _end_worker_process(parent_pid, item):
     if os.getpid() == parent_pid:
         raise RuntimeError("ran in the test process")
@@ -1216,6 +1246,21 @@ class TestCapturePool:
         with pytest.raises(DomainError, match="^item 5$"):
             cli._CapturePool().map(_fail_on_5_and_9, list(range(40)))
 
+    @pytest.mark.parametrize("slow", [4, 7])
+    def test_failures_in_both_workers_shares_raise_the_lower_index(self, slow):
+        # worker 0 runs the even items and fails at 4, worker 1 the odd ones and fails at 7
+        with pytest.raises(DomainError, match="^item 4$"):
+            cli._CapturePool().map(functools.partial(_fail_on_4_and_7, slow), list(range(12)))
+
+    @pytest.mark.parametrize("error, status", [(_HoldsALock, 1), (_NeedsTwoArguments, 2)])
+    def test_a_worker_error_that_cannot_be_pickled_ends_the_stage_with_one_log_line(
+            self, tmp_path, capsys, monkeypatch, error, status):
+        monkeypatch.setattr(cli, "_synth_one", functools.partial(_synth_fails_on_1, error))
+        assert main(["synth", "--count", "2", "--out", str(tmp_path / "s")]) == status
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(events) == 1 and events[0]["level"] == "error"
+        assert f"{error.__name__}: capture 1: unreadable" in events[0]["event"]
+
     def test_a_worker_that_dies_is_an_io_failure(self):
         with pytest.raises(IoFailure, match="worker process ended abruptly"):
             cli._CapturePool().map(functools.partial(_end_worker_process, os.getpid()), [0, 1])
@@ -1250,6 +1295,54 @@ class TestCapturePool:
             proc.wait(timeout=30)
         time.sleep(3)
         assert list(tmp_path.glob("*.finished")) == []
+
+
+    def test_an_interrupted_stage_process_ends_and_reaps_its_workers(self, tmp_path):
+        script = tmp_path / "stage.py"
+        script.write_text(textwrap.dedent(f"""
+            import json, os, time
+            from pathlib import Path
+            from measground import cli
+
+            def work(name):
+                (Path({str(tmp_path)!r}) / f"{{os.getpid()}}.pid").touch()
+                time.sleep(30)
+
+            if __name__ == "__main__":
+                cli._available_cpus = lambda: 2
+                try:
+                    cli._CapturePool().map(work, ["a", "b"])
+                except KeyboardInterrupt:
+                    pids = [int(p.stem) for p in Path({str(tmp_path)!r}).glob("*.pid")]
+                    gone = []
+                    for pid in pids:
+                        try:
+                            os.kill(pid, 0)
+                        except ProcessLookupError:
+                            gone.append(pid)
+                    try:
+                        os.waitpid(-1, os.WNOHANG)
+                        children = True
+                    except ChildProcessError:
+                        children = False
+                    print(json.dumps({{"workers": len(pids), "gone": len(gone), "children": children}}))
+        """))
+        src = str(Path(measground.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("*.pid"))) < 2:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.05)
+            started = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert time.monotonic() - started < 10
+        assert json.loads(out) == {"workers": 2, "gone": 2, "children": False}
 
 
 class TestStdout:

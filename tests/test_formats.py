@@ -124,6 +124,16 @@ def test_plane(tmp_path, layout, shape):
     assert (tmp_path / "x.json").read_text() == json.dumps(header, sort_keys=True) + "\n"
     loaded = formats.read_plane(tmp_path / "x", shape)
     assert np.array_equal(loaded, data.astype(np.float32).astype(np.float64))
+    assert loaded.dtype == np.float32 and not loaded.flags.writeable
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_plane_payload_of_another_size_is_refused(tmp_path, change):
+    formats.write_plane(tmp_path / "x", np.zeros((2, 3)), {})
+    payload = (tmp_path / "x.f32").read_bytes()
+    (tmp_path / "x.f32").write_bytes(payload[:-1] if change == "short" else payload + b"\0")
+    with pytest.raises(IoFailure, match="plane payload does not match header dimensions"):
+        formats.read_plane(tmp_path / "x", (2, 3))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

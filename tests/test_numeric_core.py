@@ -244,24 +244,29 @@ def test_code_table_matches_formula(bits, transfer):
         [0.0, -0.0, 1.0, -1e-300, 5e-324, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
          1e300, -1e300, np.inf, -np.inf],
     ])
-    for k in (0, -4, 3):
-        # 2^k * ldexp(values, -k) is values again wherever a code depends on it
-        scaled = np.ldexp(values, -k)
-        assert np.array_equal(table_codes(scaled, bits, transfer, k),
-                              oracle_codes(np.ldexp(scaled, k), bits, transfer)), k
+    for exponents in ([0], [-4], [3], [-1, 0, 1, 2], [2, -3, 0]):
+        # every gain of a window reads the one product; 2^k * values leaves
+        # the normal range only far from every threshold, and there rounds as
+        # the product with 2^k does
+        for k, codes in zip(exponents, table_codes(values, bits, transfer, exponents)):
+            assert np.array_equal(codes, oracle_codes(np.ldexp(values, k), bits, transfer)), (exponents, k)
 
 
-def table_codes(values: np.ndarray, bits: int, transfer: str, k: int = 0) -> np.ndarray:
-    codes = np.empty(values.shape, dtype=np.uint16)
-    isp._table_codes(values, k, bits, transfer, codes,
-                     isp._lookup_buffers(measxyz._StripeWorkspace(), values.size))
+def table_codes(values: np.ndarray, bits: int, transfer: str, exponents=(0,)) -> list[np.ndarray]:
+    """The codes of 2^k * values for each k in ``exponents``, read through the
+    windows a render pass at those gains makes."""
+    params = [RenderParams(exposure_gain=2.0 ** k, bit_depth=bits, transfer=transfer) for k in exponents]
+    codes = [np.empty(values.shape, dtype=np.uint16) for _ in exponents]
+    lookup = isp._lookup_buffers(measxyz._StripeWorkspace(), values.size)
+    for window in isp._windows(params):
+        isp._window_codes(values, window, params[window.members[0]], [codes[i] for i in window.members], lookup)
     return codes
 
 
 def test_code_table_rejects_nan():
-    for k in (0, 2):
+    for exponents in ([0], [2], [-1, 2]):
         with pytest.raises(DomainError):
-            table_codes(np.array([0.5, np.nan]), 8, SRGB_PIECEWISE, k)
+            table_codes(np.array([0.5, np.nan]), 8, SRGB_PIECEWISE, exponents)
 
 
 def _bright_image(seed: int, shape=(14, 18)) -> MeasXyzImage:
@@ -374,6 +379,70 @@ def test_striped_pass_matches_whole_frame_oracles(bits, transfer, quantize, monk
         assert np.array_equal(rendered.codes, expected), gain
         assert np.array_equal(isp.render_proxy(z, params).codes, expected), gain
         _assert_analysis_matches(z, params)
+
+
+# One window at 8 bits, several at every depth, and power-of-two gains
+# unsorted among formula-path ones.
+WINDOW_BRACKETS = [
+    [0.5, 1.0, 2.0, 4.0],
+    [2.0 ** k for k in range(-6, 7)],
+    [4.0, 0.5, 3.0, 1.0, float(np.nextafter(2.0, 3.0))],
+]
+_IDENTITY_MATRIX = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _threshold_image(bits: int, transfer: str, gains) -> MeasXyzImage:
+    """Samples whose products at each gain fall at, just below and just above
+    the code thresholds (a sample of 2048 of them from 12 bits), with zeros,
+    ones and subnormals, in rows of 37 pixels."""
+    thresholds = isp._code_thresholds(bits, transfer)
+    rng = np.random.default_rng(bits)
+    if thresholds.size > 2048:
+        thresholds = np.sort(rng.choice(thresholds, 2048, replace=False))
+    values = [np.array([0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, 1e-310, 2.2250738585072014e-308])]
+    for gain in gains:
+        at = thresholds / gain
+        values += [at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)]
+    values = np.concatenate(values)
+    values = rng.permutation(values[values <= 1.0])
+    width = 37
+    values = np.concatenate([values, np.zeros(-values.size % (3 * width))])
+    return make_image(values.reshape(-1, width, 3), capture_id=f"thresholds-{bits}")
+
+
+@pytest.mark.parametrize("gains", WINDOW_BRACKETS, ids=["one-window", "windows", "mixed"])
+@pytest.mark.parametrize("transfer", TRANSFERS)
+@pytest.mark.parametrize("bits", [1, 8, 11, 12, 16])
+def test_windowed_bracket_matches_the_oracles(bits, transfer, gains, monkeypatch):
+    """Through the identity matrix the products hit the thresholds; through
+    the default one they also go negative and above 1. Stripes of 4 rows
+    leave a short last stripe."""
+    monkeypatch.setattr(isp, "_STRIPE_PIXELS", 4 * 37)
+    z = _threshold_image(bits, transfer, gains)
+    for matrix in (_IDENTITY_MATRIX, XYZ_TO_LINEAR_SRGB_D65):
+        overrides = dict(bit_depth=bits, transfer=transfer, xyz_to_linear_srgb=matrix)
+        for gain, rendered in zip(gains, isp.make_bracket(z, gains, **overrides)):
+            params = RenderParams(exposure_gain=gain, **overrides)
+            assert np.array_equal(rendered.codes, oracle_render(z, params)), (gain, matrix)
+            _assert_analysis_matches(z, params)
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_windows_keep_their_tables_within_2_to_the_16(bits):
+    gains = WINDOW_BRACKETS[1] + WINDOW_BRACKETS[2]
+    params = [RenderParams(exposure_gain=gain, bit_depth=bits) for gain in gains]
+    windows = isp._windows(params)
+    assert sorted(i for window in windows for i in window.members) == list(range(len(gains)))
+    widest = max(0, 16 - (bits + 5))
+    for window in windows:
+        assert window.span <= widest
+        if window.span:
+            assert isp._window_table(bits, SRGB_PIECEWISE, 0, window.span)[0].size <= 1 << 16
+    # 0.5 to 4 is one window at 8 bits; from 11 bits each exponent is its own
+    shared = [window for window in windows if window.shared]
+    assert len(shared) == (len(range(-6, 7)) if bits >= 11 else -(-13 // (widest + 1)))
+    if bits == 8:
+        assert len(isp._windows([RenderParams(exposure_gain=gain) for gain in WINDOW_BRACKETS[0]])) == 1
 
 
 _WIDTH = 3000
@@ -522,6 +591,21 @@ def test_loaded_planes_stay_float32_and_render_as_their_widening(tmp_path):
         a, b = analyze_render(loaded, params), analyze_render(widened, params)
         assert np.array_equal(a.residual_map, b.residual_map)
         assert summary_fields(a) == summary_fields(b) and a.histogram == b.histogram
+
+
+def test_the_report_of_a_loaded_plane_matches_its_widened_formula(tmp_path):
+    """The residual and the original p99 are taken from the float32 Y as
+    from its float64 widening."""
+    data = np.random.default_rng(4).uniform(0.0, 1.0, (29, 31, 3)) ** 2
+    save_meas_xyz(make_image(data, capture_id="plane"), tmp_path / "plane")
+    loaded = load_meas_xyz(tmp_path / "plane")
+    widened = make_image(loaded.data.astype(np.float64), capture_id="plane")
+    params = RenderParams(exposure_gain=2.0)
+    rendered = isp.RenderedRgb(codes=oracle_render(widened, params), params=params, capture_id="plane")
+    y_orig = widened.data[..., 1]
+    report = analyze_render(loaded, params)
+    assert np.array_equal(report.residual_map, np.abs(y_orig - oracle_invert(rendered)[..., 1]))
+    assert report.p99_original == oracle_percentile(y_orig, 99.0) < 1.0
 
 
 _PEAK_SHAPE = (1024, 1024)

@@ -18,14 +18,17 @@ from test_cli import _simple_candidates, _write_predictions, _write_transcript
 
 SRC = str(Path(measground.__file__).resolve().parents[1])
 
-# Runs one CLI stage in this process, then reports its status and which slow imports it loaded.
+# Runs one CLI stage in this process, as on two CPUs, then reports its status
+# and which slow imports it loaded.
 _STAGE = textwrap.dedent("""
     import json, sys
     from measground import cli
+    cli._available_cpus = lambda: 2
     status = cli.main(sys.argv[1:])
     print(json.dumps({"status": status, "numpy": "numpy" in sys.modules,
                       "metadata": "importlib.metadata" in sys.modules,
-                      "requests": "requests" in sys.modules}))
+                      "requests": "requests" in sys.modules,
+                      "process pools": sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))}))
 """)
 
 _PACKAGE = textwrap.dedent("""
@@ -91,14 +94,18 @@ def test_text_stages_never_import_numpy(images):
         if argv[0] == "eval":
             _write_predictions(images / "split" / "bench_manifest.jsonl", images / "predictions.jsonl")
         result = _python(_STAGE, *argv, cwd=images)
-        assert result == {"status": 0, "numpy": False, "metadata": False, "requests": False}, argv
+        assert result == {"status": 0, "numpy": False, "metadata": False, "requests": False,
+                          "process pools": []}, argv
     run = json.loads((images / "split" / "run.json").read_text())
     assert "numpy" not in run["versions"]
     assert run["counts"]["bench_examples"] > 0
-    # an image stage loads numpy, and records its version
-    assert _python(_STAGE, "bracket", "--input", "measxyz", "--exposures", "1", "--out", "bracket-1",
-                   cwd=images)["numpy"]
-    assert json.loads((images / "bracket-1" / "run.json").read_text())["versions"]["numpy"] == np.__version__
+    # an image stage loads numpy, and records its version; its two workers are
+    # forked without a process pool module
+    result = _python(_STAGE, "bracket", "--input", "measxyz", "--exposures", "1", "--out", "bracket-1",
+                     cwd=images)
+    assert result["numpy"] and result["process pools"] == []
+    run = json.loads((images / "bracket-1" / "run.json").read_text())
+    assert run["versions"]["numpy"] == np.__version__ and run["workers"] == 2
 
 
 def test_records_resolve_without_numpy():
