@@ -59,8 +59,8 @@ class CandidateRecord:
             raise MalformedResponse("candidate question/answer must be non-empty")
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise MalformedResponse(f"candidate score outside [0, 1]: {self.score}")
-        if self.exposure_gain <= 0:
-            raise MalformedResponse("candidate exposure_gain must be > 0")
+        if not (math.isfinite(self.exposure_gain) and self.exposure_gain > 0):
+            raise MalformedResponse(f"candidate exposure_gain must be finite and > 0, got {self.exposure_gain}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -264,10 +264,6 @@ def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-
         raw_path=f"synthetic://{capture_id}",
     )
     return SyntheticCapture(capture=capture, scene=scene)
-
-
-def with_metadata(spec: SyntheticSceneSpec, metadata: CameraMetadata) -> SyntheticSceneSpec:
-    return replace(spec, metadata=metadata)
 
 
 def _black_site_map(black_level, height: int, width: int) -> np.ndarray:

@@ -15,11 +15,12 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -100,14 +101,14 @@ class RunConfig:
 
     def validate(self) -> None:
         checks = [
-            ("gain", self.gain > 0),
+            ("gain", math.isfinite(self.gain) and self.gain > 0),
             ("bit_depth", 1 <= self.bit_depth <= 16),
-            ("tau", self.tau > 0),
+            ("tau", math.isfinite(self.tau) and self.tau > 0),
             ("bins", self.bins >= 2),
             ("floor", 0.0 <= self.floor <= 1.0),
             ("target", self.target > 0),
             ("fraction", 0.0 < self.fraction < 1.0),
-            ("exposures", bool(self.exposures) and all(e > 0 for e in self.exposures)),
+            ("exposures", bool(self.exposures) and all(math.isfinite(e) and e > 0 for e in self.exposures)),
             ("per_source_cap", self.per_source_cap > 0),
             ("per_type_cap", self.per_type_cap > 0),
             ("per_template_cap", self.per_template_cap > 0),
@@ -409,7 +410,7 @@ def _synth_one(index: int, base_spec, seed: int, group_size: int, devices: int,
         scene_id=f"scene-{group:04d}",
         session_id=f"session-{group:04d}",
     )
-    spec = capture_mod.with_metadata(base_spec, metadata)
+    spec = replace(base_spec, metadata=metadata)
     capture_id = f"synth-{index:04d}"
     synthetic = capture_mod.synth_capture(spec, seed=seed + index, capture_id=capture_id)
     bundle_dir = out / "bundles" / capture_id

@@ -147,29 +147,6 @@ def _code_thresholds(bits: int, transfer: str) -> np.ndarray:
     return thresholds
 
 
-@functools.lru_cache(maxsize=None)
-def _code_table(bits: int, transfer: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bucket (base code, scaled threshold): with s = bits + 5,
-    code(v) = base[b] + (v * 2^s >= step[b]).
-
-    Bucket b covers [b, b + 1) * 2^-s; the last bucket also takes 1.0, and
-    values outside [0, 1] fall in the end buckets. ``step`` holds the
-    threshold in the bucket times 2^s, or NaN where none is: nothing
-    compares >= NaN, not even inf.
-    """
-    shift = bits + _BUCKET_EXTRA_BITS
-    thresholds = _code_thresholds(bits, transfer)
-    buckets = np.minimum(np.ldexp(thresholds, shift).astype(np.int64), (1 << shift) - 1)
-    if np.any(np.diff(buckets) == 0):
-        raise RuntimeError(f"two code thresholds share a bucket (bits={bits}, {transfer})")
-    base = np.searchsorted(buckets, np.arange(1 << shift), side="left").astype(np.uint16)
-    step = np.full(1 << shift, np.nan)
-    step[buckets] = np.ldexp(thresholds, shift)
-    base.setflags(write=False)
-    step.setflags(write=False)
-    return base, step
-
-
 # A window's bucket index has at most this many bits, so no window table
 # holds more than 2^16 entries (640 KiB); a gain alone reads the code table.
 _WINDOW_INDEX_BITS = 16
@@ -178,20 +155,36 @@ _WINDOW_INDEX_BITS = 16
 @functools.lru_cache(maxsize=None)
 def _window_table(bits: int, transfer: str, offset: int, span: int) -> tuple[np.ndarray, np.ndarray]:
     """The code table of the gain ``offset`` octaves below the top of a window
-    ``span`` octaves wide, indexed by the window's bucket index F.
+    ``span`` octaves wide, indexed by the window's bucket index F. Callers
+    pass all four arguments, so the cache builds each table once.
 
-    The gain's own bucket is F >> offset, clamped to the last bucket, and its
-    scaled thresholds take the factor 2^offset, so its code is
-    base[F] + (r >= step[F]) for r = v * 2^(s + top exponent).
+    At span 0 it is the code table proper, per bucket (base code, scaled
+    threshold): with s = bits + 5, code(v) = base[b] + (v * 2^s >= step[b]).
+    Bucket b covers [b, b + 1) * 2^-s; the last bucket also takes 1.0, and
+    values outside [0, 1] fall in the end buckets. ``step`` holds the
+    threshold in the bucket times 2^s, or NaN where none is: nothing
+    compares >= NaN, not even inf.
+
+    In a wider window the gain's own bucket is F >> offset, clamped to the
+    last bucket, and its scaled thresholds take the factor 2^offset, so its
+    code is base[F] + (r >= step[F]) for r = v * 2^(s + top exponent).
     """
-    base, step = _code_table(bits, transfer)
     if span == 0:
-        return base, step
-    buckets = np.minimum(np.arange(base.size << span) >> offset, base.size - 1)
-    window_base, window_step = base[buckets], np.ldexp(step[buckets], offset)
-    window_base.setflags(write=False)
-    window_step.setflags(write=False)
-    return window_base, window_step
+        shift = bits + _BUCKET_EXTRA_BITS
+        thresholds = _code_thresholds(bits, transfer)
+        buckets = np.minimum(np.ldexp(thresholds, shift).astype(np.int64), (1 << shift) - 1)
+        if np.any(np.diff(buckets) == 0):
+            raise RuntimeError(f"two code thresholds share a bucket (bits={bits}, {transfer})")
+        base = np.searchsorted(buckets, np.arange(1 << shift), side="left").astype(np.uint16)
+        step = np.full(1 << shift, np.nan)
+        step[buckets] = np.ldexp(thresholds, shift)
+    else:
+        base, step = _window_table(bits, transfer, 0, 0)
+        buckets = np.minimum(np.arange(base.size << span) >> offset, base.size - 1)
+        base, step = base[buckets], np.ldexp(step[buckets], offset)
+    base.setflags(write=False)
+    step.setflags(write=False)
+    return base, step
 
 
 def _lookup_buffers(workspace: _StripeWorkspace, size: int) -> tuple[np.ndarray, ...]:
@@ -259,17 +252,17 @@ class _Window:
 
     ``members`` are positions in the pass's params and ``offsets`` their
     exponents' distances below the window's top exponent ``k``, which lies
-    ``span`` octaves above its lowest. ``shared`` windows read the stripe's
-    gain-1 product v, whose 2^k multiple is the pre-clip linear RGB at the
-    top gain; any other window holds one render, with k 0, that reads the
-    product at its own gain.
+    ``span`` octaves above its lowest. The window reads the stripe's product
+    v = matrix @ (gain * xyz) at ``gain``, and 2^k * v is the pre-clip linear
+    RGB at its top gain: a window of power-of-two gains reads gain 1.0, and
+    any other window holds one render, with k 0, that reads its own gain.
     """
 
     members: tuple[int, ...]
     offsets: tuple[int, ...]
     k: int
     span: int
-    shared: bool
+    gain: float
 
 
 def _windows(params_seq) -> list[_Window]:
@@ -285,7 +278,7 @@ def _windows(params_seq) -> list[_Window]:
     for i, params in enumerate(params_seq):
         k = _shared_exponent(params)
         if k is None:
-            windows.append(_Window((i,), (0,), 0, 0, shared=False))
+            windows.append(_Window((i,), (0,), 0, 0, params.exposure_gain))
         else:
             key = (params.xyz_to_linear_srgb, params.bit_depth, params.transfer)
             groups.setdefault(key, []).append((k, i))
@@ -297,7 +290,7 @@ def _windows(params_seq) -> list[_Window]:
             window, members = members[:count], members[count:]
             top = window[-1][0]
             windows.append(_Window(tuple(i for _, i in window), tuple(top - k for k, _ in window),
-                                   top, top - window[0][0], shared=True))
+                                   top, top - window[0][0], 1.0))
     return windows
 
 
@@ -309,46 +302,41 @@ def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
 
 def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace: _StripeWorkspace):
     """Yield (rows, window, v) per row stripe of ``z`` and window of
-    params_seq: 2^window.k * v is the stripe's pre-clip linear RGB at the
-    window's top gain, matrix @ (gain * xyz).
+    params_seq: v is the stripe's product matrix @ (window.gain * xyz), and
+    2^window.k * v its pre-clip linear RGB at the window's top gain.
 
     ``scratch`` is a float64 buffer of two stripe planes for _apply_matrix,
     which the caller may use between yields.
 
-    Shared windows read one gain-1 product per matrix; any other render
-    takes the formula on the stripe. Each stripe is first copied into
-    float64 X, Y and Z planes, which widens a float32 plane and lets the
-    matrix read contiguous planes. ``v`` lives in a buffer the next stripe
-    overwrites, and every stripe buffer comes from ``workspace``: a caller
-    that holds one across captures allocates them once, not on every capture.
+    Windows with one matrix and gain read one product per stripe. Each
+    stripe is first copied into float64 X, Y and Z planes, which widens a
+    float32 plane and lets the matrix read contiguous planes; a gain other
+    than 1 scales them into a second set first. ``v`` lives in a buffer the
+    next product overwrites, and every stripe buffer comes from
+    ``workspace``: a caller that holds one across captures allocates them
+    once, not on every capture.
     """
-    windows = _windows(params_seq)
+    products = {}  # (matrix, gain) -> the windows that read that product
+    for window in _windows(params_seq):
+        key = (params_seq[window.members[0]].xyz_to_linear_srgb, window.gain)
+        products.setdefault(key, []).append(window)
     shape = _stripe_shape(z)
     planes = workspace.take("xyz planes", (3,) + shape[:2])  # the stripe's X, Y and Z
-    product = workspace.take("gain-1 product", shape)
+    product = workspace.take("product", shape)
     scratch = scratch[:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
-    if not all(window.shared for window in windows):
-        # matrix @ (gain * xyz), gain * xyz
-        formula, scaled = workspace.take("formula", shape), workspace.take("scaled planes", planes.shape)
+    if any(gain != 1.0 for _, gain in products):
+        scaled = workspace.take("scaled planes", planes.shape)  # gain * xyz
     for top in range(0, z.data.shape[0], max(1, shape[0])):
         rows = slice(top, top + shape[0])
         block = z.data[rows]
         count = block.shape[0]
         xyz = planes[:, :count]
         np.copyto(xyz, np.moveaxis(block, -1, 0))
-        shared = None  # the matrix whose gain-1 product ``product`` holds
-        for window in windows:
-            params = params_seq[window.members[0]]
-            if not window.shared:
-                np.multiply(params.exposure_gain, xyz, out=scaled[:, :count])
-                _apply_matrix(params.matrix, scaled[:, :count], np.moveaxis(formula[:count], -1, 0),
-                              scratch[:, :count])
-                yield rows, window, formula[:count]
-                continue
-            if shared != params.xyz_to_linear_srgb:
-                _apply_matrix(params.matrix, xyz, np.moveaxis(product[:count], -1, 0), scratch[:, :count])
-                shared = params.xyz_to_linear_srgb
-            yield rows, window, product[:count]
+        for (matrix, gain), windows in products.items():
+            x = xyz if gain == 1.0 else np.multiply(gain, xyz, out=scaled[:, :count])
+            _apply_matrix(np.asarray(matrix), x, np.moveaxis(product[:count], -1, 0), scratch[:, :count])
+            for window in windows:
+                yield rows, window, product[:count]
 
 
 def _code_dtype(params: RenderParams):

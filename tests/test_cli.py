@@ -1127,6 +1127,42 @@ class TestMalformedInputs:
             assert plane.stat().st_size == size, plane
 
 
+class TestNonFiniteSettings:
+    """An infinite gain, tau or exposure is refused where it enters, with one
+    log line naming the setting or the file line, and no output."""
+
+    @pytest.fixture
+    def measxyz(self, tmp_path, monkeypatch):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "1"]) == 0
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "m")]) == 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text('{"tau": Infinity}')
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, named", [
+        (["lost-signal", "--tau", "inf"], "config.tau: value inf out of range"),
+        (["lost-signal", "--gain", "inf"], "config.gain: value inf out of range"),
+        (["bracket", "--exposures", "1,inf"], "config.exposures: value (1.0, inf) out of range"),
+        (["lost-signal", "--config", "config.json"], "config.tau: value inf out of range"),
+    ], ids=["tau-flag", "gain-flag", "exposures-flag", "tau-in-config-file"])
+    def test_a_setting_of_inf_is_refused_with_the_config(self, measxyz, capsys, argv, named):
+        capsys.readouterr()
+        assert main([argv[0], "--input", "m", *argv[1:], "--out", "out"]) == 1
+        assert named in _error_event(capsys)
+        assert not (measxyz / "out").exists()
+
+    def test_a_candidate_with_an_infinite_gain_names_its_line(self, measxyz, capsys):
+        row = {"capture_id": "synth-0000", "question": "q?", "answer": "a", "score": 0.5,
+               "question_type": "qt", "template_id": "t"}
+        (measxyz / "candidates.jsonl").write_text(
+            "".join(json.dumps({**row, "exposure_gain": gain}) + "\n" for gain in (1.0, float("inf"))))
+        capsys.readouterr()
+        assert main(["aggregate", "--candidates", "candidates.jsonl", "--measxyz", "m", "--out", "out"]) == 1
+        assert "candidates.jsonl:2: candidate: candidate exposure_gain must be finite" in _error_event(capsys)
+        assert not (measxyz / "out").exists()
+
+
 class TestDuplicateCaptureIds:
     """Two inputs with one capture id would write the same outputs: the stage
     exits 1 before writing any, with one log line naming both inputs."""

@@ -439,10 +439,28 @@ def test_windows_keep_their_tables_within_2_to_the_16(bits):
         if window.span:
             assert isp._window_table(bits, SRGB_PIECEWISE, 0, window.span)[0].size <= 1 << 16
     # 0.5 to 4 is one window at 8 bits; from 11 bits each exponent is its own
-    shared = [window for window in windows if window.shared]
+    shared = [window for window in windows if window.gain == 1.0]
     assert len(shared) == (len(range(-6, 7)) if bits >= 11 else -(-13 // (widest + 1)))
     if bits == 8:
         assert len(isp._windows([RenderParams(exposure_gain=gain) for gain in WINDOW_BRACKETS[0]])) == 1
+
+
+@pytest.mark.parametrize("params_seq, products", [
+    ([RenderParams(3.0)] * 2, 1),
+    ([RenderParams(1.0, quantize=False), RenderParams(2.0)], 1),
+    ([RenderParams(gain) for gain in isp.DEFAULT_BRACKET], 1),
+    ([RenderParams(1.5), RenderParams(2.0)], 2),
+], ids=["one-gain-twice", "unquantized-gain-1-and-gain-2", "default-bracket", "gains-1.5-and-2"])
+def test_windows_with_one_matrix_and_gain_read_one_product(params_seq, products, monkeypatch):
+    calls = []
+    apply_matrix = isp._apply_matrix
+    monkeypatch.setattr(isp, "_apply_matrix", lambda *args: calls.append(args) or apply_matrix(*args))
+    z = _bright_image(5)  # one stripe
+    assert isp._stripe_shape(z)[0] == z.data.shape[0]
+    rendered = isp._render_pass(z, params_seq, measxyz._StripeWorkspace())
+    assert len(calls) == products
+    for render, params in zip(rendered, params_seq):
+        assert np.array_equal(render.codes, oracle_render(z, params))
 
 
 _WIDTH = 3000
