@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import base64
 import logging
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 from . import formats, remote
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     MissingMeasXyz,
     SchemaViolation,
 )
-from .records import CameraMetadata, decode, encode, read_meas_xyz_header, read_render_header
+from .records import CameraMetadata, Positive, Unit, decode, encode, read_meas_xyz_header, read_render_header
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +48,8 @@ class CandidateRecord:
 
     question: str
     answer: str
-    score: float
-    exposure_gain: float
+    score: Annotated[float, Unit]
+    exposure_gain: Annotated[float, Positive]
     question_type: str
     template_id: str
     source_prefix: str = ""
@@ -57,10 +57,6 @@ class CandidateRecord:
     def __post_init__(self):
         if not self.question.strip() or not self.answer.strip():
             raise MalformedResponse("candidate question/answer must be non-empty")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise MalformedResponse(f"candidate score outside [0, 1]: {self.score}")
-        if not (math.isfinite(self.exposure_gain) and self.exposure_gain > 0):
-            raise MalformedResponse(f"candidate exposure_gain must be finite and > 0, got {self.exposure_gain}")
 
 
 @dataclass(frozen=True)
@@ -69,17 +65,15 @@ class InstructionRecord:
 
     question: str
     answer: str
-    score: float
+    score: Annotated[float, Unit]
     question_type: str
     template_id: str
     source_prefix: str
-    provenance: tuple[float, ...]
+    provenance: Annotated[tuple[float, ...], Positive]
 
     def __post_init__(self):
         if not self.question.strip() or not self.answer.strip():
             raise SchemaViolation("record question/answer must be non-empty")
-        if not (0.0 <= self.score <= 1.0):
-            raise SchemaViolation(f"record score outside [0, 1]: {self.score}")
         if not self.provenance:
             raise SchemaViolation("record provenance must be non-empty")
         object.__setattr__(self, "provenance", tuple(float(e) for e in self.provenance))

@@ -8,9 +8,9 @@ unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -24,9 +24,13 @@ from .errors import (
     SchemaViolation,
 )
 # CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
-from .records import CameraMetadata, CaptureRef, Matrix3x3, _positive_finite, decode, encode
+from .records import CameraMetadata, CaptureRef, Matrix3x3, NonNegative, Positive, Range, check_bounds, decode, encode
 
 CFA_PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
+# The calibration fields of a sidecar, a capture and a synthetic scene.
+BlackLevels = Annotated[tuple[float, float, float, float], NonNegative]  # one per CFA site
+WhiteLevel = Annotated[float, Range(0, 65535)]
+WbGains = Annotated[tuple[float, float, float], Positive]
 MIN_CAM_TO_XYZ_DET = 1e-9
 
 MOSAIC_NAME = "mosaic.pgm"
@@ -35,14 +39,14 @@ SIDECAR_NAME = "capture.json"
 
 @dataclass(frozen=True)
 class Sidecar:
-    """A bundle's capture.json: RawCapture's fields but the mosaic. RawCapture
-    checks the values when the bundle is loaded."""
+    """A bundle's capture.json: RawCapture's fields but the mosaic. ``decode`` checks
+    their ranges, and RawCapture the rest when the bundle is loaded."""
 
     capture_id: str
     cfa_pattern: str
-    black_level: tuple[float, float, float, float]
-    white_level: float
-    wb_gains: tuple[float, float, float]
+    black_level: BlackLevels
+    white_level: WhiteLevel
+    wb_gains: WbGains
     cam_to_xyz: Matrix3x3
     metadata: CameraMetadata
     raw_path: str
@@ -60,9 +64,9 @@ class RawCapture:
     capture_id: str
     mosaic: np.ndarray
     cfa_pattern: str
-    black_level: tuple[float, float, float, float]
-    white_level: float
-    wb_gains: tuple[float, float, float]
+    black_level: BlackLevels
+    white_level: WhiteLevel
+    wb_gains: WbGains
     cam_to_xyz: np.ndarray
     metadata: CameraMetadata
     raw_path: str
@@ -79,26 +83,15 @@ class RawCapture:
                 f"mosaic must be 2-D with even dimensions, got {mosaic.shape}"
             )
         mosaic.setflags(write=False)
-        try:
-            black = tuple(float(b) for b in self.black_level)
-            white = float(self.white_level)
-        except (TypeError, ValueError):
-            raise MalformedSidecar("black_level/white_level must be numeric") from None
-        if len(black) != 4:
-            raise MalformedSidecar("black_level must have 4 entries")
-        for b in black:
-            if not math.isfinite(b) or b < 0:
-                raise MalformedSidecar(f"black_level entries must be finite and >= 0, got {b}")
+        check_bounds(self, MalformedSidecar)  # so each value below is a number
+        black, gains = tuple(map(float, self.black_level)), tuple(map(float, self.wb_gains))
+        if len(black) != 4 or len(gains) != 3:
+            raise MalformedSidecar("black_level must have 4 entries and wb_gains 3")
         object.__setattr__(self, "black_level", black)
-        if not math.isfinite(white) or white <= max(black) or white > 65535:
-            raise MalformedSidecar(
-                f"white_level must exceed every black level and fit 16 bits, got {white}"
-            )
-        object.__setattr__(self, "white_level", white)
-        gains = tuple(_positive_finite(g, "wb_gains") for g in self.wb_gains)
-        if len(gains) != 3:
-            raise MalformedSidecar("wb_gains must have 3 entries")
+        object.__setattr__(self, "white_level", float(self.white_level))
         object.__setattr__(self, "wb_gains", gains)
+        if self.white_level <= max(black):
+            raise MalformedSidecar(f"white_level must exceed every black level, got {self.white_level}")
         matrix = np.array(self.cam_to_xyz, dtype=np.float64)
         if matrix.shape != (3, 3) or not np.all(np.isfinite(matrix)):
             raise MalformedSidecar("cam_to_xyz must be a finite 3x3 matrix")
@@ -177,9 +170,9 @@ class ScenePatch:
 
     top: int
     left: int
-    height: int
-    width: int
-    gain: float
+    height: Annotated[int, Positive]
+    width: Annotated[int, Positive]
+    gain: Annotated[float, Positive]
 
 
 @dataclass(frozen=True)
@@ -190,15 +183,15 @@ class SyntheticSceneSpec:
     range; ``noise_sigma`` is Gaussian noise in the same units.
     """
 
-    height: int = 64
-    width: int = 64
-    background: float = 0.25
+    height: Annotated[int, Positive] = 64
+    width: Annotated[int, Positive] = 64
+    background: Annotated[float, NonNegative] = 0.25
     patches: tuple[ScenePatch, ...] = ()
-    noise_sigma: float = 0.0
+    noise_sigma: Annotated[float, NonNegative] = 0.0
     cfa_pattern: str = "RGGB"
-    black_level: tuple[float, float, float, float] = (64.0, 64.0, 64.0, 64.0)
-    white_level: float = 1023.0
-    wb_gains: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    black_level: BlackLevels = (64.0, 64.0, 64.0, 64.0)
+    white_level: WhiteLevel = 1023.0
+    wb_gains: WbGains = (1.0, 1.0, 1.0)
     cam_to_xyz: Matrix3x3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     metadata: CameraMetadata = field(
         default_factory=lambda: CameraMetadata(
@@ -207,19 +200,13 @@ class SyntheticSceneSpec:
     )
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0 or self.height % 2 or self.width % 2:
-            raise InvalidSpec(f"scene dimensions must be positive and even, got {self.height}x{self.width}")
-        if not (0 <= self.background):
-            raise InvalidSpec("background must be >= 0")
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be >= 0")
+        check_bounds(self, InvalidSpec)
+        if self.height % 2 or self.width % 2:
+            raise InvalidSpec(f"scene dimensions must be even, got {self.height}x{self.width}")
         for p in self.patches:
-            if p.height <= 0 or p.width <= 0:
-                raise InvalidSpec(f"patch has non-positive size: {p}")
+            check_bounds(p, InvalidSpec)
             if p.top < 0 or p.left < 0 or p.top + p.height > self.height or p.left + p.width > self.width:
                 raise InvalidSpec(f"patch out of bounds: {p}")
-            if p.gain <= 0:
-                raise InvalidSpec(f"patch gain must be > 0: {p}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import threading
@@ -23,6 +22,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from typing import Annotated
 
 # The numeric modules (capture, measxyz, isp, lost_signal, probe) and numpy are
 # imported inside the handlers that use them, so the text stages never load them.
@@ -77,20 +77,20 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Resolved settings shared by the subcommands; flags win over the file."""
 
-    gain: float = 1.0
-    bit_depth: int = 8
+    gain: Annotated[float, records.Positive] = 1.0
+    bit_depth: Annotated[int, records.Range(1, 16)] = 8
     quantize: bool = True
     transfer: str = records.SRGB_PIECEWISE
-    exposures: tuple[float, ...] = records.DEFAULT_BRACKET
-    tau: float = records.DEFAULT_TAU
-    bins: int = 32
-    floor: float = dataset.DEFAULT_SCORE_FLOOR
+    exposures: Annotated[tuple[float, ...], records.Positive] = records.DEFAULT_BRACKET
+    tau: Annotated[float, records.Positive] = records.DEFAULT_TAU
+    bins: Annotated[int, records.Range(2)] = 32
+    floor: Annotated[float, records.Unit] = dataset.DEFAULT_SCORE_FLOOR
     placeholder_patterns: tuple[str, ...] = dataset.DEFAULT_PLACEHOLDER_PATTERNS
-    per_source_cap: int = 1_000_000
-    per_type_cap: int = 1_000_000
-    per_template_cap: int = 1_000_000
-    target: int = 1000
-    fraction: float = 0.2
+    per_source_cap: Annotated[int, records.Positive] = 1_000_000
+    per_type_cap: Annotated[int, records.Positive] = 1_000_000
+    per_template_cap: Annotated[int, records.Positive] = 1_000_000
+    target: Annotated[int, records.Positive] = 1000
+    fraction: Annotated[float, records.OpenUnit] = 0.2
     seed: int = 0
     source_prefix: str = ""
     annotator_endpoint: str | None = None
@@ -100,22 +100,9 @@ class RunConfig:
     probe_config: str | None = None
 
     def validate(self) -> None:
-        checks = [
-            ("gain", math.isfinite(self.gain) and self.gain > 0),
-            ("bit_depth", 1 <= self.bit_depth <= 16),
-            ("tau", math.isfinite(self.tau) and self.tau > 0),
-            ("bins", self.bins >= 2),
-            ("floor", 0.0 <= self.floor <= 1.0),
-            ("target", self.target > 0),
-            ("fraction", 0.0 < self.fraction < 1.0),
-            ("exposures", bool(self.exposures) and all(math.isfinite(e) and e > 0 for e in self.exposures)),
-            ("per_source_cap", self.per_source_cap > 0),
-            ("per_type_cap", self.per_type_cap > 0),
-            ("per_template_cap", self.per_template_cap > 0),
-        ]
-        for name, ok in checks:
-            if not ok:
-                raise ConfigInvalid(f"config.{name}: value {getattr(self, name)!r} out of range")
+        """The checks across fields and on the file system; ``decode`` checks each value's bound."""
+        if not self.exposures:
+            raise ConfigInvalid(f"config.exposures: value {self.exposures!r} out of range")
         tagged: dict[str, float] = {}
         for gain in self.exposures:
             tag = _gain_tag(gain)

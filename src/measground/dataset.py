@@ -26,10 +26,6 @@ class BalanceCaps:
     per_type: int
     per_template: int
 
-    def __post_init__(self):
-        if min(self.per_source, self.per_type, self.per_template) <= 0:
-            raise DomainError("balance caps must be positive")
-
 
 @dataclass(frozen=True)
 class DatasetManifest:

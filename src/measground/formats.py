@@ -185,16 +185,23 @@ def read_plane(stem: Path, shape: tuple[int, ...]) -> np.ndarray:
 # --- JSON / JSONL --------------------------------------------------------------
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
+def _json_line(obj, path: Path) -> str:
+    try:
+        return dump_json(obj) + "\n"
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise SchemaViolation(f"{path}: {exc}") from exc
 
 
 def write_json(path: Path, obj) -> None:
-    _write(path, [dump_json(obj) + "\n"])
+    _write(path, [_json_line(obj, path)])
 
 
 def write_jsonl(path: Path, rows) -> None:
     """Write one JSON object per line, each row streamed as it is dumped."""
-    _write(path, (dump_json(row) + "\n" for row in rows))
+    _write(path, (_json_line(row, path) for row in rows))
 
 
 def read_text(path: Path) -> str:

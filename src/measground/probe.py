@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import formats
 from .errors import ConfigInvalid, DomainError, NonFiniteGradient, ShapeMismatch
-from .records import CameraMetadata, decode
+from .records import CameraMetadata, Positive, decode
 
 ISO_REFERENCE = 100.0
 EXPOSURE_REFERENCE = 1.0 / 60.0
@@ -42,8 +43,6 @@ class MetaVector:
             math.log2(metadata.exposure_time / EXPOSURE_REFERENCE),
             math.log2(metadata.aperture / APERTURE_REFERENCE),
         )
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("metadata produced non-finite normalized values")
         return cls(values=values, source=metadata)
 
     @property
@@ -295,8 +294,8 @@ def grad_check(
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    depth: int = 4
-    hidden_dim: int = 8
+    depth: Annotated[int, Positive] = 4
+    hidden_dim: Annotated[int, Positive] = 8
     inject_layers: tuple[int, ...] | None = None
     nonlinearity: str = TANH
     per_layer_projection: bool = False
@@ -306,15 +305,4 @@ class ProbeConfig:
         return decode(cls, formats.read_json(path), f"{path}: probe", ConfigInvalid)
 
     def build(self, seed: int) -> ProbeStack:
-        if self.depth < 1:
-            raise ConfigInvalid("probe.depth must be >= 1")
-        if self.hidden_dim < 1:
-            raise ConfigInvalid("probe.hidden_dim must be >= 1")
-        return random_stack(
-            depth=self.depth,
-            hidden_dim=self.hidden_dim,
-            seed=seed,
-            inject_layers=self.inject_layers,
-            nonlinearity=self.nonlinearity,
-            per_layer_projection=self.per_layer_projection,
-        )
+        return random_stack(seed=seed, **vars(self))

@@ -23,11 +23,12 @@ import functools
 import math
 import operator
 import re
+import sys
 import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 from . import formats
 from .errors import DomainError, IoFailure, MalformedSidecar, MeasgroundError, SchemaViolation, SingularMatrix
@@ -42,12 +43,29 @@ if TYPE_CHECKING:
 #
 # ``decode`` is the one way parsed JSON becomes a record. The rule, read from
 # the annotations: str, int and bool take only their own JSON type (a bool is
-# no int); float takes an int or a float and gives a float; ``X | None`` also
-# takes null; ``tuple[T, ...]`` takes a list, and a fixed tuple a list of its
-# length; a record dataclass takes an object without unknown keys, and a key
+# no int); float takes an int or a finite float and gives a float; ``X | None``
+# also takes null; ``tuple[T, ...]`` takes a list, and a fixed tuple a list of
+# its length; a record dataclass takes an object without unknown keys, and a key
 # it lacks takes the field's default or is refused; an Enum takes its value;
 # ``dict[K, V]`` takes an object whose keys decode as K; and a bare ``dict``
-# takes any object, as parsed.
+# takes any object, as parsed. ``Annotated[T, Range(lo, hi)]``, or ``Positive``,
+# ``NonNegative``, ``Unit`` or ``OpenUnit`` for the range, takes only numbers in
+# it, each of a tuple's. A float that is not finite (``NaN``, ``Infinity``,
+# ``1e999``) or outside the range reads ``<where>.<field>: value <v> out of range``.
+
+class Range(typing.NamedTuple):
+    """A numeric field's bound, lo <= value <= hi. The default ends are the largest
+    finite floats, so no range holds NaN or an infinity."""
+
+    lo: float = -sys.float_info.max
+    hi: float = sys.float_info.max
+
+
+Positive = Range(math.ulp(0.0))  # the least float above 0
+NonNegative = Range(0.0)
+Unit = Range(0.0, 1.0)
+OpenUnit = Range(math.ulp(0.0), math.nextafter(1.0, 0.0))
+
 
 class _Mismatch(Exception):
     """A JSON value that does not fit the hint its converter was built for."""
@@ -64,6 +82,8 @@ def _hint_name(hint) -> str:
 
 def _number(value) -> float:
     if type(value) is float:
+        if not math.isfinite(value):
+            raise _Refused("", f"value {value!r} out of range")
         return value
     if type(value) is not int:
         raise _Mismatch
@@ -136,6 +156,7 @@ def _record_converter(cls):
               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
              for f in dataclasses.fields(cls)]
     names = frozenset(name for name, *_ in specs)
+    bounds = _bounds(cls)
 
     def convert(value):
         if type(value) is not dict:
@@ -155,6 +176,7 @@ def _record_converter(cls):
                     raise _Refused(f".{name}{path}", reason) from None
             elif required:
                 raise _Refused("", f"missing key {name!r}")
+        _check_ranges(bounds, kwargs)
         return cls(**kwargs)
     return convert
 
@@ -176,6 +198,40 @@ def decode(hint, value, where: str, error: type[MeasgroundError] = SchemaViolati
         raise error(f"{where}{path}: {reason}") from None
     except MeasgroundError as exc:  # an invariant the record's constructor checks
         raise error(f"{where}: {exc}") from exc
+
+
+@functools.cache
+def _bounds(cls) -> tuple[tuple[str, float, float, bool], ...]:
+    """(field, lo, hi, whether a tuple) for each field of the record ``cls`` that declares a range."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return tuple((name, *hint.__metadata__[0], typing.get_origin(hint.__origin__) is tuple)
+                 for name, hint in hints.items() if typing.get_origin(hint) is typing.Annotated)
+
+
+def _check_ranges(bounds, values: dict) -> None:
+    """Refuse the first number in ``values``, a record's fields by name, outside its range."""
+    for name, lo, hi, many in bounds:
+        if name not in values:  # a field left to its default
+            continue
+        value = values[name]
+        try:
+            if many:
+                for item in value:
+                    if not lo <= item <= hi:
+                        raise _Refused(f".{name}", f"value {item!r} out of range")
+            elif not lo <= value <= hi:
+                raise _Refused(f".{name}", f"value {value!r} out of range")
+        except TypeError:  # not a number, or not a tuple of numbers
+            raise _Refused(f".{name}", f"value {value!r} out of range") from None
+
+
+def check_bounds(record, error: type[MeasgroundError]) -> None:
+    """``decode``'s range check, for the ``__post_init__`` of a record built by hand."""
+    try:
+        _check_ranges(_bounds(type(record)), vars(record))
+    except _Refused as exc:
+        path, reason = exc.args
+        raise error(f"{path[1:]}: {reason}") from None
 
 
 # --- the JSON record encoder ------------------------------------------------------
@@ -248,31 +304,19 @@ def encode(record) -> dict:
     return _encoder(type(record))(record)
 
 
-def _positive_finite(value, name: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise MalformedSidecar(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0:
-        raise MalformedSidecar(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class CameraMetadata:
     """Capture context: sensitivity, shutter, aperture plus grouping ids."""
 
-    iso: float
-    exposure_time: float
-    aperture: float
+    iso: Annotated[float, Positive]
+    exposure_time: Annotated[float, Positive]
+    aperture: Annotated[float, Positive]
     device_id: str
     scene_id: str | None = dataclasses.field(default=None, metadata={_OMIT_IF_NONE: True})
     session_id: str | None = dataclasses.field(default=None, metadata={_OMIT_IF_NONE: True})
 
     def __post_init__(self):
-        _positive_finite(self.iso, "metadata.iso")
-        _positive_finite(self.exposure_time, "metadata.exposure_time")
-        _positive_finite(self.aperture, "metadata.aperture")
+        check_bounds(self, MalformedSidecar)
         if not self.device_id:
             raise MalformedSidecar("metadata.device_id must be non-empty")
 
@@ -406,20 +450,16 @@ def _finite_3x3(value) -> tuple[tuple[float, ...], ...]:
 class RenderParams:
     """Configuration of one proxy render."""
 
-    exposure_gain: float
-    bit_depth: int = 8
+    exposure_gain: Annotated[float, Positive]
+    bit_depth: Annotated[int, Range(1, 16)] = 8
     xyz_to_linear_srgb: Matrix3x3 = XYZ_TO_LINEAR_SRGB_D65
     transfer: str = SRGB_PIECEWISE
     quantize: bool = True
 
     def __post_init__(self):
-        gain = float(self.exposure_gain)
-        if not math.isfinite(gain) or gain <= 0:
-            raise DomainError(f"exposure_gain must be finite and > 0, got {gain}")
-        object.__setattr__(self, "exposure_gain", gain)
-        if not (1 <= int(self.bit_depth) <= 16):
-            raise DomainError(f"bit_depth must be in [1, 16], got {self.bit_depth}")
+        object.__setattr__(self, "exposure_gain", float(self.exposure_gain))
         object.__setattr__(self, "bit_depth", int(self.bit_depth))
+        check_bounds(self, DomainError)
         if self.transfer not in (SRGB_PIECEWISE, IDENTITY):
             raise DomainError(f"unknown transfer {self.transfer!r}")
         matrix = _finite_3x3(self.xyz_to_linear_srgb)

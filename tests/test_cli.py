@@ -1143,7 +1143,7 @@ class TestNonFiniteSettings:
     @pytest.mark.parametrize("argv, named", [
         (["lost-signal", "--tau", "inf"], "config.tau: value inf out of range"),
         (["lost-signal", "--gain", "inf"], "config.gain: value inf out of range"),
-        (["bracket", "--exposures", "1,inf"], "config.exposures: value (1.0, inf) out of range"),
+        (["bracket", "--exposures", "1,inf"], "config.exposures: value inf out of range"),
         (["lost-signal", "--config", "config.json"], "config.tau: value inf out of range"),
     ], ids=["tau-flag", "gain-flag", "exposures-flag", "tau-in-config-file"])
     def test_a_setting_of_inf_is_refused_with_the_config(self, measxyz, capsys, argv, named):
@@ -1159,8 +1159,25 @@ class TestNonFiniteSettings:
             "".join(json.dumps({**row, "exposure_gain": gain}) + "\n" for gain in (1.0, float("inf"))))
         capsys.readouterr()
         assert main(["aggregate", "--candidates", "candidates.jsonl", "--measxyz", "m", "--out", "out"]) == 1
-        assert "candidates.jsonl:2: candidate: candidate exposure_gain must be finite" in _error_event(capsys)
+        assert "candidates.jsonl:2: candidate.exposure_gain: value inf out of range" in _error_event(capsys)
         assert not (measxyz / "out").exists()
+
+
+@pytest.mark.parametrize("provenance", ["[Infinity, -1.0]", "[1e999, 2.0]"])
+def test_a_sample_with_a_non_finite_provenance_is_refused(tmp_path, capsys, provenance):
+    row = json.dumps(_sample_row(provenance=[0.0])).replace("[0.0]", provenance)
+    (tmp_path / "rows.jsonl").write_text(row + "\n")
+    assert main(["filter", "--input", str(tmp_path / "rows.jsonl"), "--out", str(tmp_path / "out")]) == 1
+    assert "rows.jsonl:1: sample.record.provenance: value inf out of range" in _error_event(capsys)
+    assert not (tmp_path / "out" / "filtered.jsonl").exists()
+
+
+def test_a_value_json_cannot_hold_fails_the_write_naming_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_synth_one", lambda index, **_: {"capture_id": "c", "gain": float("nan")})
+    assert main(["synth", "--count", "1", "--out", str(tmp_path / "out")]) == 1
+    event = _error_event(capsys)
+    assert event.startswith("synth failed (validation): ") and "captures.json: " in event
+    assert not (tmp_path / "out" / "captures.json").exists()
 
 
 class TestDuplicateCaptureIds:

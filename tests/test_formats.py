@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measground import capture, formats, isp, lost_signal
-from measground.errors import IoFailure, MalformedMosaic
+from measground.errors import IoFailure, MalformedMosaic, SchemaViolation
 from measground.records import RenderParams
 
 from conftest import make_capture, oracle_encode_ppm
@@ -197,6 +197,17 @@ def test_json_jsonl_and_text(tmp_path):
     assert (tmp_path / "empty.jsonl").read_bytes() == b""
     formats.write_text(tmp_path / "t.txt", "a,b\nμ\n")
     assert (tmp_path / "t.txt").read_bytes() == "a,b\nμ\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_value_json_cannot_hold_is_refused_naming_the_path(tmp_path, value):
+    with pytest.raises(SchemaViolation, match=re.escape(f"{tmp_path / 'o.json'}: Out of range float")):
+        formats.write_json(tmp_path / "o.json", {"gain": value})
+    assert not (tmp_path / "o.json").exists()
+    with pytest.raises(SchemaViolation, match=re.escape(f"{tmp_path / 'r.jsonl'}: Out of range float")):
+        formats.write_jsonl(tmp_path / "r.jsonl", [{"gain": 1.0}, {"gain": [value]}])
+    with pytest.raises(ValueError):
+        formats.dump_json(value)
 
 
 def oracle_read_pnm_header(raw: bytes, magic: bytes):

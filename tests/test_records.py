@@ -4,8 +4,11 @@ with a message naming its key path. ``records.encode``, its inverse, writes the
 bytes the hand-written writers it replaced wrote, and every record it writes
 decodes back to itself."""
 
+import dataclasses
 import enum
 import json
+import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import benchmark, bracketsup, capture, cli, formats, isp, lost_signal, measxyz, metrics, records
+from measground import benchmark, bracketsup, capture, cli, formats, isp, lost_signal, measxyz, metrics, probe, records
 from measground.benchmark import CapabilityDimension
 from measground.errors import ConfigInvalid, DomainError, SchemaViolation
 from measground.records import CameraMetadata, CaptureRef, RenderParams, decode
@@ -82,10 +85,12 @@ def test_values_of_the_wrong_type_are_refused(obj, message):
 
 def test_a_constructor_check_is_refused_as_the_readers_error():
     params = {"exposure_gain": 0}
-    with pytest.raises(SchemaViolation, match="header: exposure_gain must be finite and > 0"):
+    with pytest.raises(SchemaViolation, match=r"^header\.exposure_gain: value 0\.0 out of range$"):
         decode(RenderParams, params, "header")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^exposure_gain: value 0\.0 out of range$"):
         RenderParams(**params)
+    with pytest.raises(SchemaViolation, match="^header: unknown transfer 'GAMMA'$"):
+        decode(RenderParams, {"exposure_gain": 1, "transfer": "GAMMA"}, "header")
 
 
 # --- encoding: the bytes the writers write ------------------------------------------
@@ -262,6 +267,84 @@ def test_written_records_keep_their_bytes(tmp_path, write):
 def test_default_config_hash_is_unchanged():
     assert cli._config_hash(cli.RunConfig()) == (
         "4fd1346589cc0e6da014b438be7023eb260eaa7313637af5583c9dc7ca921157")
+
+
+# --- decoding: every number in its field's range ---------------------------------------
+#
+# Each record that ``decode`` reads, walked from its type hints: every float,
+# and every int with a declared bound, in tuples, dict values and nested
+# records. Set to NaN, inf, -inf and -1 in turn, each is refused naming its
+# field path, or accepted where its bound holds the value, so a field added
+# later is covered without a change here.
+
+def _number_leaves(hint, value, keys=(), path="", bound=None):
+    """(keys to the number in ``value``, the path ``decode`` names, its range, its type)
+    for each float, and each int with a range, read from ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:  # a range holds each number of a tuple
+        yield from _number_leaves(args[0], value, keys, path, hint.__metadata__[0])
+    elif hint is float or (hint is int and bound):
+        yield keys, path, bound or records.Range(), hint
+    elif origin is tuple:
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        for index, (item, v) in enumerate(zip(items, value)):
+            yield from _number_leaves(item, v, (*keys, index), path, bound)
+    elif origin is dict:
+        for key, v in value.items():
+            yield from _number_leaves(args[1], v, (*keys, key), path)
+    elif dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint, include_extras=True)
+        for f in dataclasses.fields(hint):
+            if f.name in value:
+                yield from _number_leaves(hints[f.name], value[f.name], (*keys, f.name), f"{path}.{f.name}")
+
+
+def _with(value, keys, leaf):
+    """A copy of the JSON ``value`` with the item at ``keys`` set to ``leaf``."""
+    if not keys:
+        return leaf
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[keys[0]] = _with(value[keys[0]], keys[1:], leaf)
+    return copy
+
+
+_TRIPLE = metrics.MetricTriple(bleu=0.5, rouge_l=0.5, judge_accuracy=0.5)
+_DECODED = [
+    cli.RunConfig(),
+    capture.Sidecar(capture_id="c-1", cfa_pattern="RGGB", black_level=(64.0,) * 4, white_level=1023.0,
+                    wb_gains=(2.0, 1.0, 1.5), cam_to_xyz=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                    metadata=META, raw_path="/raw/c-1.dng"),
+    META,
+    records.MeasXyzHeader(capture_id="c-1", metadata=META, range=(0.0, 1.0), height=2, width=2, channels=3),
+    records.RenderHeader(capture_id="c-1", params=RenderParams(exposure_gain=2.0)),
+    records.LostSignalSummary(capture_id="c-1", exposure_gain=2.0, clipped_fraction=0.1, p99_original=0.5,
+                              p99_recovered=0.6, tau=records.DEFAULT_TAU, bits=8),
+    records.ResidualHeader(capture_id="c-1", range=(0.0, 0.5), height=2, width=2, channels=1),
+    bracketsup.CandidateRecord(question="q?", answer="a", score=0.5, exposure_gain=2.0,
+                               question_type="qt", template_id="t"),
+    bracketsup.TrainingSample(capture_id="c-1", meas_xyz_path="m/c-1", record=RECORD, metadata=META),
+    _example("c-1", CapabilityDimension.CAG),
+    metrics.MetricReport(overall=_TRIPLE, per_dimension={CapabilityDimension.NG: _TRIPLE},
+                         counts={CapabilityDimension.NG: 1}, total=1, missing_predictions=0),
+    capture.SyntheticSceneSpec(patches=(capture.ScenePatch(top=0, left=0, height=2, width=2, gain=2.0),)),
+    probe.ProbeConfig(),
+]
+
+
+@pytest.mark.parametrize("record", _DECODED, ids=lambda record: type(record).__name__)
+def test_every_number_is_refused_outside_its_range_naming_its_field(record):
+    cls, value = type(record), json.loads(formats.dump_json(records.encode(record)))
+    leaves = list(_number_leaves(cls, value))
+    assert leaves
+    for keys, path, bound, kind in leaves:
+        for leaf in (math.nan, math.inf, -math.inf, -1.0) if kind is float else (-1,):
+            changed = _with(value, keys, leaf)
+            if bound.lo <= leaf <= bound.hi:
+                decode(cls, changed, "record")
+                continue
+            with pytest.raises(SchemaViolation) as refused:
+                decode(cls, changed, "record")
+            assert str(refused.value) == f"record{path}: value {leaf!r} out of range"
 
 
 # --- encoding: every record decodes back to itself ------------------------------------
