@@ -38,7 +38,7 @@ class IoFailure(MeasgroundError):
 # --- numeric pipeline --------------------------------------------------------
 
 class DegenerateCalibration(MeasgroundError):
-    """white_level does not exceed every black level (or scale collapsed)."""
+    """The white-balanced white pixel maps to no positive XYZ value (``measxyz.white_scale``)."""
 
 
 class DomainError(MeasgroundError, ValueError):

@@ -9,6 +9,7 @@ malformed content into SchemaViolation naming the file (and line, for JSONL).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -77,6 +78,24 @@ def _write(path: Path, chunks) -> None:
         raise IoFailure(f"{path}: {exc}") from exc
 
 
+# Samples per block of an array file's conversion (256 KiB of float32).
+_PLANE_BLOCK_VALUES = 1 << 16
+
+
+def _blocks(data: np.ndarray, dtype):
+    """``data`` cast to ``dtype`` in C order, as ``astype`` casts it, one block of
+    rows at a time, each converted into the same buffer once the last was written."""
+    import numpy as np
+
+    rows = max(1, _PLANE_BLOCK_VALUES // max(1, math.prod(data.shape[1:])))
+    buffer = np.empty((min(rows, data.shape[0]),) + data.shape[1:], dtype=dtype)
+    for top in range(0, data.shape[0], rows):
+        block = data[top:top + rows]
+        out = buffer[:block.shape[0]]
+        np.copyto(out, block, casting="unsafe")
+        yield out
+
+
 def write_text(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8."""
     _write(path, [text])
@@ -92,8 +111,8 @@ def write_pnm(path: Path, samples: np.ndarray, maxval: int) -> None:
     if samples.ndim not in (2, 3) or samples.shape[2:] not in ((), (3,)):
         raise IoFailure(f"{path}: PNM data must be (H, W) or (H, W, 3), got shape {samples.shape}")
     height, width = samples.shape[:2]
-    _write(path, [_pnm_header("P5" if samples.ndim == 2 else "P6", width, height, maxval),
-                  samples.astype(">u2" if maxval > 255 else np.uint8, order="C", copy=False)])
+    header = _pnm_header("P5" if samples.ndim == 2 else "P6", width, height, maxval)
+    _write(path, itertools.chain([header], _blocks(samples, ">u2" if maxval > 255 else np.uint8)))
 
 
 def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
@@ -139,24 +158,6 @@ def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
 # C order, and <stem>.json describing it. Values are stored at float32
 # precision; loading is exact with respect to the stored bytes.
 
-# Samples per block of a plane's float32 conversion (256 KiB).
-_PLANE_BLOCK_VALUES = 1 << 16
-
-
-def _float32_blocks(data: np.ndarray):
-    """``data`` as little-endian float32 in C order, one block of rows at a
-    time, each converted into the same buffer once the last was written."""
-    import numpy as np
-
-    rows = max(1, _PLANE_BLOCK_VALUES // max(1, math.prod(data.shape[1:])))
-    buffer = np.empty((min(rows, data.shape[0]),) + data.shape[1:], dtype="<f4")
-    for top in range(0, data.shape[0], rows):
-        block = data[top:top + rows]
-        out = buffer[:block.shape[0]]
-        np.copyto(out, block)
-        yield out
-
-
 def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
     """Write ``data`` as <stem>.f32 and ``header``, an encoded record that holds
     the plane's shape, as <stem>.json."""
@@ -165,7 +166,7 @@ def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim not in (2, 3):
         raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
-    _write(Path(str(stem) + ".f32"), _float32_blocks(data))
+    _write(Path(str(stem) + ".f32"), _blocks(data, "<f4"))
     write_json(Path(str(stem) + ".json"), header)
 
 

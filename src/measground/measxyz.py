@@ -137,10 +137,7 @@ def _site_rows(capture: RawCapture, width: int) -> tuple[np.ndarray, np.ndarray]
     """The black level and the white - black span along an even and an odd mosaic
     row, as (2, width) arrays."""
     black = np.tile(np.asarray(capture.black_level, dtype=np.float64).reshape(2, 2), (1, width // 2))
-    span = capture.white_level - black
-    if np.any(span <= 0):
-        raise DegenerateCalibration("white_level must exceed every black level")
-    return black, span
+    return black, capture.white_level - black
 
 
 def _normalize(codes: np.ndarray, black: np.ndarray, span: np.ndarray, out: np.ndarray, own,

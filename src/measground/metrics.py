@@ -10,15 +10,19 @@ treats CJK code points as single tokens.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, or_
 from pathlib import Path
+from typing import Annotated
 
 from . import formats, remote
 from .benchmark import BenchmarkExample, CapabilityDimension
 from .bracketsup import normalize_answer
 from .errors import JudgeUnavailable, MalformedVerdict, ManifestMismatch, SchemaViolation
-from .records import decode
+from .records import NonNegative, Positive, Unit, decode
 
 _CJK_RANGES = (
     (0x3040, 0x30FF),    # kana
@@ -26,32 +30,14 @@ _CJK_RANGES = (
     (0x4E00, 0x9FFF),    # CJK unified
     (0xF900, 0xFAFF),    # CJK compatibility
 )
-
-
-def _is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+_CJK = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+# one CJK code point, or a run of non-CJK alphanumerics: \w is str.isalnum plus "_"
+_TOKEN = re.compile(f"[{_CJK}]|[^\\W_{_CJK}]+")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase; alphanumeric runs are tokens; CJK code points stand alone."""
-    tokens: list[str] = []
-    current = []
-    for ch in text.lower():
-        if _is_cjk(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
-        elif ch.isalnum():
-            current.append(ch)
-        else:
-            if current:
-                tokens.append("".join(current))
-                current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 def _ngrams(tokens, n: int) -> Counter:
@@ -71,14 +57,8 @@ def bleu(candidate: list[str], references: list[list[str]]) -> float:
     for n in range(1, 5):
         cand_counts = _ngrams(candidate, n)
         total = sum(cand_counts.values())
-        matched = 0
-        if cand_counts:
-            max_ref = Counter()
-            for ref in references:
-                for gram, count in _ngrams(ref, n).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
-            matched = sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
+        # | keeps each n-gram's largest reference count, & clips the candidate's to it
+        matched = sum((cand_counts & reduce(or_, (_ngrams(r, n) for r in references))).values())
         if matched == 0:
             if n == 1:
                 return 0.0
@@ -129,7 +109,7 @@ class ExactMatchJudge:
         return normalize_answer(reference) == normalize_answer(prediction)
 
 
-class TranscriptJudge:
+class TranscriptJudge(ExactMatchJudge):
     """Scripted verdicts from a JSONL transcript keyed by
     (question, reference, prediction); unknown triples fall back to exact
     matching so partial transcripts stay usable."""
@@ -145,13 +125,12 @@ class TranscriptJudge:
         self._verdicts: dict[tuple[str, str, str], bool] = dict(
             formats.read_jsonl(transcript_path, parse)
         )
-        self._fallback = ExactMatchJudge()
 
     def verdict(self, question: str, reference: str, prediction: str) -> bool:
         key = (question, reference, prediction)
         if key in self._verdicts:
             return self._verdicts[key]
-        return self._fallback.verdict(question, reference, prediction)
+        return super().verdict(question, reference, prediction)
 
 
 class HttpJudgeClient:
@@ -178,9 +157,9 @@ def judge(question: str, reference: str, prediction: str, client) -> bool:
 
 @dataclass(frozen=True)
 class MetricTriple:
-    bleu: float
-    rouge_l: float
-    judge_accuracy: float  # fraction; rendered as percent
+    bleu: Annotated[float, Unit]
+    rouge_l: Annotated[float, Unit]
+    judge_accuracy: Annotated[float, Unit]  # fraction; rendered as percent
 
 
 @dataclass(frozen=True)
@@ -188,8 +167,8 @@ class MetricReport:
     overall: MetricTriple
     per_dimension: dict[CapabilityDimension, MetricTriple]
     counts: dict[CapabilityDimension, int]
-    total: int
-    missing_predictions: int
+    total: Annotated[int, Positive]
+    missing_predictions: Annotated[int, NonNegative]
 
     def __post_init__(self):
         if self.per_dimension.keys() != self.counts.keys():
@@ -214,12 +193,13 @@ def evaluate_run(
     if extra:
         raise ManifestMismatch(f"predictions for unknown examples: {sorted(extra)[:5]}")
 
-    sums: dict[CapabilityDimension, list[float]] = {}
-    counts: dict[CapabilityDimension, int] = {}
+    if not manifest:
+        raise ManifestMismatch("benchmark manifest is empty")
+    # per dimension, in first-seen order: one (bleu, rouge_l, correct) row per example
+    table: dict[CapabilityDimension, list[tuple[float, float, float]]] = {}
     missing = 0
     for example in sorted(manifest, key=lambda e: (e.capture_id, e.question)):
-        key = (example.capture_id, example.question)
-        prediction = predictions.get(key)
+        prediction = predictions.get((example.capture_id, example.question))
         if prediction is None:
             missing += 1
             prediction = ""
@@ -227,37 +207,20 @@ def evaluate_run(
         pred_tokens = tokenize(prediction)
         b = bleu(pred_tokens, [ref_tokens]) if ref_tokens else 0.0
         r = rouge_l(pred_tokens, ref_tokens) if ref_tokens else 0.0
-        if prediction == "":
-            correct = False  # counted wrong without consulting the judge
-        else:
-            correct = judge(example.question, example.reference_answer, prediction, judge_client)
-        bucket = sums.setdefault(example.dimension, [0.0, 0.0, 0.0])
-        bucket[0] += b
-        bucket[1] += r
-        bucket[2] += 1.0 if correct else 0.0
-        counts[example.dimension] = counts.get(example.dimension, 0) + 1
+        # an empty prediction is counted wrong without consulting the judge
+        correct = prediction != "" and judge(example.question, example.reference_answer, prediction,
+                                             judge_client)
+        table.setdefault(example.dimension, []).append((b, r, float(correct)))
 
-    total = sum(counts.values())
-    if total == 0:
-        raise ManifestMismatch("benchmark manifest is empty")
-    per_dimension = {
-        dim: MetricTriple(
-            bleu=sums[dim][0] / counts[dim],
-            rouge_l=sums[dim][1] / counts[dim],
-            judge_accuracy=sums[dim][2] / counts[dim],
-        )
-        for dim in counts
-    }
-    overall = MetricTriple(
-        bleu=sum(s[0] for s in sums.values()) / total,
-        rouge_l=sum(s[1] for s in sums.values()) / total,
-        judge_accuracy=sum(s[2] for s in sums.values()) / total,
-    )
+    # left-to-right sums (not sum(), which compensates from Python 3.12), so every float
+    # of metrics.json stays the same: rows in example order, then dimension sums in table order
+    sums = {dim: [reduce(add, column, 0.0) for column in zip(*rows)] for dim, rows in table.items()}
+    overall = [reduce(add, column, 0.0) for column in zip(*sums.values())]
     return MetricReport(
-        overall=overall,
-        per_dimension=per_dimension,
-        counts=counts,
-        total=total,
+        overall=MetricTriple(*(s / len(manifest) for s in overall)),
+        per_dimension={dim: MetricTriple(*(s / len(table[dim]) for s in sums[dim])) for dim in table},
+        counts={dim: len(rows) for dim, rows in table.items()},
+        total=len(manifest),
         missing_predictions=missing,
     )
 

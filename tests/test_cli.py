@@ -1172,6 +1172,14 @@ def test_a_sample_with_a_non_finite_provenance_is_refused(tmp_path, capsys, prov
     assert not (tmp_path / "out" / "filtered.jsonl").exists()
 
 
+def test_a_metric_outside_zero_to_one_is_refused_by_report(tmp_path, capsys):
+    argv, named = _metrics_report(".overall.bleu: value 1.5 out of range",
+                                  overall={"bleu": 1.5, "rouge_l": 0.5, "judge_accuracy": 0.5})(tmp_path)
+    assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 1
+    assert f"{tmp_path}/{named}" in _error_event(capsys)
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_a_value_json_cannot_hold_fails_the_write_naming_the_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_synth_one", lambda index, **_: {"capture_id": "c", "gain": float("nan")})
     assert main(["synth", "--count", "1", "--out", str(tmp_path / "out")]) == 1

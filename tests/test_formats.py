@@ -169,6 +169,19 @@ def test_plane_write_peaks_below_its_float32_copy(tmp_path):
     assert (tmp_path / "x.f32").read_bytes() == oracle_plane(data)
 
 
+def test_pnm_write_peaks_below_its_uint8_copy(tmp_path):
+    codes = np.random.default_rng(5).integers(0, 256, (1024, 1024, 3)).astype(np.uint16)
+    tracemalloc.start()
+    try:
+        formats.write_pnm(tmp_path / "x.ppm", codes, 255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of rows is 64 KiB; a whole-frame uint8 copy is 3 MiB
+    assert peak < codes.size // 8
+    assert (tmp_path / "x.ppm").read_bytes() == oracle_encode_ppm(codes, 255)
+
+
 # a PNM is (H, W) or (H, W, 3), a plane 2-D or 3-D
 @pytest.mark.parametrize("writer, data", [
     (formats.write_pnm, np.zeros(4, np.uint8)),

@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measground import remote
 from measground.benchmark import BenchmarkExample, CapabilityDimension
@@ -16,9 +18,11 @@ from measground.errors import (
     SchemaViolation,
 )
 from measground.metrics import (
+    _CJK_RANGES,
     ExactMatchJudge,
     HttpJudgeClient,
     MetricReport,
+    MetricTriple,
     TranscriptJudge,
     bleu,
     evaluate_run,
@@ -57,6 +61,33 @@ def rouge_oracle(candidate, reference) -> float:
     return 2 * p * r / (p + r)
 
 
+# The character loop the tokenizer's regular expression replaced, kept as its oracle.
+
+def _is_cjk(ch: str) -> bool:
+    code = ord(ch)
+    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    tokens: list[str] = []
+    current = []
+    for ch in text.lower():
+        if _is_cjk(ch):
+            if current:
+                tokens.append("".join(current))
+                current = []
+            tokens.append(ch)
+        elif ch.isalnum():
+            current.append(ch)
+        else:
+            if current:
+                tokens.append("".join(current))
+                current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
 class TestTokenize:
     def test_lowercase_and_punctuation(self):
         assert tokenize("The CAT, sat-down!") == ["the", "cat", "sat", "down"]
@@ -66,6 +97,25 @@ class TestTokenize:
 
     def test_mixed_digits(self):
         assert tokenize("room 42?") == ["room", "42"]
+
+    def test_underscore_splits(self):
+        assert tokenize("snake_case __x_") == ["snake", "case", "x"]
+
+    # each range's two ends, and the code points next to them
+    @pytest.mark.parametrize("code", [end + step for ends in _CJK_RANGES for end in ends for step in (-1, 0, 1)],
+                             ids=hex)
+    def test_cjk_range_ends_match_the_loop(self, code):
+        text = f"a{chr(code)}b {chr(code)}{chr(code)} 1{chr(code)}"
+        assert tokenize(text) == tokenize_oracle(text)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(text=st.text())
+    def test_matches_the_loop(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
+    @pytest.mark.parametrize("text", ["İstanbul", "e\u0301t\u00e9", "x\U0001d7d8y \U00020000\U0001f600"])
+    def test_case_folding_combining_marks_and_astral_code_points_match_the_loop(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
 
 
 class TestBleu:
@@ -241,6 +291,33 @@ def _example(i, dimension, question=None, answer="two cars"):
     )
 
 
+def _documented_order_report(predictions, manifest):
+    """The report ``evaluate_run`` documents, summed left to right: each dimension's
+    rows in (capture_id, question) order, then the dimension sums in first-seen order."""
+    sums, counts, missing = {}, {}, 0
+    for e in sorted(manifest, key=lambda e: (e.capture_id, e.question)):
+        prediction = predictions.get((e.capture_id, e.question))
+        if prediction is None:
+            missing += 1
+            prediction = ""
+        ref, pred = tokenize(e.reference_answer), tokenize(prediction)
+        row = (bleu(pred, [ref]) if ref else 0.0, rouge_l(pred, ref) if ref else 0.0,
+               1.0 if prediction and ExactMatchJudge().verdict(e.question, e.reference_answer, prediction)
+               else 0.0)
+        bucket = sums.setdefault(e.dimension, [0.0, 0.0, 0.0])
+        for k in range(3):
+            bucket[k] += row[k]
+        counts[e.dimension] = counts.get(e.dimension, 0) + 1
+    overall = [0.0, 0.0, 0.0]
+    for bucket in sums.values():
+        for k in range(3):
+            overall[k] += bucket[k]
+    return MetricReport(
+        overall=MetricTriple(*(s / len(manifest) for s in overall)),
+        per_dimension={dim: MetricTriple(*(s / counts[dim] for s in bucket)) for dim, bucket in sums.items()},
+        counts=counts, total=len(manifest), missing_predictions=missing)
+
+
 class TestEvaluateRun:
     def test_perfect_predictions(self):
         manifest = [_example(i, CapabilityDimension.NG) for i in range(3)]
@@ -305,6 +382,31 @@ class TestEvaluateRun:
         forward = evaluate_run(dict(items), manifest)
         backward = evaluate_run(dict(reversed(items)), manifest)
         assert forward == backward
+
+    def test_sums_in_example_then_first_seen_dimension_order(self):
+        # first seen in (capture_id, question) order: GVG, STR, NG, CAG, the reverse of enum order;
+        # GVG's BLEU and ROUGE-L sums, and the overall BLEU sum, change in the last bit in another order
+        rows = [  # dimension, reference, prediction (None: missing)
+            (CapabilityDimension.GVG, "a dog sits on the mat", "the dog sat on a mat"),
+            (CapabilityDimension.STR, "停车 STOP", "停 stop now"),
+            (CapabilityDimension.NG, "two cars", None),
+            (CapabilityDimension.CAG, "!!!", "red"),
+            (CapabilityDimension.GVG, "a red car near the gate", "a red car by the gate"),
+            (CapabilityDimension.STR, "出口 exit", "出口"),
+            (CapabilityDimension.NG, "three birds", "three birds"),
+            (CapabilityDimension.CAG, "deep blue 蓝色", "blue 蓝"),
+            (CapabilityDimension.GVG, "two people walk", "people walk"),
+            (CapabilityDimension.STR, "!!!", None),
+        ]
+        manifest = [_example(i, dim, answer=ref) for i, (dim, ref, _) in enumerate(rows)]
+        predictions = {(e.capture_id, e.question): pred
+                       for e, (_, _, pred) in zip(manifest, rows) if pred is not None}
+        report = evaluate_run(predictions, manifest)
+        expected = _documented_order_report(predictions, manifest)
+        assert report == expected
+        assert list(report.per_dimension) == list(report.counts) == list(expected.counts) == [
+            CapabilityDimension.GVG, CapabilityDimension.STR, CapabilityDimension.NG, CapabilityDimension.CAG]
+        assert (report.total, report.missing_predictions) == (10, 2)
 
     def test_report_round_trip_and_table(self):
         manifest = [_example(i, CapabilityDimension.NG) for i in range(2)]

@@ -368,13 +368,13 @@ _params = st.builds(RenderParams, exposure_gain=_positive, bit_depth=st.integers
 _instruction = st.builds(bracketsup.InstructionRecord, question=_words, answer=_words, score=_unit,
                          question_type=_text, template_id=_text, source_prefix=_text,
                          provenance=st.lists(_positive, min_size=1, max_size=4).map(tuple))
-_triples = st.builds(metrics.MetricTriple, bleu=_finite, rouge_l=_finite, judge_accuracy=_finite)
+_triples = st.builds(metrics.MetricTriple, bleu=_unit, rouge_l=_unit, judge_accuracy=_unit)
 
 
 def _report(per_dimension):
     return st.builds(metrics.MetricReport, overall=_triples, per_dimension=st.just(per_dimension),
                      counts=st.fixed_dictionaries({dim: st.integers(0, 99) for dim in per_dimension}),
-                     total=st.integers(0, 99), missing_predictions=st.integers(0, 99))
+                     total=st.integers(1, 99), missing_predictions=st.integers(0, 99))
 
 
 _RECORDS = {
