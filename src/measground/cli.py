@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import logging
@@ -24,9 +25,10 @@ from functools import partial
 from pathlib import Path
 from typing import Annotated
 
-# The numeric modules (capture, measxyz, isp, lost_signal, probe) and numpy are
-# imported inside the handlers that use them, so the text stages never load them.
-from . import __version__, benchmark, bracketsup, dataset, formats, metrics, records
+# The layer modules (benchmark, bracketsup, dataset, metrics), the numeric ones
+# (capture, measxyz, isp, lost_signal, probe) and numpy are imported inside the
+# handlers that use them, so a stage compiles and loads only what it runs.
+from . import __version__, formats, records
 from .errors import (
     AnnotatorUnavailable,
     ConfigInvalid,
@@ -84,8 +86,8 @@ class RunConfig:
     exposures: Annotated[tuple[float, ...], records.Positive] = records.DEFAULT_BRACKET
     tau: Annotated[float, records.Positive] = records.DEFAULT_TAU
     bins: Annotated[int, records.Range(2)] = 32
-    floor: Annotated[float, records.Unit] = dataset.DEFAULT_SCORE_FLOOR
-    placeholder_patterns: tuple[str, ...] = dataset.DEFAULT_PLACEHOLDER_PATTERNS
+    floor: Annotated[float, records.Unit] = records.DEFAULT_SCORE_FLOOR
+    placeholder_patterns: tuple[str, ...] = records.DEFAULT_PLACEHOLDER_PATTERNS
     per_source_cap: Annotated[int, records.Positive] = 1_000_000
     per_type_cap: Annotated[int, records.Positive] = 1_000_000
     per_template_cap: Annotated[int, records.Positive] = 1_000_000
@@ -164,6 +166,18 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _freeze_heap() -> None:
+    """Move every object alive now out of the collector's reach, once per process.
+
+    Called before the workers fork, their collections leave the inherited heap,
+    and its pages, alone; called once the stage has run, the interpreter's exit
+    collections skip the import-time objects. Garbage cycles alive at the freeze
+    are never collected: a stage process frees them when it exits.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
 
 
 def _exit_with(parent_pid: int) -> None:
@@ -265,6 +279,7 @@ class _CapturePool:
         # a child would write out again whatever this process holds unflushed
         sys.stdout.flush()
         sys.stderr.flush()
+        _freeze_heap()
         parent_pid = os.getpid()
         children: list[tuple[int, int]] = []  # the running workers: pid, read end of their pipe
         results: dict[int, tuple[bool, object]] = {}
@@ -335,6 +350,8 @@ def _gain_tag(gain: float) -> str:
 
 
 def _load_refs(path: Path) -> list[records.CaptureRef]:
+    from . import benchmark
+
     rows = benchmark.load_manifest_entries(path)
     return [records.decode(records.CaptureRef, row, f"{path}: refs[{i}]") for i, row in enumerate(rows)]
 
@@ -359,6 +376,8 @@ def _capture_paths(refs_or_root: Path) -> list[Path]:
 
 
 def _annotator_client(config: RunConfig):
+    from . import bracketsup
+
     if config.mock_annotator:
         return bracketsup.MockAnnotatorClient(Path(config.mock_annotator))
     if config.annotator_endpoint:
@@ -367,6 +386,8 @@ def _annotator_client(config: RunConfig):
 
 
 def _judge_client(config: RunConfig):
+    from . import metrics
+
     if config.mock_judge:
         return metrics.TranscriptJudge(Path(config.mock_judge))
     if config.judge_endpoint:
@@ -510,6 +531,8 @@ def _cmd_lost_signal(args, config: RunConfig, out: Path, pool: _CapturePool) -> 
 
 
 def _cmd_annotate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    from . import bracketsup
+
     client = _annotator_client(config)
     stems = formats.list_stems(Path(args.proxies), ".ppm")
     rows = []
@@ -521,28 +544,30 @@ def _cmd_annotate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tup
     return {"proxies": len(stems), "candidates": len(rows)}, EXIT_OK
 
 
-def _candidate_row(row: dict) -> tuple[str, bracketsup.CandidateRecord]:
-    """One candidates.jsonl row: its capture id and the candidate."""
-    capture_id = records.decode(str, row.pop("capture_id"), "candidate.capture_id")
-    return capture_id, records.decode(bracketsup.CandidateRecord, row, "candidate")
-
-
 def _cmd_aggregate(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    from . import bracketsup
+
+    def candidate_row(row: dict) -> tuple[str, bracketsup.CandidateRecord]:
+        """One candidates.jsonl row: its capture id and the candidate."""
+        capture_id = records.decode(str, row.pop("capture_id"), "candidate.capture_id")
+        return capture_id, records.decode(bracketsup.CandidateRecord, row, "candidate")
+
     by_capture: dict[str, list[bracketsup.CandidateRecord]] = {}
-    candidates = formats.read_jsonl(Path(args.candidates), _candidate_row)
-    for capture_id, candidate in candidates:
+    for capture_id, candidate in formats.read_jsonl(Path(args.candidates), candidate_row):
         by_capture.setdefault(capture_id, []).append(candidate)
     samples: list[bracketsup.TrainingSample] = []
     n_records = 0
     for capture_id in sorted(by_capture):
-        records = bracketsup.aggregate(by_capture[capture_id])
-        n_records += len(records)
-        samples.extend(bracketsup.samples_for_stem(capture_id, records, Path(args.measxyz) / capture_id))
+        aggregated = bracketsup.aggregate(by_capture[capture_id])
+        n_records += len(aggregated)
+        samples.extend(bracketsup.samples_for_stem(capture_id, aggregated, Path(args.measxyz) / capture_id))
     bracketsup.write_samples(out / "samples.jsonl", samples)
     return {"captures": len(by_capture), "records": n_records, "samples": len(samples)}, EXIT_OK
 
 
 def _cmd_filter(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    from . import bracketsup, dataset
+
     samples = bracketsup.read_samples(Path(args.input))
     scored = dataset.score_filter(samples, config.floor)
     kept, dropped_placeholder = dataset.remove_placeholders(scored, config.placeholder_patterns)
@@ -556,6 +581,8 @@ def _cmd_filter(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple
 
 
 def _cmd_balance(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
+    from . import bracketsup, dataset
+
     samples = bracketsup.read_samples(Path(args.input))
     caps = dataset.BalanceCaps(
         per_source=config.per_source_cap,
@@ -571,6 +598,8 @@ def _cmd_balance(args, config: RunConfig, out: Path, pool: _CapturePool) -> tupl
 def _cmd_split(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
     if bool(args.samples) != bool(args.proxies):  # the benchmark examples need both
         raise ConfigInvalid("split: --samples and --proxies are given together or not at all")
+    from . import benchmark, bracketsup
+
     refs = _load_refs(Path(args.captures))
     train_ids, bench_ids = benchmark.holdout_split(refs, config.fraction, config.seed)
     by_id = {r.capture_id: r for r in refs}
@@ -606,6 +635,8 @@ def _proxy_lookup(proxies_dir: Path, capture_ids: set[str]) -> dict[str, str]:
 
 
 def _cmd_verify_split(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
+    from . import benchmark
+
     train, bench = (benchmark.load_manifest_entries(Path(path), benchmark._entry_fields)
                     for path in (args.train, args.bench))
     report = benchmark._disjointness(train, bench)
@@ -634,6 +665,8 @@ def _read_predictions(path: Path) -> dict[tuple[str, str], str]:
 
 
 def _cmd_eval(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
+    from . import benchmark, metrics
+
     manifest = benchmark.read_benchmark(Path(args.bench))
     predictions = _read_predictions(Path(args.predictions))
     report = metrics.evaluate_run(predictions, manifest, _judge_client(config))
@@ -677,6 +710,8 @@ def _cmd_condition_check(args, config: RunConfig, out: Path | None, pool: _Captu
 
 
 def _cmd_report(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
+    from . import metrics
+
     report = records.decode(metrics.MetricReport, formats.read_json(Path(args.input)),
                             f"{args.input}: report")
     table = metrics.render_table(report)
@@ -822,6 +857,7 @@ def main(argv=None) -> int:
         with contextlib.suppress(OSError):
             for directory in reversed(made):
                 directory.rmdir()
+        _freeze_heap()
 
 
 def entry() -> None:

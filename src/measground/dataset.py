@@ -15,9 +15,7 @@ from pathlib import Path
 from .bracketsup import TrainingSample, normalize_answer, question_key, write_samples
 from .errors import DomainError
 from .formats import write_json
-
-DEFAULT_PLACEHOLDER_PATTERNS = ("i cannot", "unable to", "as an ai", "no answer", "")
-DEFAULT_SCORE_FLOOR = 0.5
+from .records import DEFAULT_PLACEHOLDER_PATTERNS, DEFAULT_SCORE_FLOOR
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,13 @@ def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
     values = np.asarray(values)
     # one copy, partitioned in place; float32 stays float32, as widening is
     # exact and keeps the order
-    flat = np.array(values, dtype=np.float32 if values.dtype == np.float32 else np.float64).ravel()
+    return _partitioned_rank(np.array(values, dtype=np.float32 if values.dtype == np.float32 else np.float64),
+                             percent)
+
+
+def _partitioned_rank(values: np.ndarray, percent: float) -> float:
+    """``nearest_rank_percentile`` of a C-contiguous float array, which it reorders."""
+    flat = values.reshape(-1)
     if flat.size == 0:
         raise DomainError("percentile of empty array")
     rank = max(1, int(np.ceil(percent / 100.0 * flat.size)))
@@ -126,17 +132,26 @@ def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
     return float(flat[rank - 1])
 
 
+# Residual values binned per pass: the index buffer is 512 KiB, whatever the frame.
+_HISTOGRAM_BLOCK = 1 << 16
+
+
 def residual_histogram(residual: np.ndarray, bins: int) -> tuple[tuple[float, float, int], ...]:
-    flat = np.asarray(residual, dtype=np.float64).ravel()
+    flat = np.asarray(residual, dtype=np.float64).reshape(-1)
     top = float(flat.max()) if flat.size else 0.0
     if top == 0.0:
         return ((0.0, 0.0, int(flat.size)),)
     width = top / bins
-    # the quotient is cast into idx by truncation toward zero, as astype(np.int64) casts
-    idx = np.empty(flat.shape, dtype=np.int64)
-    np.divide(flat, width, out=idx, casting="unsafe")
-    np.minimum(idx, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins)
+    # one index buffer for every block; the quotient is cast into it by
+    # truncation toward zero, as astype(np.int64) casts
+    index = np.empty(min(flat.size, _HISTOGRAM_BLOCK), dtype=np.int64)
+    counts = np.zeros(bins, dtype=np.int64)
+    for start in range(0, flat.size, _HISTOGRAM_BLOCK):
+        block = flat[start:start + _HISTOGRAM_BLOCK]
+        idx = index[:block.size]
+        np.divide(block, width, out=idx, casting="unsafe")
+        np.minimum(idx, bins - 1, out=idx)
+        counts += np.bincount(idx, minlength=bins)
     return tuple(
         (float(i * width), float((i + 1) * width), int(counts[i])) for i in range(bins)
     )
@@ -162,7 +177,8 @@ def lost_signal_residual(
     forward_clip_mask = np.asarray(forward_clip_mask, dtype=bool)
     if forward_clip_mask.shape != z.data.shape[:2]:
         raise ShapeMismatch("clip mask shape does not match the image")
-    return _luminance_report(z, luminance(recovered), forward_clip_mask, tau, bins,
+    # luminance(recovered) can be a view of the caller's array, so it is not reordered
+    return _luminance_report(z, luminance(recovered), forward_clip_mask, tau, bins, own_y_rec=False,
                              capture_id=capture_id, exposure_gain=exposure_gain, bits=bits)
 
 
@@ -173,11 +189,16 @@ def _luminance_report(
     tau: float,
     bins: int,
     *,
+    own_y_rec: bool,
     capture_id: str | None,
     exposure_gain: float,
     bits: int,
 ) -> LostSignalReport:
-    """The report from the recovered luminance and the forward clip mask."""
+    """The report from the recovered luminance and the forward clip mask.
+
+    With ``own_y_rec`` the caller gives up ``y_rec``, and its percentile
+    reorders it in place once the residual is taken; without, it works on a copy.
+    """
     if tau <= 0:
         raise DomainError("tau must be > 0")
     if bins < 2:
@@ -191,7 +212,7 @@ def _luminance_report(
         lost_mask=residual > tau,
         clipped_fraction=float(np.count_nonzero(forward_clip_mask)) / forward_clip_mask.size,
         p99_original=nearest_rank_percentile(y_orig, 99.0),
-        p99_recovered=nearest_rank_percentile(y_rec, 99.0),
+        p99_recovered=(_partitioned_rank if own_y_rec else nearest_rank_percentile)(y_rec, 99.0),
         histogram=residual_histogram(residual, bins),
         tau=float(tau),
         capture_id=capture_id if capture_id is not None else z.capture_id,
@@ -257,7 +278,7 @@ def analyze_render(
     this call holds them, and it is gone before the report is built.
     """
     y_rec, clipped = _recovered_luminance(z, params, _StripeWorkspace() if workspace is None else workspace)
-    return _luminance_report(z, y_rec, clipped, tau, bins, capture_id=None,
+    return _luminance_report(z, y_rec, clipped, tau, bins, own_y_rec=True, capture_id=None,
                              exposure_gain=params.exposure_gain, bits=params.bit_depth)
 
 

@@ -141,16 +141,16 @@ def _site_rows(capture: RawCapture, width: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _normalize(codes: np.ndarray, black: np.ndarray, span: np.ndarray, out: np.ndarray, own,
-               flags: np.ndarray) -> int:
+               flags: np.ndarray | None) -> int:
     """Write clip((codes - black) / span, 0, 1) into ``out``, with black[p] and
     span[p] along the rows p, p + 2, ...; return how many values of
     ``out[own]`` the clip brought down from above 1, found in the bool
-    ``flags`` of ``out[own]``'s shape."""
+    ``flags`` of ``out[own]``'s shape, or 0 when ``flags`` is None."""
     for parity in range(2):
         rows = out[parity::2]
         np.subtract(codes[parity::2], black[parity], out=rows)
         np.divide(rows, span[parity], out=rows)
-    saturated = int(np.count_nonzero(np.greater(out[own], 1.0, out=flags)))
+    saturated = 0 if flags is None else int(np.count_nonzero(np.greater(out[own], 1.0, out=flags)))
     np.clip(out, 0.0, 1.0, out=out)
     return saturated
 
@@ -164,7 +164,8 @@ def normalize_mosaic(capture: RawCapture) -> np.ndarray:
     """Map sensor codes to [0, 1]: (code - black_site) / (white - black_site)."""
     black, span = _site_rows(capture, capture.width)
     out = np.empty(capture.mosaic.shape)
-    flags = np.empty(capture.mosaic.shape, dtype=bool)
+    # the clamped codes are counted only to be logged
+    flags = np.empty(capture.mosaic.shape, dtype=bool) if log.isEnabledFor(logging.DEBUG) else None
     _log_saturated(capture, _normalize(capture.mosaic, black, span, out, ..., flags))
     return out
 
@@ -262,6 +263,7 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
     over = workspace.take("saturated flags", (rows, width), bool)
     under = workspace.take("negative flags", (rows, width, 3), bool)
     xyz = np.empty((height, width, 3))
+    debug = log.isEnabledFor(logging.DEBUG)  # the clamped values are counted only to be logged
     saturated = negative = 0
     for top in range(0, height, step):
         count = min(step, height - top)
@@ -273,7 +275,8 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
         # the indices are in range; mode="clip" only skips the bounds check
         mosaic_rows = np.take(capture.mosaic, source, axis=0, out=codes[:count + 2], mode="clip")
         stripe = padded[:count + 2]
-        saturated += _normalize(mosaic_rows, black, span, stripe[:, 1:-1], slice(1, -1), over[:count])
+        saturated += _normalize(mosaic_rows, black, span, stripe[:, 1:-1], slice(1, -1),
+                                over[:count] if debug else None)
         stripe[:, 0] = stripe[:, 2]
         stripe[:, -1] = stripe[:, -3]
         linear = rgb[:, :count]
@@ -281,7 +284,8 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
         linear *= gains
         out = xyz[top:top + count]
         _apply_matrix(capture.cam_to_xyz, linear, np.moveaxis(out, -1, 0), scratch[:, :count])
-        negative += int(np.count_nonzero(np.less(out, 0.0, out=under[:count])))
+        if debug:
+            negative += int(np.count_nonzero(np.less(out, 0.0, out=under[:count])))
         np.clip(out, 0.0, None, out=out)
         out /= scale
         np.clip(out, 0.0, 1.0, out=out)

@@ -173,6 +173,13 @@ class MetricReport:
     def __post_init__(self):
         if self.per_dimension.keys() != self.counts.keys():
             raise ManifestMismatch("per_dimension and counts name different dimensions")
+        for dimension, count in self.counts.items():
+            if count < 1:
+                raise ManifestMismatch(f"counts.{dimension.value}: value {count!r} out of range")
+        if sum(self.counts.values()) != self.total:
+            raise ManifestMismatch(f"counts sum to {sum(self.counts.values())}, not to total {self.total}")
+        if self.missing_predictions > self.total:
+            raise ManifestMismatch(f"missing_predictions {self.missing_predictions} exceeds total {self.total}")
 
 
 def evaluate_run(

@@ -421,6 +421,8 @@ XYZ_TO_LINEAR_SRGB_D65 = (
 
 DEFAULT_BRACKET = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_TAU = 2.0 / 255.0  # lost-signal residual threshold: two 8-bit steps
+DEFAULT_SCORE_FLOOR = 0.5  # the least sample score filter and balance keep
+DEFAULT_PLACEHOLDER_PATTERNS = ("i cannot", "unable to", "as an ai", "no answer", "")
 
 MIN_RENDER_MATRIX_DET = 1e-12
 

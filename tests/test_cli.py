@@ -1180,6 +1180,19 @@ def test_a_metric_outside_zero_to_one_is_refused_by_report(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("named, fields", [
+    (": counts.NG: value -3 out of range", {"counts": {"NG": -3}, "total": 7, "missing_predictions": 9}),
+    (": counts.NG: value 0 out of range", {"counts": {"NG": 0}}),
+    (": counts sum to 2, not to total 3", {"counts": {"NG": 2}, "total": 3}),
+    (": missing_predictions 2 exceeds total 1", {"missing_predictions": 2}),
+], ids=["negative_count", "empty_dimension", "counts_short_of_total", "missing_beyond_total"])
+def test_counts_that_do_not_add_up_to_total_are_refused_by_report(tmp_path, capsys, named, fields):
+    argv, named = _metrics_report(named, **fields)(tmp_path)
+    assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 1
+    assert f"{tmp_path}/{named}" in _error_event(capsys)
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_a_value_json_cannot_hold_fails_the_write_naming_the_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_synth_one", lambda index, **_: {"capture_id": "c", "gain": float("nan")})
     assert main(["synth", "--count", "1", "--out", str(tmp_path / "out")]) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ class TestResidualReport:
         with pytest.raises(ShapeMismatch):
             lost_signal_residual(z, np.zeros((2, 2, 3)), np.zeros((4, 4), bool))
 
+    def test_the_callers_recovered_array_is_left_in_order(self):
+        z = make_image(np.random.default_rng(6).uniform(0, 1, (8, 8, 3)))
+        recovered = np.random.default_rng(7).uniform(0, 1, (8, 8, 3))
+        before = recovered.copy()
+        report = lost_signal_residual(z, recovered, np.zeros((8, 8), bool))
+        assert np.array_equal(recovered, before)
+        assert report.p99_recovered == nearest_rank_percentile(before[..., 1], 99.0)
+
     def test_tau_and_bins_validation(self):
         z = make_image(np.zeros((4, 4, 3)))
         with pytest.raises(DomainError):
@@ -187,6 +196,20 @@ class TestResidualHistogram:
     def test_zero_and_empty_residuals(self):
         for residual in (np.zeros((3, 4)), np.zeros((0, 5))):
             assert residual_histogram(residual, 4) == oracle_residual_histogram(residual, 4)
+
+    def test_a_large_frame_is_binned_block_by_block(self):
+        # 3 MP, not a whole number of blocks; a whole-frame int64 index array
+        # alone would take 22.9 MiB
+        residual = np.random.default_rng(8).uniform(0.0, 0.6, (1500, 2000))
+        residual[0, :33] = np.arange(33) * (residual.max() / 32)
+        tracemalloc.start()
+        try:
+            histogram = residual_histogram(residual, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert histogram == oracle_residual_histogram(residual, 32)
 
 
 class TestReportArrays:

@@ -372,9 +372,12 @@ _triples = st.builds(metrics.MetricTriple, bleu=_unit, rouge_l=_unit, judge_accu
 
 
 def _report(per_dimension):
-    return st.builds(metrics.MetricReport, overall=_triples, per_dimension=st.just(per_dimension),
-                     counts=st.fixed_dictionaries({dim: st.integers(0, 99) for dim in per_dimension}),
-                     total=st.integers(1, 99), missing_predictions=st.integers(0, 99))
+    def report(counts):
+        total = sum(counts.values())
+        return st.builds(metrics.MetricReport, overall=_triples, per_dimension=st.just(per_dimension),
+                         counts=st.just(counts), total=st.just(total),
+                         missing_predictions=st.integers(0, total))
+    return st.fixed_dictionaries({dim: st.integers(1, 99) for dim in per_dimension}).flatmap(report)
 
 
 _RECORDS = {
@@ -401,7 +404,7 @@ _RECORDS = {
         benchmark.DisjointnessReport, status=st.sampled_from(["PASS", "WARN", "FAIL"]),
         intersections=st.dictionaries(_text, st.lists(_text, max_size=3), max_size=5)),
     metrics.MetricTriple: _triples,
-    metrics.MetricReport: st.dictionaries(_dimensions, _triples, max_size=4).flatmap(_report),
+    metrics.MetricReport: st.dictionaries(_dimensions, _triples, min_size=1, max_size=4).flatmap(_report),
     cli.RunConfig: st.builds(cli.RunConfig, gain=_positive, exposures=st.lists(_positive, max_size=4).map(tuple),
                              placeholder_patterns=st.lists(_text, max_size=3).map(tuple),
                              mock_judge=st.none() | _text, seed=st.integers(0, 2**31)),

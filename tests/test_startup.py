@@ -1,4 +1,5 @@
-"""The text stages start without numpy or importlib.metadata, and the lazy package
+"""The text stages start without numpy or importlib.metadata, each stage loads only
+the modules its subcommand runs and freezes its heap once, and the lazy package
 still exports every name."""
 
 import json
@@ -30,6 +31,24 @@ _STAGE = textwrap.dedent("""
                       "requests": "requests" in sys.modules,
                       "process pools": sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))}))
 """)
+
+# Runs one CLI stage in this process, as on two CPUs, then reports which of the
+# package's modules it loaded; --help ends main with SystemExit.
+_LOADED = textwrap.dedent("""
+    import json, sys
+    from measground import cli
+    cli._available_cpus = lambda: 2
+    try:
+        status = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        status = exc.code
+    print(json.dumps({"status": status, "numpy": "numpy" in sys.modules,
+                      "modules": sorted(name.partition(".")[2] for name in sys.modules
+                                        if name.startswith("measground."))}))
+""")
+
+_LAYERS = {"benchmark", "bracketsup", "dataset", "metrics", "remote"}
+_NUMERIC = {"capture", "measxyz", "isp", "lost_signal", "probe"}
 
 _PACKAGE = textwrap.dedent("""
     import json, sys
@@ -123,3 +142,65 @@ def test_lazy_package_exports():
     result = _python(_PACKAGE)
     assert result == {"after_import": False, "unresolved": [], "star_missing": [],
                       "submodule": "measground.isp"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    pytest.param(("bracket", "--input", "measxyz", "--exposures", "1,2", "--out", "bracket-loaded"),
+                 _LAYERS, id="bracket"),
+    pytest.param(("lost-signal", "--input", "measxyz", "--gain", "2", "--out", "lost-loaded"),
+                 _LAYERS, id="lost-signal"),
+    pytest.param(("annotate", "--proxies", "bracket", "--mock-annotator", "transcript.jsonl",
+                  "--out", "annotate-loaded"), {"benchmark", "dataset", "metrics"}, id="annotate"),
+    pytest.param(("aggregate", "--candidates", "candidates/candidates.jsonl", "--measxyz", "measxyz",
+                  "--out", "aggregate-loaded"), {"benchmark", "dataset", "metrics"}, id="aggregate"),
+])
+def test_a_stage_loads_only_the_modules_it_runs(images, argv, unused):
+    if argv[0] == "aggregate" and not (images / "candidates").exists():
+        assert main(["annotate", "--proxies", str(images / "bracket"), "--mock-annotator",
+                     str(images / "transcript.jsonl"), "--out", str(images / "candidates")]) == 0
+    result = _python(_LOADED, *argv, cwd=images)
+    assert result["status"] == 0
+    assert not unused & set(result["modules"]), argv
+
+
+@pytest.mark.parametrize("stage", ["bracket", "lost-signal", "annotate", "split", "eval"])
+def test_a_stage_help_loads_no_layer_and_no_numpy(stage):
+    result = _python(_LOADED, stage, "--help")
+    assert result["status"] == 0 and not result["numpy"]
+    assert not (_LAYERS | _NUMERIC) & set(result["modules"]), result["modules"]
+
+
+_TWICE = textwrap.dedent("""
+    import gc, json, sys
+    from measground import cli
+    frozen = []
+    for _ in range(2):
+        status = cli.main(sys.argv[1:])
+        frozen.append(gc.get_freeze_count())
+    print(json.dumps({"status": status, "frozen": frozen}))
+""")
+
+# Maps gc.get_freeze_count over two items on two forked workers.
+_WORKERS = textwrap.dedent("""
+    import gc, json
+    from measground import cli
+    cli._available_cpus = lambda: 2
+    pool = cli._CapturePool()
+    print(json.dumps({"workers": pool.map(lambda item: gc.get_freeze_count(), [0, 1]),
+                      "parent": gc.get_freeze_count()}))
+""")
+
+
+def test_the_heap_is_frozen_once_per_process(tmp_path):
+    triple = {"bleu": 0.5, "rouge_l": 0.5, "judge_accuracy": 0.5}
+    (tmp_path / "metrics.json").write_text(json.dumps({
+        "overall": triple, "per_dimension": {"NG": triple}, "counts": {"NG": 1},
+        "total": 1, "missing_predictions": 0}))
+    result = _python(_TWICE, "report", "--input", "metrics.json", cwd=tmp_path)
+    first, second = result["frozen"]
+    # the second call freezes nothing more; frozen objects it drops, such as the
+    # first call's log handler, are still freed by their reference counts
+    assert result["status"] == 0 and 0 < second <= first
+    # the workers fork from a frozen heap
+    result = _python(_WORKERS)
+    assert result["parent"] > 0 and len(result["workers"]) == 2 and min(result["workers"]) > 0
