@@ -14,8 +14,10 @@ _EXPORTS = {
     "records": ("CameraMetadata", "CaptureRef", "RenderParams"),
     "capture": ("RawCapture", "ScenePatch", "SyntheticSceneSpec",
                 "load_capture_bundle", "save_capture_bundle", "synth_capture"),
-    "measxyz": ("MeasXyzImage", "demosaic_bilinear", "meas_xyz_transform", "normalize_mosaic"),
-    "isp": ("RenderedRgb", "make_bracket", "quantize", "render_proxy", "srgb_eotf", "srgb_oetf"),
+    "measxyz": ("MeasXyzImage", "demosaic_bilinear", "meas_xyz_transform", "normalize_mosaic",
+                "save_meas_xyz"),
+    "isp": ("RenderedRgb", "make_bracket", "quantize", "render_proxy", "save_rendered", "srgb_eotf",
+            "srgb_oetf"),
     "lost_signal": ("LostSignalReport", "analyze_render", "invert_render", "lost_signal_residual"),
     "bracketsup": ("CandidateRecord", "InstructionRecord", "TrainingSample", "aggregate", "annotate"),
     "dataset": ("BalanceCaps", "DatasetManifest", "balance", "remove_placeholders", "score_filter"),

@@ -22,6 +22,8 @@ from pathlib import Path
 from . import formats
 from .bracketsup import TrainingSample
 from .errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
+# The manifest reader lives in formats, so an image stage reads refs without this module.
+from .formats import load_manifest_entries  # noqa: F401
 from .records import CameraMetadata, CaptureRef, decode, encode
 
 log = logging.getLogger(__name__)
@@ -212,30 +214,6 @@ def _disjointness(train: list[dict], bench: list[dict]) -> DisjointnessReport:
     else:
         status = "PASS"
     return DisjointnessReport(status=status, intersections=intersections)
-
-
-def load_manifest_entries(path: Path, parse=None) -> list:
-    """Load rows from a refs JSON list or any JSONL manifest, mapped by ``parse``.
-
-    A row ``parse`` refuses with SchemaViolation raises SchemaViolation
-    naming the file and the row: ``path:line`` in JSONL, ``path: [index]``
-    in a list.
-    """
-    text = formats.read_text(path)
-    if not text.lstrip().startswith("["):
-        return formats.parse_jsonl(text.split("\n"), path, parse)
-    rows = formats.parse_json(text, path)
-    if not isinstance(rows, list):
-        raise SchemaViolation(f"{path}: expected a JSON list")
-    if parse is None:
-        return rows
-    parsed = []
-    for index, row in enumerate(rows):
-        try:
-            parsed.append(parse(row))
-        except SchemaViolation as exc:
-            raise SchemaViolation(f"{path}: [{index}]: {exc}") from exc
-    return parsed
 
 
 # --- capability tagging ---------------------------------------------------------

@@ -227,18 +227,45 @@ def scene_radiance(spec: SyntheticSceneSpec) -> np.ndarray:
 def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-0000") -> SyntheticCapture:
     """Deterministically render ``spec`` into mosaic codes.
 
-    Codes are ``black + radiance * (white - black) + noise`` rounded to the
-    nearest integer and clipped to 16 bits, so radiances chosen as exact
-    multiples of 1/(white - black) survive quantization exactly.
+    Codes are ``(black + radiance * (white - black)) + noise * (white - black)``
+    rounded to the nearest integer and clipped to 16 bits, so radiances
+    chosen as exact multiples of 1/(white - black) survive quantization
+    exactly.
+
+    The codes are computed in the even-row stripes of the Meas.-XYZ pass, in
+    two stripe-sized float64 buffers. Each stripe's noise is drawn from the
+    capture's one generator in row order: chunked draws from one generator
+    continue one stream, so the values are those of one whole-frame draw.
     """
+    from .measxyz import _stripe_step
+
     scene = scene_radiance(spec)
     rng = np.random.default_rng(seed)
-    black_map = _black_site_map(spec.black_level, spec.height, spec.width)
-    span = spec.white_level - black_map
-    codes = black_map + scene * span
-    if spec.noise_sigma > 0:
-        codes = codes + rng.normal(0.0, spec.noise_sigma, scene.shape) * span
-    codes = np.clip(np.floor(codes + 0.5), 0, 65535).astype(np.uint16)
+    height, width = scene.shape
+    step = _stripe_step(width)
+    # the black level and the span along an even and an odd row; every stripe
+    # starts on an even row, so the stripe's row pairs broadcast against them
+    black = np.tile(np.asarray(spec.black_level, dtype=np.float64).reshape(2, 2), (1, width // 2))
+    span = spec.white_level - black
+    codes = np.empty((height, width), dtype=np.uint16)
+    rows = min(step, height)
+    stripe, noise = np.empty((rows // 2, 2, width)), np.empty((rows // 2, 2, width))
+    for top in range(0, height, step):
+        pairs = min(step, height - top) // 2
+        out = stripe[:pairs]
+        np.multiply(scene[top:top + 2 * pairs].reshape(pairs, 2, width), span, out=out)
+        out += black
+        if spec.noise_sigma > 0:
+            # rng.normal(0, sigma) is 0 + sigma * z; the sign of a zero it
+            # would fix is lost at the + 0.5 below
+            draw = rng.standard_normal(out=noise[:pairs])
+            draw *= spec.noise_sigma
+            draw *= span
+            out += draw
+        out += 0.5
+        np.floor(out, out=out)
+        np.clip(out, 0, 65535, out=out)
+        np.copyto(codes[top:top + 2 * pairs], out.reshape(-1, width), casting="unsafe")
     capture = RawCapture(
         capture_id=capture_id,
         mosaic=codes,
@@ -252,9 +279,3 @@ def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-
     )
     return SyntheticCapture(capture=capture, scene=scene)
 
-
-def _black_site_map(black_level, height: int, width: int) -> np.ndarray:
-    """Per-pixel black level from the 4 per-site values (tile raster order)."""
-    tile = np.asarray(black_level, dtype=np.float64).reshape(2, 2)
-    reps = (height // 2, width // 2)
-    return np.tile(tile, reps)

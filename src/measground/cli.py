@@ -350,9 +350,7 @@ def _gain_tag(gain: float) -> str:
 
 
 def _load_refs(path: Path) -> list[records.CaptureRef]:
-    from . import benchmark
-
-    rows = benchmark.load_manifest_entries(path)
+    rows = formats.load_manifest_entries(path)
     return [records.decode(records.CaptureRef, row, f"{path}: refs[{i}]") for i, row in enumerate(rows)]
 
 
@@ -409,12 +407,12 @@ def _synth_one(index: int, base_spec, seed: int, group_size: int, devices: int,
     isos = (100.0, 200.0, 400.0, 800.0, 1600.0)
     exposures = (1 / 15, 1 / 30, 1 / 60, 1 / 125)
     apertures = (1.8, 2.8, 4.0, 5.6)
-    group = index // max(1, group_size)
+    group = index // group_size
     metadata = capture_mod.CameraMetadata(
         iso=isos[index % len(isos)],
         exposure_time=exposures[index % len(exposures)],
         aperture=apertures[index % len(apertures)],
-        device_id=f"camera-{group % max(1, devices)}",
+        device_id=f"camera-{group % devices}",
         scene_id=f"scene-{group:04d}",
         session_id=f"session-{group:04d}",
     )
@@ -461,12 +459,13 @@ def _cmd_ingest(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple
 
 
 def _measxyz_one(bundle: tuple[Path, object], out: Path) -> None:
-    """Transform one bundle, given with the sidecar record the stage process read."""
+    """Transform one bundle, given with the sidecar record the stage process read,
+    straight into its plane pair."""
     from . import capture as capture_mod
     from . import measxyz
 
-    image = measxyz.meas_xyz_transform(capture_mod.load_capture_bundle(*bundle), workspace=_stage_workspace())
-    measxyz.save_meas_xyz(image, out / image.capture_id)
+    capture = capture_mod.load_capture_bundle(*bundle)
+    measxyz.write_meas_xyz(capture, out / capture.capture_id, workspace=_stage_workspace())
 
 
 def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -490,15 +489,15 @@ def _plane_stems(measxyz_dir: Path) -> list[tuple[Path, records.MeasXyzHeader]]:
 
 
 def _bracket_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, out: Path) -> None:
-    """Render one plane at every gain of the bracket in one pass, then save each render."""
+    """Render one plane at every gain of the bracket in one pass, each render
+    streamed into its file."""
     from . import isp, measxyz
 
     image = measxyz.load_meas_xyz(*plane)
     gains = config.exposures
-    renders = isp.make_bracket(image, gains, workspace=_stage_workspace(), bit_depth=config.bit_depth,
-                               transfer=config.transfer, quantize=config.quantize)
-    for gain, rendered in zip(gains, renders):
-        isp.save_rendered(rendered, out / f"{image.capture_id}_e{_gain_tag(gain)}")
+    isp.save_bracket(image, [out / f"{image.capture_id}_e{_gain_tag(gain)}" for gain in gains], gains,
+                     workspace=_stage_workspace(), bit_depth=config.bit_depth, transfer=config.transfer,
+                     quantize=config.quantize)
 
 
 def _cmd_bracket(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -637,7 +636,7 @@ def _proxy_lookup(proxies_dir: Path, capture_ids: set[str]) -> dict[str, str]:
 def _cmd_verify_split(args, config: RunConfig, out: Path | None, pool: _CapturePool) -> tuple[dict, int]:
     from . import benchmark
 
-    train, bench = (benchmark.load_manifest_entries(Path(path), benchmark._entry_fields)
+    train, bench = (formats.load_manifest_entries(Path(path), benchmark._entry_fields)
                     for path in (args.train, args.bench))
     report = benchmark._disjointness(train, bench)
     result = records.encode(report)
@@ -727,6 +726,16 @@ def _gains(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of 1 or more, got {text!r}")
+    return value
+
+
 # The setting flags by the RunConfig field each one sets: (type, help), and the
 # flag's name where it is not the field's. A stage takes those it reads.
 _SETTING_FLAGS = {
@@ -764,10 +773,10 @@ def _build_parser() -> _Parser:
         return p
 
     p = stage("synth", _cmd_synth, "generate synthetic capture bundles", "seed")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_at_least_one, default=10)
     p.add_argument("--scene", default=None, help="scene spec JSON")
-    p.add_argument("--group-size", type=int, default=1)
-    p.add_argument("--devices", type=int, default=5)
+    p.add_argument("--group-size", type=_at_least_one, default=1)
+    p.add_argument("--devices", type=_at_least_one, default=5)
 
     p = stage("ingest", _cmd_ingest, "validate bundles and index captures")
     p.add_argument("--input", required=True, help="bundles root")

@@ -3,13 +3,15 @@
 All writers are deterministic byte-for-byte for identical inputs; JSON is
 emitted as UTF-8 with sorted keys and no whitespace surprises so manifests
 can be compared byte-wise across runs. Every writer goes through
-``_write``, the package's one file open for writing. The JSON readers turn
+``_opened``, the package's one file open for writing; the PNM and plane
+writers take rows in order, so a pass can write a frame stripe by stripe.
+The JSON readers turn
 malformed content into SchemaViolation naming the file (and line, for JSONL).
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import json
 import math
 import os
@@ -66,16 +68,33 @@ def _pnm_header(magic: str, width: int, height: int, maxval: int) -> bytes:
     return f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
 
 
-def _write(path: Path, chunks) -> None:
-    """Write ``chunks`` to ``path`` in order: bytes as they are, str as UTF-8, and
-    C-contiguous arrays through the buffer protocol, without a bytes copy. The
-    package's one open for writing; an OSError becomes IoFailure naming the path."""
+@contextlib.contextmanager
+def _opened(path: Path):
+    """``path`` open for writing, as a function that writes one chunk: bytes as
+    they are, str as UTF-8, and C-contiguous arrays through the buffer
+    protocol, without a bytes copy. The package's one open for writing; an
+    OSError becomes IoFailure naming the path, and a write that fails, or
+    whose caller fails while it is open, leaves no file behind."""
     try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        fh = open(path, "wb")
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
+    try:
+        with fh:
+            yield lambda chunk: fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"{path}: {exc}") from exc
+        raise
+
+
+def _write(path: Path, chunks) -> None:
+    """Write ``chunks`` to ``path`` in order, through ``_opened``."""
+    with _opened(path) as write:
+        for chunk in chunks:
+            write(chunk)
 
 
 # Samples per block of an array file's conversion (256 KiB of float32).
@@ -101,18 +120,44 @@ def write_text(path: Path, text: str) -> None:
     _write(path, [text])
 
 
+@contextlib.contextmanager
+def _rows_file(path: Path, header: bytes, shape: tuple[int, ...], dtype):
+    """``path`` open with ``header`` written, as a function that appends rows of
+    an array of ``shape`` cast to ``dtype`` by ``_blocks``. The rows come in
+    order; a sample count other than the shape's is refused when it closes."""
+    written = 0
+    with _opened(path) as write:
+        write(header)
+
+        def append(rows: np.ndarray) -> None:
+            nonlocal written
+            for block in _blocks(rows, dtype):
+                write(block)
+            written += rows.size
+
+        yield append
+        if written != math.prod(shape):
+            raise IoFailure(f"{path}: {written} samples written, the header declares {math.prod(shape)}")
+
+
+def open_pnm(path: Path, shape: tuple[int, ...], maxval: int):
+    """A binary PNM of integer samples of ``shape`` with the given maxval, open
+    with its header written, as a context manager that gives a function
+    appending rows in order: P5 for (H, W), P6 for (H, W, 3); one byte per
+    sample up to maxval 255, two big-endian bytes above."""
+    if len(shape) not in (2, 3) or tuple(shape[2:]) not in ((), (3,)):
+        raise IoFailure(f"{path}: PNM data must be (H, W) or (H, W, 3), got shape {tuple(shape)}")
+    header = _pnm_header("P5" if len(shape) == 2 else "P6", shape[1], shape[0], maxval)
+    return _rows_file(path, header, shape, ">u2" if maxval > 255 else "u1")
+
+
 def write_pnm(path: Path, samples: np.ndarray, maxval: int) -> None:
-    """Write integer samples as binary PNM with the given maxval: P5 for (H, W)
-    data, P6 for (H, W, 3); one byte per sample up to maxval 255, two
-    big-endian bytes above."""
+    """Write integer samples as ``open_pnm`` does, all at once."""
     import numpy as np
 
     samples = np.asarray(samples)
-    if samples.ndim not in (2, 3) or samples.shape[2:] not in ((), (3,)):
-        raise IoFailure(f"{path}: PNM data must be (H, W) or (H, W, 3), got shape {samples.shape}")
-    height, width = samples.shape[:2]
-    header = _pnm_header("P5" if samples.ndim == 2 else "P6", width, height, maxval)
-    _write(path, itertools.chain([header], _blocks(samples, ">u2" if maxval > 255 else np.uint8)))
+    with open_pnm(path, samples.shape, maxval) as append:
+        append(samples)
 
 
 def _exceeds(raw: bytes, offset: int, maxval: int) -> bool:
@@ -158,16 +203,25 @@ def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
 # C order, and <stem>.json describing it. Values are stored at float32
 # precision; loading is exact with respect to the stored bytes.
 
+@contextlib.contextmanager
+def open_plane(stem: Path, shape: tuple[int, ...], header: dict):
+    """<stem>.f32 open for the rows of a plane of ``shape``, as a function that
+    appends float64 rows in order as float32; ``header``, an encoded record
+    that holds the shape, is written as <stem>.json once the last row is."""
+    if len(shape) not in (2, 3):
+        raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
+    with _rows_file(Path(str(stem) + ".f32"), b"", shape, "<f4") as append:
+        yield append
+    write_json(Path(str(stem) + ".json"), header)
+
+
 def write_plane(stem: Path, data: np.ndarray, header: dict) -> None:
-    """Write ``data`` as <stem>.f32 and ``header``, an encoded record that holds
-    the plane's shape, as <stem>.json."""
+    """Write ``data`` as ``open_plane`` does, all at once."""
     import numpy as np
 
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim not in (2, 3):
-        raise IoFailure(f"{stem}: plane data must be 2-D or 3-D")
-    _write(Path(str(stem) + ".f32"), _blocks(data, "<f4"))
-    write_json(Path(str(stem) + ".json"), header)
+    with open_plane(stem, data.shape, header) as append:
+        append(data)
 
 
 def read_plane(stem: Path, shape: tuple[int, ...]) -> np.ndarray:
@@ -256,6 +310,30 @@ def read_jsonl(path: Path, parse=None) -> list:
     """Read a JSONL file through ``parse_jsonl``; IO errors pass through unchanged."""
     with Path(path).open("r", encoding="utf-8") as fh:
         return parse_jsonl(fh, path, parse)
+
+
+def load_manifest_entries(path: Path, parse=None) -> list:
+    """Load rows from a refs JSON list or any JSONL manifest, mapped by ``parse``.
+
+    A row ``parse`` refuses with SchemaViolation raises SchemaViolation
+    naming the file and the row: ``path:line`` in JSONL, ``path: [index]``
+    in a list.
+    """
+    text = read_text(path)
+    if not text.lstrip().startswith("["):
+        return parse_jsonl(text.split("\n"), path, parse)
+    rows = parse_json(text, path)
+    if not isinstance(rows, list):
+        raise SchemaViolation(f"{path}: expected a JSON list")
+    if parse is None:
+        return rows
+    parsed = []
+    for index, row in enumerate(rows):
+        try:
+            parsed.append(parse(row))
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{path}: [{index}]: {exc}") from exc
+    return parsed
 
 
 def list_stems(root: Path, suffix: str) -> list[Path]:

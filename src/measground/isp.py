@@ -5,6 +5,7 @@ analytically.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -343,19 +344,41 @@ def _code_dtype(params: RenderParams):
     return np.uint16 if params.quantize else np.float64
 
 
-def _render_pass(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> list[RenderedRgb]:
-    """Render ``z`` under every params in one pass over its row stripes."""
-    outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
-    lookup = _lookup_buffers(workspace, math.prod(_stripe_shape(z)))
+def _render_pass(z: MeasXyzImage, params_seq, sinks, workspace: _StripeWorkspace) -> None:
+    """Render ``z`` under every params in one pass over its row stripes.
+
+    ``sinks[i](rows, codes)`` receives the rows, a slice, and the codes of
+    each stripe of the render under ``params_seq[i]``, in row order, in a
+    buffer the next stripe overwrites.
+    """
+    shape = _stripe_shape(z)
+    codes = [workspace.take(f"codes {i}", shape, _code_dtype(params)) for i, params in enumerate(params_seq)]
+    lookup = _lookup_buffers(workspace, math.prod(shape))
     # the lookup's product buffer is free while a stripe's product is computed
     for rows, window, v in _linear_stripes(z, params_seq, lookup[0], workspace):
-        _window_codes(v, window, params_seq[window.members[0]], [outs[i][rows] for i in window.members],
-                      lookup)
+        outs = [codes[i][:v.shape[0]] for i in window.members]
+        _window_codes(v, window, params_seq[window.members[0]], outs, lookup)
+        for i, out in zip(window.members, outs):
+            sinks[i](rows, out)
+
+
+def _rendered(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> list[RenderedRgb]:
+    """The renders of ``z`` under every params, from one pass into whole-frame arrays."""
+    outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
+    # an array's __setitem__ is the sink that fills it
+    _render_pass(z, params_seq, [out.__setitem__ for out in outs], workspace)
     return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
 
 
 def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:
-    return _render_pass(z, [params], _StripeWorkspace())[0]
+    return _rendered(z, [params], _StripeWorkspace())[0]
+
+
+def _bracket_params(exposures, param_overrides: dict) -> list[RenderParams]:
+    exposures = list(exposures)
+    if not exposures:
+        raise EmptyBracket("exposure list must be non-empty")
+    return [RenderParams(exposure_gain=e, **param_overrides) for e in exposures]
 
 
 def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, *, workspace: _StripeWorkspace | None = None,
@@ -365,19 +388,48 @@ def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, *, workspace: _Stri
     The stripe buffers come from ``workspace``, or from one made for this
     call when it is None.
     """
-    exposures = list(exposures)
-    if not exposures:
-        raise EmptyBracket("exposure list must be non-empty")
-    return _render_pass(z, [RenderParams(exposure_gain=e, **param_overrides) for e in exposures],
-                        _StripeWorkspace() if workspace is None else workspace)
+    return _rendered(z, _bracket_params(exposures, param_overrides),
+                     _StripeWorkspace() if workspace is None else workspace)
 
 
 # --- PPM export --------------------------------------------------------------------
 
+def _require_quantized(params: RenderParams) -> None:
+    if not params.quantize:
+        raise IoFailure("only quantized renders can be exported as PPM")
+
+
+def _write_render_header(stem: Path, capture_id: str, params: RenderParams) -> None:
+    formats.write_json(Path(str(stem) + ".json"), encode(RenderHeader(capture_id, params)))
+
+
 def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
     """Write quantized output as <stem>.ppm plus a <stem>.json params header."""
-    if not rendered.params.quantize:
-        raise IoFailure("only quantized renders can be exported as PPM")
+    _require_quantized(rendered.params)
     formats.write_pnm(Path(str(stem) + ".ppm"), rendered.codes, rendered.params.max_code)
-    header = RenderHeader(rendered.capture_id, rendered.params)
-    formats.write_json(Path(str(stem) + ".json"), encode(header))
+    _write_render_header(stem, rendered.capture_id, rendered.params)
+
+
+def save_bracket(z: MeasXyzImage, stems, exposures=DEFAULT_BRACKET, *,
+                 workspace: _StripeWorkspace | None = None, **param_overrides) -> None:
+    """Write the renders ``make_bracket`` returns, each as ``save_rendered``
+    writes it at the stem of the same position, holding a stripe of each
+    render and not the whole frame.
+
+    The one pass appends each stripe's codes to every open <stem>.ppm, whose
+    header the frame's shape fixes; the <stem>.json headers follow once
+    every PPM is written.
+    """
+    params_seq = _bracket_params(exposures, param_overrides)
+    for params in params_seq:
+        _require_quantized(params)
+    stems = list(stems)
+    with contextlib.ExitStack() as files:
+        sinks = []
+        for stem, params in zip(stems, params_seq, strict=True):
+            append = files.enter_context(formats.open_pnm(Path(str(stem) + ".ppm"), z.data.shape,
+                                                          params.max_code))
+            sinks.append(lambda rows, codes, append=append: append(codes))
+        _render_pass(z, params_seq, sinks, _StripeWorkspace() if workspace is None else workspace)
+    for stem, params in zip(stems, params_seq):
+        _write_render_header(stem, z.capture_id, params)

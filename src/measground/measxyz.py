@@ -14,13 +14,16 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import formats
-from .capture import RawCapture
 from .errors import DegenerateCalibration, DomainError, ShapeMismatch
 from .records import CameraMetadata, MeasXyzHeader, encode, read_meas_xyz_header
+
+if TYPE_CHECKING:  # the bracket and lost-signal stages run without capture
+    from .capture import RawCapture
 
 log = logging.getLogger(__name__)
 
@@ -34,16 +37,21 @@ _CFA_TILES = {
 }
 
 
-def _frozen_plane(data: np.ndarray) -> np.ndarray:
-    """``data`` made read-only, once its shape and range are checked."""
-    if data.ndim != 3 or data.shape[2] != 3:
-        raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
+def _check_unit_range(data: np.ndarray) -> None:
+    """Refuse ``data`` unless every value lies in [0, 1]."""
     # NaN fails both comparisons, so one min/max pass covers the common
     # case; the finiteness scan only runs to word the error.
     if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
         if not np.all(np.isfinite(data)):
             raise DomainError("MeasXyzImage data must be finite")
         raise DomainError("MeasXyzImage data must lie in [0, 1]")
+
+
+def _frozen_plane(data: np.ndarray) -> np.ndarray:
+    """``data`` made read-only, once its shape and range are checked."""
+    if data.ndim != 3 or data.shape[2] != 3:
+        raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
+    _check_unit_range(data)
     data.setflags(write=False)
     return data
 
@@ -234,18 +242,17 @@ def _stripe_step(width: int) -> int:
     return max(2, _STRIPE_PIXELS // max(1, width) // 2 * 2)
 
 
-def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | None = None) -> MeasXyzImage:
-    """Full observation operator: capture -> normalized linear XYZ image.
+def _meas_xyz_pass(capture: RawCapture, workspace: _StripeWorkspace, sink) -> None:
+    """The observation operator in one pass over row stripes.
 
-    One pass over row stripes: each stripe is normalized with a one-row halo
-    above and below, mirrored only at the frame edges as
-    demosaic_bilinear's padding mirrors them, then demosaiced, white
-    balanced, matrixed, clamped and scaled into the output, bit for bit as
-    the whole frame would be. Every stripe-sized temporary comes from
-    ``workspace``, or from one made for this call when it is None.
+    Each stripe is normalized with a one-row halo above and below, mirrored
+    only at the frame edges as demosaic_bilinear's padding mirrors them,
+    then demosaiced, white balanced, matrixed, clamped and scaled, bit for
+    bit as the whole frame would be. ``sink(rows, xyz)`` then receives the
+    stripe's rows, a slice, and its (rows, W, 3) float64 values, in row
+    order, in a buffer the next stripe overwrites. Every stripe-sized
+    temporary comes from ``workspace``.
     """
-    if workspace is None:
-        workspace = _StripeWorkspace()
     height, width = capture.mosaic.shape
     step = _stripe_step(width)
     rows = min(step, height)
@@ -262,7 +269,7 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
     scratch = workspace.take("matrix sums", (2, rows, width))
     over = workspace.take("saturated flags", (rows, width), bool)
     under = workspace.take("negative flags", (rows, width, 3), bool)
-    xyz = np.empty((height, width, 3))
+    xyz = workspace.take("xyz stripe", (rows, width, 3))
     debug = log.isEnabledFor(logging.DEBUG)  # the clamped values are counted only to be logged
     saturated = negative = 0
     for top in range(0, height, step):
@@ -282,26 +289,57 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
         linear = rgb[:, :count]
         _demosaic_padded(stripe, tile, linear, workspace)
         linear *= gains
-        out = xyz[top:top + count]
+        out = xyz[:count]
         _apply_matrix(capture.cam_to_xyz, linear, np.moveaxis(out, -1, 0), scratch[:, :count])
         if debug:
             negative += int(np.count_nonzero(np.less(out, 0.0, out=under[:count])))
         np.clip(out, 0.0, None, out=out)
         out /= scale
         np.clip(out, 0.0, 1.0, out=out)
+        sink(slice(top, top + count), out)
     _log_saturated(capture, saturated)
     if negative:
         log.debug("%s: %d negative XYZ values clamped to 0", capture.capture_id, negative)
+
+
+def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | None = None) -> MeasXyzImage:
+    """Full observation operator: capture -> normalized linear XYZ image.
+
+    Every stripe-sized temporary comes from ``workspace``, or from one made
+    for this call when it is None.
+    """
+    xyz = np.empty(capture.mosaic.shape + (3,))
+    # an array's __setitem__ is the sink that fills it
+    _meas_xyz_pass(capture, _StripeWorkspace() if workspace is None else workspace, xyz.__setitem__)
     return MeasXyzImage._adopt(xyz, capture.capture_id, capture.metadata)
 
 
 # --- inspection export -----------------------------------------------------------
 
+def _plane_header(capture_id: str, metadata: CameraMetadata, shape: tuple[int, int, int]) -> dict:
+    # the range as integers, so it stays written as [0, 1]
+    return encode(MeasXyzHeader(capture_id, metadata, (0, 1), *shape))
+
+
 def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
     """Write the image as a float32 plane pair (<stem>.f32 + <stem>.json)."""
-    # the range as integers, so it stays written as [0, 1]
-    header = MeasXyzHeader(image.capture_id, image.metadata, (0, 1), *image.data.shape)
-    formats.write_plane(stem, image.data, encode(header))
+    formats.write_plane(stem, image.data, _plane_header(image.capture_id, image.metadata, image.data.shape))
+
+
+def write_meas_xyz(capture: RawCapture, stem: Path, *, workspace: _StripeWorkspace | None = None) -> None:
+    """Write the plane pair ``save_meas_xyz(meas_xyz_transform(capture), stem)``
+    writes, holding a stripe of the image and not the whole frame.
+
+    Each stripe's float32 rows are appended to <stem>.f32 once the stripe
+    passes the image's range check; <stem>.json follows the last row.
+    """
+    shape = capture.mosaic.shape + (3,)
+    with formats.open_plane(stem, shape, _plane_header(capture.capture_id, capture.metadata, shape)) as append:
+        def checked_append(rows: slice, xyz: np.ndarray) -> None:
+            _check_unit_range(xyz)
+            append(xyz)
+
+        _meas_xyz_pass(capture, _StripeWorkspace() if workspace is None else workspace, checked_append)
 
 
 def load_meas_xyz(stem: Path, header: MeasXyzHeader | None = None) -> MeasXyzImage:

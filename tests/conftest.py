@@ -57,6 +57,25 @@ def summary_fields(report) -> dict:
     return {f.name: getattr(report, f.name) for f in dataclasses.fields(LostSignalSummary)}
 
 
+# --- whole-frame synthetic mosaic oracle ---------------------------------------------
+# The mosaic codes of a synthetic scene as synth_capture computed them over the
+# whole frame, before the striped pass: its codes must match them bit for bit.
+
+def oracle_synth_mosaic(spec, seed: int) -> np.ndarray:
+    """clip(floor((black + scene * span) + noise * span + 0.5), 0, 65535) as uint16."""
+    scene = np.full((spec.height, spec.width), spec.background, dtype=np.float64)
+    for p in spec.patches:
+        scene[p.top:p.top + p.height, p.left:p.left + p.width] *= p.gain
+    rng = np.random.default_rng(seed)
+    tile = np.asarray(spec.black_level, dtype=np.float64).reshape(2, 2)
+    black_map = np.tile(tile, (spec.height // 2, spec.width // 2))
+    span = spec.white_level - black_map
+    codes = black_map + scene * span
+    if spec.noise_sigma > 0:
+        codes = codes + rng.normal(0.0, spec.noise_sigma, scene.shape) * span
+    return np.clip(np.floor(codes + 0.5), 0, 65535).astype(np.uint16)
+
+
 # --- whole-frame render and PPM oracles ---------------------------------------------
 # The render's pre-clip linear RGB and top-clip mask over a whole frame, as the
 # numeric core computed them before the striped pass, and a plain P6 encoder and

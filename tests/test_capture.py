@@ -21,9 +21,9 @@ from measground.errors import (
     MalformedSidecar,
     MissingFile,
 )
-from measground.measxyz import demosaic_bilinear, normalize_mosaic
+from measground.measxyz import _stripe_step, demosaic_bilinear, normalize_mosaic
 
-from conftest import make_capture
+from conftest import make_capture, oracle_synth_mosaic
 
 
 def _assert_captures_equal(a, b):
@@ -210,6 +210,39 @@ class TestSynthCapture:
         patch = ScenePatch(top=6, left=0, height=4, width=4, gain=2.0)
         with pytest.raises(InvalidSpec):
             SyntheticSceneSpec(height=8, width=8, patches=(patch,))
+
+
+_SYNTH_WIDTH = 256
+_SYNTH_STEP = _stripe_step(_SYNTH_WIDTH)  # the rows of a Meas.-XYZ stripe, 128
+
+
+def _edge_crossing_spec(height: int, noise_sigma: float) -> SyntheticSceneSpec:
+    """A scene whose patches cross every stripe edge at odd and even rows and
+    whose codes clip at 0 and at 65535; the black level differs per CFA site."""
+    patches = [ScenePatch(top=0, left=3, height=1, width=9, gain=300.0),  # above 65535
+               ScenePatch(top=height - 1, left=200, height=1, width=50, gain=0.001)]
+    for edge in range(_SYNTH_STEP, height, _SYNTH_STEP):
+        patches += [ScenePatch(top=edge - 3, left=10, height=min(6, height - edge + 3), width=100, gain=3.5),
+                    ScenePatch(top=edge - 2, left=120, height=3, width=7, gain=0.002)]
+    return SyntheticSceneSpec(height=height, width=_SYNTH_WIDTH, background=0.25, patches=tuple(patches),
+                              noise_sigma=noise_sigma, black_level=(0.0, 2.5, 64.0, 60.0), white_level=1000.5)
+
+
+class TestStripedSynth:
+    """The striped mosaic is the whole-frame formula's, bit for bit: each stripe's
+    noise continues the one generator's stream."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("height", [2, _SYNTH_STEP - 2, _SYNTH_STEP, _SYNTH_STEP + 2, 3 * _SYNTH_STEP + 2])
+    def test_mosaic_is_the_whole_frame_formulas(self, height, noise_sigma, seed):
+        spec = _edge_crossing_spec(height, noise_sigma)
+        synthetic = synth_capture(spec, seed=seed)
+        expected = oracle_synth_mosaic(spec, seed)
+        assert np.array_equal(synthetic.capture.mosaic, expected)
+        if height > 2:  # both clips are reached
+            assert expected.max() == 65535 and (noise_sigma < 0.3 or expected.min() == 0)
+        assert synthetic.scene.shape == (height, _SYNTH_WIDTH)
 
 
 def test_metadata_requires_positive_fields():

@@ -674,6 +674,55 @@ class TestStripedPassFiles:
                 assert (single / f"{z.capture_id}_e{tag}.ppm").read_bytes() == \
                     oracle_encode_ppm(codes, params.max_code)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_measxyz_streams_the_files_of_the_transform_and_save(self, measxyz, tmp_path, monkeypatch, cpus):
+        """Each stripe is written as it is done, into the bytes save_meas_xyz
+        writes for the whole image meas_xyz_transform returns."""
+        from measground.capture import load_capture_bundle
+        from measground.measxyz import meas_xyz_transform, save_meas_xyz
+
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        out = tmp_path / "m"
+        assert main(["measxyz", "--input", str(measxyz.parent / "s" / "captures.json"), "--out", str(out)]) == 0
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        for bundle in sorted((measxyz.parent / "s" / "bundles").iterdir()):
+            image = meas_xyz_transform(load_capture_bundle(bundle))
+            save_meas_xyz(image, oracle / image.capture_id)
+        names = sorted(p.name for p in oracle.iterdir())
+        assert len(names) == 3 * 2
+        assert names == sorted(p.name for p in out.iterdir() if p.name != "run.json")
+        for name in names:
+            assert (oracle / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("bit_depth", [8, 12])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bracket_streams_the_files_of_make_bracket_and_save_rendered(self, measxyz, tmp_path, monkeypatch,
+                                                                         cpus, bit_depth):
+        """Each render's stripes are appended to its open PPM, one byte per
+        sample at 8 bits and two at 12, as save_rendered writes make_bracket's
+        whole-frame renders."""
+        from measground import isp
+        from measground.measxyz import load_meas_xyz
+
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        (tmp_path / "config.json").write_text(json.dumps({"bit_depth": bit_depth}))
+        gains = [0.5, 1.0, 1.5, 2.0, 4.0]
+        out = tmp_path / "bracket"
+        assert main(["bracket", "--input", str(measxyz), "--config", str(tmp_path / "config.json"),
+                     "--exposures", ",".join(map(str, gains)), "--out", str(out)]) == 0
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        for plane in sorted(measxyz.glob("*.f32")):
+            z = load_meas_xyz(plane.with_suffix(""))
+            for gain, rendered in zip(gains, isp.make_bracket(z, gains, bit_depth=bit_depth)):
+                isp.save_rendered(rendered, oracle / f"{z.capture_id}_e{cli._gain_tag(gain)}")
+        names = sorted(p.name for p in oracle.iterdir())
+        assert len(names) == 3 * len(gains) * 2
+        assert names == sorted(p.name for p in out.iterdir() if p.name != "run.json")
+        for name in names:
+            assert (oracle / name).read_bytes() == (out / name).read_bytes(), name
+
     @pytest.mark.parametrize("gain", ["2", "1.5"])
     def test_lost_signal_writes_the_three_step_files(self, measxyz, tmp_path, gain):
         from measground import isp, lost_signal
@@ -957,6 +1006,14 @@ def _bracket_of_unquantized_renders(root):
         "bracket failed (validation): config.quantize: bracket writes quantized renders only"
 
 
+def _synth_with(*flags):
+    """synth with a count flag below 1: a usage error, refused before --out is made."""
+    def case(root):
+        return ["synth", *flags, "--out", root / "out"], f"argument {flags[0]}: expected an integer of 1 or more"
+    case.__name__ = "_synth_with" + "".join(flags).replace("-", "_")
+    return case
+
+
 def _config_file(stage, option, text, name, named="config.json"):
     """``stage`` reading the config file that ``option`` names, holding ``text``."""
     def case(root):
@@ -1073,6 +1130,10 @@ class TestMalformedInputs:
         _bracket_exposures("1,1"),
         _bracket_exposures("1.0000001,1.0000002"),
         _bracket_of_unquantized_renders,
+        _synth_with("--count", "-2"),
+        _synth_with("--count", "0"),
+        _synth_with("--group-size", "-3", "--devices", "-1"),
+        _synth_with("--devices", "0"),
         _config_file("condition-check", "--probe-config", "5", "probe_config_of_a_number"),
         _config_file("condition-check", "--probe-config", '{"depth": "x"}', "string_depth"),
         _config_file("condition-check", "--probe-config", '{"inject_layers": 5}',
@@ -1114,7 +1175,7 @@ class TestMalformedInputs:
         events = [json.loads(line) for line in proc.stderr.splitlines()]
         assert [e["level"] for e in events] == ["error"]
         assert named in events[0]["event"]
-        if argv[0] == "bracket":  # refused with the config, before --out is made
+        if argv[0] in ("bracket", "synth"):  # refused before a file is written: no --out is left
             assert not (rendered / "out").exists()
         # an --out that the stage made is removed while it is still empty
         assert not (rendered / "out").exists() or any((rendered / "out").iterdir())

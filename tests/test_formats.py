@@ -197,6 +197,30 @@ def test_a_wrongly_shaped_array_is_refused_naming_the_path(tmp_path, writer, dat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("shape, maxval", [((5, 3), 65535), ((5, 3, 3), 255), ((5, 3, 3), 4095)])
+def test_rows_appended_to_an_open_pnm_are_the_written_bytes(tmp_path, shape, maxval):
+    samples = np.random.default_rng(1).integers(0, maxval + 1, shape).astype(np.uint16)
+    with formats.open_pnm(tmp_path / "streamed", shape, maxval) as append:
+        for rows in (slice(0, 2), slice(2, 3), slice(3, 5)):
+            append(samples[rows])
+    formats.write_pnm(tmp_path / "whole", samples, maxval)
+    assert (tmp_path / "streamed").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+@pytest.mark.parametrize("opener", [
+    lambda path: formats.open_pnm(path, (4, 3, 3), 255),
+    lambda path: formats.open_plane(path, (4, 3, 3), {"a": 1}),
+], ids=["pnm", "plane"])
+def test_an_open_array_file_refuses_a_row_count_apart_and_leaves_no_file(tmp_path, opener):
+    with pytest.raises(IoFailure, match="27 samples written, the header declares 36"):
+        with opener(tmp_path / "x") as append:
+            append(np.zeros((3, 3, 3)))
+    with pytest.raises(KeyError), opener(tmp_path / "x") as append:  # the caller fails with the file open
+        append(np.zeros((1, 3, 3)))
+        raise KeyError("caller")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_jsonl_and_text(tmp_path):
     obj = {"b": [1, 2.5, None], "a": "é ✓"}
     formats.write_json(tmp_path / "o.json", obj)
@@ -219,6 +243,8 @@ def test_a_value_json_cannot_hold_is_refused_naming_the_path(tmp_path, value):
     assert not (tmp_path / "o.json").exists()
     with pytest.raises(SchemaViolation, match=re.escape(f"{tmp_path / 'r.jsonl'}: Out of range float")):
         formats.write_jsonl(tmp_path / "r.jsonl", [{"gain": 1.0}, {"gain": [value]}])
+    # the row written before the refused one is not left behind
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError):
         formats.dump_json(value)
 

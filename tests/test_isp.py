@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measground import isp
 from measground.bracketsup import read_proxy
 from measground.errors import DomainError, EmptyBracket, SingularMatrix
 from measground.isp import (
@@ -15,6 +17,7 @@ from measground.isp import (
     make_bracket,
     quantize,
     render_proxy,
+    save_bracket,
     save_rendered,
     srgb_eotf,
     srgb_oetf,
@@ -217,6 +220,34 @@ class TestPpmRoundTrip:
         assert np.array_equal(oracle_decode_ppm(proxy.ppm)[0], rendered.codes)
         assert read_render_header(tmp_path / "r") == ("rt", rendered.params)
         assert (proxy.capture_id, proxy.exposure_gain) == ("rt", 1.3)
+
+    @pytest.mark.parametrize("height", [1, 4, 5, 6, 11])
+    @pytest.mark.parametrize("bits", [8, 12])
+    def test_streamed_bracket_is_the_saved_bracket(self, tmp_path, monkeypatch, height, bits):
+        """At stripes of 5 rows, save_bracket writes the files save_rendered
+        writes for make_bracket's renders, gains of one window and of several."""
+        monkeypatch.setattr(isp, "_STRIPE_PIXELS", 5 * 7)
+        z = MeasXyzImage(np.random.default_rng(height).uniform(0, 1, (height, 7, 3)) ** 2, "sb",
+                         make_metadata(0))
+        gains = [0.5, 1.0, 1.5, 2.0, 4.0, 3.0]
+        stems = [tmp_path / f"streamed-{i}" for i in range(len(gains))]
+        save_bracket(z, stems, gains, bit_depth=bits)
+        for stem, rendered in zip(stems, make_bracket(z, gains, bit_depth=bits)):
+            save_rendered(rendered, tmp_path / "saved")
+            for suffix in (".ppm", ".json"):
+                assert Path(f"{stem}{suffix}").read_bytes() == (tmp_path / f"saved{suffix}").read_bytes()
+
+    def test_streamed_bracket_refuses_unquantized_renders_and_a_stem_count_apart(self, tmp_path):
+        from measground.errors import IoFailure
+
+        z = MeasXyzImage(np.zeros((2, 2, 3)), "rt", make_metadata(0))
+        with pytest.raises(IoFailure, match="only quantized"):
+            save_bracket(z, [tmp_path / "a"], [1.0], quantize=False)
+        with pytest.raises(ValueError):
+            save_bracket(z, [tmp_path / "a"], [1.0, 2.0])
+        with pytest.raises(EmptyBracket):
+            save_bracket(z, [], [])
+        assert list(tmp_path.iterdir()) == []
 
     def test_unquantized_rejected(self, tmp_path):
         z = MeasXyzImage(np.zeros((2, 2, 3)), "rt", make_metadata(0))

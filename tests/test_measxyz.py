@@ -17,6 +17,7 @@ from measground.measxyz import (
     normalize_mosaic,
     save_meas_xyz,
     white_scale,
+    write_meas_xyz,
 )
 from measground.records import read_meas_xyz_header
 
@@ -243,6 +244,26 @@ class TestPlaneExport:
         for reader in (read_meas_xyz_header, load_meas_xyz):
             with pytest.raises(SchemaViolation, match="plane header: missing key 'capture_id'"):
                 reader(tmp_path / "x-3")
+
+    @pytest.mark.parametrize("height", [2, 30, 32, 34, 98])
+    def test_streamed_pair_is_the_saved_transform(self, tmp_path, monkeypatch, height):
+        """At stripes of 32 rows (16 pixel columns), the pair written stripe by
+        stripe holds the bytes save_meas_xyz writes for the transformed image."""
+        monkeypatch.setattr(measxyz_mod, "_STRIPE_PIXELS", 32 * 16)
+        capture = make_capture(height, height=height, width=16)
+        write_meas_xyz(capture, tmp_path / "streamed")
+        save_meas_xyz(meas_xyz_transform(capture), tmp_path / "saved")
+        for suffix in (".f32", ".json"):
+            assert (tmp_path / f"streamed{suffix}").read_bytes() == (tmp_path / f"saved{suffix}").read_bytes()
+
+    def test_streamed_pair_refuses_a_nan_stripe_and_leaves_no_file(self, tmp_path):
+        # inf - inf in the white scale and the matrix product: every value is NaN,
+        # refused before a row is written
+        capture = make_capture(1, height=4, width=4, wb_gains=(4.0, 4.0, 1.0),
+                               cam_to_xyz=np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="must be finite"):
+            write_meas_xyz(capture, tmp_path / "x")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,9 @@ planes, PPMs and summaries are promised byte-identical.
 
 from __future__ import annotations
 
+import json
 import logging
+import threading
 import tracemalloc
 import warnings
 
@@ -457,7 +459,7 @@ def test_windows_with_one_matrix_and_gain_read_one_product(params_seq, products,
     monkeypatch.setattr(isp, "_apply_matrix", lambda *args: calls.append(args) or apply_matrix(*args))
     z = _bright_image(5)  # one stripe
     assert isp._stripe_shape(z)[0] == z.data.shape[0]
-    rendered = isp._render_pass(z, params_seq, measxyz._StripeWorkspace())
+    rendered = isp._rendered(z, params_seq, measxyz._StripeWorkspace())
     assert len(calls) == products
     for render, params in zip(rendered, params_seq):
         assert np.array_equal(render.codes, oracle_render(z, params))
@@ -655,6 +657,59 @@ def test_analysis_of_a_loaded_plane_peaks_below_its_float64_copy(tmp_path):
     # buffers. A float64 plane in its place (24 B/px, with Y a view of it)
     # comes to 50 B/px, and luminance widening the whole plane to 62.
     assert peak < (12 + 34 + 2) * _PIXELS
+
+
+# --- image stages whose peak grows with the frame only by what they hold ----------------
+
+# One width, so the stripes and every row-block buffer are the same size at
+# both heights, and the traced peaks differ only by what grows with the frame.
+_STAGE_WIDTH = 512
+_STAGE_HEIGHTS = (256, 1024)
+
+
+def _stage_peak(root, monkeypatch, stage: str, height: int) -> int:
+    """The traced peak of one image stage over one capture of ``height`` rows
+    under ``root``, run serially, with a stripe workspace of its own."""
+    from measground import cli
+
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "_stage_state", threading.local())
+    spec = {"height": height, "width": _STAGE_WIDTH, "background": 0.25, "noise_sigma": 0.01,
+            "patches": [{"top": 40, "left": 16, "height": height - 80, "width": 100, "gain": 3.5}]}
+    root.mkdir()
+    (root / "scene.json").write_text(json.dumps(spec))
+    argv = {
+        "synth": ["synth", "--count", "1", "--seed", "1", "--scene", root / "scene.json"],
+        "measxyz": ["measxyz", "--input", root / "synth" / "captures.json"],
+        "bracket": ["bracket", "--input", root / "measxyz"],
+    }
+    # the stages before this one, untraced
+    for name in list(argv)[:list(argv).index(stage)]:
+        assert cli.main([*map(str, argv[name]), "--out", str(root / name)]) == 0
+    status, peak = _traced_peak(lambda: cli.main([*map(str, argv[stage]), "--out", str(root / stage)]))
+    assert status == 0
+    return peak
+
+
+@pytest.mark.parametrize("stage, held", [
+    # the float64 scene synth_capture returns (8 B/px), the uint16 mosaic and
+    # the capture's copy of it (2 B/px each); the whole-frame formula's float64
+    # black map, span, noise and their sums come to more than 60 B/px
+    pytest.param("synth", 8 + 2 + 2, id="synth"),
+    # the mosaic file's bytes and their uint16 conversion, or that and the
+    # capture's copy of it (2 B/px each); a float64 (H, W, 3) image is 24 B/px
+    pytest.param("measxyz", 2 + 2, id="measxyz"),
+    # the loaded float32 plane (12 B/px); four renders' uint16 codes held
+    # until they are saved are another 24 B/px
+    pytest.param("bracket", 12, id="bracket"),
+])
+def test_an_image_stage_peak_grows_with_the_frame_only_by_what_it_holds(tmp_path, monkeypatch, stage, held):
+    _stage_peak(tmp_path / "warm-up", monkeypatch, stage, _STAGE_HEIGHTS[0])  # the code tables
+    small, large = (_stage_peak(tmp_path / str(height), monkeypatch, stage, height)
+                    for height in _STAGE_HEIGHTS)
+    # the bytes the peak gains per pixel the frame gains, one to spare
+    growth = (large - small) / ((_STAGE_HEIGHTS[1] - _STAGE_HEIGHTS[0]) * _STAGE_WIDTH)
+    assert growth < held + 1, growth
 
 
 # --- a stripe workspace held across captures ----------------------------------------------

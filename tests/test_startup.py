@@ -145,10 +145,14 @@ def test_lazy_package_exports():
 
 
 @pytest.mark.parametrize("argv, unused", [
+    # the refs are read by formats, so the layers are not compiled for them
+    pytest.param(("measxyz", "--input", "synth/captures.json", "--out", "measxyz-loaded"),
+                 _LAYERS, id="measxyz"),
+    # a plane is not a capture: capture is only named in measxyz's annotations
     pytest.param(("bracket", "--input", "measxyz", "--exposures", "1,2", "--out", "bracket-loaded"),
-                 _LAYERS, id="bracket"),
+                 _LAYERS | {"capture"}, id="bracket"),
     pytest.param(("lost-signal", "--input", "measxyz", "--gain", "2", "--out", "lost-loaded"),
-                 _LAYERS, id="lost-signal"),
+                 _LAYERS | {"capture"}, id="lost-signal"),
     pytest.param(("annotate", "--proxies", "bracket", "--mock-annotator", "transcript.jsonl",
                   "--out", "annotate-loaded"), {"benchmark", "dataset", "metrics"}, id="annotate"),
     pytest.param(("aggregate", "--candidates", "candidates/candidates.jsonl", "--measxyz", "measxyz",
