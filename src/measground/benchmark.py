@@ -18,13 +18,16 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import formats
-from .bracketsup import TrainingSample
 from .errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
 # The manifest reader lives in formats, so an image stage reads refs without this module.
 from .formats import load_manifest_entries  # noqa: F401
 from .records import CameraMetadata, CaptureRef, decode, encode
+
+if TYPE_CHECKING:  # verify-split reads no training sample
+    from .bracketsup import TrainingSample
 
 log = logging.getLogger(__name__)
 

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     IoFailure,
+    MalformedMosaic,
     MalformedSidecar,
     MissingFile,
     SchemaViolation,
@@ -76,7 +77,7 @@ class RawCapture:
             raise MalformedSidecar("capture_id must be non-empty")
         if self.cfa_pattern not in CFA_PATTERNS:
             raise MalformedSidecar(f"unknown cfa_pattern {self.cfa_pattern!r}")
-        mosaic = np.array(self.mosaic, dtype=np.uint16)
+        mosaic = formats.uint16_codes(self.mosaic, formats.PGM_MAXVAL, "mosaic codes", MalformedMosaic)
         object.__setattr__(self, "mosaic", mosaic)
         if mosaic.ndim != 2 or mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
             raise DimensionMismatch(
@@ -237,16 +238,14 @@ def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-
     capture's one generator in row order: chunked draws from one generator
     continue one stream, so the values are those of one whole-frame draw.
     """
-    from .measxyz import _stripe_step
+    from .measxyz import _site_rows, _stripe_step
 
     scene = scene_radiance(spec)
     rng = np.random.default_rng(seed)
     height, width = scene.shape
     step = _stripe_step(width)
-    # the black level and the span along an even and an odd row; every stripe
-    # starts on an even row, so the stripe's row pairs broadcast against them
-    black = np.tile(np.asarray(spec.black_level, dtype=np.float64).reshape(2, 2), (1, width // 2))
-    span = spec.white_level - black
+    # every stripe starts on an even row, so its row pairs broadcast against the site rows
+    black, span = _site_rows(spec, width)
     codes = np.empty((height, width), dtype=np.uint16)
     rows = min(step, height)
     stripe, noise = np.empty((rows // 2, 2, width)), np.empty((rows // 2, 2, width))

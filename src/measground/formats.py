@@ -63,6 +63,21 @@ def read_pgm16(path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=">u2", offset=offset).reshape(height, width).astype(np.uint16)
 
 
+def uint16_codes(samples, maxval: int, what: str, error) -> np.ndarray:
+    """A uint16 copy of ``samples``, refused with ``error`` unless each is an integer in
+    [0, maxval]; uint16 samples are copied unscanned when maxval is PGM_MAXVAL."""
+    import numpy as np
+
+    samples = np.asarray(samples)
+    # a wrapped, truncated or non-finite sample differs from its cast
+    with np.errstate(invalid="ignore"):
+        codes = np.array(samples, dtype=np.uint16)
+    if ((samples.dtype != np.uint16 and not np.array_equal(codes, samples))
+            or (maxval < PGM_MAXVAL and codes.size and codes.max() > maxval)):
+        raise error(f"{what} must be integers in [0, {maxval}]")
+    return codes
+
+
 def _pnm_header(magic: str, width: int, height: int, maxval: int) -> bytes:
     """The binary PNM header every PNM writer writes: magic, size and maxval on three lines."""
     return f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import formats
 from .errors import DomainError, EmptyBracket, IoFailure
-from .measxyz import _STRIPE_PIXELS, MeasXyzImage, _apply_matrix, _StripeWorkspace
+from .measxyz import MeasXyzImage, _apply_matrix, _check_unit_range, _StripeWorkspace, _stripe_step
 # The render parameters and their header reader live in records, without numpy.
 from .records import (
     DEFAULT_BRACKET,
@@ -48,13 +48,10 @@ class RenderedRgb:
         if codes.ndim != 3 or codes.shape[2] != 3:
             raise DomainError(f"codes must be (H, W, 3), got {codes.shape}")
         if self.params.quantize:
-            codes = codes.astype(np.uint16)
-            if codes.size and codes.max() > self.params.max_code:
-                raise DomainError("quantized codes exceed 2^bit_depth - 1")
+            codes = formats.uint16_codes(codes, self.params.max_code, "quantized codes", DomainError)
         else:
             codes = codes.astype(np.float64)
-            if codes.size and (codes.min() < 0.0 or codes.max() > 1.0):
-                raise DomainError("unquantized codes must lie in [0, 1]")
+            _check_unit_range(codes, "unquantized codes")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
@@ -72,8 +69,7 @@ class RenderedRgb:
 
 def _check_unit_domain(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)) or (v.size and (v.min() < 0.0 or v.max() > 1.0)):
-        raise DomainError("value outside [0, 1]")
+    _check_unit_range(v, "value")
     return v
 
 
@@ -296,9 +292,9 @@ def _windows(params_seq) -> list[_Window]:
 
 
 def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
-    """The shape of ``z``'s row stripes: as many rows as hold about _STRIPE_PIXELS pixels."""
+    """The shape of ``z``'s row stripes: _stripe_step's rows, or the frame's when fewer."""
     height, width = z.data.shape[:2]
-    return min(max(1, _STRIPE_PIXELS // max(1, width)), height), width, 3
+    return min(_stripe_step(width), height), width, 3
 
 
 def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace: _StripeWorkspace):

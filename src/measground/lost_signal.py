@@ -108,11 +108,6 @@ def invert_render(rendered: RenderedRgb) -> np.ndarray:
     return xyz
 
 
-def luminance(xyz: np.ndarray) -> np.ndarray:
-    """Y is the second XYZ channel, as float64; only Y of a float32 image is widened."""
-    return np.asarray(xyz)[..., 1].astype(np.float64, copy=False)
-
-
 def nearest_rank_percentile(values: np.ndarray, percent: float) -> float:
     """Nearest-rank percentile (no interpolation) for cross-platform stability."""
     values = np.asarray(values)
@@ -177,8 +172,8 @@ def lost_signal_residual(
     forward_clip_mask = np.asarray(forward_clip_mask, dtype=bool)
     if forward_clip_mask.shape != z.data.shape[:2]:
         raise ShapeMismatch("clip mask shape does not match the image")
-    # luminance(recovered) can be a view of the caller's array, so it is not reordered
-    return _luminance_report(z, luminance(recovered), forward_clip_mask, tau, bins, own_y_rec=False,
+    # Y is the second XYZ channel; the report reorders this copy of it
+    return _luminance_report(z, np.array(recovered[..., 1], order="C"), forward_clip_mask, tau, bins,
                              capture_id=capture_id, exposure_gain=exposure_gain, bits=bits)
 
 
@@ -189,15 +184,15 @@ def _luminance_report(
     tau: float,
     bins: int,
     *,
-    own_y_rec: bool,
     capture_id: str | None,
     exposure_gain: float,
     bits: int,
 ) -> LostSignalReport:
     """The report from the recovered luminance and the forward clip mask.
 
-    With ``own_y_rec`` the caller gives up ``y_rec``, and its percentile
-    reorders it in place once the residual is taken; without, it works on a copy.
+    The caller gives up ``y_rec``, a C-contiguous float64 array: its
+    percentile reorders it in place once the residual is taken, and it is
+    dropped before Y's percentile makes its copy.
     """
     if tau <= 0:
         raise DomainError("tau must be > 0")
@@ -207,12 +202,14 @@ def _luminance_report(
     y_orig = z.data[..., 1]  # the stored Y, widened by the subtraction alone
     residual = np.subtract(y_orig, y_rec, dtype=np.float64)
     np.abs(residual, out=residual)
+    p99_recovered = _partitioned_rank(y_rec, 99.0)
+    del y_rec
     return LostSignalReport._adopt(
         residual_map=residual,
         lost_mask=residual > tau,
         clipped_fraction=float(np.count_nonzero(forward_clip_mask)) / forward_clip_mask.size,
         p99_original=nearest_rank_percentile(y_orig, 99.0),
-        p99_recovered=(_partitioned_rank if own_y_rec else nearest_rank_percentile)(y_rec, 99.0),
+        p99_recovered=p99_recovered,
         histogram=residual_histogram(residual, bins),
         tau=float(tau),
         capture_id=capture_id if capture_id is not None else z.capture_id,
@@ -278,7 +275,7 @@ def analyze_render(
     this call holds them, and it is gone before the report is built.
     """
     y_rec, clipped = _recovered_luminance(z, params, _StripeWorkspace() if workspace is None else workspace)
-    return _luminance_report(z, y_rec, clipped, tau, bins, own_y_rec=True, capture_id=None,
+    return _luminance_report(z, y_rec, clipped, tau, bins, capture_id=None,
                              exposure_gain=params.exposure_gain, bits=params.bit_depth)
 
 

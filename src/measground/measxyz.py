@@ -37,21 +37,22 @@ _CFA_TILES = {
 }
 
 
-def _check_unit_range(data: np.ndarray) -> None:
-    """Refuse ``data`` unless every value lies in [0, 1]."""
+def _check_unit_range(data: np.ndarray, what: str) -> None:
+    """Refuse ``data`` unless every value lies in [0, 1], naming it ``what``:
+    the package's one [0, 1] check, of images, renders and transfer curves."""
     # NaN fails both comparisons, so one min/max pass covers the common
     # case; the finiteness scan only runs to word the error.
     if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
         if not np.all(np.isfinite(data)):
-            raise DomainError("MeasXyzImage data must be finite")
-        raise DomainError("MeasXyzImage data must lie in [0, 1]")
+            raise DomainError(f"{what} must be finite")
+        raise DomainError(f"{what} must lie in [0, 1]")
 
 
 def _frozen_plane(data: np.ndarray) -> np.ndarray:
     """``data`` made read-only, once its shape and range are checked."""
     if data.ndim != 3 or data.shape[2] != 3:
         raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
-    _check_unit_range(data)
+    _check_unit_range(data, "MeasXyzImage data")
     data.setflags(write=False)
     return data
 
@@ -141,11 +142,11 @@ def _apply_matrix(matrix: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: n
             np.add(total, 0.0, out=dest)
 
 
-def _site_rows(capture: RawCapture, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _site_rows(calibration, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The black level and the white - black span along an even and an odd mosaic
-    row, as (2, width) arrays."""
-    black = np.tile(np.asarray(capture.black_level, dtype=np.float64).reshape(2, 2), (1, width // 2))
-    return black, capture.white_level - black
+    row, as (2, width) arrays, of a capture's or a synthetic scene spec's calibration."""
+    black = np.tile(np.asarray(calibration.black_level, dtype=np.float64).reshape(2, 2), (1, width // 2))
+    return black, calibration.white_level - black
 
 
 def _normalize(codes: np.ndarray, black: np.ndarray, span: np.ndarray, out: np.ndarray, own,
@@ -237,8 +238,8 @@ def white_scale(capture: RawCapture) -> float:
 
 
 def _stripe_step(width: int) -> int:
-    """Rows per Meas.-XYZ stripe: about _STRIPE_PIXELS pixels, and even, so every
-    stripe starts on the CFA tile's and the black level's first row."""
+    """Rows per stripe of every pass: about _STRIPE_PIXELS pixels, and even, so
+    every stripe starts on the CFA tile's and the black level's first row."""
     return max(2, _STRIPE_PIXELS // max(1, width) // 2 * 2)
 
 
@@ -336,7 +337,7 @@ def write_meas_xyz(capture: RawCapture, stem: Path, *, workspace: _StripeWorkspa
     shape = capture.mosaic.shape + (3,)
     with formats.open_plane(stem, shape, _plane_header(capture.capture_id, capture.metadata, shape)) as append:
         def checked_append(rows: slice, xyz: np.ndarray) -> None:
-            _check_unit_range(xyz)
+            _check_unit_range(xyz, "MeasXyzImage data")
             append(xyz)
 
         _meas_xyz_pass(capture, _StripeWorkspace() if workspace is None else workspace, checked_append)

@@ -71,8 +71,6 @@ def bleu(candidate: list[str], references: list[list[str]]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     previous = [0] * (len(b) + 1)
     for x in a:
         current = [0]

@@ -11,7 +11,7 @@ gradients are exactly what the injection pattern implies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Annotated
 
@@ -239,19 +239,6 @@ def loss_and_gradients(
     return grads
 
 
-def _loss_with_params(stack: ProbeStack, params: dict[str, np.ndarray], h0, mvec, inject) -> float:
-    perturbed = ProbeStack(
-        weights=params["weights"],
-        biases=params["biases"],
-        projection_weight=params["projection_weight"],
-        projection_bias=params["projection_bias"],
-        inject_layers=stack.inject_layers,
-        nonlinearity=stack.nonlinearity,
-    )
-    out = forward(perturbed, h0, mvec, inject)
-    return float(np.sum(out * out))
-
-
 def grad_check(
     stack: ProbeStack,
     h0: np.ndarray,
@@ -264,25 +251,20 @@ def grad_check(
         raise DomainError(f"eps must lie in [1e-7, 1e-3], got {eps}")
     mvec = m.array if isinstance(m, MetaVector) else np.asarray(m, dtype=np.float64)
     analytic = loss_and_gradients(stack, h0, mvec, inject)
-    named = {
-        "weights": (stack.weights, analytic.weights),
-        "biases": (stack.biases, analytic.biases),
-        "projection_weight": (stack.projection_weight, analytic.projection_weight),
-        "projection_bias": (stack.projection_bias, analytic.projection_bias),
-    }
     worst = 0.0
-    base = {name: np.array(value, dtype=np.float64) for name, (value, _) in named.items()}
-    for name, (value, grad) in named.items():
-        flat_value = base[name].reshape(-1)
-        flat_grad = np.asarray(grad, dtype=np.float64).reshape(-1)
+    for name in ("weights", "biases", "projection_weight", "projection_bias"):
+        value = np.array(getattr(stack, name))  # perturbed one entry at a time
+        flat_value = value.reshape(-1)
+        flat_grad = getattr(analytic, name).reshape(-1)
         for idx in range(flat_value.size):
             original = flat_value[idx]
-            flat_value[idx] = original + eps
-            loss_plus = _loss_with_params(stack, base, h0, mvec, inject)
-            flat_value[idx] = original - eps
-            loss_minus = _loss_with_params(stack, base, h0, mvec, inject)
+            losses = []
+            for perturbed in (original + eps, original - eps):
+                flat_value[idx] = perturbed
+                out = forward(replace(stack, **{name: value}), h0, mvec, inject)
+                losses.append(float(np.sum(out * out)))
             flat_value[idx] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            numeric = (losses[0] - losses[1]) / (2.0 * eps)
             if not (math.isfinite(numeric) and math.isfinite(flat_grad[idx])):
                 raise NonFiniteGradient("finite-difference gradient is not finite")
             denom = max(abs(flat_grad[idx]), abs(numeric), 1e-12)

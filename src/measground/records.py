@@ -361,9 +361,9 @@ class MeasXyzHeader:
     channels: int
 
     @property
-    def shape(self) -> tuple[int, ...]:
+    def shape(self) -> tuple[int, int, int]:
         """The shape of the plane's sample array."""
-        return (self.height, self.width) if self.channels == 1 else (self.height, self.width, self.channels)
+        return (self.height, self.width, self.channels)
 
 
 def read_meas_xyz_header(stem: Path) -> MeasXyzHeader:

@@ -78,6 +78,21 @@ class TestHoldoutSplit:
         with pytest.raises(DomainError):
             holdout_split([_ref(0)], 0.0, seed=0)
 
+    def test_smallest_group_is_the_bench_when_no_group_fits_the_target(self):
+        # scenes of 4, 3 and 3 captures; a bench of 1 capture fits none of them,
+        # and of the two smallest the one with the first capture id is taken
+        refs = [_ref(i, scene=("a", "b", "c")[(i >= 4) + (i >= 7)]) for i in range(10)]
+        for seed in range(5):
+            train, bench = holdout_split(refs, 0.1, seed=seed)
+            assert bench == ["cap-0004", "cap-0005", "cap-0006"]
+            assert len(train) == 7
+
+    def test_empty_and_duplicate_inputs_are_refused(self):
+        with pytest.raises(DomainError, match="empty capture list"):
+            holdout_split([], 0.5, seed=0)
+        with pytest.raises(DomainError, match="duplicate capture_id"):
+            holdout_split([_ref(0), _ref(1), _ref(0)], 0.5, seed=0)
+
     def test_partition_property_random_corpora(self):
         rng = np.random.default_rng(0)
         for trial in range(30):

@@ -256,3 +256,30 @@ def test_mosaic_is_immutable():
     capture = make_capture(0)
     with pytest.raises(ValueError):
         capture.mosaic[0, 0] = 1
+
+
+@pytest.mark.parametrize("mosaic", [
+    [[0, 0], [70000, 0]], [[0, 0], [-1, 0]], [[0, 0], [-1.0, 0]], [[0, 0], [2.7, 0]],
+    [[0, 0], [np.nan, 0]], [[0, 0], [np.inf, 0]],
+], ids=["70000", "-1", "-1.0", "2.7", "nan", "inf"])
+def test_a_mosaic_code_that_is_not_a_16_bit_integer_is_refused(mosaic):
+    """uint16 would wrap 70000 to 4464 and -1 to 65535, and truncate 2.7 to 2."""
+    with pytest.raises(MalformedMosaic, match=r"mosaic codes must be integers in \[0, 65535\]"):
+        make_capture(0, mosaic=np.array(mosaic))
+
+
+def test_integer_mosaic_codes_of_any_dtype_are_kept():
+    for mosaic in ([[0, 65535], [2, 3]], [[0.0, 65535.0], [2.0, 3.0]], np.array([[0, 65535], [2, 3]], ">u2")):
+        capture = make_capture(0, mosaic=mosaic)
+        assert capture.mosaic.dtype == np.uint16
+        assert capture.mosaic.tolist() == [[0, 65535], [2, 3]]
+
+
+@pytest.mark.parametrize("overrides, named", [
+    (dict(black_level=(1.0, 2.0, 3.0)), "black_level must have 4 entries"),
+    (dict(cam_to_xyz=np.where(np.eye(3) == 1, np.nan, 0.0)), "cam_to_xyz must be a finite 3x3 matrix"),
+    (dict(cam_to_xyz=np.diag([np.inf, 1.0, 1.0])), "cam_to_xyz must be a finite 3x3 matrix"),
+], ids=["three_black_levels", "nan_matrix", "inf_matrix"])
+def test_a_capture_refuses_malformed_calibration(overrides, named):
+    with pytest.raises(MalformedSidecar, match=named):
+        make_capture(0, **overrides)

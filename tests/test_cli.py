@@ -122,6 +122,20 @@ class TestBasics:
         assert [e["level"] for e in events] == ["error"]
         assert f"config.{next(iter(config))}: expected " in events[0]["event"]
 
+    @pytest.mark.parametrize("text, named", [
+        (None, "config: cannot read "),
+        ("{bad", "c.json is not valid JSON ("),
+        ("[1]", "config: top level must be a JSON object"),
+    ], ids=["missing", "not_json", "list"])
+    def test_a_config_file_that_is_not_a_json_object_exits_1_and_leaves_no_out(self, tmp_path, capsys,
+                                                                                 text, named):
+        config = tmp_path / "c.json"
+        if text is not None:
+            config.write_text(text)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert named in _error_event(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_config_int_for_a_float_field_is_accepted(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text('{"gain": 2, "exposures": [1, 2], "tau": 1}')
@@ -370,6 +384,20 @@ class TestIngest:
         events = [json.loads(line) for line in proc.stderr.splitlines()]
         assert [e["level"] for e in events] == ["error"]
         assert "localhost:9/x" in events[0]["event"]
+
+
+    @pytest.mark.parametrize("stage, written", [
+        ("ingest", ["captures.json", "run.json"]),
+        ("measxyz", ["run.json", "synth-0001.f32", "synth-0001.json"]),
+    ])
+    def test_an_input_of_one_bundle_reads_that_bundle(self, tmp_path, stage, written):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "2", "--seed", "0"]) == 0
+        assert main([stage, "--input", str(tmp_path / "s" / "bundles" / "synth-0001"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == written
+        if stage == "ingest":
+            refs = json.loads((tmp_path / "o" / "captures.json").read_text())
+            assert [r["capture_id"] for r in refs] == ["synth-0001"]
 
 
 class TestSynth:
@@ -622,6 +650,26 @@ class TestPipelineStages:
                       "--fraction", "0.34", "--seed", "4")
         preds = _write_predictions(split / "bench_manifest.jsonl", root / "preds.jsonl")
         rerun("eval", "--bench", split / "bench_manifest.jsonl", "--predictions", preds)
+
+
+class TestTextStageFiles:
+    def test_report_writes_the_table_it_prints(self, tmp_path, capsys):
+        triple = {"bleu": 0.5, "rouge_l": 0.25, "judge_accuracy": 1.0}
+        (tmp_path / "metrics.json").write_text(json.dumps({
+            "overall": triple, "per_dimension": {"NG": triple}, "counts": {"NG": 1},
+            "total": 1, "missing_predictions": 0}))
+        capsys.readouterr()
+        assert main(["report", "--input", str(tmp_path / "metrics.json"), "--out", str(tmp_path / "d")]) == 0
+        printed = capsys.readouterr().out
+        assert "OVERALL" in printed
+        assert (tmp_path / "d" / "report.txt").read_text() == printed
+
+    def test_verify_split_names_a_refused_row_of_a_refs_list_by_its_index(self, tmp_path, capsys):
+        (tmp_path / "train.json").write_text(json.dumps([{"capture_id": "a"}, {"capture_id": [1]}]))
+        (tmp_path / "bench.jsonl").write_text(json.dumps({"capture_id": "b"}) + "\n")
+        assert main(["verify-split", "--train", str(tmp_path / "train.json"),
+                     "--bench", str(tmp_path / "bench.jsonl")]) == 1
+        assert "train.json: [1]: capture_id: expected str | None, got [1]" in _error_event(capsys)
 
 
 class TestStripedPassFiles:

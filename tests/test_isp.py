@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measground import isp
+from measground import isp, measxyz
 from measground.bracketsup import read_proxy
 from measground.errors import DomainError, EmptyBracket, SingularMatrix
 from measground.isp import (
     IDENTITY,
     SRGB_LINEAR_THRESHOLD,
+    RenderedRgb,
     RenderParams,
     make_bracket,
     quantize,
@@ -224,9 +225,9 @@ class TestPpmRoundTrip:
     @pytest.mark.parametrize("height", [1, 4, 5, 6, 11])
     @pytest.mark.parametrize("bits", [8, 12])
     def test_streamed_bracket_is_the_saved_bracket(self, tmp_path, monkeypatch, height, bits):
-        """At stripes of 5 rows, save_bracket writes the files save_rendered
+        """At stripes of 4 rows, save_bracket writes the files save_rendered
         writes for make_bracket's renders, gains of one window and of several."""
-        monkeypatch.setattr(isp, "_STRIPE_PIXELS", 5 * 7)
+        monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 5 * 7)
         z = MeasXyzImage(np.random.default_rng(height).uniform(0, 1, (height, 7, 3)) ** 2, "sb",
                          make_metadata(0))
         gains = [0.5, 1.0, 1.5, 2.0, 4.0, 3.0]
@@ -256,3 +257,37 @@ class TestPpmRoundTrip:
 
         with pytest.raises(IoFailure):
             save_rendered(rendered, tmp_path / "r")
+
+
+class TestRenderedCodes:
+    """A RenderedRgb built from given codes holds them only if they are what a render makes."""
+
+    @pytest.mark.parametrize("code", [2.7, -65535, -1, 256, np.nan], ids=["2.7", "-65535", "-1", "256", "nan"])
+    def test_quantized_codes_that_are_not_integers_in_range_are_refused(self, code):
+        """uint16 would truncate 2.7 to 2 and wrap -65535 to 1, which is below 255."""
+        codes = np.zeros((1, 2, 3), dtype=np.asarray(code).dtype)
+        codes[0, 1, 2] = code
+        with pytest.raises(DomainError, match=r"quantized codes must be integers in \[0, 255\]"):
+            RenderedRgb(codes, RenderParams(exposure_gain=1.0), "x")
+
+    def test_integer_codes_in_range_are_kept(self):
+        for codes in ([[[0, 255, 7]]], [[[0.0, 255.0, 7.0]]], np.array([[[0, 255, 7]]], np.uint16)):
+            rendered = RenderedRgb(codes, RenderParams(exposure_gain=1.0), "x")
+            assert rendered.codes.dtype == np.uint16 and rendered.codes.tolist() == [[[0, 255, 7]]]
+
+    @pytest.mark.parametrize("value, named", [
+        (np.nan, "unquantized codes must be finite"),
+        (np.inf, "unquantized codes must be finite"),
+        (1.5, r"unquantized codes must lie in \[0, 1\]"),
+        (-0.5, r"unquantized codes must lie in \[0, 1\]"),
+    ], ids=["nan", "inf", "1.5", "-0.5"])
+    def test_unquantized_codes_outside_the_unit_range_are_refused(self, value, named):
+        with pytest.raises(DomainError, match=named):
+            RenderedRgb([[[value, 0.5, 0.5]]], RenderParams(exposure_gain=1.0, quantize=False), "x")
+
+    @pytest.mark.parametrize("fn", [srgb_oetf, srgb_eotf, lambda v: quantize(v, 8)], ids=["oetf", "eotf", "quantize"])
+    def test_the_transfer_curves_name_the_rule_they_refuse(self, fn):
+        with pytest.raises(DomainError, match="value must be finite"):
+            fn(np.array([0.5, np.nan]))
+        with pytest.raises(DomainError, match=r"value must lie in \[0, 1\]"):
+            fn(1.25)

@@ -371,7 +371,7 @@ def _edge_image(shape: tuple[int, int], seed: int) -> MeasXyzImage:
 @pytest.mark.parametrize("bits", [1, 8, 12, 16])
 def test_striped_pass_matches_whole_frame_oracles(bits, transfer, quantize, monkeypatch):
     # stripes of 4 rows, the last one of 3
-    monkeypatch.setattr(isp, "_STRIPE_PIXELS", 4 * 37)
+    monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 4 * 37)
     z = _edge_image((23, 37), seed=bits)
     overrides = dict(bit_depth=bits, transfer=transfer, quantize=quantize)
     bracket = isp.make_bracket(z, GAINS, **overrides)
@@ -419,7 +419,7 @@ def test_windowed_bracket_matches_the_oracles(bits, transfer, gains, monkeypatch
     """Through the identity matrix the products hit the thresholds; through
     the default one they also go negative and above 1. Stripes of 4 rows
     leave a short last stripe."""
-    monkeypatch.setattr(isp, "_STRIPE_PIXELS", 4 * 37)
+    monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 4 * 37)
     z = _threshold_image(bits, transfer, gains)
     for matrix in (_IDENTITY_MATRIX, XYZ_TO_LINEAR_SRGB_D65):
         overrides = dict(bit_depth=bits, transfer=transfer, xyz_to_linear_srgb=matrix)
@@ -466,12 +466,12 @@ def test_windows_with_one_matrix_and_gain_read_one_product(params_seq, products,
 
 
 _WIDTH = 3000
-_STRIPE_ROWS = isp._STRIPE_PIXELS // _WIDTH
+_STRIPE_ROWS = measxyz._STRIPE_PIXELS // _WIDTH
 
 
 @pytest.mark.parametrize("shape", [
     (1, 1), (1, _WIDTH), (_STRIPE_ROWS - 1, _WIDTH), (_STRIPE_ROWS, _WIDTH),
-    (_STRIPE_ROWS + 1, _WIDTH), (3, 4 * isp._STRIPE_PIXELS // 3),
+    (_STRIPE_ROWS + 1, _WIDTH), (3, 4 * measxyz._STRIPE_PIXELS // 3),
 ])
 def test_striped_pass_matches_at_stripe_edges(shape):
     z = _edge_image(shape, seed=shape[0])
@@ -739,7 +739,6 @@ _REUSE_GAINS = [0.5, 1.0, 2.0, 3.0, 0.3]
 
 def test_a_held_workspace_gives_every_capture_a_fresh_calls_output(monkeypatch):
     monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 60)
-    monkeypatch.setattr(isp, "_STRIPE_PIXELS", 60)
     workspace = measxyz._StripeWorkspace()
     for index, (height, width, pattern) in enumerate(_REUSE_SEQUENCE):
         capture = _saturating_capture(pattern, height, width, seed=index)

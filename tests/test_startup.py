@@ -157,8 +157,14 @@ def test_lazy_package_exports():
                   "--out", "annotate-loaded"), {"benchmark", "dataset", "metrics"}, id="annotate"),
     pytest.param(("aggregate", "--candidates", "candidates/candidates.jsonl", "--measxyz", "measxyz",
                   "--out", "aggregate-loaded"), {"benchmark", "dataset", "metrics"}, id="aggregate"),
+    # the leakage check reads manifest rows, not training samples
+    pytest.param(("verify-split", "--train", "verify-train.jsonl", "--bench", "verify-bench.jsonl",
+                  "--out", "verify-loaded"), {"bracketsup", "remote", "dataset", "metrics"}, id="verify-split"),
 ])
 def test_a_stage_loads_only_the_modules_it_runs(images, argv, unused):
+    if argv[0] == "verify-split":
+        for side, capture_id in (("train", "synth-0000"), ("bench", "synth-0001")):
+            (images / f"verify-{side}.jsonl").write_text(json.dumps({"capture_id": capture_id}) + "\n")
     if argv[0] == "aggregate" and not (images / "candidates").exists():
         assert main(["annotate", "--proxies", str(images / "bracket"), "--mock-annotator",
                      str(images / "transcript.jsonl"), "--out", str(images / "candidates")]) == 0
