@@ -79,10 +79,8 @@ class RawCapture:
             raise MalformedSidecar(f"unknown cfa_pattern {self.cfa_pattern!r}")
         mosaic = formats.uint16_codes(self.mosaic, formats.PGM_MAXVAL, "mosaic codes", MalformedMosaic)
         object.__setattr__(self, "mosaic", mosaic)
-        if mosaic.ndim != 2 or mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
-            raise DimensionMismatch(
-                f"mosaic must be 2-D with even dimensions, got {mosaic.shape}"
-            )
+        if mosaic.ndim != 2 or 0 in mosaic.shape or mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
+            raise DimensionMismatch(f"mosaic must be 2-D with even, nonzero dimensions, got {mosaic.shape}")
         mosaic.setflags(write=False)
         check_bounds(self, MalformedSidecar)  # so each value below is a number
         black, gains = tuple(map(float, self.black_level)), tuple(map(float, self.wb_gains))
@@ -141,13 +139,12 @@ def load_capture_bundle(path: Path, sidecar: Sidecar | None = None) -> RawCaptur
     if sidecar is None:
         sidecar = read_bundle_sidecar(path)
     mosaic = formats.read_pgm16(mosaic_path)
-    if mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
-        raise DimensionMismatch(f"{mosaic_path}: odd mosaic dimensions {mosaic.shape}")
-
     try:
         return RawCapture(mosaic=mosaic, **vars(sidecar))
     except MalformedSidecar as exc:
         raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{mosaic_path}: {exc}") from exc
 
 
 def save_capture_bundle(capture: RawCapture, path: Path) -> None:

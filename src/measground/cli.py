@@ -122,7 +122,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = formats.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigInvalid(f"config: cannot read {path} ({exc})") from exc
         except json.JSONDecodeError as exc:

@@ -282,10 +282,19 @@ def read_text(path: Path) -> str:
         raise MissingFile(str(path)) from exc
 
 
+def loads(text: str):
+    """``json.loads``, raising JSONDecodeError also where the input is nested too
+    deeply to parse, on which json.loads raises RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def parse_json(text: str, path: Path):
     """Parse one JSON document read from ``path``: SchemaViolation if invalid."""
     try:
-        return json.loads(text)
+        return loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON ({exc.msg})") from exc
 
@@ -308,7 +317,7 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
         if not line:
             continue
         try:
-            row = json.loads(line)
+            row = loads(line)
             if not isinstance(row, dict):
                 raise SchemaViolation("expected a JSON object")
             rows.append(row if parse is None else parse(row))

@@ -297,30 +297,37 @@ def _stripe_shape(z: MeasXyzImage) -> tuple[int, int, int]:
     return min(_stripe_step(width), height), width, 3
 
 
-def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace: _StripeWorkspace):
-    """Yield (rows, window, v) per row stripe of ``z`` and window of
-    params_seq: v is the stripe's product matrix @ (window.gain * xyz), and
-    2^window.k * v its pre-clip linear RGB at the window's top gain.
+def _code_dtype(params: RenderParams):
+    return np.uint16 if params.quantize else np.float64
 
-    ``scratch`` is a float64 buffer of two stripe planes for _apply_matrix,
-    which the caller may use between yields.
+
+def _render_pass(z: MeasXyzImage, params_seq, sinks, workspace: _StripeWorkspace) -> None:
+    """Render ``z`` under every params in one pass over its row stripes.
+
+    ``sinks[i](rows, codes, v, e)`` receives the rows, a slice, and the codes
+    of each stripe of the render under ``params_seq[i]``, in row order, in a
+    buffer the next stripe overwrites; 2^e * v is the stripe's pre-clip
+    linear RGB at that render's gain, in a buffer the next product
+    overwrites. The buffers of _lookup_buffers are free while a sink runs.
 
     Windows with one matrix and gain read one product per stripe. Each
     stripe is first copied into float64 X, Y and Z planes, which widens a
     float32 plane and lets the matrix read contiguous planes; a gain other
-    than 1 scales them into a second set first. ``v`` lives in a buffer the
-    next product overwrites, and every stripe buffer comes from
-    ``workspace``: a caller that holds one across captures allocates them
-    once, not on every capture.
+    than 1 scales them into a second set first. Every stripe buffer comes
+    from ``workspace``: a caller that holds one across captures allocates
+    them once, not on every capture.
     """
     products = {}  # (matrix, gain) -> the windows that read that product
     for window in _windows(params_seq):
         key = (params_seq[window.members[0]].xyz_to_linear_srgb, window.gain)
         products.setdefault(key, []).append(window)
     shape = _stripe_shape(z)
+    codes = [workspace.take(f"codes {i}", shape, _code_dtype(params)) for i, params in enumerate(params_seq)]
+    lookup = _lookup_buffers(workspace, math.prod(shape))
     planes = workspace.take("xyz planes", (3,) + shape[:2])  # the stripe's X, Y and Z
     product = workspace.take("product", shape)
-    scratch = scratch[:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
+    # the lookup's product buffer is free while a stripe's product is computed
+    scratch = lookup[0][:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
     if any(gain != 1.0 for _, gain in products):
         scaled = workspace.take("scaled planes", planes.shape)  # gain * xyz
     for top in range(0, z.data.shape[0], max(1, shape[0])):
@@ -331,38 +338,20 @@ def _linear_stripes(z: MeasXyzImage, params_seq, scratch: np.ndarray, workspace:
         np.copyto(xyz, np.moveaxis(block, -1, 0))
         for (matrix, gain), windows in products.items():
             x = xyz if gain == 1.0 else np.multiply(gain, xyz, out=scaled[:, :count])
-            _apply_matrix(np.asarray(matrix), x, np.moveaxis(product[:count], -1, 0), scratch[:, :count])
+            v = product[:count]
+            _apply_matrix(np.asarray(matrix), x, np.moveaxis(v, -1, 0), scratch[:, :count])
             for window in windows:
-                yield rows, window, product[:count]
-
-
-def _code_dtype(params: RenderParams):
-    return np.uint16 if params.quantize else np.float64
-
-
-def _render_pass(z: MeasXyzImage, params_seq, sinks, workspace: _StripeWorkspace) -> None:
-    """Render ``z`` under every params in one pass over its row stripes.
-
-    ``sinks[i](rows, codes)`` receives the rows, a slice, and the codes of
-    each stripe of the render under ``params_seq[i]``, in row order, in a
-    buffer the next stripe overwrites.
-    """
-    shape = _stripe_shape(z)
-    codes = [workspace.take(f"codes {i}", shape, _code_dtype(params)) for i, params in enumerate(params_seq)]
-    lookup = _lookup_buffers(workspace, math.prod(shape))
-    # the lookup's product buffer is free while a stripe's product is computed
-    for rows, window, v in _linear_stripes(z, params_seq, lookup[0], workspace):
-        outs = [codes[i][:v.shape[0]] for i in window.members]
-        _window_codes(v, window, params_seq[window.members[0]], outs, lookup)
-        for i, out in zip(window.members, outs):
-            sinks[i](rows, out)
+                outs = [codes[i][:count] for i in window.members]
+                _window_codes(v, window, params_seq[window.members[0]], outs, lookup)
+                for i, offset, out in zip(window.members, window.offsets, outs):
+                    sinks[i](rows, out, v, window.k - offset)
 
 
 def _rendered(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> list[RenderedRgb]:
     """The renders of ``z`` under every params, from one pass into whole-frame arrays."""
     outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
-    # an array's __setitem__ is the sink that fills it
-    _render_pass(z, params_seq, [out.__setitem__ for out in outs], workspace)
+    sinks = [lambda rows, codes, v, e, out=out: out.__setitem__(rows, codes) for out in outs]
+    _render_pass(z, params_seq, sinks, workspace)
     return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
 
 
@@ -425,7 +414,7 @@ def save_bracket(z: MeasXyzImage, stems, exposures=DEFAULT_BRACKET, *,
         for stem, params in zip(stems, params_seq, strict=True):
             append = files.enter_context(formats.open_pnm(Path(str(stem) + ".ppm"), z.data.shape,
                                                           params.max_code))
-            sinks.append(lambda rows, codes, append=append: append(codes))
+            sinks.append(lambda rows, codes, v, e, append=append: append(codes))
         _render_pass(z, params_seq, sinks, _StripeWorkspace() if workspace is None else workspace)
     for stem, params in zip(stems, params_seq):
         _write_render_header(stem, z.capture_id, params)

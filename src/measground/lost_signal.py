@@ -21,11 +21,9 @@ from .isp import (
     IDENTITY,
     RenderedRgb,
     RenderParams,
-    _code_dtype,
-    _linear_stripes,
     _lookup_buffers,
+    _render_pass,
     _stripe_shape,
-    _window_codes,
     srgb_eotf,
 )
 from .measxyz import MeasXyzImage, _apply_matrix, _StripeWorkspace
@@ -164,7 +162,7 @@ def lost_signal_residual(
     bits: int = 8,
 ) -> LostSignalReport:
     """Compare the original observation with its recovery after rendering."""
-    recovered = np.asarray(recovered, dtype=np.float64)
+    recovered = np.asarray(recovered)
     if recovered.shape != z.data.shape:
         raise ShapeMismatch(
             f"recovered shape {recovered.shape} != original {z.data.shape}"
@@ -172,8 +170,9 @@ def lost_signal_residual(
     forward_clip_mask = np.asarray(forward_clip_mask, dtype=bool)
     if forward_clip_mask.shape != z.data.shape[:2]:
         raise ShapeMismatch("clip mask shape does not match the image")
-    # Y is the second XYZ channel; the report reorders this copy of it
-    return _luminance_report(z, np.array(recovered[..., 1], order="C"), forward_clip_mask, tau, bins,
+    # Y is the second XYZ channel, widened alone; the report reorders this copy of it
+    y_rec = np.array(recovered[..., 1], dtype=np.float64, order="C")
+    return _luminance_report(z, y_rec, forward_clip_mask, tau, bins,
                              capture_id=capture_id, exposure_gain=exposure_gain, bits=bits)
 
 
@@ -222,7 +221,7 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _Stri
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Y of ``invert_render(render_proxy(z, params))`` and the (H, W) mask of
     pixels whose pre-clip linear RGB exceeds 1 in any channel, bit for bit,
-    in one pass over row stripes whose buffers come from ``workspace``.
+    from a sink of the render's one pass, whose buffers come from ``workspace``.
 
     Only the Y row of the inverse is computed, by the kernel invert_render
     uses, then divided by the gain.
@@ -232,35 +231,35 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _Stri
     y_rec = np.empty(z.data.shape[:2])
     clipped = np.empty(z.data.shape[:2], dtype=bool)
     shape = _stripe_shape(z)
-    lookup = _lookup_buffers(workspace, math.prod(shape))
-    codes = workspace.take("codes", shape, _code_dtype(params))
-    scratch = workspace.take("inverse sums", (2,) + shape[:2])  # _apply_matrix's sums
     over = workspace.take("clip flags", shape[:2], bool)
-    # the dequantized R, G, B planes share the lookup's product buffer, and
-    # their codes as indices its index buffer: both are free once a stripe's
-    # codes are written
-    planes = lookup[0].reshape((3,) + shape[:2])
-    for rows, window, v in _linear_stripes(z, [params], scratch.reshape(-1), workspace):
+    # the render's lookup buffers are free while the sink runs: the dequantized
+    # R, G, B planes take its product buffer, their codes as indices its index
+    # buffer, and _apply_matrix's sums its step buffer
+    products, steps, indices, _ = _lookup_buffers(workspace, math.prod(shape))
+    planes = products.reshape((3,) + shape[:2])
+    sums = steps[:2 * shape[0] * shape[1]].reshape((2,) + shape[:2])
+
+    def invert(rows, encoded, v, e):
         count = v.shape[0]
-        top = np.ldexp(1.0, -window.k)  # 2^k * v > 1
+        top = np.ldexp(1.0, -e)  # 2^e * v > 1
         mask = clipped[rows]
         np.greater(v[..., 0], top, out=mask)
         for c in (1, 2):
             mask |= np.greater(v[..., c], top, out=over[:count])
-        encoded = codes[:count]
-        _window_codes(v, window, params, [encoded], lookup)
         if table is not None:
             linear = planes[:, :count]
             # np.take would convert each channel's codes into a fresh intp array
-            index = lookup[2][:v.size // 3].reshape(v.shape[:2])
+            index = indices[:v.size // 3].reshape(v.shape[:2])
             for c in range(3):
                 np.copyto(index, encoded[..., c])
                 np.take(table, index, out=linear[c], mode="clip")
         else:
             linear = np.moveaxis(srgb_eotf(encoded) if params.transfer != IDENTITY else encoded, -1, 0)
         y = y_rec[rows]
-        _apply_matrix(y_row, linear, y[np.newaxis], scratch[:, :count])
+        _apply_matrix(y_row, linear, y[np.newaxis], sums[:, :count])
         y /= params.exposure_gain
+
+    _render_pass(z, [params], [invert], workspace)
     return y_rec, clipped
 
 

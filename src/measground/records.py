@@ -356,8 +356,8 @@ class MeasXyzHeader:
     capture_id: str
     metadata: CameraMetadata
     range: tuple[float, float]
-    height: int
-    width: int
+    height: Annotated[int, Positive]
+    width: Annotated[int, Positive]
     channels: int
 
     @property

@@ -37,7 +37,7 @@ def post_json(endpoint: str, payload: dict, unavailable: type, malformed: type) 
         raise unavailable(f"{endpoint}: HTTP {status}")
     try:  # outside the transport try: requests' JSONDecodeError is a RequestException
         body = response.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise malformed(f"{endpoint}: non-JSON response") from exc
     if not isinstance(body, dict):
         raise malformed(f"{endpoint}: expected a JSON object")

@@ -126,7 +126,8 @@ class TestBasics:
         (None, "config: cannot read "),
         ("{bad", "c.json is not valid JSON ("),
         ("[1]", "config: top level must be a JSON object"),
-    ], ids=["missing", "not_json", "list"])
+        ("[" * 200_000, "c.json is not valid JSON ("),
+    ], ids=["missing", "not_json", "list", "nested_too_deeply"])
     def test_a_config_file_that_is_not_a_json_object_exits_1_and_leaves_no_out(self, tmp_path, capsys,
                                                                                  text, named):
         config = tmp_path / "c.json"
@@ -1032,6 +1033,42 @@ def _verify_split_row(named, **fields):
     return case
 
 
+def _train_file_nested_too_deeply(root):
+    (root / "train.json").write_text("[" * 200_000)
+    (root / "bench.jsonl").write_text("")
+    return ["verify-split", "--train", root / "train.json", "--bench", root / "bench.jsonl"], \
+        "train.json: invalid JSON (nested too deeply)"
+
+
+def _bench_row_nested_too_deeply(root):
+    (root / "train.json").write_text("[]")
+    (root / "bench.jsonl").write_text('{"capture_id": ' + "[" * 200_000 + "\n")
+    return ["verify-split", "--train", root / "train.json", "--bench", root / "bench.jsonl"], \
+        "bench.jsonl:1: invalid JSON (nested too deeply)"
+
+
+def _mosaic_of_size(stage, size):
+    """A bundle whose mosaic header declares a zero dimension and no samples."""
+    def case(root):
+        (root / "s" / "bundles" / "synth-0000" / "mosaic.pgm").write_bytes(f"P5\n{size}\n65535\n".encode())
+        inputs = {"ingest": root / "s" / "bundles", "measxyz": root / "s" / "captures.json"}
+        return [stage, "--input", inputs[stage], "--out", root / "out"], "mosaic.pgm: mosaic must be 2-D"
+    case.__name__ = f"_{stage}_over_a_mosaic_of_{size.replace(' ', 'x')}"
+    return case
+
+
+def _plane_of_size(stage, height, width):
+    """A Meas.-XYZ plane whose header declares a zero dimension, over an empty .f32."""
+    def case(root):
+        header = json.loads((root / "m" / "synth-0000.json").read_text())
+        header.update(height=height, width=width)
+        (root / "m" / "synth-0000.json").write_text(json.dumps(header))
+        (root / "m" / "synth-0000.f32").write_bytes(b"")
+        return [stage, "--input", root / "m", "--out", root / "out"], "synth-0000.json: plane header."
+    case.__name__ = f"_{stage.replace('-', '_')}_over_a_plane_of_{height}x{width}"
+    return case
+
+
 def _prediction_row_after_blank_lines(root):
     (root / "rows.jsonl").write_text('\n\n{"capture_id": "synth-0000"}\n')
     (root / "bench.jsonl").write_text("")
@@ -1167,7 +1204,15 @@ class TestMalformedInputs:
         _sample_row_after_blank_lines,
         _sample_row_with_negative_iso,
         _prediction_row_after_blank_lines,
+        _train_file_nested_too_deeply,
+        _bench_row_nested_too_deeply,
         _mosaic_truncated_in_third_of_four_bundles,
+        _mosaic_of_size("ingest", "0 4"),
+        _mosaic_of_size("measxyz", "0 4"),
+        _mosaic_of_size("measxyz", "4 0"),
+        _mosaic_of_size("measxyz", "0 0"),
+        _plane_of_size("bracket", 0, 4),
+        _plane_of_size("lost-signal", 4, 0),
         _render_header_with_singular_matrix,
         _render_header_with_bit_depth_17,
         _render_header_with_unknown_transfer,

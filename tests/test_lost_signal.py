@@ -149,6 +149,25 @@ class TestResidualReport:
         assert np.array_equal(recovered, before)
         assert report.p99_recovered == nearest_rank_percentile(before[..., 1], 99.0)
 
+    def test_only_the_recovered_luminance_is_widened(self):
+        # a float32 (H, W, 3) recovery costs what a float64 one does: a float64
+        # copy of its Y, and not a float64 copy of the whole array
+        shape = (256, 256)
+        rng = np.random.default_rng(8)
+        z = make_image(rng.uniform(0, 1, shape + (3,)).astype(np.float32))
+        recovered = rng.uniform(0, 1, shape + (3,))
+        mask = np.zeros(shape, bool)
+        costs = []
+        for dtype in (np.float64, np.float32):
+            held = recovered.astype(dtype)
+            tracemalloc.start()
+            try:
+                lost_signal_residual(z, held, mask)
+                costs.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert costs[1] <= costs[0] + 64 * 1024
+
     def test_tau_and_bins_validation(self):
         z = make_image(np.zeros((4, 4, 3)))
         with pytest.raises(DomainError):

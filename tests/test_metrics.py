@@ -272,6 +272,13 @@ class TestHttpJudge:
             judge("q", "r", "p", HttpJudgeClient(endpoint))
         assert len(handler.script) == 1
 
+    def test_a_body_nested_too_deeply_is_malformed_not_retried(self, judge_server):
+        endpoint, handler = judge_server
+        handler.script.extend([(200, b"[" * 200_000)] * 2)
+        with pytest.raises(MalformedVerdict, match="non-JSON"):
+            judge("q", "r", "p", HttpJudgeClient(endpoint))
+        assert len(handler.script) == 1
+
     def test_malformed_verdict(self, judge_server):
         endpoint, handler = judge_server
         handler.script.append((200, {"verdict": "sure"}))

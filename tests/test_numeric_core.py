@@ -754,6 +754,16 @@ def test_a_held_workspace_gives_every_capture_a_fresh_calls_output(monkeypatch):
                                   analyze_render(z, params))
 
 
+def test_the_analysis_takes_the_buffers_of_its_render_and_its_clip_flags():
+    # the inverse reuses the render pass's lookup buffers, so on a fresh
+    # workspace it adds only the clip flags to a one-gain bracket's names
+    z = make_image(np.random.default_rng(9).uniform(0, 1, (64, 48, 3)))
+    bracket, analysis = measxyz._StripeWorkspace(), measxyz._StripeWorkspace()
+    isp.make_bracket(z, [2.0], workspace=bracket)
+    analyze_render(z, RenderParams(exposure_gain=2.0), workspace=analysis)
+    assert analysis._buffers.keys() == bracket._buffers.keys() | {"clip flags"}
+
+
 def test_a_held_workspace_allocates_no_stripe_buffer_again(monkeypatch):
     # 256 x 256: two stripes of 128 rows, whose smallest buffer, one bool per
     # pixel, is 32 KiB. NumPy's ufunc loops buffer up to 64 KiB per operand
