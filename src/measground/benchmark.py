@@ -187,8 +187,7 @@ def _entry_fields(entry) -> dict:
         where, value = key, entry.get(key)
         if key in _NESTED_KEYS and key not in entry:
             where, value = f"metadata.{key}", meta.get(key)
-        # null is valid, and skipping it spares the union's failed str try
-        fields[key] = None if value is None else decode(_ID, value, where)
+        fields[key] = decode(_ID, value, where)
     return fields
 
 

@@ -195,10 +195,13 @@ def read_ppm_bytes(path: Path) -> tuple[bytes, int]:
     Samples are one byte for maxval < 256, two big-endian bytes otherwise,
     per the PPM convention. They are kept as stored, once their size is
     checked and none is found above maxval; only a header that is not in
-    ``_pnm_header``'s form is rewritten. No array is built.
+    ``_pnm_header``'s form is rewritten. No array is built. A zero width or
+    height is refused.
     """
     raw = Path(path).read_bytes()
     width, height, maxval, offset = _read_pnm_header(raw, b"P6", Path(path))
+    if not width or not height:
+        raise MalformedMosaic(f"{path}: width and height must be nonzero, got {width}x{height}")
     expected = width * height * 3 * (2 if maxval > 255 else 1)
     if len(raw) - offset != expected:
         raise MalformedMosaic(

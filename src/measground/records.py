@@ -11,8 +11,9 @@ Every record the program writes as JSON (capture sidecars, Meas.-XYZ plane
 and render headers, lost-signal summaries and residual headers, refs,
 candidates, samples, the benchmark manifest, the disjointness and metrics
 reports, and the config that ``run.json`` hashes)
-goes through ``encode``, whose output ``decode`` reads back; both read the
-record's field annotations, so a record's on-disk form is decided once.
+goes through ``encode``, whose output ``decode`` reads back; the reader and
+the writer are built together from the record's field annotations, so a
+record's on-disk form is decided once.
 """
 
 from __future__ import annotations
@@ -39,19 +40,27 @@ if TYPE_CHECKING:
     from .capture import RawCapture
 
 
-# --- the JSON record decoder ------------------------------------------------------
+# --- the JSON record codec --------------------------------------------------------
 #
-# ``decode`` is the one way parsed JSON becomes a record. The rule, read from
-# the annotations: str, int and bool take only their own JSON type (a bool is
-# no int); float takes an int or a finite float and gives a float; ``X | None``
-# also takes null; ``tuple[T, ...]`` takes a list, and a fixed tuple a list of
-# its length; a record dataclass takes an object without unknown keys, and a key
-# it lacks takes the field's default or is refused; an Enum takes its value;
-# ``dict[K, V]`` takes an object whose keys decode as K; and a bare ``dict``
-# takes any object, as parsed. ``Annotated[T, Range(lo, hi)]``, or ``Positive``,
+# ``decode`` is the one way parsed JSON becomes a record, and ``encode``, its
+# inverse, the one way a record becomes JSON; ``_codec`` builds the reader and
+# the writer of an annotation together. The rule, read from the annotations:
+# str, int and bool take only their own JSON type (a bool is no int); float
+# takes an int or a finite float and gives a float; a bare ``dict`` takes any
+# object, as parsed; and each is written as it is. ``X | None``, the one union
+# form, also takes null, and None is written as null, except in a field whose
+# metadata sets ``_OMIT_IF_NONE``, which is then left out. ``tuple[T, ...]``
+# takes a list, and a fixed tuple a list of its length; a tuple is written as a
+# list. A record dataclass takes an object without unknown keys, and a key it
+# lacks takes the field's default or is refused; it is written as an object. An
+# Enum is read and written as its value, and ``dict[K, V]`` as an object whose
+# keys are K's. ``Annotated[T, Range(lo, hi)]``, or ``Positive``,
 # ``NonNegative``, ``Unit`` or ``OpenUnit`` for the range, takes only numbers in
 # it, each of a tuple's. A float that is not finite (``NaN``, ``Infinity``,
 # ``1e999``) or outside the range reads ``<where>.<field>: value <v> out of range``.
+
+_OMIT_IF_NONE = "omit_if_none"
+
 
 class Range(typing.NamedTuple):
     """A numeric field's bound, lo <= value <= hi. The default ends are the largest
@@ -68,7 +77,7 @@ OpenUnit = Range(math.ulp(0.0), math.nextafter(1.0, 0.0))
 
 
 class _Mismatch(Exception):
-    """A JSON value that does not fit the hint its converter was built for."""
+    """A JSON value that does not fit the hint its reader was built for."""
 
 
 class _Refused(Exception):
@@ -93,82 +102,93 @@ def _number(value) -> float:
         raise _Mismatch from None
 
 
+def _same(value):
+    return value
+
+
 @functools.cache
-def _converter(hint):
-    """The function that returns a parsed JSON value as ``hint`` or raises _Mismatch;
-    built once per hint."""
+def _codec(hint):
+    """(from_json, to_json) for ``hint``, built once per hint: from_json returns a
+    parsed JSON value as ``hint`` or raises _Mismatch, and to_json returns a
+    ``hint`` value as JSON, or is None where the value is written as it is."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint is float:
-        return _number
-    if hint in (str, int, bool, dict, type(None)):
-        def convert(value):
+        return _number, None
+    if hint in (str, int, bool, dict):
+        def from_json(value):
             if type(value) is not hint:
                 raise _Mismatch
             return value
-    elif origin is types.UnionType:
-        options = tuple(map(_converter, args))
+        return from_json, None
+    if origin is types.UnionType:
+        if len(args) != 2 or type(None) not in args:
+            raise TypeError(f"no JSON codec for {hint!r}: X | None is the one union")
+        ((convert, item),) = (_codec(arg) for arg in args if arg is not type(None))
+        return (lambda value: None if value is None else convert(value),
+                (lambda value: None if value is None else item(value)) if item else None)
+    if origin is tuple and args[-1] is Ellipsis:
+        convert, item = _codec(args[0])
 
-        def convert(value):
-            for option in options:
-                try:
-                    return option(value)
-                except _Mismatch:
-                    pass
-            raise _Mismatch
-    elif origin is tuple and args[-1] is Ellipsis:
-        item = _converter(args[0])
-
-        def convert(value):
+        def from_json(value):
             if type(value) is not list:
                 raise _Mismatch
-            return tuple(map(item, value))
-    elif origin is tuple:
-        items = tuple(map(_converter, args))
+            return tuple(map(convert, value))
+        return from_json, (lambda value: list(map(item, value))) if item else list
+    if origin is tuple:
+        converts, items = zip(*map(_codec, args))
 
-        def convert(value):
-            if type(value) is not list or len(value) != len(items):
+        def from_json(value):
+            if type(value) is not list or len(value) != len(converts):
                 raise _Mismatch
-            return tuple(item(v) for item, v in zip(items, value))
-    elif origin is dict:
-        key, item = map(_converter, args)
+            return tuple(convert(v) for convert, v in zip(converts, value))
+        if not any(items):
+            return from_json, list
+        items = [item or _same for item in items]
+        return from_json, lambda value: [item(v) for item, v in zip(items, value)]
+    if origin is dict:
+        (key, key_out), (convert, item) = map(_codec, args)
 
-        def convert(value):
+        def from_json(value):
             if type(value) is not dict:
                 raise _Mismatch
-            return {key(k): item(v) for k, v in value.items()}
-    elif isinstance(hint, enum.EnumMeta):
-        def convert(value):
+            return {key(k): convert(v) for k, v in value.items()}
+        key_out, item = key_out or _same, item or _same
+        return from_json, lambda value: {key_out(k): item(v) for k, v in value.items()}
+    if isinstance(hint, enum.EnumMeta):
+        def from_json(value):
             try:
                 return hint(value)
             except (TypeError, ValueError):
                 raise _Mismatch from None
-    elif dataclasses.is_dataclass(hint):
-        return _record_converter(hint)
-    else:
-        raise TypeError(f"no JSON decoding for {hint!r}")
-    return convert
+        return from_json, operator.attrgetter("value")
+    if dataclasses.is_dataclass(hint):
+        return _record_codec(hint)
+    raise TypeError(f"no JSON codec for {hint!r}")
 
 
-def _record_converter(cls):
-    """The converter of a record dataclass: each field's value by its annotation."""
+def _record_codec(cls):
+    """The codec of a record dataclass: each field's value by its annotation."""
     hints = typing.get_type_hints(cls)
-    specs = [(f.name, _converter(hints[f.name]), _hint_name(hints[f.name]),
+    fields = dataclasses.fields(cls)
+    specs = [(f.name, *_codec(hints[f.name]), _hint_name(hints[f.name]),
               f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-             for f in dataclasses.fields(cls)]
-    names = frozenset(name for name, *_ in specs)
+             for f in fields]
+    names = frozenset(f.name for f in fields)
+    converted = tuple((name, item) for name, _, item, *_ in specs if item)
+    omitted = tuple(f.name for f in fields if f.metadata.get(_OMIT_IF_NONE))
     bounds = _bounds(cls)
 
-    def convert(value):
+    def from_json(value):
         if type(value) is not dict:
             raise _Mismatch
         if not names.issuperset(value):
             raise _Refused("", f"unknown keys {sorted(value.keys() - names)}")
         kwargs = {}
-        for name, convert_field, expected, required in specs:
+        for name, convert, _, expected, required in specs:
             if name in value:
                 item = value[name]
                 try:
-                    kwargs[name] = convert_field(item)
+                    kwargs[name] = convert(item)
                 except _Mismatch:
                     raise _Refused(f".{name}", f"expected {expected}, got {item!r}") from None
                 except _Refused as inner:
@@ -178,7 +198,16 @@ def _record_converter(cls):
                 raise _Refused("", f"missing key {name!r}")
         _check_ranges(bounds, kwargs)
         return cls(**kwargs)
-    return convert
+
+    def to_json(record):
+        out = dict(vars(record))  # a record's instance dict holds its fields and nothing else
+        for name, item in converted:
+            out[name] = item(out[name])
+        for name in omitted:
+            if out[name] is None:
+                del out[name]
+        return out
+    return from_json, to_json
 
 
 def decode(hint, value, where: str, error: type[MeasgroundError] = SchemaViolation):
@@ -190,7 +219,7 @@ def decode(hint, value, where: str, error: type[MeasgroundError] = SchemaViolati
     record whose constructor refuses its values.
     """
     try:
-        return _converter(hint)(value)
+        return _codec(hint)[0](value)
     except _Mismatch:
         raise error(f"{where}: expected {_hint_name(hint)}, got {value!r}") from None
     except _Refused as exc:
@@ -198,6 +227,12 @@ def decode(hint, value, where: str, error: type[MeasgroundError] = SchemaViolati
         raise error(f"{where}{path}: {reason}") from None
     except MeasgroundError as exc:  # an invariant the record's constructor checks
         raise error(f"{where}: {exc}") from exc
+
+
+def encode(record) -> dict:
+    """``record`` as the JSON object that ``decode(type(record), ...)`` reads back,
+    by the rule above."""
+    return _codec(type(record))[1](record)
 
 
 @functools.cache
@@ -232,76 +267,6 @@ def check_bounds(record, error: type[MeasgroundError]) -> None:
     except _Refused as exc:
         path, reason = exc.args
         raise error(f"{path[1:]}: {reason}") from None
-
-
-# --- the JSON record encoder ------------------------------------------------------
-#
-# ``encode`` is the inverse of ``decode``, and the one way a record becomes
-# JSON. The rule, read from the same annotations: str, int, float, bool, None
-# and a bare ``dict`` are written as they are; a tuple becomes a list; an Enum
-# becomes its value; a nested record becomes an object; and ``dict[K, V]``
-# becomes an object with encoded keys. A None is written as null, except in a
-# field whose metadata sets ``_OMIT_IF_NONE``, which is then left out.
-
-_OMIT_IF_NONE = "omit_if_none"
-
-
-def _same(value):
-    return value
-
-
-@functools.cache
-def _encoder(hint):
-    """The function that returns a ``hint`` value as JSON, or None where the value
-    is written as it is; built once per hint."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint in (str, int, float, bool, dict, type(None)):
-        return None
-    if origin is types.UnionType and len(args) == 2 and type(None) in args:
-        (item,) = (_encoder(arg) for arg in args if arg is not type(None))
-        if item is None:
-            return None
-        return lambda value: None if value is None else item(value)
-    if origin is tuple:
-        items = [_encoder(arg) for arg in args if arg is not Ellipsis]
-        if not any(items):
-            return list
-        if args[-1] is Ellipsis:
-            return lambda value: list(map(items[0], value))
-        items = [item or _same for item in items]
-        return lambda value: [item(v) for item, v in zip(items, value)]
-    if origin is dict:
-        key, item = (_encoder(arg) or _same for arg in args)
-        return lambda value: {key(k): item(v) for k, v in value.items()}
-    if isinstance(hint, enum.EnumMeta):
-        return operator.attrgetter("value")
-    if dataclasses.is_dataclass(hint):
-        return _record_encoder(hint)
-    raise TypeError(f"no JSON encoding for {hint!r}")
-
-
-def _record_encoder(cls):
-    """The encoder of a record dataclass: each field's value by its annotation."""
-    hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    converted = tuple((f.name, item) for f in fields if (item := _encoder(hints[f.name])))
-    omitted = tuple(f.name for f in fields if f.metadata.get(_OMIT_IF_NONE))
-
-    def encode_record(record):
-        out = dict(vars(record))  # a record's instance dict holds its fields and nothing else
-        for name, item in converted:
-            out[name] = item(out[name])
-        for name in omitted:
-            if out[name] is None:
-                del out[name]
-        return out
-    return encode_record
-
-
-def encode(record) -> dict:
-    """``record`` as the JSON object that ``decode(type(record), ...)`` reads back,
-    by the rule above."""
-    return _encoder(type(record))(record)
 
 
 @dataclass(frozen=True)

@@ -1169,6 +1169,16 @@ def _ppm_16_bit_sample_above_maxval(root):
     return _annotate_argv(root), "synth-0000_e1.ppm"
 
 
+
+def _ppm_of_size(size):
+    """A render whose .ppm header declares a zero dimension and no samples."""
+    def case(root):
+        (root / "r" / "synth-0000_e1.ppm").write_bytes(f"P6 {size} 255\n".encode())
+        return _annotate_argv(root), "synth-0000_e1.ppm: width and height must be nonzero"
+    case.__name__ = f"_annotate_over_a_ppm_of_{size.replace(' ', 'x')}"
+    return case
+
+
 class TestMalformedInputs:
     """A malformed input exits 1 with one JSON log line naming the file (and
     the file line, for JSONL), never a traceback."""
@@ -1220,6 +1230,8 @@ class TestMalformedInputs:
         _ppm_maxval_disagrees_with_render_header,
         _ppm_payload_short,
         _ppm_16_bit_sample_above_maxval,
+        _ppm_of_size("0 0"),
+        _ppm_of_size("0 3"),
         _bracket_exposures("1,1"),
         _bracket_exposures("1.0000001,1.0000002"),
         _bracket_of_unquantized_renders,

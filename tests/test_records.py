@@ -8,6 +8,7 @@ import dataclasses
 import enum
 import json
 import math
+import re
 import typing
 from dataclasses import dataclass
 
@@ -383,6 +384,16 @@ def _report(per_dimension):
 _RECORDS = {
     CameraMetadata: _metadata,
     CaptureRef: _refs,
+    capture.Sidecar: st.builds(
+        capture.Sidecar, capture_id=_text, cfa_pattern=_text,
+        black_level=st.tuples(*[st.floats(min_value=0.0, max_value=1e6)] * 4),
+        white_level=st.floats(min_value=0.0, max_value=65535.0),
+        wb_gains=st.tuples(_positive, _positive, _positive),
+        cam_to_xyz=st.tuples(*[st.tuples(_finite, _finite, _finite)] * 3),
+        metadata=_metadata, raw_path=_text),
+    records.MeasXyzHeader: st.builds(
+        records.MeasXyzHeader, capture_id=_text, metadata=_metadata, range=st.tuples(_finite, _finite),
+        height=st.integers(1, 99), width=st.integers(1, 99), channels=st.integers(1, 3)),
     RenderParams: _params,
     records.RenderHeader: st.builds(records.RenderHeader, capture_id=_text, params=_params),
     records.LostSignalSummary: st.builds(
@@ -422,3 +433,12 @@ def test_encoded_records_decode_back(cls, data):
 def test_absent_ids_are_left_out_of_metadata_but_written_as_null_in_refs():
     assert "scene_id" not in records.encode(META_WITHOUT_IDS)
     assert records.encode(CaptureRef(capture_id="c-1"))["scene_id"] is None
+
+
+@pytest.mark.parametrize("hint", [int | str, str | int | None], ids=["int_or_str", "str_or_int_or_none"])
+def test_a_union_other_than_x_or_none_is_refused_naming_the_hint(hint):
+    with pytest.raises(TypeError, match=re.escape(repr(hint))):
+        decode(hint, 1, "value")
+    record = dataclasses.make_dataclass("Either", [("id", hint)], frozen=True)
+    with pytest.raises(TypeError, match=re.escape(repr(hint))):
+        records.encode(record(1))
