@@ -25,7 +25,8 @@ from .errors import (
     SchemaViolation,
 )
 # CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
-from .records import CameraMetadata, CaptureRef, Matrix3x3, NonNegative, Positive, Range, check_bounds, decode, encode
+from .records import (CameraMetadata, CaptureRef, Matrix3x3, NonNegative, Positive, Range, _adopt, check_bounds,
+                      decode, encode)
 
 CFA_PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 # The calibration fields of a sidecar, a capture and a synthetic scene.
@@ -73,15 +74,21 @@ class RawCapture:
     raw_path: str
 
     def __post_init__(self):
+        # A copy, so the capture is independent of the caller's array.
+        object.__setattr__(self, "mosaic",
+                           formats.uint16_codes(self.mosaic, formats.PGM_MAXVAL, "mosaic codes", MalformedMosaic))
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Check every field of a capture over a uint16 mosaic, then make the mosaic read-only."""
         if not self.capture_id:
             raise MalformedSidecar("capture_id must be non-empty")
         if self.cfa_pattern not in CFA_PATTERNS:
             raise MalformedSidecar(f"unknown cfa_pattern {self.cfa_pattern!r}")
-        mosaic = formats.uint16_codes(self.mosaic, formats.PGM_MAXVAL, "mosaic codes", MalformedMosaic)
-        object.__setattr__(self, "mosaic", mosaic)
-        if mosaic.ndim != 2 or 0 in mosaic.shape or mosaic.shape[0] % 2 or mosaic.shape[1] % 2:
-            raise DimensionMismatch(f"mosaic must be 2-D with even, nonzero dimensions, got {mosaic.shape}")
-        mosaic.setflags(write=False)
+        shape = self.mosaic.shape
+        if len(shape) != 2 or 0 in shape or shape[0] % 2 or shape[1] % 2:
+            raise DimensionMismatch(f"mosaic must be 2-D with even, nonzero dimensions, got {shape}")
+        self.mosaic.setflags(write=False)
         check_bounds(self, MalformedSidecar)  # so each value below is a number
         black, gains = tuple(map(float, self.black_level)), tuple(map(float, self.wb_gains))
         if len(black) != 4 or len(gains) != 3:
@@ -139,8 +146,8 @@ def load_capture_bundle(path: Path, sidecar: Sidecar | None = None) -> RawCaptur
     if sidecar is None:
         sidecar = read_bundle_sidecar(path)
     mosaic = formats.read_pgm16(mosaic_path)
-    try:
-        return RawCapture(mosaic=mosaic, **vars(sidecar))
+    try:  # the capture adopts the array just read, so the mosaic is held once
+        return _adopt(RawCapture, mosaic=mosaic, **vars(sidecar))
     except MalformedSidecar as exc:
         raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
     except DimensionMismatch as exc:
@@ -262,14 +269,15 @@ def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-
         np.floor(out, out=out)
         np.clip(out, 0, 65535, out=out)
         np.copyto(codes[top:top + 2 * pairs], out.reshape(-1, width), casting="unsafe")
-    capture = RawCapture(
+    capture = _adopt(  # the codes just computed, adopted without a copy
+        RawCapture,
         capture_id=capture_id,
         mosaic=codes,
         cfa_pattern=spec.cfa_pattern,
         black_level=spec.black_level,
         white_level=spec.white_level,
         wb_gains=spec.wb_gains,
-        cam_to_xyz=np.asarray(spec.cam_to_xyz, dtype=np.float64),
+        cam_to_xyz=spec.cam_to_xyz,
         metadata=spec.metadata,
         raw_path=f"synthetic://{capture_id}",
     )

@@ -85,7 +85,7 @@ class RunConfig:
     transfer: str = records.SRGB_PIECEWISE
     exposures: Annotated[tuple[float, ...], records.Positive] = records.DEFAULT_BRACKET
     tau: Annotated[float, records.Positive] = records.DEFAULT_TAU
-    bins: Annotated[int, records.Range(2)] = 32
+    bins: Annotated[int, records.Range(2)] = records.DEFAULT_BINS
     floor: Annotated[float, records.Unit] = records.DEFAULT_SCORE_FLOOR
     placeholder_patterns: tuple[str, ...] = records.DEFAULT_PLACEHOLDER_PATTERNS
     per_source_cap: Annotated[int, records.Positive] = 1_000_000
@@ -127,6 +127,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigInvalid(f"config: cannot read {path} ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config: {path} is not valid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid(f"config: {path} is not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
         if not isinstance(raw, dict):
             raise ConfigInvalid("config: top level must be a JSON object")
         values.update(raw)

@@ -48,10 +48,13 @@ def _read_pnm_header(raw: bytes, magic: bytes, path: Path) -> tuple[int, int, in
 
 
 def read_pgm16(path: Path) -> np.ndarray:
-    """Read a binary P5 PGM with maxval 65535 into a uint16 (H, W) array."""
+    """Read a binary P5 PGM with maxval 65535 into a uint16 (H, W) array over the
+    file's bytes, read into one buffer and put in the host's order in place."""
     import numpy as np
 
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
     width, height, maxval, offset = _read_pnm_header(raw, b"P5", Path(path))
     if maxval != PGM_MAXVAL:
         raise MalformedMosaic(f"{path}: maxval {maxval}, expected {PGM_MAXVAL}")
@@ -60,7 +63,12 @@ def read_pgm16(path: Path) -> np.ndarray:
         raise MalformedMosaic(
             f"{path}: payload is {len(raw) - offset} bytes, header implies {expected}"
         )
-    return np.frombuffer(raw, dtype=">u2", offset=offset).reshape(height, width).astype(np.uint16)
+    if offset % 2:  # uint16 reads at an odd address are many times slower
+        octets = np.frombuffer(raw, dtype=np.uint8)
+        octets[offset - 1:-1] = octets[offset:]  # one overlapping move, without a copy
+        offset -= 1
+    codes = np.frombuffer(raw, dtype=">u2", count=width * height, offset=offset).reshape(height, width)
+    return codes.byteswap(inplace=True).view(codes.dtype.newbyteorder())
 
 
 def uint16_codes(samples, maxval: int, what: str, error) -> np.ndarray:
@@ -88,8 +96,9 @@ def _opened(path: Path):
     """``path`` open for writing, as a function that writes one chunk: bytes as
     they are, str as UTF-8, and C-contiguous arrays through the buffer
     protocol, without a bytes copy. The package's one open for writing; an
-    OSError becomes IoFailure naming the path, and a write that fails, or
-    whose caller fails while it is open, leaves no file behind."""
+    OSError becomes IoFailure naming the path, and a str that UTF-8 cannot
+    hold SchemaViolation; a write that fails, or whose caller fails while it
+    is open, leaves no file behind."""
     try:
         fh = open(path, "wb")
     except OSError as exc:
@@ -102,6 +111,8 @@ def _opened(path: Path):
             os.unlink(path)
         if isinstance(exc, OSError):
             raise IoFailure(f"{path}: {exc}") from exc
+        if isinstance(exc, UnicodeEncodeError):  # a lone surrogate
+            raise SchemaViolation(f"{path}: cannot write as UTF-8 ({exc.reason})") from exc
         raise
 
 
@@ -278,11 +289,18 @@ def write_jsonl(path: Path, rows) -> None:
 
 
 def read_text(path: Path) -> str:
-    """Read a UTF-8 text file: MissingFile if absent."""
+    """Read a UTF-8 text file: MissingFile if absent, SchemaViolation if not UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise MissingFile(str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{path}: invalid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+# A lone surrogate, which UTF-8 cannot hold: a JSON string can escape one, and
+# read_jsonl reads each byte that is not UTF-8 as one. ASCII text holds none.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def loads(text: str):
@@ -310,9 +328,9 @@ def read_json(path: Path):
 def parse_jsonl(lines, path: Path, parse=None) -> list:
     """Parse the lines of a JSONL file of objects, skipping blank lines, mapped by ``parse``.
 
-    A row that is not a JSON object, or that ``parse`` rejects with KeyError
-    or SchemaViolation (``records.decode``'s error), raises SchemaViolation
-    naming the file line.
+    A line that is not UTF-8, a row that is not a JSON object, or one that
+    ``parse`` rejects with KeyError or SchemaViolation (``records.decode``'s
+    error), raises SchemaViolation naming the file line.
     """
     rows = []
     for lineno, line in enumerate(lines, start=1):
@@ -320,6 +338,8 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
         if not line:
             continue
         try:
+            if not line.isascii() and LONE_SURROGATE.search(line):
+                raise SchemaViolation("invalid UTF-8")
             row = loads(line)
             if not isinstance(row, dict):
                 raise SchemaViolation("expected a JSON object")
@@ -335,7 +355,7 @@ def parse_jsonl(lines, path: Path, parse=None) -> list:
 
 def read_jsonl(path: Path, parse=None) -> list:
     """Read a JSONL file through ``parse_jsonl``; IO errors pass through unchanged."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_jsonl(fh, path, parse)
 
 

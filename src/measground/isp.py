@@ -24,6 +24,7 @@ from .records import (
     XYZ_TO_LINEAR_SRGB_D65,
     RenderHeader,
     RenderParams,
+    _adopt,
     encode,
 )
 
@@ -44,27 +45,21 @@ class RenderedRgb:
     capture_id: str
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
-        if codes.ndim != 3 or codes.shape[2] != 3:
-            raise DomainError(f"codes must be (H, W, 3), got {codes.shape}")
+        # A copy, so the render is independent of the caller's array, with its
+        # range checked here: the render pass makes codes in range.
         if self.params.quantize:
-            codes = formats.uint16_codes(codes, self.params.max_code, "quantized codes", DomainError)
+            codes = formats.uint16_codes(self.codes, self.params.max_code, "quantized codes", DomainError)
         else:
-            codes = codes.astype(np.float64)
+            codes = np.array(self.codes, dtype=np.float64)
             _check_unit_range(codes, "unquantized codes")
-        codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+        self._freeze()
 
-    @classmethod
-    def _adopt(cls, codes: np.ndarray, params: RenderParams, capture_id: str) -> "RenderedRgb":
-        """A render over codes the render pass made and no one else holds:
-        in range by construction, so frozen without a copy or a check."""
-        rendered = object.__new__(cls)
-        codes.setflags(write=False)
-        object.__setattr__(rendered, "codes", codes)
-        object.__setattr__(rendered, "params", params)
-        object.__setattr__(rendered, "capture_id", capture_id)
-        return rendered
+    def _freeze(self) -> None:
+        """Check the codes' shape, then make them read-only."""
+        if self.codes.ndim != 3 or self.codes.shape[2] != 3:
+            raise DomainError(f"codes must be (H, W, 3), got {self.codes.shape}")
+        self.codes.setflags(write=False)
 
 
 def _check_unit_domain(v: np.ndarray) -> np.ndarray:
@@ -352,7 +347,8 @@ def _rendered(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> list[
     outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
     sinks = [lambda rows, codes, v, e, out=out: out.__setitem__(rows, codes) for out in outs]
     _render_pass(z, params_seq, sinks, workspace)
-    return [RenderedRgb._adopt(out, params, z.capture_id) for out, params in zip(outs, params_seq)]
+    return [_adopt(RenderedRgb, codes=out, params=params, capture_id=z.capture_id)
+            for out, params in zip(outs, params_seq)]
 
 
 def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:

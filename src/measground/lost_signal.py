@@ -27,7 +27,7 @@ from .isp import (
     srgb_eotf,
 )
 from .measxyz import MeasXyzImage, _apply_matrix, _StripeWorkspace
-from .records import DEFAULT_TAU, LostSignalSummary, ResidualHeader, encode
+from .records import DEFAULT_BINS, DEFAULT_TAU, LostSignalSummary, ResidualHeader, _adopt, encode
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,12 @@ class LostSignalReport:
 
     def __post_init__(self):
         # Copies, so the report is independent of the caller's arrays.
-        self._freeze(np.array(self.residual_map, dtype=np.float64), np.array(self.lost_mask, dtype=bool))
+        object.__setattr__(self, "residual_map", np.array(self.residual_map, dtype=np.float64))
+        object.__setattr__(self, "lost_mask", np.array(self.lost_mask, dtype=bool))
+        self._freeze()
 
-    @classmethod
-    def _adopt(cls, **fields) -> "LostSignalReport":
-        """A report from all its fields, over a float64 residual and a bool mask
-        no one else holds, checked and frozen without a copy."""
-        report = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(report, name, value)
-        report._freeze(report.residual_map, report.lost_mask)
-        return report
-
-    def _freeze(self, residual: np.ndarray, mask: np.ndarray) -> None:
+    def _freeze(self) -> None:
+        residual, mask = self.residual_map, self.lost_mask
         if residual.ndim != 2 or residual.shape != mask.shape:
             raise ShapeMismatch("residual_map and lost_mask must be (H, W) arrays of one shape")
         if not 0.0 <= self.clipped_fraction <= 1.0:
@@ -73,8 +66,6 @@ class LostSignalReport:
             raise DomainError("histogram counts must sum to the pixel count")
         residual.setflags(write=False)
         mask.setflags(write=False)
-        object.__setattr__(self, "residual_map", residual)
-        object.__setattr__(self, "lost_mask", mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,7 +146,7 @@ def lost_signal_residual(
     recovered: np.ndarray,
     forward_clip_mask: np.ndarray,
     tau: float = DEFAULT_TAU,
-    bins: int = 32,
+    bins: int = DEFAULT_BINS,
     *,
     capture_id: str | None = None,
     exposure_gain: float = 1.0,
@@ -203,7 +194,8 @@ def _luminance_report(
     np.abs(residual, out=residual)
     p99_recovered = _partitioned_rank(y_rec, 99.0)
     del y_rec
-    return LostSignalReport._adopt(
+    return _adopt(
+        LostSignalReport,
         residual_map=residual,
         lost_mask=residual > tau,
         clipped_fraction=float(np.count_nonzero(forward_clip_mask)) / forward_clip_mask.size,
@@ -264,7 +256,7 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _Stri
 
 
 def analyze_render(
-    z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = 32, *,
+    z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = DEFAULT_BINS, *,
     workspace: _StripeWorkspace | None = None,
 ) -> LostSignalReport:
     """Render, invert, and measure the residual, the render and inverse in one

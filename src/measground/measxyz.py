@@ -20,7 +20,7 @@ import numpy as np
 
 from . import formats
 from .errors import DegenerateCalibration, DomainError, ShapeMismatch
-from .records import CameraMetadata, MeasXyzHeader, encode, read_meas_xyz_header
+from .records import CameraMetadata, MeasXyzHeader, _adopt, encode, read_meas_xyz_header
 
 if TYPE_CHECKING:  # the bracket and lost-signal stages run without capture
     from .capture import RawCapture
@@ -48,15 +48,6 @@ def _check_unit_range(data: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} must lie in [0, 1]")
 
 
-def _frozen_plane(data: np.ndarray) -> np.ndarray:
-    """``data`` made read-only, once its shape and range are checked."""
-    if data.ndim != 3 or data.shape[2] != 3:
-        raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {data.shape}")
-    _check_unit_range(data, "MeasXyzImage data")
-    data.setflags(write=False)
-    return data
-
-
 @dataclass(frozen=True)
 class MeasXyzImage:
     """Dense linear three-channel observation in [0, 1].
@@ -72,16 +63,15 @@ class MeasXyzImage:
 
     def __post_init__(self):
         # A copy, so the image is independent of the caller's array.
-        object.__setattr__(self, "data", _frozen_plane(np.array(self.data, dtype=np.float64)))
+        object.__setattr__(self, "data", np.array(self.data, dtype=np.float64))
+        self._freeze()
 
-    @classmethod
-    def _adopt(cls, data: np.ndarray, capture_id: str, metadata: CameraMetadata) -> "MeasXyzImage":
-        """An image over an array no one else holds, checked and frozen without a copy."""
-        image = object.__new__(cls)
-        object.__setattr__(image, "data", _frozen_plane(data))
-        object.__setattr__(image, "capture_id", capture_id)
-        object.__setattr__(image, "metadata", metadata)
-        return image
+    def _freeze(self) -> None:
+        """Check ``data``'s shape and range, then make it read-only."""
+        if self.data.ndim != 3 or self.data.shape[2] != 3:
+            raise ShapeMismatch(f"MeasXyzImage data must be (H, W, 3), got {self.data.shape}")
+        _check_unit_range(self.data, "MeasXyzImage data")
+        self.data.setflags(write=False)
 
     @property
     def height(self) -> int:
@@ -312,7 +302,7 @@ def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | Non
     xyz = np.empty(capture.mosaic.shape + (3,))
     # an array's __setitem__ is the sink that fills it
     _meas_xyz_pass(capture, _StripeWorkspace() if workspace is None else workspace, xyz.__setitem__)
-    return MeasXyzImage._adopt(xyz, capture.capture_id, capture.metadata)
+    return _adopt(MeasXyzImage, data=xyz, capture_id=capture.capture_id, metadata=capture.metadata)
 
 
 # --- inspection export -----------------------------------------------------------
@@ -348,4 +338,5 @@ def load_meas_xyz(stem: Path, header: MeasXyzHeader | None = None) -> MeasXyzIma
     when the caller has read it already, so the header is not read again."""
     if header is None:
         header = read_meas_xyz_header(stem)
-    return MeasXyzImage._adopt(formats.read_plane(stem, header.shape), header.capture_id, header.metadata)
+    return _adopt(MeasXyzImage, data=formats.read_plane(stem, header.shape), capture_id=header.capture_id,
+                  metadata=header.metadata)

@@ -45,7 +45,8 @@ if TYPE_CHECKING:
 # ``decode`` is the one way parsed JSON becomes a record, and ``encode``, its
 # inverse, the one way a record becomes JSON; ``_codec`` builds the reader and
 # the writer of an annotation together. The rule, read from the annotations:
-# str, int and bool take only their own JSON type (a bool is no int); float
+# str, int and bool take only their own JSON type (a bool is no int), and a str
+# no lone surrogate, which a JSON escape can make and UTF-8 cannot hold; float
 # takes an int or a finite float and gives a float; a bare ``dict`` takes any
 # object, as parsed; and each is written as it is. ``X | None``, the one union
 # form, also takes null, and None is written as null, except in a field whose
@@ -118,6 +119,8 @@ def _codec(hint):
         def from_json(value):
             if type(value) is not hint:
                 raise _Mismatch
+            if hint is str and not value.isascii() and formats.LONE_SURROGATE.search(value):
+                raise _Refused("", f"value {value!r} holds a lone surrogate, which UTF-8 cannot hold")
             return value
         return from_json, None
     if origin is types.UnionType:
@@ -260,6 +263,17 @@ def _check_ranges(bounds, values: dict) -> None:
             raise _Refused(f".{name}", f"value {value!r} out of range") from None
 
 
+def _adopt(cls, **fields):
+    """The record of ``cls`` with these fields, over arrays the package made and no
+    one else holds: built without the copies of ``__init__``, then checked and
+    frozen by the ``_freeze`` that its ``__post_init__`` also calls."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    record._freeze()
+    return record
+
+
 def check_bounds(record, error: type[MeasgroundError]) -> None:
     """``decode``'s range check, for the ``__post_init__`` of a record built by hand."""
     try:
@@ -386,6 +400,7 @@ XYZ_TO_LINEAR_SRGB_D65 = (
 
 DEFAULT_BRACKET = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_TAU = 2.0 / 255.0  # lost-signal residual threshold: two 8-bit steps
+DEFAULT_BINS = 32  # lost-signal residual histogram bins
 DEFAULT_SCORE_FLOOR = 0.5  # the least sample score filter and balance keep
 DEFAULT_PLACEHOLDER_PATTERNS = ("i cannot", "unable to", "as an ai", "no answer", "")
 

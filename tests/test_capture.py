@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measground import formats
 from measground.capture import (
     CameraMetadata,
     ScenePatch,
@@ -283,3 +285,44 @@ def test_integer_mosaic_codes_of_any_dtype_are_kept():
 def test_a_capture_refuses_malformed_calibration(overrides, named):
     with pytest.raises(MalformedSidecar, match=named):
         make_capture(0, **overrides)
+
+
+# --- the mosaic, held once ----------------------------------------------------------------
+
+_PEAK_SHAPE = (1024, 1024)
+_PIXELS = _PEAK_SHAPE[0] * _PEAK_SHAPE[1]
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak bytes it allocated, all of it alive at the peak or not."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bundle_load_peaks_at_one_mosaic(tmp_path, monkeypatch):
+    save_capture_bundle(make_capture(6, *_PEAK_SHAPE), tmp_path / "b")
+    read = []
+    read_pgm16 = formats.read_pgm16
+    monkeypatch.setattr(formats, "read_pgm16", lambda path: read.append(read_pgm16(path)) or read[-1])
+    capture, peak = _traced_peak(lambda: load_capture_bundle(tmp_path / "b"))
+    # the capture adopts the array read from the file, which is the file's
+    # bytes (2 B/px); the bytes beside their conversion, or a copy of the
+    # mosaic for the capture, would take the peak to 4 B/px
+    assert [np.shares_memory(capture.mosaic, mosaic) for mosaic in read] == [True]
+    assert not capture.mosaic.flags.writeable
+    assert peak <= 2.25 * _PIXELS, peak / _PIXELS
+
+
+def test_synth_capture_peaks_without_a_mosaic_copy():
+    spec = SyntheticSceneSpec(height=_PEAK_SHAPE[0], width=_PEAK_SHAPE[1], noise_sigma=0.01,
+                              patches=(ScenePatch(top=100, left=200, height=300, width=400, gain=3.5),))
+    synth_capture(SyntheticSceneSpec(), seed=1)  # the first call imports measxyz: untraced
+    synthetic, peak = _traced_peak(lambda: synth_capture(spec, seed=1))
+    # the float64 scene (8 B/px), the uint16 codes the capture adopts (2 B/px)
+    # and two stripe buffers; a copy of the codes for the capture is 2 B/px more
+    assert synthetic.capture.mosaic.dtype == np.uint16
+    assert peak <= 11.0 * _PIXELS, peak / _PIXELS

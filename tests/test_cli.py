@@ -1099,6 +1099,41 @@ def _synth_with(*flags):
     return case
 
 
+# A UTF-16 byte-order mark, which UTF-8 refuses at byte 0.
+_NOT_UTF8 = b"\xff\xfe{}\n"
+
+
+def _candidates_not_utf8(root):
+    row = {"capture_id": "synth-0000", "question": "q?", "answer": "a", "score": 0.9, "exposure_gain": 1.0,
+           "question_type": "qt", "template_id": "t", "source_prefix": ""}
+    (root / "c.jsonl").write_bytes(json.dumps(row).encode() + b"\n" + _NOT_UTF8)
+    return ["aggregate", "--candidates", root / "c.jsonl", "--measxyz", root / "m",
+            "--out", root / "out"], "c.jsonl:2: invalid UTF-8"
+
+
+def _metrics_report_not_utf8(root):
+    (root / "metrics.json").write_bytes(_NOT_UTF8)
+    return ["report", "--input", root / "metrics.json"], "metrics.json: invalid UTF-8 (invalid start byte at byte 0)"
+
+
+def _sidecar_not_utf8(root):
+    (root / "s" / "bundles" / "synth-0000" / "capture.json").write_bytes(_NOT_UTF8)
+    return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
+        "synth-0000/capture.json: invalid UTF-8"
+
+
+def _config_not_utf8(root):
+    (root / "config.json").write_bytes(_NOT_UTF8)
+    return ["bracket", "--input", root / "m", "--config", root / "config.json", "--out", root / "out"], \
+        "config.json is not valid UTF-8 (invalid start byte at byte 0)"
+
+
+def _sample_row_with_lone_surrogate(root):
+    (root / "rows.jsonl").write_text(json.dumps(_sample_row(answer="x\ud800")) + "\n")
+    return ["filter", "--input", root / "rows.jsonl", "--out", root / "out"], \
+        "rows.jsonl:1: sample.record.answer: value 'x\\ud800' holds a lone surrogate"
+
+
 def _config_file(stage, option, text, name, named="config.json"):
     """``stage`` reading the config file that ``option`` names, holding ``text``."""
     def case(root):
@@ -1252,6 +1287,7 @@ class TestMalformedInputs:
                      "config.json: config.scene.black_level: expected tuple[float, float, float, float]"),
         _config_file("synth", "--scene", '{"cam_to_xyz": [[1, 2], [3]]}', "scene_with_ragged_matrix",
                      "config.json: config.scene.cam_to_xyz: expected tuple[tuple[float, float, float], "),
+        _config_not_utf8,
         _sidecar_metadata_with("iso", "100"),
         _sidecar_metadata_with("exposure_time", True),
         _sidecar_metadata_with("device_id", 7),
@@ -1271,6 +1307,11 @@ class TestMalformedInputs:
         _verify_split_row("metadata: expected dict | None, got 5", metadata=5),
         _verify_split_row("metadata.scene_id: expected str | None, got 3",
                           metadata={"device_id": "camera-0", "scene_id": 3}),
+        _verify_split_row("scene_id: value 'x\\ud800' holds a lone surrogate", scene_id="x\ud800"),
+        _candidates_not_utf8,
+        _metrics_report_not_utf8,
+        _sidecar_not_utf8,
+        _sample_row_with_lone_surrogate,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_exits_1_with_one_json_log_line(self, rendered, case):
         argv, named = case(rendered)

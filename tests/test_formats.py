@@ -52,6 +52,17 @@ def test_pgm16(tmp_path, layout):
     assert np.array_equal(formats.read_pgm16(tmp_path / "m.pgm"), data)
 
 
+@pytest.mark.parametrize("header", [b"P5\n7 5\n65535\n", b"P5  7 5 65535\n", b"P5\n# c\n7 5 65535\n"],
+                         ids=["odd", "even", "comment"])
+def test_pgm16_samples_at_any_header_length_are_read_in_place(tmp_path, header):
+    data = np.random.default_rng(1).integers(0, 65536, (5, 7)).astype(np.uint16)
+    (tmp_path / "m.pgm").write_bytes(header + data.astype(">u2").tobytes())
+    mosaic = formats.read_pgm16(tmp_path / "m.pgm")
+    assert np.array_equal(mosaic, data) and mosaic.dtype == np.uint16
+    # moved to an even offset, not copied: the array is a view of the file's buffer
+    assert mosaic.flags.aligned and not mosaic.flags.owndata
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_pgm8(tmp_path, layout):
     data = (np.random.default_rng(1).uniform(0, 1, (6, 3)) > 0.5).astype(np.uint8) * 255
@@ -247,6 +258,25 @@ def test_a_value_json_cannot_hold_is_refused_naming_the_path(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError):
         formats.dump_json(value)
+
+
+def test_a_str_utf8_cannot_hold_is_refused_naming_the_path(tmp_path):
+    with pytest.raises(SchemaViolation, match=re.escape(f"{tmp_path / 'o.json'}: cannot write as UTF-8")):
+        formats.write_json(tmp_path / "o.json", {"answer": "x\ud800"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_text_that_is_not_utf8_is_refused_naming_the_file_and_line(tmp_path):
+    (tmp_path / "o.json").write_bytes(b'{"a": "\xc3"}')
+    with pytest.raises(SchemaViolation, match=re.escape(f"{tmp_path / 'o.json'}: invalid UTF-8 (invalid "
+                                                        "continuation byte at byte 7)")):
+        formats.read_json(tmp_path / "o.json")
+    (tmp_path / "r.jsonl").write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+    with pytest.raises(SchemaViolation, match=re.escape(f"{tmp_path / 'r.jsonl'}:2: invalid UTF-8")):
+        formats.read_jsonl(tmp_path / "r.jsonl")
+    # a surrogate pair escaped in JSON is one character; lines still end at \r as at \n
+    (tmp_path / "r.jsonl").write_bytes('{"a": "\\ud83d\\ude00"}\r{"a": "é"}\n'.encode())
+    assert formats.read_jsonl(tmp_path / "r.jsonl") == [{"a": "\U0001f600"}, {"a": "é"}]
 
 
 def oracle_read_pnm_header(raw: bytes, magic: bytes):

@@ -16,6 +16,7 @@ from measground.lost_signal import (
     nearest_rank_percentile,
     residual_histogram,
 )
+from measground.records import _adopt
 
 from conftest import make_image, summary_fields
 
@@ -249,22 +250,20 @@ class TestReportArrays:
         residual = np.array([[0.0, 0.5], [0.25, 0.0]])
         mask = residual > 0.1
         fields = dict(self._fields(residual), capture_id="c", exposure_gain=2.0, bits=8)
-        report = LostSignalReport._adopt(residual_map=residual, lost_mask=mask, **fields)
+        report = _adopt(LostSignalReport, residual_map=residual, lost_mask=mask, **fields)
         assert report.residual_map is residual and report.lost_mask is mask
         assert not residual.flags.writeable and not mask.flags.writeable
         assert report.capture_id == "c"
         with pytest.raises(ShapeMismatch):
-            LostSignalReport._adopt(residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 3), bool),
-                                    **fields)
+            _adopt(LostSignalReport, residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 3), bool), **fields)
         with pytest.raises(ShapeMismatch):  # a residual plane is one luminance channel
             LostSignalReport(residual_map=np.zeros((1, 2, 2)), lost_mask=np.zeros((1, 2, 2), bool),
                              **dict(fields, histogram=((0.0, 0.0, 4),)))
         with pytest.raises(DomainError):
-            LostSignalReport._adopt(residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 2), bool),
-                                    **dict(fields, clipped_fraction=1.5))
+            _adopt(LostSignalReport, residual_map=np.zeros((2, 2)), lost_mask=np.zeros((2, 2), bool),
+                   **dict(fields, clipped_fraction=1.5))
         with pytest.raises(DomainError):
-            LostSignalReport._adopt(residual_map=np.zeros((3, 2)), lost_mask=np.zeros((3, 2), bool),
-                                    **fields)
+            _adopt(LostSignalReport, residual_map=np.zeros((3, 2)), lost_mask=np.zeros((3, 2), bool), **fields)
 
 
 class TestEmitReport:

@@ -279,9 +279,8 @@ class TestImageOwnership:
     def checked(self, monkeypatch):
         """The arrays the shape/range check receives, in order."""
         arrays = []
-        frozen_plane = measxyz_mod._frozen_plane
-        monkeypatch.setattr(measxyz_mod, "_frozen_plane",
-                            lambda a: arrays.append(a) or frozen_plane(a))
+        freeze = MeasXyzImage._freeze
+        monkeypatch.setattr(MeasXyzImage, "_freeze", lambda image: arrays.append(image.data) or freeze(image))
         return arrays
 
     def test_caller_array_is_copied_frozen_and_checked_once(self, checked):

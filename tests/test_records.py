@@ -77,6 +77,8 @@ def test_values_of_the_right_type_are_decoded(obj, expected):
     ({"name": "a", "gain": 1.0, "extra": 1, "more": 2}, "outer: unknown keys ['extra', 'more']"),
     (["a", 1.0], "outer: expected Outer, got ['a', 1.0]"),
     ({"name": "a", "gain": 1.0, "raw": [1]}, "outer.raw: expected dict | None, got [1]"),
+    ({"name": "x\ud800", "gain": 1.0}, "outer.name: value 'x\\ud800' holds a lone surrogate"),
+    ({"name": "a", "gain": 1.0, "pair": [1, "\udfff"]}, "outer.pair: value '\\udfff' holds a lone surrogate"),
 ])
 def test_values_of_the_wrong_type_are_refused(obj, message):
     with pytest.raises(ConfigInvalid) as refused:
