@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING
 
 from . import formats
 from .errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
-# The manifest reader lives in formats, so an image stage reads refs without this module.
-from .formats import load_manifest_entries  # noqa: F401
 from .records import CameraMetadata, CaptureRef, decode, encode
 
 if TYPE_CHECKING:  # verify-split reads no training sample
@@ -162,10 +160,6 @@ _WARN_KEYS = ("device_id",)
 class DisjointnessReport:
     status: str  # PASS | WARN | FAIL
     intersections: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "PASS"
 
 
 _NESTED_KEYS = ("scene_id", "session_id", "device_id")

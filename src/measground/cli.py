@@ -318,24 +318,6 @@ class _CapturePool:
         return [results[index][1] for index in range(len(items))]
 
 
-# Holds each thread's stripe workspace; see _stage_workspace.
-_stage_state = threading.local()
-
-
-def _stage_workspace():
-    """This thread's stripe workspace, held for every capture it runs.
-
-    A forked worker builds its own on its first capture, so the buffers grow
-    to the stripes that worker sees and are not allocated again per capture.
-    """
-    workspace = getattr(_stage_state, "workspace", None)
-    if workspace is None:
-        from .measxyz import _StripeWorkspace
-
-        workspace = _stage_state.workspace = _StripeWorkspace()
-    return workspace
-
-
 def _refuse_duplicate_ids(inputs) -> None:
     """Refuse two inputs, given as (path, capture id), whose outputs would share names."""
     seen: dict[str, Path] = {}
@@ -467,7 +449,7 @@ def _measxyz_one(bundle: tuple[Path, object], out: Path) -> None:
     from . import measxyz
 
     capture = capture_mod.load_capture_bundle(*bundle)
-    measxyz.write_meas_xyz(capture, out / capture.capture_id, workspace=_stage_workspace())
+    measxyz.write_meas_xyz(capture, out / capture.capture_id)
 
 
 def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -498,8 +480,7 @@ def _bracket_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfig, o
     image = measxyz.load_meas_xyz(*plane)
     gains = config.exposures
     isp.save_bracket(image, [out / f"{image.capture_id}_e{_gain_tag(gain)}" for gain in gains], gains,
-                     workspace=_stage_workspace(), bit_depth=config.bit_depth, transfer=config.transfer,
-                     quantize=config.quantize)
+                     bit_depth=config.bit_depth, transfer=config.transfer, quantize=config.quantize)
 
 
 def _cmd_bracket(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
@@ -518,8 +499,7 @@ def _lost_signal_one(plane: tuple[Path, records.MeasXyzHeader], config: RunConfi
     image = measxyz.load_meas_xyz(*plane)
     params = records.RenderParams(exposure_gain=config.gain, bit_depth=config.bit_depth,
                                   transfer=config.transfer, quantize=config.quantize)
-    report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins,
-                                        workspace=_stage_workspace())
+    report = lost_signal.analyze_render(image, params, tau=config.tau, bins=config.bins)
     lost_signal.emit_report(report, out)
 
 

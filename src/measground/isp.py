@@ -15,7 +15,7 @@ import numpy as np
 
 from . import formats
 from .errors import DomainError, EmptyBracket, IoFailure
-from .measxyz import MeasXyzImage, _apply_matrix, _check_unit_range, _StripeWorkspace, _stripe_step
+from .measxyz import MeasXyzImage, _apply_matrix, _check_unit_range, _StripeWorkspace, _stripe_step, _workspace
 # The render parameters and their header reader live in records, without numpy.
 from .records import (
     DEFAULT_BRACKET,
@@ -296,7 +296,7 @@ def _code_dtype(params: RenderParams):
     return np.uint16 if params.quantize else np.float64
 
 
-def _render_pass(z: MeasXyzImage, params_seq, sinks, workspace: _StripeWorkspace) -> None:
+def _render_pass(z: MeasXyzImage, params_seq, sinks) -> None:
     """Render ``z`` under every params in one pass over its row stripes.
 
     ``sinks[i](rows, codes, v, e)`` receives the rows, a slice, and the codes
@@ -309,14 +309,15 @@ def _render_pass(z: MeasXyzImage, params_seq, sinks, workspace: _StripeWorkspace
     stripe is first copied into float64 X, Y and Z planes, which widens a
     float32 plane and lets the matrix read contiguous planes; a gain other
     than 1 scales them into a second set first. Every stripe buffer comes
-    from ``workspace``: a caller that holds one across captures allocates
-    them once, not on every capture.
+    from the thread's workspace, so a thread allocates them once, not on
+    every capture.
     """
     products = {}  # (matrix, gain) -> the windows that read that product
     for window in _windows(params_seq):
         key = (params_seq[window.members[0]].xyz_to_linear_srgb, window.gain)
         products.setdefault(key, []).append(window)
     shape = _stripe_shape(z)
+    workspace = _workspace()
     codes = [workspace.take(f"codes {i}", shape, _code_dtype(params)) for i, params in enumerate(params_seq)]
     lookup = _lookup_buffers(workspace, math.prod(shape))
     planes = workspace.take("xyz planes", (3,) + shape[:2])  # the stripe's X, Y and Z
@@ -342,17 +343,17 @@ def _render_pass(z: MeasXyzImage, params_seq, sinks, workspace: _StripeWorkspace
                     sinks[i](rows, out, v, window.k - offset)
 
 
-def _rendered(z: MeasXyzImage, params_seq, workspace: _StripeWorkspace) -> list[RenderedRgb]:
+def _rendered(z: MeasXyzImage, params_seq) -> list[RenderedRgb]:
     """The renders of ``z`` under every params, from one pass into whole-frame arrays."""
     outs = [np.empty(z.data.shape, dtype=_code_dtype(params)) for params in params_seq]
     sinks = [lambda rows, codes, v, e, out=out: out.__setitem__(rows, codes) for out in outs]
-    _render_pass(z, params_seq, sinks, workspace)
+    _render_pass(z, params_seq, sinks)
     return [_adopt(RenderedRgb, codes=out, params=params, capture_id=z.capture_id)
             for out, params in zip(outs, params_seq)]
 
 
 def render_proxy(z: MeasXyzImage, params: RenderParams) -> RenderedRgb:
-    return _rendered(z, [params], _StripeWorkspace())[0]
+    return _rendered(z, [params])[0]
 
 
 def _bracket_params(exposures, param_overrides: dict) -> list[RenderParams]:
@@ -362,15 +363,9 @@ def _bracket_params(exposures, param_overrides: dict) -> list[RenderParams]:
     return [RenderParams(exposure_gain=e, **param_overrides) for e in exposures]
 
 
-def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, *, workspace: _StripeWorkspace | None = None,
-                 **param_overrides) -> list[RenderedRgb]:
-    """Render one proxy per exposure gain, in the order given, in one pass.
-
-    The stripe buffers come from ``workspace``, or from one made for this
-    call when it is None.
-    """
-    return _rendered(z, _bracket_params(exposures, param_overrides),
-                     _StripeWorkspace() if workspace is None else workspace)
+def make_bracket(z: MeasXyzImage, exposures=DEFAULT_BRACKET, **param_overrides) -> list[RenderedRgb]:
+    """Render one proxy per exposure gain, in the order given, in one pass."""
+    return _rendered(z, _bracket_params(exposures, param_overrides))
 
 
 # --- PPM export --------------------------------------------------------------------
@@ -391,8 +386,7 @@ def save_rendered(rendered: RenderedRgb, stem: Path) -> None:
     _write_render_header(stem, rendered.capture_id, rendered.params)
 
 
-def save_bracket(z: MeasXyzImage, stems, exposures=DEFAULT_BRACKET, *,
-                 workspace: _StripeWorkspace | None = None, **param_overrides) -> None:
+def save_bracket(z: MeasXyzImage, stems, exposures=DEFAULT_BRACKET, **param_overrides) -> None:
     """Write the renders ``make_bracket`` returns, each as ``save_rendered``
     writes it at the stem of the same position, holding a stripe of each
     render and not the whole frame.
@@ -411,6 +405,6 @@ def save_bracket(z: MeasXyzImage, stems, exposures=DEFAULT_BRACKET, *,
             append = files.enter_context(formats.open_pnm(Path(str(stem) + ".ppm"), z.data.shape,
                                                           params.max_code))
             sinks.append(lambda rows, codes, v, e, append=append: append(codes))
-        _render_pass(z, params_seq, sinks, _StripeWorkspace() if workspace is None else workspace)
+        _render_pass(z, params_seq, sinks)
     for stem, params in zip(stems, params_seq):
         _write_render_header(stem, z.capture_id, params)

@@ -26,7 +26,7 @@ from .isp import (
     _stripe_shape,
     srgb_eotf,
 )
-from .measxyz import MeasXyzImage, _apply_matrix, _StripeWorkspace
+from .measxyz import MeasXyzImage, _apply_matrix, _workspace
 from .records import DEFAULT_BINS, DEFAULT_TAU, LostSignalSummary, ResidualHeader, _adopt, encode
 
 
@@ -209,11 +209,11 @@ def _luminance_report(
     )
 
 
-def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _StripeWorkspace
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def _recovered_luminance(z: MeasXyzImage, params: RenderParams) -> tuple[np.ndarray, np.ndarray]:
     """Y of ``invert_render(render_proxy(z, params))`` and the (H, W) mask of
     pixels whose pre-clip linear RGB exceeds 1 in any channel, bit for bit,
-    from a sink of the render's one pass, whose buffers come from ``workspace``.
+    from a sink of the render's one pass, whose buffers come from the
+    thread's workspace.
 
     Only the Y row of the inverse is computed, by the kernel invert_render
     uses, then divided by the gain.
@@ -223,6 +223,7 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _Stri
     y_rec = np.empty(z.data.shape[:2])
     clipped = np.empty(z.data.shape[:2], dtype=bool)
     shape = _stripe_shape(z)
+    workspace = _workspace()
     over = workspace.take("clip flags", shape[:2], bool)
     # the render's lookup buffers are free while the sink runs: the dequantized
     # R, G, B planes take its product buffer, their codes as indices its index
@@ -251,21 +252,16 @@ def _recovered_luminance(z: MeasXyzImage, params: RenderParams, workspace: _Stri
         _apply_matrix(y_row, linear, y[np.newaxis], sums[:, :count])
         y /= params.exposure_gain
 
-    _render_pass(z, [params], [invert], workspace)
+    _render_pass(z, [params], [invert])
     return y_rec, clipped
 
 
 def analyze_render(
-    z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = DEFAULT_BINS, *,
-    workspace: _StripeWorkspace | None = None,
+    z: MeasXyzImage, params: RenderParams, tau: float = DEFAULT_TAU, bins: int = DEFAULT_BINS,
 ) -> LostSignalReport:
     """Render, invert, and measure the residual, the render and inverse in one
-    pass over row stripes.
-
-    The stripe buffers come from ``workspace``. When it is None, one made for
-    this call holds them, and it is gone before the report is built.
-    """
-    y_rec, clipped = _recovered_luminance(z, params, _StripeWorkspace() if workspace is None else workspace)
+    pass over row stripes."""
+    y_rec, clipped = _recovered_luminance(z, params)
     return _luminance_report(z, y_rec, clipped, tau, bins, capture_id=None,
                              exposure_gain=params.exposure_gain, bits=params.bit_depth)
 

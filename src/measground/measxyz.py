@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -95,9 +96,7 @@ class _StripeWorkspace:
     a larger stripe asks for more than it holds, so a workspace held across
     captures stops allocating once it has seen the largest stripe. A view
     holds whatever the name's last user left there, and the next take of the
-    name hands out the same memory. A pass called without a workspace makes
-    its own, dropped when the call returns; the CLI's image stages hold one
-    per process.
+    name hands out the same memory. Each thread holds one, from _workspace.
     """
 
     def __init__(self):
@@ -110,6 +109,20 @@ class _StripeWorkspace:
         if buffer is None or buffer.size < nbytes:
             buffer = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
         return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+# Holds each thread's stripe workspace; see _workspace.
+_thread = threading.local()
+
+
+def _workspace() -> _StripeWorkspace:
+    """This thread's stripe workspace, made on its first pass and held for
+    every later one, so its buffers grow to the largest stripe the thread
+    has seen and are not allocated again."""
+    workspace = getattr(_thread, "workspace", None)
+    if workspace is None:
+        workspace = _thread.workspace = _StripeWorkspace()
+    return workspace
 
 
 def _apply_matrix(matrix: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -169,10 +182,10 @@ def normalize_mosaic(capture: RawCapture) -> np.ndarray:
     return out
 
 
-def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray, workspace: _StripeWorkspace) -> None:
+def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray, sums: np.ndarray) -> None:
     """Write the demosaic of ``padded``'s interior into ``out``, which holds the
     R, G and B planes, (H, W) each, along its first axis; the neighbor sums
-    take their buffer from ``workspace``.
+    accumulate in ``sums``, of at least ((H + 1) // 2, (W + 1) // 2).
 
     ``padded`` is the mosaic with one row and column more on each side, its
     interior starting on the CFA tile's first row and column. Each site of
@@ -181,8 +194,6 @@ def _demosaic_padded(padded: np.ndarray, tile, out: np.ndarray, workspace: _Stri
     3x3 window, over a constant count; present colors pass through.
     """
     height, width = out.shape[1:]
-    # the sums accumulate in a contiguous buffer, faster than in ``out``'s strided sites
-    sums = workspace.take("demosaic sums", ((height + 1) // 2, (width + 1) // 2))
     for pi in range(2):
         for pj in range(2):
             sites = out[:, pi::2, pj::2]
@@ -213,8 +224,8 @@ def demosaic_bilinear(norm_mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
     """
     mosaic = np.asarray(norm_mosaic, dtype=np.float64)
     out = np.empty(mosaic.shape + (3,))
-    _demosaic_padded(np.pad(mosaic, 1, mode="reflect"), _CFA_TILES[cfa_pattern], np.moveaxis(out, -1, 0),
-                     _StripeWorkspace())
+    sums = np.empty(((mosaic.shape[0] + 1) // 2, (mosaic.shape[1] + 1) // 2))
+    _demosaic_padded(np.pad(mosaic, 1, mode="reflect"), _CFA_TILES[cfa_pattern], np.moveaxis(out, -1, 0), sums)
     return out
 
 
@@ -233,7 +244,7 @@ def _stripe_step(width: int) -> int:
     return max(2, _STRIPE_PIXELS // max(1, width) // 2 * 2)
 
 
-def _meas_xyz_pass(capture: RawCapture, workspace: _StripeWorkspace, sink) -> None:
+def _meas_xyz_pass(capture: RawCapture, sink) -> None:
     """The observation operator in one pass over row stripes.
 
     Each stripe is normalized with a one-row halo above and below, mirrored
@@ -242,7 +253,7 @@ def _meas_xyz_pass(capture: RawCapture, workspace: _StripeWorkspace, sink) -> No
     bit as the whole frame would be. ``sink(rows, xyz)`` then receives the
     stripe's rows, a slice, and its (rows, W, 3) float64 values, in row
     order, in a buffer the next stripe overwrites. Every stripe-sized
-    temporary comes from ``workspace``.
+    temporary comes from the thread's workspace.
     """
     height, width = capture.mosaic.shape
     step = _stripe_step(width)
@@ -252,11 +263,15 @@ def _meas_xyz_pass(capture: RawCapture, workspace: _StripeWorkspace, sink) -> No
     scale = white_scale(capture)
     gains = np.asarray(capture.wb_gains).reshape(3, 1, 1)
     tile = _CFA_TILES[capture.cfa_pattern]
+    workspace = _workspace()
     codes = workspace.take("mosaic rows", (rows + 2, width), capture.mosaic.dtype)
     padded = workspace.take("padded mosaic", (rows + 2, width + 2))
     # the R, G, B planes: the matrix reads contiguous planes faster than
     # interleaved channels
     rgb = workspace.take("rgb planes", (3, rows, width))
+    # the demosaic's sums accumulate in a contiguous buffer, faster than in
+    # the planes' strided sites
+    sums = workspace.take("demosaic sums", ((rows + 1) // 2, (width + 1) // 2))
     scratch = workspace.take("matrix sums", (2, rows, width))
     over = workspace.take("saturated flags", (rows, width), bool)
     under = workspace.take("negative flags", (rows, width, 3), bool)
@@ -278,7 +293,7 @@ def _meas_xyz_pass(capture: RawCapture, workspace: _StripeWorkspace, sink) -> No
         stripe[:, 0] = stripe[:, 2]
         stripe[:, -1] = stripe[:, -3]
         linear = rgb[:, :count]
-        _demosaic_padded(stripe, tile, linear, workspace)
+        _demosaic_padded(stripe, tile, linear, sums)
         linear *= gains
         out = xyz[:count]
         _apply_matrix(capture.cam_to_xyz, linear, np.moveaxis(out, -1, 0), scratch[:, :count])
@@ -293,15 +308,11 @@ def _meas_xyz_pass(capture: RawCapture, workspace: _StripeWorkspace, sink) -> No
         log.debug("%s: %d negative XYZ values clamped to 0", capture.capture_id, negative)
 
 
-def meas_xyz_transform(capture: RawCapture, *, workspace: _StripeWorkspace | None = None) -> MeasXyzImage:
-    """Full observation operator: capture -> normalized linear XYZ image.
-
-    Every stripe-sized temporary comes from ``workspace``, or from one made
-    for this call when it is None.
-    """
+def meas_xyz_transform(capture: RawCapture) -> MeasXyzImage:
+    """Full observation operator: capture -> normalized linear XYZ image."""
     xyz = np.empty(capture.mosaic.shape + (3,))
     # an array's __setitem__ is the sink that fills it
-    _meas_xyz_pass(capture, _StripeWorkspace() if workspace is None else workspace, xyz.__setitem__)
+    _meas_xyz_pass(capture, xyz.__setitem__)
     return _adopt(MeasXyzImage, data=xyz, capture_id=capture.capture_id, metadata=capture.metadata)
 
 
@@ -317,7 +328,7 @@ def save_meas_xyz(image: MeasXyzImage, stem: Path) -> None:
     formats.write_plane(stem, image.data, _plane_header(image.capture_id, image.metadata, image.data.shape))
 
 
-def write_meas_xyz(capture: RawCapture, stem: Path, *, workspace: _StripeWorkspace | None = None) -> None:
+def write_meas_xyz(capture: RawCapture, stem: Path) -> None:
     """Write the plane pair ``save_meas_xyz(meas_xyz_transform(capture), stem)``
     writes, holding a stripe of the image and not the whole frame.
 
@@ -330,7 +341,7 @@ def write_meas_xyz(capture: RawCapture, stem: Path, *, workspace: _StripeWorkspa
             _check_unit_range(xyz, "MeasXyzImage data")
             append(xyz)
 
-        _meas_xyz_pass(capture, _StripeWorkspace() if workspace is None else workspace, checked_append)
+        _meas_xyz_pass(capture, checked_append)
 
 
 def load_meas_xyz(stem: Path, header: MeasXyzHeader | None = None) -> MeasXyzImage:

@@ -6,7 +6,6 @@ import pytest
 from measground.benchmark import (
     CapabilityDimension,
     holdout_split,
-    load_manifest_entries,
     make_benchmark_examples,
     read_benchmark,
     tag_capability,
@@ -16,6 +15,7 @@ from measground.benchmark import (
 from measground.bracketsup import InstructionRecord, TrainingSample
 from measground.capture import CaptureRef
 from measground.errors import DegenerateSplit, DomainError, MissingFile, SchemaViolation
+from measground.formats import load_manifest_entries
 
 from conftest import make_metadata
 

@@ -459,7 +459,7 @@ def test_windows_with_one_matrix_and_gain_read_one_product(params_seq, products,
     monkeypatch.setattr(isp, "_apply_matrix", lambda *args: calls.append(args) or apply_matrix(*args))
     z = _bright_image(5)  # one stripe
     assert isp._stripe_shape(z)[0] == z.data.shape[0]
-    rendered = isp._rendered(z, params_seq, measxyz._StripeWorkspace())
+    rendered = isp._rendered(z, params_seq)
     assert len(calls) == products
     for render, params in zip(rendered, params_seq):
         assert np.array_equal(render.codes, oracle_render(z, params))
@@ -673,7 +673,7 @@ def _stage_peak(root, monkeypatch, stage: str, height: int) -> int:
     from measground import cli
 
     monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
-    monkeypatch.setattr(cli, "_stage_state", threading.local())
+    monkeypatch.setattr(measxyz, "_thread", threading.local())
     spec = {"height": height, "width": _STAGE_WIDTH, "background": 0.25, "noise_sigma": 0.01,
             "patches": [{"top": 40, "left": 16, "height": height - 80, "width": 100, "gain": 3.5}]}
     root.mkdir()
@@ -692,13 +692,12 @@ def _stage_peak(root, monkeypatch, stage: str, height: int) -> int:
 
 
 @pytest.mark.parametrize("stage, held", [
-    # the float64 scene synth_capture returns (8 B/px), the uint16 mosaic and
-    # the capture's copy of it (2 B/px each); the whole-frame formula's float64
-    # black map, span, noise and their sums come to more than 60 B/px
-    pytest.param("synth", 8 + 2 + 2, id="synth"),
-    # the mosaic file's bytes and their uint16 conversion, or that and the
-    # capture's copy of it (2 B/px each); a float64 (H, W, 3) image is 24 B/px
-    pytest.param("measxyz", 2 + 2, id="measxyz"),
+    # the float64 scene synth_capture returns (8 B/px) and the uint16 mosaic
+    # (2 B/px); the whole-frame formula's float64 black map, span, noise and
+    # their sums come to more than 60 B/px
+    pytest.param("synth", 8 + 2, id="synth"),
+    # the uint16 mosaic (2 B/px); a float64 (H, W, 3) image is 24 B/px
+    pytest.param("measxyz", 2, id="measxyz"),
     # the loaded float32 plane (12 B/px); four renders' uint16 codes held
     # until they are saved are another 24 B/px
     pytest.param("bracket", 12, id="bracket"),
@@ -712,14 +711,21 @@ def test_an_image_stage_peak_grows_with_the_frame_only_by_what_it_holds(tmp_path
     assert growth < held + 1, growth
 
 
-# --- a stripe workspace held across captures ----------------------------------------------
+# --- the stripe workspace each thread holds across captures --------------------------------
 
-def _poisoned(workspace: measxyz._StripeWorkspace) -> measxyz._StripeWorkspace:
-    """``workspace`` with every held byte set to 0xFF (NaN as float64), so a
-    stale read shows in the output."""
-    for buffer in workspace._buffers.values():
+def _poison_the_workspace() -> None:
+    """Set every byte the thread's workspace holds to 0xFF (NaN as float64), so
+    a stale read shows in the next call's output."""
+    for buffer in measxyz._workspace()._buffers.values():
         buffer.fill(0xFF)
-    return workspace
+
+
+def _fresh(call):
+    """call()'s result and the stripe workspace it ran on, made for it, as on
+    a thread's first pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measxyz, "_thread", threading.local())
+        return call(), measxyz._workspace()
 
 
 def _assert_reports_equal(a, b) -> None:
@@ -739,29 +745,56 @@ _REUSE_GAINS = [0.5, 1.0, 2.0, 3.0, 0.3]
 
 def test_a_held_workspace_gives_every_capture_a_fresh_calls_output(monkeypatch):
     monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 60)
-    workspace = measxyz._StripeWorkspace()
+    monkeypatch.setattr(measxyz, "_thread", threading.local())  # held across the sequence
     for index, (height, width, pattern) in enumerate(_REUSE_SEQUENCE):
         capture = _saturating_capture(pattern, height, width, seed=index)
-        z = meas_xyz_transform(capture)
-        assert np.array_equal(meas_xyz_transform(capture, workspace=_poisoned(workspace)).data, z.data)
+        z, _ = _fresh(lambda: meas_xyz_transform(capture))
+        _poison_the_workspace()
+        assert np.array_equal(meas_xyz_transform(capture).data, z.data)
         for quantize in (True, False):
-            held = isp.make_bracket(z, _REUSE_GAINS, workspace=_poisoned(workspace), quantize=quantize)
-            for a, b in zip(held, isp.make_bracket(z, _REUSE_GAINS, quantize=quantize)):
+            fresh, _ = _fresh(lambda: isp.make_bracket(z, _REUSE_GAINS, quantize=quantize))
+            _poison_the_workspace()
+            for a, b in zip(isp.make_bracket(z, _REUSE_GAINS, quantize=quantize), fresh):
                 assert np.array_equal(a.codes, b.codes), (index, a.params)
         for params in (RenderParams(exposure_gain=2.0), RenderParams(exposure_gain=1.5),
                        RenderParams(exposure_gain=2.0, quantize=False)):
-            _assert_reports_equal(analyze_render(z, params, workspace=_poisoned(workspace)),
-                                  analyze_render(z, params))
+            fresh, _ = _fresh(lambda: analyze_render(z, params))
+            _poison_the_workspace()
+            _assert_reports_equal(analyze_render(z, params), fresh)
 
 
 def test_the_analysis_takes_the_buffers_of_its_render_and_its_clip_flags():
     # the inverse reuses the render pass's lookup buffers, so on a fresh
     # workspace it adds only the clip flags to a one-gain bracket's names
     z = make_image(np.random.default_rng(9).uniform(0, 1, (64, 48, 3)))
-    bracket, analysis = measxyz._StripeWorkspace(), measxyz._StripeWorkspace()
-    isp.make_bracket(z, [2.0], workspace=bracket)
-    analyze_render(z, RenderParams(exposure_gain=2.0), workspace=analysis)
+    _, bracket = _fresh(lambda: isp.make_bracket(z, [2.0]))
+    _, analysis = _fresh(lambda: analyze_render(z, RenderParams(exposure_gain=2.0)))
     assert analysis._buffers.keys() == bracket._buffers.keys() | {"clip flags"}
+
+
+def test_each_thread_holds_a_workspace_of_its_own(monkeypatch):
+    # stripes of 2 rows, so the two threads' passes interleave
+    monkeypatch.setattr(measxyz, "_STRIPE_PIXELS", 2 * 48)
+    z = make_image(np.random.default_rng(10).uniform(0, 1, (64, 48, 3)))
+    params = RenderParams(exposure_gain=2.0)
+    serial, _ = _fresh(lambda: analyze_render(z, params))
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(index):
+        start.wait()
+        results[index] = analyze_render(z, params), measxyz._workspace()
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    (first, first_workspace), (second, second_workspace) = results
+    assert first_workspace is not second_workspace
+    assert measxyz._workspace() not in (first_workspace, second_workspace)
+    _assert_reports_equal(first, serial)
+    _assert_reports_equal(second, serial)
 
 
 def test_a_held_workspace_allocates_no_stripe_buffer_again(monkeypatch):
@@ -772,10 +805,11 @@ def test_a_held_workspace_allocates_no_stripe_buffer_again(monkeypatch):
     pixels = shape[0] * shape[1]
     margin = 3 * measxyz._STRIPE_PIXELS // 4
     params = RenderParams(exposure_gain=2.0)
-    workspace = measxyz._StripeWorkspace()
-    z = meas_xyz_transform(make_capture(1, *shape), workspace=workspace)
-    isp.make_bracket(z, workspace=workspace)
-    analyze_render(z, params, workspace=workspace)
+    monkeypatch.setattr(measxyz, "_thread", threading.local())
+    z = meas_xyz_transform(make_capture(1, *shape))
+    isp.make_bracket(z)
+    analyze_render(z, params)
+    workspace = measxyz._workspace()
     held = dict(workspace._buffers)
 
     stripe_pass_peak = []
@@ -789,11 +823,11 @@ def test_a_held_workspace_allocates_no_stripe_buffer_again(monkeypatch):
     capture = make_capture(2, *shape)
     bufsize = np.setbufsize(64)
     try:
-        image, peak = _traced_peak(lambda: meas_xyz_transform(capture, workspace=workspace))
+        image, peak = _traced_peak(lambda: meas_xyz_transform(capture))
         assert peak < image.data.nbytes + margin
-        bracket, peak = _traced_peak(lambda: isp.make_bracket(image, workspace=workspace))
+        bracket, peak = _traced_peak(lambda: isp.make_bracket(image))
         assert peak < sum(rendered.codes.nbytes for rendered in bracket) + margin
-        _, peak = _traced_peak(lambda: analyze_render(image, params, workspace=workspace))
+        _, peak = _traced_peak(lambda: analyze_render(image, params))
     finally:
         np.setbufsize(bufsize)
     # the stripe pass: recovered Y and the clip mask (9 B/px); the report:
@@ -801,5 +835,6 @@ def test_a_held_workspace_allocates_no_stripe_buffer_again(monkeypatch):
     # histogram's bin indices (26 B/px)
     assert stripe_pass_peak[0] < 9 * pixels + margin
     assert peak < 26 * pixels + margin
+    assert measxyz._workspace() is workspace
     assert workspace._buffers.keys() == held.keys()
     assert all(workspace._buffers[name] is buffer for name, buffer in held.items())

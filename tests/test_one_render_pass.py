@@ -42,7 +42,7 @@ def test_the_guard_sees_each_form():
         "windows = _windows(params)",
         "table = isp._window_table(8, transfer, 0, 0)",
         "from .isp import _Window as Window",
-        "_render_pass(z, params, sinks, workspace)",
+        "_render_pass(z, params, sinks)",
         "'_window_codes'",
         "# _windows",
     ])
