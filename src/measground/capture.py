@@ -16,6 +16,7 @@ import numpy as np
 
 from . import formats
 from .errors import (
+    DegenerateCalibration,
     DimensionMismatch,
     InvalidSpec,
     IoFailure,
@@ -25,8 +26,8 @@ from .errors import (
     SchemaViolation,
 )
 # CameraMetadata and CaptureRef live in records, without numpy; they stay importable from here.
-from .records import (CameraMetadata, CaptureRef, Matrix3x3, NonNegative, Positive, Range, _adopt, check_bounds,
-                      decode, encode)
+from .records import (CameraMetadata, CaptureRef, Matrix3x3, NonNegative, Positive, Range, _adopt, _det3,
+                      _finite_3x3, check_bounds, decode, encode)
 
 CFA_PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 # The calibration fields of a sidecar, a capture and a synthetic scene.
@@ -41,8 +42,9 @@ SIDECAR_NAME = "capture.json"
 
 @dataclass(frozen=True)
 class Sidecar:
-    """A bundle's capture.json: RawCapture's fields but the mosaic. ``decode`` checks
-    their ranges, and RawCapture the rest when the bundle is loaded."""
+    """A bundle's capture.json: RawCapture's fields but the mosaic. ``__post_init__`` is
+    the one calibration rule, which each capture passes once, where it enters: the
+    decode of a bundle's sidecar, the spec of a synthetic capture, or a RawCapture's own."""
 
     capture_id: str
     cfa_pattern: str
@@ -52,6 +54,24 @@ class Sidecar:
     cam_to_xyz: Matrix3x3
     metadata: CameraMetadata
     raw_path: str
+
+    def __post_init__(self):
+        from .measxyz import white_scale  # the scale the Meas.-XYZ pass divides by
+
+        if not self.capture_id:
+            raise MalformedSidecar("capture_id must be non-empty")
+        if self.cfa_pattern not in CFA_PATTERNS:
+            raise MalformedSidecar(f"unknown cfa_pattern {self.cfa_pattern!r}")
+        check_bounds(self, MalformedSidecar)  # so each value below is a number
+        if len(self.black_level) != 4 or len(self.wb_gains) != 3:
+            raise MalformedSidecar("black_level must have 4 entries and wb_gains 3")
+        if not self.white_level > max(self.black_level):
+            raise MalformedSidecar(f"white_level must exceed every black level, got {self.white_level}")
+        # NaN (an overflowing expansion) counts as singular
+        if not abs(_det3(_finite_3x3(self.cam_to_xyz, "cam_to_xyz", MalformedSidecar))) > MIN_CAM_TO_XYZ_DET:
+            raise MalformedSidecar("cam_to_xyz is singular")
+        if not 1e-12 < white_scale(self) < np.inf:
+            raise DegenerateCalibration("the white-balanced white maps to no finite positive XYZ value")
 
 
 @dataclass(frozen=True)
@@ -74,35 +94,23 @@ class RawCapture:
     raw_path: str
 
     def __post_init__(self):
+        Sidecar(**{f.name: getattr(self, f.name) for f in fields(Sidecar)})  # the calibration rule
         # A copy, so the capture is independent of the caller's array.
         object.__setattr__(self, "mosaic",
                            formats.uint16_codes(self.mosaic, formats.PGM_MAXVAL, "mosaic codes", MalformedMosaic))
         self._freeze()
 
     def _freeze(self) -> None:
-        """Check every field of a capture over a uint16 mosaic, then make the mosaic read-only."""
-        if not self.capture_id:
-            raise MalformedSidecar("capture_id must be non-empty")
-        if self.cfa_pattern not in CFA_PATTERNS:
-            raise MalformedSidecar(f"unknown cfa_pattern {self.cfa_pattern!r}")
+        """Check the shape of a uint16 mosaic, then freeze the capture: the mosaic and
+        the matrix read-only, the calibration as floats. Sidecar's rule has passed it."""
         shape = self.mosaic.shape
         if len(shape) != 2 or 0 in shape or shape[0] % 2 or shape[1] % 2:
             raise DimensionMismatch(f"mosaic must be 2-D with even, nonzero dimensions, got {shape}")
         self.mosaic.setflags(write=False)
-        check_bounds(self, MalformedSidecar)  # so each value below is a number
-        black, gains = tuple(map(float, self.black_level)), tuple(map(float, self.wb_gains))
-        if len(black) != 4 or len(gains) != 3:
-            raise MalformedSidecar("black_level must have 4 entries and wb_gains 3")
-        object.__setattr__(self, "black_level", black)
+        object.__setattr__(self, "black_level", tuple(map(float, self.black_level)))
         object.__setattr__(self, "white_level", float(self.white_level))
-        object.__setattr__(self, "wb_gains", gains)
-        if self.white_level <= max(black):
-            raise MalformedSidecar(f"white_level must exceed every black level, got {self.white_level}")
+        object.__setattr__(self, "wb_gains", tuple(map(float, self.wb_gains)))
         matrix = np.array(self.cam_to_xyz, dtype=np.float64)
-        if matrix.shape != (3, 3) or not np.all(np.isfinite(matrix)):
-            raise MalformedSidecar("cam_to_xyz must be a finite 3x3 matrix")
-        if abs(np.linalg.det(matrix)) <= MIN_CAM_TO_XYZ_DET:
-            raise MalformedSidecar("cam_to_xyz is singular")
         matrix.setflags(write=False)
         object.__setattr__(self, "cam_to_xyz", matrix)
 
@@ -142,14 +150,11 @@ def load_capture_bundle(path: Path, sidecar: Sidecar | None = None) -> RawCaptur
     """
     path = Path(path)
     mosaic_path = path / MOSAIC_NAME
-    sidecar_path = path / SIDECAR_NAME
     if sidecar is None:
         sidecar = read_bundle_sidecar(path)
     mosaic = formats.read_pgm16(mosaic_path)
     try:  # the capture adopts the array just read, so the mosaic is held once
         return _adopt(RawCapture, mosaic=mosaic, **vars(sidecar))
-    except MalformedSidecar as exc:
-        raise MalformedSidecar(f"{sidecar_path}: {exc}") from exc
     except DimensionMismatch as exc:
         raise DimensionMismatch(f"{mosaic_path}: {exc}") from exc
 
@@ -244,6 +249,9 @@ def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-
     """
     from .measxyz import _site_rows, _stripe_step
 
+    sidecar = Sidecar(capture_id=capture_id, cfa_pattern=spec.cfa_pattern, black_level=spec.black_level,
+                      white_level=spec.white_level, wb_gains=spec.wb_gains, cam_to_xyz=spec.cam_to_xyz,
+                      metadata=spec.metadata, raw_path=f"synthetic://{capture_id}")
     scene = scene_radiance(spec)
     rng = np.random.default_rng(seed)
     height, width = scene.shape
@@ -269,17 +277,6 @@ def synth_capture(spec: SyntheticSceneSpec, seed: int, capture_id: str = "synth-
         np.floor(out, out=out)
         np.clip(out, 0, 65535, out=out)
         np.copyto(codes[top:top + 2 * pairs], out.reshape(-1, width), casting="unsafe")
-    capture = _adopt(  # the codes just computed, adopted without a copy
-        RawCapture,
-        capture_id=capture_id,
-        mosaic=codes,
-        cfa_pattern=spec.cfa_pattern,
-        black_level=spec.black_level,
-        white_level=spec.white_level,
-        wb_gains=spec.wb_gains,
-        cam_to_xyz=spec.cam_to_xyz,
-        metadata=spec.metadata,
-        raw_path=f"synthetic://{capture_id}",
-    )
-    return SyntheticCapture(capture=capture, scene=scene)
+    # the codes just computed, adopted without a copy
+    return SyntheticCapture(capture=_adopt(RawCapture, mosaic=codes, **vars(sidecar)), scene=scene)
 

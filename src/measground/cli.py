@@ -423,28 +423,33 @@ def _cmd_synth(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[
     return {"captures": len(refs)}, EXIT_OK
 
 
-def _ingest_one(bundle_dir: Path) -> dict:
-    """Load and validate one bundle; returns its capture ref."""
+def _bundles(paths: list[Path]) -> list[tuple[Path, object]]:
+    """The bundles at ``paths`` with their sidecars, read, and so checked by the
+    calibration rule, before any worker forks; refused if two hold one capture.
+    The workers load each bundle with the sidecar read here."""
     from . import capture as capture_mod
 
-    loaded = capture_mod.load_capture_bundle(bundle_dir)
-    return records.encode(records.CaptureRef.from_capture(loaded, str(bundle_dir)))
+    bundles = [(bundle, capture_mod.read_bundle_sidecar(bundle)) for bundle in paths]
+    _refuse_duplicate_ids((bundle / capture_mod.SIDECAR_NAME, sidecar.capture_id) for bundle, sidecar in bundles)
+    return bundles
+
+
+def _ingest_one(bundle: tuple[Path, object]) -> dict:
+    """Load one bundle, given with its sidecar; returns its capture ref."""
+    from . import capture as capture_mod
+
+    loaded = capture_mod.load_capture_bundle(*bundle)
+    return records.encode(records.CaptureRef.from_capture(loaded, str(bundle[0])))
 
 
 def _cmd_ingest(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
-    from . import capture as capture_mod
-
-    refs = pool.map(_ingest_one, _iter_bundle_dirs(Path(args.input)))
-    _refuse_duplicate_ids(
-        (Path(ref["bundle_path"]) / capture_mod.SIDECAR_NAME, ref["capture_id"]) for ref in refs
-    )
+    refs = pool.map(_ingest_one, _bundles(_iter_bundle_dirs(Path(args.input))))
     formats.write_json(out / "captures.json", refs)
     return {"captures": len(refs)}, EXIT_OK
 
 
 def _measxyz_one(bundle: tuple[Path, object], out: Path) -> None:
-    """Transform one bundle, given with the sidecar record the stage process read,
-    straight into its plane pair."""
+    """Transform one bundle, given with its sidecar, straight into its plane pair."""
     from . import capture as capture_mod
     from . import measxyz
 
@@ -453,12 +458,7 @@ def _measxyz_one(bundle: tuple[Path, object], out: Path) -> None:
 
 
 def _cmd_measxyz(args, config: RunConfig, out: Path, pool: _CapturePool) -> tuple[dict, int]:
-    from . import capture as capture_mod
-    from . import measxyz  # noqa: F401  (loaded once here, before the workers fork)
-
-    bundles = [(bundle, capture_mod.read_bundle_sidecar(bundle))
-               for bundle in _capture_paths(Path(args.input))]
-    _refuse_duplicate_ids((bundle / capture_mod.SIDECAR_NAME, sidecar.capture_id) for bundle, sidecar in bundles)
+    bundles = _bundles(_capture_paths(Path(args.input)))
     pool.map(partial(_measxyz_one, out=out), bundles)
     return {"images": len(bundles)}, EXIT_OK
 

@@ -80,7 +80,7 @@ def balance(
     score_floor: float = 0.0,
 ) -> DatasetManifest:
     """Greedy cap-constrained selection in descending score order."""
-    if target_size <= 0:
+    if not target_size > 0:  # so NaN fails
         raise DomainError("target_size must be positive")
     pool = score_filter(list(samples), score_floor)
     rng = random.Random(seed)

@@ -38,7 +38,8 @@ class IoFailure(MeasgroundError):
 # --- numeric pipeline --------------------------------------------------------
 
 class DegenerateCalibration(MeasgroundError):
-    """The white-balanced white pixel maps to no positive XYZ value (``measxyz.white_scale``)."""
+    """The white-balanced full-scale white maps to no finite positive XYZ value
+    (``measxyz.white_scale``); raised only by the calibration rule, ``capture.Sidecar``."""
 
 
 class DomainError(MeasgroundError, ValueError):

@@ -184,9 +184,9 @@ def _luminance_report(
     percentile reorders it in place once the residual is taken, and it is
     dropped before Y's percentile makes its copy.
     """
-    if tau <= 0:
+    if not tau > 0:  # so NaN fails
         raise DomainError("tau must be > 0")
-    if bins < 2:
+    if not bins >= 2:
         raise DomainError("bins must be >= 2")
 
     y_orig = z.data[..., 1]  # the stored Y, widened by the subtraction alone

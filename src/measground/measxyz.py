@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import formats
-from .errors import DegenerateCalibration, DomainError, ShapeMismatch
+from .errors import DomainError, ShapeMismatch
 from .records import CameraMetadata, MeasXyzHeader, _adopt, encode, read_meas_xyz_header
 
 if TYPE_CHECKING:  # the bracket and lost-signal stages run without capture
@@ -229,13 +229,12 @@ def demosaic_bilinear(norm_mosaic: np.ndarray, cfa_pattern: str) -> np.ndarray:
     return out
 
 
-def white_scale(capture: RawCapture) -> float:
-    """Largest XYZ component of a full-scale white-balanced white pixel."""
-    xyz_white = capture.cam_to_xyz @ np.asarray(capture.wb_gains)
-    scale = float(xyz_white.max())
-    if scale <= 1e-12:
-        raise DegenerateCalibration("white pixel maps to a non-positive XYZ value")
-    return scale
+def white_scale(calibration) -> float:
+    """Largest XYZ component of a full-scale white-balanced white pixel, of a capture's
+    or a sidecar's calibration; capture.Sidecar's rule refuses one not finite and positive."""
+    matrix, gains = (np.asarray(value, dtype=np.float64) for value in (calibration.cam_to_xyz, calibration.wb_gains))
+    with np.errstate(over="ignore", invalid="ignore"):  # the rule refuses a white that overflows
+        return float((matrix @ gains).max())
 
 
 def _stripe_step(width: int) -> int:

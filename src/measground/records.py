@@ -417,14 +417,15 @@ _Row3 = tuple[float, float, float]
 Matrix3x3 = tuple[_Row3, _Row3, _Row3]
 
 
-def _finite_3x3(value) -> tuple[tuple[float, ...], ...]:
+def _finite_3x3(value, name: str, error: type[MeasgroundError]) -> tuple[tuple[float, ...], ...]:
+    """``value``'s rows as floats, or ``error`` naming the field ``name`` unless it is a finite 3x3."""
     try:
         rows = tuple(tuple(float(v) for v in row) for row in value)
     except (TypeError, ValueError):
         rows = ()
     if (len(rows) != 3 or any(len(row) != 3 for row in rows)
             or not all(math.isfinite(v) for row in rows for v in row)):
-        raise SingularMatrix("xyz_to_linear_srgb must be a finite 3x3 matrix")
+        raise error(f"{name} must be a finite 3x3 matrix")
     return rows
 
 
@@ -444,7 +445,7 @@ class RenderParams:
         check_bounds(self, DomainError)
         if self.transfer not in (SRGB_PIECEWISE, IDENTITY):
             raise DomainError(f"unknown transfer {self.transfer!r}")
-        matrix = _finite_3x3(self.xyz_to_linear_srgb)
+        matrix = _finite_3x3(self.xyz_to_linear_srgb, "xyz_to_linear_srgb", SingularMatrix)
         # NaN (an overflowing expansion) counts as singular
         if not abs(_det3(matrix)) > MIN_RENDER_MATRIX_DET:
             raise SingularMatrix("xyz_to_linear_srgb is singular")

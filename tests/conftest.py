@@ -30,9 +30,14 @@ def make_capture(seed: int = 0, height: int | None = None, width: int | None = N
     h = height if height is not None else 2 * int(rng.integers(1, 5))
     w = width if width is not None else 2 * int(rng.integers(1, 5))
     black = tuple(float(b) for b in rng.uniform(0.0, 200.0, 4))
-    matrix = rng.normal(0.0, 0.4, (3, 3)) + np.eye(3)
-    while abs(np.linalg.det(matrix)) < 1e-3:
+
+    def draw_matrix():
         matrix = rng.normal(0.0, 0.4, (3, 3)) + np.eye(3)
+        while abs(np.linalg.det(matrix)) < 1e-3:
+            matrix = rng.normal(0.0, 0.4, (3, 3)) + np.eye(3)
+        return matrix
+
+    matrix = draw_matrix()
     fields = dict(
         capture_id=f"cap-{seed:06d}",
         mosaic=rng.integers(0, 65536, (h, w)).astype(np.uint16),
@@ -44,6 +49,10 @@ def make_capture(seed: int = 0, height: int | None = None, width: int | None = N
         metadata=make_metadata(seed),
         raw_path=f"/raw/{seed:06d}.dng",
     )
+    # the calibration rule refuses a white that a random matrix maps to no positive
+    # value; the matrix is redrawn after every other draw, so each other seed keeps its capture
+    while not (fields["cam_to_xyz"] @ np.asarray(fields["wb_gains"])).max() > 1e-12:
+        fields["cam_to_xyz"] = draw_matrix()
     fields.update(overrides)
     return RawCapture(**fields)
 

@@ -17,6 +17,7 @@ from measground.capture import (
     synth_capture,
 )
 from measground.errors import (
+    DegenerateCalibration,
     DimensionMismatch,
     InvalidSpec,
     MalformedMosaic,
@@ -281,9 +282,22 @@ def test_integer_mosaic_codes_of_any_dtype_are_kept():
     (dict(black_level=(1.0, 2.0, 3.0)), "black_level must have 4 entries"),
     (dict(cam_to_xyz=np.where(np.eye(3) == 1, np.nan, 0.0)), "cam_to_xyz must be a finite 3x3 matrix"),
     (dict(cam_to_xyz=np.diag([np.inf, 1.0, 1.0])), "cam_to_xyz must be a finite 3x3 matrix"),
-], ids=["three_black_levels", "nan_matrix", "inf_matrix"])
+    # the cofactor expansion overflows to inf - inf
+    (dict(cam_to_xyz=np.array([[1e200, 1e200, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]])),
+     "cam_to_xyz is singular"),
+], ids=["three_black_levels", "nan_matrix", "inf_matrix", "nan_determinant"])
 def test_a_capture_refuses_malformed_calibration(overrides, named):
     with pytest.raises(MalformedSidecar, match=named):
+        make_capture(0, **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(cam_to_xyz=-np.eye(3)),
+    dict(cam_to_xyz=np.diag([1e308, 1.0, 1.0]), wb_gains=(4.0, 1.0, 1.0)),
+    dict(cam_to_xyz=-np.eye(3), mosaic=np.zeros((3, 3), np.uint16)),
+], ids=["white_below_zero", "infinite_white", "before_the_mosaic_shape"])
+def test_a_capture_refuses_a_white_that_maps_to_no_finite_positive_value(overrides):
+    with pytest.raises(DegenerateCalibration, match="white maps to no finite positive XYZ value"):
         make_capture(0, **overrides)
 
 

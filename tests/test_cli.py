@@ -329,6 +329,18 @@ class TestFailedStageOutput:
                      "--out", str(tmp_path / "o")]) == 1
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["synth-0000.f32", "synth-0000.json"]
 
+    def test_a_sidecar_that_breaks_the_calibration_rule_leaves_no_out(self, tmp_path, capsys):
+        # the sidecars are read before any worker forks, so the first bundle's plane is not written
+        assert main(["synth", "--out", str(tmp_path / "s"), "--count", "2"]) == 0
+        sidecar = tmp_path / "s" / "bundles" / "synth-0001" / "capture.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "white_level": 10}))
+        capsys.readouterr()
+        assert main(["measxyz", "--input", str(tmp_path / "s" / "captures.json"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "synth-0001/capture.json: sidecar: white_level must exceed every black level, got 10.0" \
+            in _error_event(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_lost_signal_takes_unquantized_renders(self, measxyz):
         (measxyz / "c.json").write_text('{"quantize": false}')
         assert main(["lost-signal", "--input", str(measxyz / "m"), "--config", str(measxyz / "c.json"),
@@ -845,6 +857,17 @@ def _sidecar_with(key, value, stage):
     return case
 
 
+_NEGATIVE_IDENTITY = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+_NO_POSITIVE_WHITE = "the white-balanced white maps to no finite positive XYZ value"
+
+
+def _sidecar_with_a_white_below_zero(root):
+    path = root / "s" / "bundles" / "synth-0000" / "capture.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "cam_to_xyz": _NEGATIVE_IDENTITY}))
+    return ["ingest", "--input", root / "s" / "bundles", "--out", root / "out"], \
+        f"synth-0000/capture.json: sidecar: {_NO_POSITIVE_WHITE}"
+
+
 def _render_header_not_json(root):
     (root / "r" / "synth-0000_e1.json").write_text("{not json")
     return ["annotate", "--proxies", root / "r", "--mock-annotator", root / "t.jsonl",
@@ -1287,6 +1310,9 @@ class TestMalformedInputs:
                      "config.json: config.scene.black_level: expected tuple[float, float, float, float]"),
         _config_file("synth", "--scene", '{"cam_to_xyz": [[1, 2], [3]]}', "scene_with_ragged_matrix",
                      "config.json: config.scene.cam_to_xyz: expected tuple[tuple[float, float, float], "),
+        _config_file("synth", "--scene", json.dumps({"cam_to_xyz": _NEGATIVE_IDENTITY}),
+                     "scene_with_a_white_below_zero", _NO_POSITIVE_WHITE),
+        _sidecar_with_a_white_below_zero,
         _config_not_utf8,
         _sidecar_metadata_with("iso", "100"),
         _sidecar_metadata_with("exposure_time", True),
@@ -1368,6 +1394,20 @@ class TestNonFiniteSettings:
         assert main(["aggregate", "--candidates", "candidates.jsonl", "--measxyz", "m", "--out", "out"]) == 1
         assert "candidates.jsonl:2: candidate.exposure_gain: value inf out of range" in _error_event(capsys)
         assert not (measxyz / "out").exists()
+
+
+@pytest.mark.parametrize("cam_to_xyz, wb_gains", [
+    ([[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1]], [1, 1, 1]),
+    ([[1e308, -1e308, 0], [0, 1, 0], [0, 0, 1]], [4, 4, 1]),
+], ids=["determinant_overflows", "white_overflows"])
+def test_a_legal_extreme_calibration_logs_only_json_lines(tmp_path, capsys, cam_to_xyz, wb_gains):
+    """A numpy warning would print a line that is not JSON; the suite makes each one an error."""
+    (tmp_path / "scene.json").write_text(json.dumps({"cam_to_xyz": cam_to_xyz, "wb_gains": wb_gains}))
+    synth, ingest, measxyz = (str(tmp_path / stage) for stage in ("synth", "ingest", "measxyz"))
+    assert main(["synth", "--scene", str(tmp_path / "scene.json"), "--count", "2", "--out", synth]) == 0
+    assert main(["ingest", "--input", f"{synth}/bundles", "--out", ingest]) == 0
+    assert main(["measxyz", "--input", f"{ingest}/captures.json", "--out", measxyz]) == 0
+    assert all(json.loads(line) for line in capsys.readouterr().err.splitlines())
 
 
 @pytest.mark.parametrize("provenance", ["[Infinity, -1.0]", "[1e999, 2.0]"])

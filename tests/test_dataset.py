@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,12 @@ class TestBalance:
         assert sorted(s.capture_id for s in manifest.samples) == sorted(
             s.capture_id for s in samples
         )
+
+    @pytest.mark.parametrize("target_size", [0, -1, math.nan])
+    def test_target_size_must_be_positive(self, target_size):
+        caps = BalanceCaps(per_source=10, per_type=10, per_template=10)
+        with pytest.raises(DomainError, match="target_size must be positive"):
+            balance([_sample(0)], caps, target_size=target_size, seed=0)
 
     def test_same_seed_identical(self):
         samples = [_sample(i, score=0.5) for i in range(30)]

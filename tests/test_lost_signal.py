@@ -171,10 +171,12 @@ class TestResidualReport:
 
     def test_tau_and_bins_validation(self):
         z = make_image(np.zeros((4, 4, 3)))
-        with pytest.raises(DomainError):
-            lost_signal_residual(z, z.data, np.zeros((4, 4), bool), tau=0.0)
-        with pytest.raises(DomainError):
-            lost_signal_residual(z, z.data, np.zeros((4, 4), bool), bins=1)
+        for tau in (0.0, math.nan):
+            with pytest.raises(DomainError, match="tau must be > 0"):
+                lost_signal_residual(z, z.data, np.zeros((4, 4), bool), tau=tau)
+        for bins in (1, math.nan):
+            with pytest.raises(DomainError, match="bins must be >= 2"):
+                lost_signal_residual(z, z.data, np.zeros((4, 4), bool), bins=bins)
 
 
 class TestNearestRank:

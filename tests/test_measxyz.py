@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measground import measxyz as measxyz_mod
-from measground.capture import SyntheticSceneSpec, synth_capture
+from measground.capture import RawCapture, SyntheticSceneSpec, synth_capture
 from measground.errors import DomainError, IoFailure, SchemaViolation
 from measground.measxyz import (
     MeasXyzImage,
@@ -19,7 +19,7 @@ from measground.measxyz import (
     white_scale,
     write_meas_xyz,
 )
-from measground.records import read_meas_xyz_header
+from measground.records import _adopt, read_meas_xyz_header
 
 from conftest import make_capture, make_metadata
 
@@ -257,10 +257,12 @@ class TestPlaneExport:
             assert (tmp_path / f"streamed{suffix}").read_bytes() == (tmp_path / f"saved{suffix}").read_bytes()
 
     def test_streamed_pair_refuses_a_nan_stripe_and_leaves_no_file(self, tmp_path):
-        # inf - inf in the white scale and the matrix product: every value is NaN,
-        # refused before a row is written
-        capture = make_capture(1, height=4, width=4, wb_gains=(4.0, 4.0, 1.0),
-                               cam_to_xyz=np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        # inf - inf in the matrix product: every value is NaN, refused before a row is
+        # written. The capture is adopted, past the calibration rule, which refuses the
+        # white when BLAS sums its first row to NaN and not to -inf
+        matrix = np.array([[1e308, -1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        capture = _adopt(RawCapture, **vars(make_capture(1, height=4, width=4))
+                         | dict(wb_gains=(4.0, 4.0, 1.0), cam_to_xyz=matrix))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="must be finite"):
             write_meas_xyz(capture, tmp_path / "x")
         assert list(tmp_path.iterdir()) == []

@@ -383,16 +383,21 @@ def _report(per_dimension):
     return st.fixed_dictionaries({dim: st.integers(1, 99) for dim in per_dimension}).flatmap(report)
 
 
+# Calibrations the rule accepts: white above black, and a diagonally dominant
+# matrix, whose determinant is at least 0.5 ** 3 and whose white is at least half
+# the largest gain.
+_cam_to_xyz = st.tuples(*[st.tuples(*[st.floats(1.0, 4.0) if j == i else st.floats(-0.25, 0.25)
+                                      for j in range(3)]) for i in range(3)])
+
 _RECORDS = {
     CameraMetadata: _metadata,
     CaptureRef: _refs,
     capture.Sidecar: st.builds(
-        capture.Sidecar, capture_id=_text, cfa_pattern=_text,
-        black_level=st.tuples(*[st.floats(min_value=0.0, max_value=1e6)] * 4),
-        white_level=st.floats(min_value=0.0, max_value=65535.0),
+        capture.Sidecar, capture_id=_words, cfa_pattern=st.sampled_from(capture.CFA_PATTERNS),
+        black_level=st.tuples(*[st.floats(min_value=0.0, max_value=30000.0)] * 4),
+        white_level=st.floats(min_value=30001.0, max_value=65535.0),
         wb_gains=st.tuples(_positive, _positive, _positive),
-        cam_to_xyz=st.tuples(*[st.tuples(_finite, _finite, _finite)] * 3),
-        metadata=_metadata, raw_path=_text),
+        cam_to_xyz=_cam_to_xyz, metadata=_metadata, raw_path=_text),
     records.MeasXyzHeader: st.builds(
         records.MeasXyzHeader, capture_id=_text, metadata=_metadata, range=st.tuples(_finite, _finite),
         height=st.integers(1, 99), width=st.integers(1, 99), channels=st.integers(1, 3)),
